@@ -22,7 +22,6 @@ from .calculus import (
     backend_crosscheck,
     lf_derivative,
     lf_integral,
-    lf_integral_changed,
     rl_integrate,
 )
 from .convexity import (
@@ -61,10 +60,7 @@ from .fractal_scalar import (
     TagMismatchError,
     axiom_conformance,
     embed,
-    fs_arith,
-    fs_cmp,
     gamma,
-    iso_arith,
 )
 from .inequalities import (
     ConsistencyCheck,
@@ -122,15 +118,11 @@ __all__ = [
     "estimate_eta_sup",
     "evaluate",
     "fejer_terms",
-    "fs_arith",
-    "fs_cmp",
     "gamma",
     "hh_fejer_consistency",
     "hh_terms",
-    "iso_arith",
     "lf_derivative",
     "lf_integral",
-    "lf_integral_changed",
     "minimum_condition_check",
     "normalize",
     "parse",

@@ -43,14 +43,13 @@ consistent wherever both apply.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import FunctionSpec, GPoly, NotPolynomial
+from .expr import FunctionSpec, GPoly
 from .fractal_scalar import AlphaContext, FractalScalar, gamma
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "NUMERIC",
     "rl_integrate",
     "lf_integral",
-    "lf_integral_changed",
     "lf_derivative",
     "backend_crosscheck",
     "CrosscheckReport",
@@ -135,12 +133,6 @@ def _gl(points: int) -> tuple[np.ndarray, np.ndarray]:
 def _graded_breakpoints(V: float, panels: int) -> np.ndarray:
     """Uniform breakpoints on [0, V] with dyadically graded end panels."""
     base = np.linspace(0.0, V, panels + 1)
-    if panels == 1:
-        w = V
-        left = w * 0.5 ** np.arange(_END_DEPTH, 0, -1)
-        right = V - w * 0.5 ** np.arange(1, _END_DEPTH + 1)
-        pts = np.concatenate(([0.0], left, np.sort(right), [V]))
-        return np.unique(pts)
     w = base[1] - base[0]
     left = base[0] + w * 0.5 ** np.arange(_END_DEPTH, 0, -1)
     right = base[-1] - w * 0.5 ** np.arange(1, _END_DEPTH + 1)
@@ -257,42 +249,6 @@ def lf_integral(
     fn = (lambda xs: f.evaluate_many(xs, ctx)) if isinstance(f, FunctionSpec) else f
     res = rl_integrate(fn, a, b, ctx.alpha, backend)
     return FractalScalar(sign * res.value, ctx.alpha)
-
-
-def lf_integral_changed(
-    f: Union[FunctionSpec, Callable[[np.ndarray], np.ndarray]],
-    a: float,
-    b: float,
-    ctx: AlphaContext,
-    backend: IntegralBackend = NUMERIC,
-) -> FractalScalar:
-    """a_I_b f computed through the pullback t -> a + t*(b - a) on [0, 1].
-
-    Equals ``(b - a)**alpha * 0_I_1 f(a + t*(b - a))``; the increasing
-    change of variables is exact under the realization, so this must agree
-    with :func:`lf_integral` to rounding/quadrature tolerance.
-    """
-    a, b = float(a), float(b)
-    if a == b:
-        return FractalScalar(0.0, ctx.alpha)
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    span = b - a
-    scale = span**ctx.alpha
-    if backend.kind is BackendKind.EXACT_MONOMIAL:
-        if not isinstance(f, FunctionSpec):
-            raise TypeError("exact backend requires a FunctionSpec")
-        gp = f.gpoly(a, ctx)
-        pulled = GPoly(
-            0.0,
-            ctx.alpha,
-            tuple((k, c * span ** (k * ctx.alpha)) for k, c in gp.terms),
-        )
-        return FractalScalar(sign * scale * _table_integral(pulled, 1.0, ctx.alpha), ctx.alpha)
-    fn = (lambda xs: f.evaluate_many(xs, ctx)) if isinstance(f, FunctionSpec) else f
-    res = rl_integrate(lambda ts: fn(a + ts * span), 0.0, 1.0, ctx.alpha, backend)
-    return FractalScalar(sign * scale * res.value, ctx.alpha)
 
 
 def _term_rule(gp: GPoly, x0: float, alpha: float) -> float:

@@ -38,7 +38,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -128,10 +128,9 @@ def _emit_report(command: str, config_echo: dict, results: dict, notes: list[str
 _CONFIG_KEYS = {
     "certify": ("alpha", "c", "interval", "f", "eta", "grid", "refine",
                 "meta", "out"),
-    "hh": ("alpha", "c", "interval", "f", "eta", "grid", "refine", "meta",
-           "out", "backend", "m_eta"),
-    "fejer": ("alpha", "c", "interval", "f", "eta", "w", "grid", "refine",
-              "meta", "out"),
+    "hh": ("alpha", "c", "interval", "f", "eta", "meta", "out", "backend",
+           "m_eta"),
+    "fejer": ("alpha", "c", "interval", "f", "eta", "w", "meta", "out"),
     "sweep": ("alphas", "cs", "etas", "fs", "interval", "grid", "refine",
               "budget", "out"),
 }
@@ -202,6 +201,17 @@ def _parse_interval(value) -> tuple[float, float]:
     return a, b
 
 
+def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, int]:
+    """Validated ``--grid``/``--refine``; range problems go to ``problems``."""
+    grid = _as_int("grid", args.grid)
+    refine = _as_int("refine", args.refine)
+    if grid < 8:
+        problems.append(f"--grid must be >= 8, got {grid!r}")
+    if refine < 0:
+        problems.append(f"--refine must be >= 0, got {refine!r}")
+    return grid, refine
+
+
 def _missing_flags(args: argparse.Namespace, *names: str) -> list[str]:
     """Problem lines for required flags that are still unset after layering."""
     return [f"--{n} is required" for n in names if getattr(args, n) is None]
@@ -209,14 +219,17 @@ def _missing_flags(args: argparse.Namespace, *names: str) -> list[str]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated common options shared by the report-producing commands."""
+    """Validated common options shared by the report-producing commands.
+
+    ``grid`` and ``refine`` are set only for commands that take them.
+    """
 
     alpha: float
     c: float
     a: float
     b: float
-    grid: int
-    refine: int
+    grid: Optional[int]
+    refine: Optional[int]
     meta: Optional[str]
 
     @classmethod
@@ -238,12 +251,7 @@ class RunConfig:
             a, b = _parse_interval(args.interval)
         except ConfigError as exc:
             problems.append(str(exc))
-        grid = _as_int("grid", args.grid)
-        refine = _as_int("refine", args.refine)
-        if grid < 8:
-            problems.append(f"--grid must be >= 8, got {grid!r}")
-        if refine < 0:
-            problems.append(f"--refine must be >= 0, got {refine!r}")
+        grid, refine = _lattice_size(args, problems) if "grid" in args else (None, None)
         if problems:
             raise ConfigError("; ".join(problems))
         return cls(alpha=alpha, c=c, a=a, b=b, grid=grid, refine=refine,
@@ -258,12 +266,12 @@ class RunConfig:
         return {"c": self.c, "lo": self.a, "hi": self.b}
 
     def echo(self) -> dict:
+        lattice = {} if self.grid is None else {"grid": self.grid, "refine": self.refine}
         return {
             "alpha": self.alpha,
             "c": self.c,
             "interval": [self.a, self.b],
-            "grid": self.grid,
-            "refine": self.refine,
+            **lattice,
             "meta": self.meta,
         }
 
@@ -309,8 +317,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_hh(args: argparse.Namespace) -> int:
     _merge_config(args)
-    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "grid": 50, "refine": 3,
-                           "backend": "rl"})
+    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "backend": "rl"})
     pre = _missing_flags(args, "f", "eta")
     if args.backend not in ("exact", "rl", None):
         pre.append(f"--backend must be exact|rl, got {args.backend!r}")
@@ -331,8 +338,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
 
 def _cmd_fejer(args: argparse.Namespace) -> int:
     _merge_config(args)
-    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "grid": 50, "refine": 3,
-                           "w": "one"})
+    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "w": "one"})
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, w, echo = _make_specs(cfg, args.f, args.eta, args.w)
     report = fejer_terms(f, eta, cfg.c, w, cfg.a, cfg.b, cfg.ctx)
@@ -375,13 +381,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         a, b = _parse_interval(args.interval)
     except ConfigError as exc:
         problems.append(str(exc))
-    grid = _as_int("grid", args.grid)
-    refine = _as_int("refine", args.refine)
+    grid, refine = _lattice_size(args, problems)
     budget = _as_int("budget", args.budget)
-    if grid < 8:
-        problems.append(f"--grid must be >= 8, got {grid!r}")
-    if refine < 0:
-        problems.append(f"--refine must be >= 0, got {refine!r}")
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             problems.append(f"sweep alpha must be in (0, 1], got {alpha!r}")
@@ -395,12 +396,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
     # Parse every expression once up front: malformed text is a config
-    # problem (exit 1), not a per-row runtime failure.
+    # problem (exit 1), not a per-row runtime failure.  Rows rebind c.
+    bound = {"c": 0.0, "lo": a, "hi": b}
+    f_specs, eta_specs = {}, {}
     for key in fs:
-        FunctionSpec.from_text(resolve_f(key)[1], domain=(a, b),
-                               params={"c": 0.0, "lo": a, "hi": b})
+        f_id, f_text = resolve_f(key)
+        f_specs[key] = f_id, FunctionSpec.from_text(f_text, domain=(a, b), params=bound)
     for key in etas:
-        EtaSpec.from_text(resolve_eta(key)[1], params={"c": 0.0, "lo": a, "hi": b})
+        eta_id, eta_text = resolve_eta(key)
+        eta_specs[key] = eta_id, EtaSpec.from_text(eta_text, params=bound)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -409,13 +413,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for alpha in alphas:
         ctx = AlphaContext(alpha=alpha)
         for c in cs:
-            params = {"c": c, "lo": a, "hi": b}
+            params = tuple(sorted({**bound, "c": c}.items()))
             for eta_key in etas:
-                eta_id, eta_text = resolve_eta(eta_key)
-                eta = EtaSpec.from_text(eta_text, params=params)
+                eta_id, eta = eta_specs[eta_key]
+                eta = replace(eta, params=params)
                 for f_key in fs:
-                    f_id, f_text = resolve_f(f_key)
-                    f = FunctionSpec.from_text(f_text, domain=(a, b), params=params)
+                    f_id, f = f_specs[f_key]
+                    f = replace(f, params=params)
                     head = [_fmt(alpha), _fmt(c), eta_id, f_id, _fmt(a), _fmt(b)]
                     try:
                         hh = hh_terms(f, eta, c, a, b, ctx, backend=NUMERIC)
@@ -456,17 +460,16 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     _, f_text = resolve_f(args.f)
     f = FunctionSpec.from_text(f_text, domain=(lo, hi) if lo < hi else None,
                                params={"lo": lo, "hi": hi})
-    if args.backend == "exact":
-        value, used = lf_integral(f, args.a, args.b, ctx, EXACT).value, "exact"
-    elif args.backend == "rl":
-        value, used = lf_integral(f, args.a, args.b, ctx, NUMERIC).value, "rl"
-    else:
-        try:
-            value, used = lf_integral(f, args.a, args.b, ctx, EXACT).value, "exact"
-        except NotPolynomial:
-            value, used = lf_integral(f, args.a, args.b, ctx, NUMERIC).value, "rl"
+    backend = NUMERIC if args.backend == "rl" else EXACT
+    try:
+        value = lf_integral(f, args.a, args.b, ctx, backend).value
+    except NotPolynomial:
+        if args.backend == "exact":
+            raise
+        backend = NUMERIC
+        value = lf_integral(f, args.a, args.b, ctx, backend).value
     sys.stdout.write(_fmt(value) + "\n")
-    sys.stdout.write(f"backend: {used}\n")
+    sys.stdout.write(f"backend: {backend.kind.value}\n")
     return 0
 
 
@@ -479,26 +482,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     ctx = AlphaContext(alpha=alpha)
     _, f_text = resolve_f(args.f)
     f = FunctionSpec.from_text(f_text)
-    if args.mode == "exact":
-        value = lf_derivative(f, args.at, ctx, mode=DerivativeMode.EXACT_MONOMIAL,
-                              s=args.base).value
-        used = "exact"
-    elif args.mode == "fd":
-        value = lf_derivative(f, args.at, ctx, mode=DerivativeMode.FINITE_DIFFERENCE,
-                              s=args.base).value
-        used = "fd"
-    else:
-        try:
-            value = lf_derivative(f, args.at, ctx, mode=DerivativeMode.EXACT_MONOMIAL,
-                                  s=args.base).value
-            used = "exact"
-        except NotPolynomial:
-            value = lf_derivative(f, args.at, ctx,
-                                  mode=DerivativeMode.FINITE_DIFFERENCE,
-                                  s=args.base).value
-            used = "fd"
+    mode = DerivativeMode("exact" if args.mode == "auto" else args.mode)
+    try:
+        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base).value
+    except NotPolynomial:
+        if args.mode == "exact":
+            raise
+        mode = DerivativeMode.FINITE_DIFFERENCE
+        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base).value
     sys.stdout.write(_fmt(value) + "\n")
-    sys.stdout.write(f"mode: {used}\n")
+    sys.stdout.write(f"mode: {mode.value}\n")
     return 0
 
 
@@ -576,10 +569,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="strong-convexity modulus c >= 0 (default 0)")
     sub.add_argument("--interval", default=None,
                      help="domain as 'a,b' (default '0,1')")
-    sub.add_argument("--grid", type=int, default=None,
-                     help="lattice points per axis (default 50)")
-    sub.add_argument("--refine", type=int, default=None,
-                     help="refinement levels (default 3)")
     sub.add_argument("--meta", default=None,
                      help="free-form tag echoed in the report")
     sub.add_argument("--out", default=None, help="write output to this file")
@@ -595,6 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("certify", help="search for membership counterexamples")
     _add_common(p)
+    p.add_argument("--grid", type=int, default=None,
+                   help="lattice points per axis (default 50)")
+    p.add_argument("--refine", type=int, default=None,
+                   help="refinement levels (default 3)")
     p.add_argument("--f", default=None, help="function preset id or expression")
     p.add_argument("--eta", default=None, help="eta preset id or expression")
     p.set_defaults(func=_cmd_certify)

@@ -39,9 +39,8 @@ which is the half-line the exact rules integrate over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -415,10 +414,8 @@ def _is_near_int(v: float, tol: float = 1e-9) -> bool:
 def _pow_alpha(base, k: float, alpha: float, pos: int):
     """base^(k*alpha) in magnitude semantics (sign rules in module doc)."""
     mag = np.abs(base) ** (k * alpha)
-    if _is_near_int(k):
-        if int(round(k)) % 2 == 0:
-            return mag
-        return np.sign(base) * mag
+    if _is_near_int(k) and int(round(k)) % 2 == 0:
+        return mag
     return np.sign(base) * mag
 
 
@@ -703,10 +700,10 @@ def normalize(
 # --- bound specs ----------------------------------------------------------
 
 
-def _as_env_shape(out, like: np.ndarray) -> np.ndarray:
+def _as_env_shape(out, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(out, dtype=float)
-    if arr.shape != like.shape:
-        arr = np.broadcast_to(arr, like.shape).copy()
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape).copy()
     return arr
 
 
@@ -739,7 +736,7 @@ class FunctionSpec:
 
     def evaluate_many(self, xs: np.ndarray, ctx: AlphaContext) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        return _as_env_shape(evaluate_raw(self.ast, {"x": xs}, ctx, self._params()), xs)
+        return _as_env_shape(evaluate_raw(self.ast, {"x": xs}, ctx, self._params()), xs.shape)
 
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
         return normalize(self.ast, s, ctx, self._params())
@@ -776,8 +773,4 @@ class EtaSpec:
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
         out = evaluate_raw(self.ast, {"u": us, "v": vs}, ctx, self._params())
-        shape = np.broadcast_shapes(us.shape, vs.shape)
-        arr = np.asarray(out, dtype=float)
-        if arr.shape != shape:
-            arr = np.broadcast_to(arr, shape).copy()
-        return arr
+        return _as_env_shape(out, np.broadcast_shapes(us.shape, vs.shape))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,9 +37,6 @@ __all__ = [
     "TagMismatchError",
     "gamma",
     "embed",
-    "fs_arith",
-    "fs_cmp",
-    "iso_arith",
     "axiom_conformance",
     "AxiomRow",
 ]
@@ -54,55 +50,21 @@ class TagMismatchError(ValueError):
     """Arithmetic attempted between scalars of different fractal order."""
 
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative error is a few ulp over the range used here; the short classic
-# g=5 set is two orders of magnitude too loose for the 1e-12 bar.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def gamma(x: float) -> float:
-    """Euler Gamma function on the reals.
+    """Euler Gamma function on the reals, a thin wrapper over :func:`math.gamma`.
 
-    Uses the Lanczos approximation with the reflection formula for
-    ``x < 0.5``.  Poles (``x`` a non-positive integer) and non-finite
-    arguments raise :class:`GammaDomainError`.  Accurate to ~1e-14
-    relative on the range this package exercises (roughly [0.1, 30]
-    plus the reflected negatives).
+    Raises :class:`GammaDomainError` at the poles (non-positive integers),
+    for non-finite arguments, and where the result overflows a float.
     """
     x = float(x)
     if not math.isfinite(x):
         raise GammaDomainError(f"gamma argument must be finite, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise GammaDomainError(f"gamma pole at non-positive integer {x!r}")
-    if x < 0.5:
-        # Gamma(x) * Gamma(1-x) = pi / sin(pi*x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-    if not math.isfinite(value):
-        raise GammaDomainError(f"gamma({x!r}) overflows a float")
-    return value
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise GammaDomainError(f"gamma({x!r}) overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -237,46 +199,6 @@ def embed(a: float, ctx: AlphaContext) -> FractalScalar:
     if not math.isfinite(a):
         raise ValueError(f"embed argument must be finite, got {a!r}")
     return FractalScalar(math.copysign(abs(a) ** ctx.alpha, a), ctx.alpha)
-
-
-def fs_arith(op: str, a: FractalScalar, b: Optional[FractalScalar] = None) -> FractalScalar:
-    """Functional form of FractalScalar arithmetic: add|sub|mul|neg."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"binary op {op!r} needs a second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def fs_cmp(a: FractalScalar, b: FractalScalar) -> int:
-    """Total-order compare on magnitudes: -1, 0, or +1."""
-    _check_tags(a, b)
-    if a.value < b.value:
-        return -1
-    if a.value > b.value:
-        return 1
-    return 0
-
-
-def iso_arith(op: str, a: IsoFractal, b: Optional[IsoFractal] = None) -> IsoFractal:
-    """Functional form of IsoFractal arithmetic: add|sub|mul|neg."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"binary op {op!r} needs a second operand")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from fracon import (
     gamma,
     lf_derivative,
     lf_integral,
-    lf_integral_changed,
     rl_integrate,
 )
 from fracon.calculus import BackendKind
@@ -173,18 +172,13 @@ def test_constant_rule(alpha):
     ],
 )
 def test_changed_variable_route_agrees(alpha, text, rtol):
-    """(b-a)^alpha-scaled pullback equals the direct evaluation."""
+    """(b-a)^alpha-scaled pullback to [0, 1] equals the direct evaluation."""
     ctx = AlphaContext(alpha=alpha)
     f = FunctionSpec.from_text(text, domain=(0.0, 1.5))
     direct = lf_integral(f, 0.0, 1.5, ctx, NUMERIC).value
-    changed = lf_integral_changed(f, 0.0, 1.5, ctx, NUMERIC).value
+    pulled = rl_integrate(lambda ts: f.evaluate_many(1.5 * ts, ctx), 0.0, 1.0, alpha)
+    changed = 1.5**alpha * pulled.value
     assert abs(changed - direct) <= rtol * (1.0 + abs(direct))
-
-
-def test_changed_variable_exact_route():
-    ctx = AlphaContext(alpha=1.0)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
-    assert abs(lf_integral_changed(f, 0.0, 1.0, ctx, EXACT).value - 1.0 / 3.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

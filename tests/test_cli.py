@@ -312,13 +312,28 @@ def test_config_file_fills_and_flags_win(capsys, tmp_path):
     assert echo["c"] == 1.0  # file beats the default
 
 
-def test_config_unknown_key_exit_one(capsys, tmp_path):
+@pytest.mark.parametrize(
+    ("cmd", "keys", "flags", "message"),
+    [
+        ("hh", {"bogus": 1}, [], "unknown keys for 'hh': bogus"),
+        # --grid/--refine size the certify lattice; hh and fejer have none.
+        ("hh", {"grid": 20, "refine": 2}, [], "unknown keys for 'hh': grid, refine"),
+        ("fejer", {"refine": 2}, [], "unknown keys for 'fejer': refine"),
+        ("hh", {}, ["--grid", "20"], "unrecognized arguments: --grid 20"),
+        ("fejer", {}, ["--grid", "20", "--refine", "2"],
+         "unrecognized arguments: --grid 20 --refine 2"),
+    ],
+    ids=["hh-bogus", "hh-grid-refine-key", "fejer-refine-key", "hh-grid-flag",
+         "fejer-grid-refine-flag"],
+)
+def test_config_unknown_key_exit_one(capsys, tmp_path, cmd, keys, flags, message):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(capsys, ["hh", "--f", "square", "--eta", "difference",
-                                "--config", str(cfg)])
+    cfg.write_text(json.dumps(keys))
+    code, _, err = run(capsys, [cmd, "--f", "square", "--eta", "difference",
+                                "--config", str(cfg), *flags])
     assert code == 1
-    assert "unknown keys for 'hh': bogus" in err
+    assert message in err
+    assert err.count("fracon: error:") == 1
 
 
 def test_config_invalid_json_exit_one(capsys, tmp_path):
@@ -348,6 +363,9 @@ def test_report_envelope_shape(capsys):
     assert doc["version"] == "1"
     assert doc["config_echo"]["command"] == "certify"
     assert doc["config_echo"]["interval"] == [0.0, 1.0]
+    assert list(doc["config_echo"]) == ["command", "alpha", "c", "interval", "grid",
+                                        "refine", "meta", "f", "eta"]
+    assert (doc["config_echo"]["grid"], doc["config_echo"]["refine"]) == (50, 3)
     assert isinstance(doc["diagnostics"]["notes"], list)
 
 

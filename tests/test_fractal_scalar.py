@@ -14,9 +14,6 @@ from fracon import (
     TagMismatchError,
     axiom_conformance,
     embed,
-    fs_arith,
-    fs_cmp,
-    iso_arith,
 )
 
 _ALPHAS = (0.3, 0.5, 0.9, 1.0)
@@ -77,10 +74,7 @@ def test_fractal_scalar_arithmetic_and_ordering():
     assert (x * y).value == 6.0
     assert (-x).value == -2.0
     assert x < y and y > x and x <= y and not x >= y
-    assert fs_cmp(x, y) == -1
-    assert fs_cmp(y, x) == 1
-    assert fs_cmp(x, FractalScalar(2.0, 0.5)) == 0
-    assert fs_arith("add", x, y).value == 5.0
+    assert not x < FractalScalar(2.0, 0.5) and not x > FractalScalar(2.0, 0.5)
 
 
 def test_tag_mismatch_raises():
@@ -99,7 +93,7 @@ def test_iso_fractal_additive_embedding_exact():
     p = IsoFractal(4.0, 0.5) * IsoFractal(9.0, 0.5)
     assert p.base == 36.0
     assert IsoFractal(4.0, 0.5).magnitude() == 2.0
-    assert iso_arith("sub", IsoFractal(4.0, 0.5), IsoFractal(9.0, 0.5)).base == -5.0
+    assert (IsoFractal(4.0, 0.5) - IsoFractal(9.0, 0.5)).base == -5.0
 
 
 def test_non_finite_rejected():

@@ -1,0 +1,30 @@
+"""Machine-independent work counts of the two costly layers.
+
+These pin how much work a call does, not how long it takes: quadrature
+evaluations and levels for a smooth integral, and lattice cells for a
+certification.  A change that alters them changes the cost model and must
+say so.
+"""
+
+import pytest
+
+from fracon import AlphaContext, EtaSpec, FunctionSpec, certify_gsc, rl_integrate
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_rl_integrate_smooth_work(alpha):
+    """124 graded panels x 8 points, halved once: 992 + 1984 evaluations."""
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha)
+    assert (res.evals, res.levels, res.converged) == (2976, 1, True)
+
+
+@pytest.mark.parametrize(("grid", "refine", "cells"), ((20, 2, 12394), (16, 0, 4096)))
+def test_certify_lattice_cells(grid, refine, cells):
+    """grid**3 lattice cells plus one 13**3 box per refinement level."""
+    f = FunctionSpec.from_text("x^(2a)", domain=(-1.0, 1.0))
+    rep = certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, AlphaContext(alpha=1.0),
+                      grid_n=grid, refine_depth=refine)
+    assert rep.status == "NoViolationFound"
+    assert rep.evaluations == grid**3 + refine * 13**3 == cells
