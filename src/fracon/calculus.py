@@ -18,12 +18,17 @@ v = (b - x)**alpha removes the kernel singularity,
     a_I_b f = (1/Gamma(1 + alpha)) * integral_0^V f(b - v**(1/alpha)) dv,
     V = (b - a)**alpha,
 
-and the numeric backend integrates that regular form with composite
-Gauss--Legendre panels.  The transformed integrand still has weak algebraic
-behavior at both panel ends (e.g. (V - v)**(k*alpha) factors), so the two
-end panels of the uniform grid are additionally subdivided geometrically
-toward their endpoints; halving every panel then deepens the grading
-automatically, and the spectral interior convergence is kept.
+and the numeric backend integrates that regular form with Gauss--Legendre
+panels.  The transformed integrand still has weak algebraic behavior at
+both ends (e.g. (V - v)**(k*alpha) factors), so the two end panels of the
+uniform starting grid are subdivided geometrically toward their endpoints.
+Kinks of the integrand (zeros of |x - s| and of alpha- or fractional-power
+arguments) are mapped to v and inserted as breakpoints, so each one sits on
+a panel edge rather than inside a panel.  Refinement is then local: each
+panel's error is estimated as the difference between its Gauss--Legendre
+value and the sum over its two halves, and only the panels whose estimate
+exceeds their width-share of the tolerance are bisected (the QUADPACK QAGP
+scheme of Piessens, de Doncker et al., 1983, with a Gauss--Legendre pair).
 
 Derivatives use the conjugate rule
 
@@ -42,9 +47,10 @@ consistent wherever both apply.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -89,9 +95,11 @@ _ALLOWED_POINTS = (4, 8, 16)
 class IntegralBackend:
     """Integration route and quadrature settings.
 
-    ``panels`` base panels with ``points``-point Gauss--Legendre each,
-    doubled until successive refinements agree to ``rtol`` relative or the
-    cumulative evaluation budget ``max_evals`` would be exceeded.
+    ``panels`` base panels (plus the graded end panels and any kink
+    breakpoints) with ``points``-point Gauss--Legendre each.  Panels whose
+    local error estimate exceeds their width-share of ``rtol`` relative are
+    bisected until the summed estimates meet ``rtol`` or the next pass
+    would take the cumulative evaluation count past ``max_evals``.
     """
 
     kind: BackendKind
@@ -140,22 +148,20 @@ def _graded_breakpoints(V: float, panels: int) -> np.ndarray:
     return np.unique(pts)
 
 
-def _halve(bpts: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (bpts[:-1] + bpts[1:])
-    return np.sort(np.concatenate((bpts, mids)))
-
-
-def _panel_sum(fn: Callable[[np.ndarray], np.ndarray], bpts: np.ndarray, points: int) -> float:
+def _panel_values(
+    fn: Callable[[np.ndarray], np.ndarray], left: np.ndarray, right: np.ndarray, points: int
+) -> np.ndarray:
+    """Gauss--Legendre value of fn over each panel [left[i], right[i]]."""
     nodes, wts = _gl(points)
-    half = 0.5 * np.diff(bpts)
-    mid = 0.5 * (bpts[:-1] + bpts[1:])
+    half = 0.5 * (right - left)
+    mid = 0.5 * (left + right)
     xs = mid[:, None] + nodes[None, :] * half[:, None]
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite integrand sample")
-    return float(np.sum(np.sum(vals * wts[None, :], axis=1) * half))
+    return np.sum(vals * wts[None, :], axis=1) * half
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,23 @@ def rl_integrate(
     b: float,
     order: float,
     quad: IntegralBackend = NUMERIC,
+    points: Iterable[float] = (),
 ) -> QuadResult:
     """Order-``order`` integral of a vectorized callable over [a, b].
 
     Evaluates (1/Gamma(1+order)) * integral_0^V fn(b - v**(1/order)) dv
-    with V = (b - a)**order on the graded panel grid, doubling panels until
-    two successive values agree within ``quad.rtol`` relative or the next
-    pass would exceed ``quad.max_evals`` cumulative samples.  Requires
-    a < b (callers handle orientation and the empty interval).
+    with V = (b - a)**order on the graded panel grid, with every abscissa
+    of ``points`` inside (a, b) (kinks of fn; others are ignored) added as
+    a breakpoint.  Each pass evaluates fn once, on the halves of the live
+    panels; a panel's error estimate is |its value - the sum of its
+    halves|.  The result has converged when the accepted plus the live
+    estimates are within ``quad.rtol * (1 + |value|)``.  Otherwise the
+    panels whose estimate exceeds their width-share of that tolerance are
+    bisected, and the others are accepted.  The loop stops unconverged when
+    the next pass would exceed ``quad.max_evals`` cumulative samples, or
+    when rounding leaves the total over the tolerance with no panel over
+    its share.  Requires a < b (callers handle orientation and the empty
+    interval).
     """
     a, b = float(a), float(b)
     if not b > a:
@@ -193,23 +208,45 @@ def rl_integrate(
     def g(v: np.ndarray) -> np.ndarray:
         return fn(np.clip(b - v**inv, lo, hi))
 
+    kinks = [(b - p) ** order for p in map(float, points) if a < p < b]
     bpts = _graded_breakpoints(V, quad.panels)
-    evals = 0
-    levels = 0
-    prev: Optional[float] = None
-    value = 0.0
+    if kinks:
+        bpts = np.union1d(bpts, kinks)
+    left, right = bpts[:-1], bpts[1:]
+    if 3 * left.size * quad.points > quad.max_evals:
+        raise ValueError(
+            f"max_evals={quad.max_evals} is below the first pass's "
+            f"{3 * left.size * quad.points} evaluations"
+        )
+    coarse = _panel_values(g, left, right, quad.points)
+    evals, levels = left.size * quad.points, 0
+    done_value = done_err = 0.0  # sums over the accepted panels
     converged = False
     while True:
-        value = _panel_sum(g, bpts, quad.points)
-        evals += (len(bpts) - 1) * quad.points
-        if prev is not None and abs(value - prev) <= quad.rtol * (1.0 + abs(value)):
+        mid = 0.5 * (left + right)
+        # Halves interleaved (left_0, right_0, left_1, ...): on the first
+        # pass this is the sorted halved grid, summed in grid order.
+        hl = np.column_stack((left, mid)).ravel()
+        hr = np.column_stack((mid, right)).ravel()
+        vals = _panel_values(g, hl, hr, quad.points)
+        evals += hl.size * quad.points
+        levels += 1
+        fine = vals[0::2] + vals[1::2]
+        err = np.abs(coarse - fine)
+        value = done_value + float(np.sum(vals))
+        tol = quad.rtol * (1.0 + abs(value))
+        if done_err + float(np.sum(err)) <= tol:
             converged = True
             break
-        if evals + 2 * (len(bpts) - 1) * quad.points > quad.max_evals:
+        fail = err > tol * (right - left) / V
+        if not fail.any():  # over the total with every panel in its share
             break
-        prev = value
-        bpts = _halve(bpts)
-        levels += 1
+        done_value += float(np.sum(fine[~fail]))
+        done_err += float(np.sum(err[~fail]))
+        live = np.repeat(fail, 2)
+        left, right, coarse = hl[live], hr[live], vals[live]
+        if evals + 2 * left.size * quad.points > quad.max_evals:
+            break
     return QuadResult(value / gamma(1.0 + order), evals, levels, converged)
 
 
@@ -233,7 +270,8 @@ def lf_integral(
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
     The exact route needs f in generalized-polynomial form about the lower
     endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise); the
-    numeric route accepts any vectorized integrand.
+    numeric route accepts any vectorized integrand, and splits a
+    FunctionSpec's integral at its singular points.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -246,8 +284,11 @@ def lf_integral(
             raise TypeError("exact backend requires a FunctionSpec")
         gp = f.gpoly(a, ctx)
         return FractalScalar(sign * _table_integral(gp, b - a, ctx.alpha), ctx.alpha)
-    fn = (lambda xs: f.evaluate_many(xs, ctx)) if isinstance(f, FunctionSpec) else f
-    res = rl_integrate(fn, a, b, ctx.alpha, backend)
+    if isinstance(f, FunctionSpec):
+        fn, kinks = (lambda xs: f.evaluate_many(xs, ctx)), f.singular_points()
+    else:
+        fn, kinks = f, ()
+    res = rl_integrate(fn, a, b, ctx.alpha, backend, points=kinks)
     return FractalScalar(sign * res.value, ctx.alpha)
 
 
@@ -303,17 +344,12 @@ def lf_derivative(
 
     beta = 1.0 - alpha
     f_s = f.evaluate(s, ctx)
-    gquad = IntegralBackend(
-        kind=BackendKind.NUMERIC_RL,
-        panels=quad.panels,
-        points=quad.points,
-        rtol=min(quad.rtol, 1e-11),
-        max_evals=quad.max_evals,
-    )
+    gquad = dataclasses.replace(quad, kind=BackendKind.NUMERIC_RL, rtol=min(quad.rtol, 1e-11))
+    kinks = f.singular_points()
 
     def G(x: float) -> float:
         res = rl_integrate(
-            lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, gquad
+            lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, gquad, points=kinks
         )
         return res.value
 

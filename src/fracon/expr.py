@@ -525,6 +525,42 @@ def _ppow(p: dict[int, float], n: int) -> dict[int, float]:
     return out
 
 
+def _affine(n: ExprAst, params: Mapping[str, float]) -> Optional[tuple[float, float]]:
+    """Read n as u*x + w with ordinary real coefficients, else None."""
+    if isinstance(n, Num):
+        return (0.0, n.value)
+    if isinstance(n, Name):
+        if n.name in params:
+            return (0.0, float(params[n.name]))
+        return (1.0, 0.0) if n.name == "x" else None
+    if isinstance(n, Neg):
+        uw = _affine(n.child, params)
+        return None if uw is None else (-uw[0], -uw[1])
+    if isinstance(n, Abs):
+        uw = _affine(n.child, params)
+        if uw is not None and uw[0] == 0.0:
+            return (0.0, abs(uw[1]))
+        return None
+    if isinstance(n, Bin):
+        lp, rp = _affine(n.left, params), _affine(n.right, params)
+        if lp is None or rp is None:
+            return None
+        if n.op == "+":
+            return (lp[0] + rp[0], lp[1] + rp[1])
+        if n.op == "-":
+            return (lp[0] - rp[0], lp[1] - rp[1])
+        if n.op == "*":
+            if lp[0] == 0.0:
+                return (lp[1] * rp[0], lp[1] * rp[1])
+            if rp[0] == 0.0:
+                return (rp[1] * lp[0], rp[1] * lp[1])
+            return None
+        if rp[0] == 0.0 and rp[1] != 0.0:
+            return (lp[0] / rp[1], lp[1] / rp[1])
+        return None
+    return None
+
+
 def normalize(
     node: ExprAst,
     s: float,
@@ -550,44 +586,9 @@ def normalize(
             return p[0]
         return None
 
-    def affine(n: ExprAst) -> Optional[tuple[float, float]]:
-        """Read n as u*x + w with ordinary real coefficients, else None."""
-        if isinstance(n, Num):
-            return (0.0, n.value)
-        if isinstance(n, Name):
-            if n.name in params:
-                return (0.0, float(params[n.name]))
-            return (1.0, 0.0) if n.name == "x" else None
-        if isinstance(n, Neg):
-            uw = affine(n.child)
-            return None if uw is None else (-uw[0], -uw[1])
-        if isinstance(n, Abs):
-            uw = affine(n.child)
-            if uw is not None and uw[0] == 0.0:
-                return (0.0, abs(uw[1]))
-            return None
-        if isinstance(n, Bin):
-            lp, rp = affine(n.left), affine(n.right)
-            if lp is None or rp is None:
-                return None
-            if n.op == "+":
-                return (lp[0] + rp[0], lp[1] + rp[1])
-            if n.op == "-":
-                return (lp[0] - rp[0], lp[1] - rp[1])
-            if n.op == "*":
-                if lp[0] == 0.0:
-                    return (lp[1] * rp[0], lp[1] * rp[1])
-                if rp[0] == 0.0:
-                    return (rp[1] * lp[0], rp[1] * lp[1])
-                return None
-            if rp[0] == 0.0 and rp[1] != 0.0:
-                return (lp[0] / rp[1], lp[1] / rp[1])
-            return None
-        return None
-
     def monomial_pow(n: Pow) -> Optional[dict[int, float]]:
         """Power of a pure linear base u*(x - s): valid for any alpha."""
-        uw = affine(n.base)
+        uw = _affine(n.base, params)
         if uw is None:
             return None
         u, w = uw
@@ -740,6 +741,34 @@ class FunctionSpec:
 
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
         return normalize(self.ast, s, ctx, self._params())
+
+    def singular_points(self) -> tuple[float, ...]:
+        """Abscissae where f may have a kink, sorted.
+
+        These are the zeros of the affine arguments of ``abs(...)`` and of
+        alpha-multiple or non-integer powers; arguments that are not affine
+        in x contribute nothing.
+        """
+        params = self._params()
+        found: set[float] = set()
+
+        def walk(n: ExprAst) -> None:
+            if isinstance(n, (Abs, Pow)):
+                arg = n.child if isinstance(n, Abs) else n.base
+                if not (isinstance(n, Pow) and isinstance(n.exp, ExpLiteral)
+                        and _is_near_int(n.exp.value)):
+                    uw = _affine(arg, params)
+                    if uw is not None and uw[0] != 0.0:
+                        found.add(-uw[1] / uw[0])
+                walk(arg)
+            elif isinstance(n, Neg):
+                walk(n.child)
+            elif isinstance(n, Bin):
+                walk(n.left)
+                walk(n.right)
+
+        walk(self.ast)
+        return tuple(sorted(found))
 
 
 class WeightSpec(FunctionSpec):

@@ -307,14 +307,20 @@ def fejer_terms(
     e_ab = eta.evaluate(fa, fb, ctx)
     e_ba = eta.evaluate(fb, fa, ctx)
 
+    # Kinks of each integrand, as breakpoints for the quadrature.
+    f_pts, w_pts = f.singular_points(), w.singular_points()
+    t_pts = tuple((p - a) / span for p in w_pts)
+
     def wx(ts: np.ndarray) -> np.ndarray:
         return w.evaluate_many(a + ts * span, ctx)
 
-    def q01(fn) -> float:
-        return rl_integrate(fn, 0.0, 1.0, al, quad).value
+    def q01(fn, points=t_pts) -> float:
+        return rl_integrate(fn, 0.0, 1.0, al, quad, points=points).value
 
     m0 = span**al * q01(wx)
-    m1 = span ** (3 * al) * q01(lambda ts: np.abs(1.0 - 2.0 * ts) ** (2 * al) * wx(ts))
+    m1 = span ** (3 * al) * q01(
+        lambda ts: np.abs(1.0 - 2.0 * ts) ** (2 * al) * wx(ts), t_pts + (0.5,)
+    )
     m2 = span ** (2 * al) * q01(lambda ts: ts**al * wx(ts))
     m3 = span ** (3 * al) * q01(lambda ts: ts**al * (1.0 - ts) ** al * wx(ts))
 
@@ -323,9 +329,11 @@ def fejer_terms(
         frev = f.evaluate_many(a + b - xs, ctx)
         return eta.evaluate_many(frev, fxs, ctx) * w.evaluate_many(xs, ctx)
 
-    L = rl_integrate(eta_integrand, a, b, al, quad).value / 2**al
+    mirrored = tuple(a + b - p for p in f_pts)
+    L = rl_integrate(eta_integrand, a, b, al, quad, points=f_pts + mirrored + w_pts).value / 2**al
     F2 = rl_integrate(
-        lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b, al, quad
+        lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b, al, quad,
+        points=f_pts + w_pts,
     ).value
     R = (e_ab + e_ba) / (2**al * span**al) * m2
 

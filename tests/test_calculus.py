@@ -46,6 +46,22 @@ _FROZEN_PRODUCT = {
 }
 
 
+# 0I1 |x - s|^al, (1/Gamma(al)) * int_0^1 (1-x)^(al-1) |x - s|^al dx, computed
+# independently with mpmath at 40 digits, split at the kink x = s and
+# substituted r = (1-x)^al; a 60-digit run agreed to 1e-40.
+_FROZEN_KINK = {
+    (0.3, 0.3): 0.8705209376278973070186,
+    (0.3, 0.5): 0.6864464100889013167059,
+    (0.3, 0.9): 0.3524525457235283127853,
+    (0.5, 0.3): 0.789099094320384598613,
+    (0.5, 0.5): 0.5934248446225376269162,
+    (0.5, 0.9): 0.2994029010311683885586,
+    (0.7, 0.3): 0.7076955341861882387353,
+    (0.7, 0.5): 0.5331131119092428249437,
+    (0.7, 0.9): 0.3236053803492215568009,
+}
+
+
 def _monomial_text(k: int) -> str:
     return "1" if k == 0 else f"(x - lo)^({k}a)"
 
@@ -128,6 +144,39 @@ def test_kink_integrand_exact_at_unit_order():
     ctx = AlphaContext(alpha=1.0)
     f = FunctionSpec.from_text("abs(x)", domain=(-1.0, 1.0))
     assert abs(lf_integral(f, -1.0, 1.0, ctx, NUMERIC).value - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(("s", "alpha"), sorted(_FROZEN_KINK))
+def test_kinked_integrand_meets_rtol(s, alpha):
+    """abs(x - s)^(a) converges within rtol of its mpmath value.
+
+    The kink is a breakpoint (from the spec's singular points), so no panel
+    straddles it.  alpha 0.9, s 0.5 is the case where refining every panel
+    until two global sums agreed reported convergence 4e-9 away.
+    """
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                       points=f.singular_points())
+    ref = _FROZEN_KINK[s, alpha]
+    assert res.converged
+    assert abs(res.value - ref) <= NUMERIC.rtol * (1.0 + abs(ref))
+    assert lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value == res.value
+
+
+def test_fd_derivative_splits_at_kink():
+    """diff abs(x - 0.3)^(a) at 0.4 from 0, alpha 0.3, against mpmath.
+
+    The reference is d/dx of the order-0.7 integral of f - f(0) at 0.4,
+    i.e. (1/Gamma(0.7)) int_0^0.4 (0.4-u)^(-0.3) f'(u) du, split at the
+    kink, at 40 digits.  The inner integrals must split at 0.3 for the
+    central difference to come this close.
+    """
+    ctx = AlphaContext(alpha=0.3)
+    f = FunctionSpec.from_text("abs(x - 0.3)^(a)", domain=(0.0, 1.0))
+    ref = -0.053480157377824188334
+    got = lf_derivative(f, 0.4, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0).value
+    assert abs(got - ref) <= 5e-6 * (1.0 + abs(ref))
 
 
 # -------------------------------------------------------- interval structure
@@ -317,6 +366,62 @@ def test_rl_integrate_reports_convergence():
 def test_rl_integrate_rejects_non_finite_samples():
     with pytest.raises(IntegrationError):
         rl_integrate(lambda xs: np.full_like(xs, np.inf), 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("max_evals", (3000, 3100, 3300, 3600))
+def test_rl_integrate_respects_the_evaluation_cap(max_evals):
+    """A kinked integral cut short never exceeds the cap nor claims convergence."""
+    ctx = AlphaContext(alpha=0.3)
+    f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
+    quad = IntegralBackend(kind=BackendKind.NUMERIC_RL, max_evals=max_evals)
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3, quad,
+                       points=f.singular_points())
+    assert res.evals <= max_evals
+    assert res.converged is False
+
+
+def test_rl_integrate_rejects_a_cap_below_the_first_pass():
+    """125 panels (124 graded + the kink) x 8 points x (1 + 2) = 3000."""
+    quad = IntegralBackend(kind=BackendKind.NUMERIC_RL, max_evals=2999)
+    with pytest.raises(ValueError, match="first pass"):
+        rl_integrate(lambda xs: np.abs(xs - 0.5), 0.0, 1.0, 0.3, quad, points=(0.5,))
+
+
+def test_rl_integrate_stops_when_no_panel_fails():
+    """The loop stops unconverged when nothing is left to refine.
+
+    The tolerance is relative to the running value.  If the value drops
+    between passes, the error accepted under the old tolerance can leave
+    the total over the new one while every live panel is inside its share.
+    Then no panel is bisected, and the loop must stop rather than run on
+    an empty live set.  An integrand that changes between passes forces
+    this.  At alpha = 1 each panel's value is the constant times its width.
+    Pass 1: the x < 0.5 panels are accepted (error 0.99 of their share),
+    and the x >= 0.5 panels fail.  Pass 2: the value falls from 1.658 to
+    1.131 and every live error is within its share.
+    """
+    # With rtol 0.5, tol = 0.5 * (1 + value), value = (A + the x >= 0.5 level) / 2.
+    tol1 = (0.5 + 0.25 * 2.0) / (1.0 - 0.25 * 0.99)
+    A = 0.99 * tol1  # x < 0.5, both passes
+    tol2 = (0.5 + 0.25 * A + 0.25 * 2.0) / (1.0 + 0.25 * 0.99)
+    C = 2.0 - 0.99 * tol2  # x >= 0.5 on pass 2, after 2.0 on pass 1
+    samples = [
+        lambda xs: np.zeros_like(xs),
+        lambda xs: np.where(xs < 0.5, A, 2.0),
+        lambda xs: np.where(xs < 0.5, A, C),
+    ]
+    calls = []
+
+    def fn(xs):
+        calls.append(xs.size)
+        return samples[len(calls) - 1](xs)
+
+    quad = IntegralBackend(kind=BackendKind.NUMERIC_RL, panels=1, points=4, rtol=0.5)
+    res = rl_integrate(fn, 0.0, 1.0, 1.0, quad)
+    assert len(calls) == 3
+    assert (res.levels, res.converged) == (2, False)
+    assert res.evals == sum(calls)
+    assert abs(res.value - 0.5 * (A + C)) <= 1e-12
 
 
 def test_exact_backend_requires_polynomial_form():

@@ -140,6 +140,25 @@ def test_eta_spec_broadcast():
     assert np.allclose(out, 2.0 * us + vs)
 
 
+@pytest.mark.parametrize(
+    ("text", "params", "points"),
+    [
+        ("abs(x - 0.3)^(a)", {}, (0.3,)),
+        ("abs(2*x - 1)", {}, (0.5,)),
+        ("x^(2a)", {}, (0.0,)),
+        ("(x - lo)^(a)*(hi - x)^(a)", {"lo": -0.25, "hi": 1.5}, (-0.25, 1.5)),
+        ("x^(0.5) + abs(x - 2)", {}, (0.0, 2.0)),
+        ("x^2 + 1", {}, ()),
+        ("3", {}, ()),
+        ("2^a", {}, ()),
+        ("abs(x^2 - 1)", {}, ()),
+    ],
+)
+def test_singular_points(text, params, points):
+    """Zeros of affine arguments under abs and alpha- or fractional powers."""
+    assert FunctionSpec.from_text(text, params=params).singular_points() == points
+
+
 # ------------------------------------------------------------ normalization
 
 

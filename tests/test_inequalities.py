@@ -251,6 +251,22 @@ def test_unit_weight_cross_moment_frozen_value():
     assert rep.m3 == pytest.approx(0.3761263890318375246321, rel=1e-8)
 
 
+def test_kinked_weighted_terms_frozen_values():
+    """f = |x - 0.3|^al, eta = 2^a u + v, w = 1 on [0, 1] at al = 0.3.
+
+    References from mpmath at 40 digits, each integral split at its kinks:
+    F2 at 0.3, L at 0.3 and its mirror 0.7, m1 at t = 0.5.  Each must be
+    within the quadrature rtol (1e-9), which needs every split.
+    """
+    ctx = AlphaContext(alpha=0.3)
+    rep = fejer_terms(_f("abs(x - 0.3)^(a)", 0.0, 1.0), EtaSpec.from_text("2^a*u + v"),
+                      0.0, _w("1", 0.0, 1.0), 0.0, 1.0, ctx)
+    for got, ref in ((rep.F2, 0.8705209376278973070186),
+                     (rep.L_eta, 1.414778251852724863962),
+                     (rep.m1, 0.8779364448827291835579)):
+        assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
 def test_parabolic_weight_classical_values():
     """w = x(1-x) on [0,1], al=1: F2 = 1/4 - 1/5, F1 = f(1/2) m0 = 1/24."""
     f = _f("x^(2a)", 0.0, 1.0)

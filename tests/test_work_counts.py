@@ -20,6 +20,22 @@ def test_rl_integrate_smooth_work(alpha):
     assert (res.evals, res.levels, res.converged) == (2976, 1, True)
 
 
+def test_rl_integrate_kinked_work():
+    """abs(x - 0.5)^(a) at alpha 0.3 with its kink as a breakpoint.
+
+    125 panels take the first pass (1000 + 2000 evaluations); nine more
+    passes bisect only the 6, then 4, live panels beside the kink
+    (5 x 96 + 4 x 64).  Refining every panel took 1,014,816 evaluations
+    and hit the cap.
+    """
+    ctx = AlphaContext(alpha=0.3)
+    f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3,
+                       points=f.singular_points())
+    assert (res.evals, res.levels, res.converged) == (3736, 10, True)
+    assert res.evals <= 1_014_816 // 10
+
+
 @pytest.mark.parametrize(("grid", "refine", "cells"), ((20, 2, 12394), (16, 0, 4096)))
 def test_certify_lattice_cells(grid, refine, cells):
     """grid**3 lattice cells plus one 13**3 box per refinement level."""
