@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -72,6 +73,9 @@ _SWEEP_CS = (0.0, 1.0)
 _SWEEP_ETAS = ("difference", "example23")
 _SWEEP_FS = ("square", "negsquare", "const")
 _SWEEP_BUDGET = 100_000
+# Largest accepted --grid: 1e9 lattice cells.  The lattice is streamed, but
+# its grid**2 arrays (eta and distances, 8 MB each at this cap) are not.
+_MAX_GRID = 1000
 
 
 class ConfigError(Exception):
@@ -207,6 +211,8 @@ def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, i
     refine = _as_int("refine", args.refine)
     if grid < 8:
         problems.append(f"--grid must be >= 8, got {grid!r}")
+    elif grid > _MAX_GRID:
+        problems.append(f"--grid must be <= {_MAX_GRID}, got {grid!r}")
     if refine < 0:
         problems.append(f"--refine must be >= 0, got {refine!r}")
     return grid, refine
@@ -575,6 +581,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser: built on the first call, and the same
+    instance is returned after that, so callers must not modify it."""
+    return _parser_tree()
+
+
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
     parser = _Parser(prog="fracon",
                      description="verification toolkit for generalized "
                                  "strongly eta-convex functions")

@@ -89,8 +89,24 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _defect_tensor(f, eta, c, ctx, xs, ys, ts) -> tuple[np.ndarray, float]:
-    """Defect on the full (x, y, t) lattice plus max |f| over mixtures."""
+# Lattice cells per x-slab in _lattice_min.  Its working set is a few
+# float64 arrays of this many cells (about 0.5 MiB each) whatever the grid;
+# only the grid**2 arrays (eta, distances) grow with it.
+_SLAB_CELLS = 1 << 16
+
+
+def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, float]:
+    """Minimum defect over the (x, y, t) lattice, streamed in x-slabs.
+
+    Returns ``((i, j, k), min defect, max |f| over the mixtures)``, where
+    (i, j, k) is the first lattice index (C order) holding the minimum.
+    Each slab covers ``max(1, _SLAB_CELLS // (len(ys) * len(ts)))`` x-rows
+    and evaluates every cell with the same expression, in the same
+    operation order, as a whole-lattice evaluation would, so the defects
+    are bit-identical to it.  The running best moves on a strict
+    improvement only (or from a number to NaN, as ``np.argmin`` does), so
+    ties keep the first index.
+    """
     al = ctx.alpha
     fx = f.evaluate_many(xs, ctx)
     fy = f.evaluate_many(ys, ctx)
@@ -98,15 +114,24 @@ def _defect_tensor(f, eta, c, ctx, xs, ys, ts) -> tuple[np.ndarray, float]:
     ta = ts**al
     corr = c**al * ta * (1.0 - ts) ** al
     dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
-    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
-    fmix = f.evaluate_many(mix, ctx)
-    d = (
-        fy[None, :, None]
-        + ta[None, None, :] * e[:, :, None]
-        - corr[None, None, :] * dist[:, :, None]
-        - fmix
-    )
-    return d, float(np.max(np.abs(fmix)))
+    rows = max(1, _SLAB_CELLS // (len(ys) * len(ts)))
+    best_idx, best, max_abs_f = None, math.nan, 0.0
+    for i0 in range(0, len(xs), rows):
+        sl = slice(i0, i0 + rows)
+        mix = ts[None, None, :] * xs[sl, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
+        fmix = f.evaluate_many(mix, ctx)
+        d = (
+            fy[None, :, None]
+            + ta[None, None, :] * e[sl, :, None]
+            - corr[None, None, :] * dist[sl, :, None]
+            - fmix
+        )
+        max_abs_f = max(max_abs_f, float(np.max(np.abs(fmix))))
+        i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
+        value = float(d[i, j, k])
+        if best_idx is None or value < best or (math.isnan(value) and not math.isnan(best)):
+            best_idx, best = (i0 + int(i), int(j), int(k)), value
+    return best_idx, best, max_abs_f
 
 
 @dataclass(frozen=True)
@@ -205,12 +230,16 @@ def certify_gsc(
     Evaluates the defect on a ``grid_n``**3 lattice over
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
-    level (clipped to bounds).  The violation threshold scales with the
-    sampled magnitude of f: tol = 1e-9 * (1 + max |f|).  Reductions run
-    through the same lattice: endpoints of the t-grid cover the necessary
-    conditions' t = 1 instances, so an eta failing them is also caught as
-    a plain counterexample.  Deterministic: ties resolve to the first
-    lattice index, refinement accepts strict improvements only.
+    level (clipped to bounds).  The lattice is streamed in x-slabs with a
+    running minimum, so memory is bounded: a fixed per-slab working set
+    plus a few ``grid_n``**2 arrays, never a ``grid_n``**3 tensor.  The
+    violation threshold scales with the sampled magnitude of f:
+    tol = 1e-9 * (1 + max |f|).  Reductions run through the same lattice:
+    endpoints of the t-grid cover the necessary conditions' t = 1
+    instances, so an eta failing them is also caught as a plain
+    counterexample.  Deterministic: ties resolve to the first lattice index
+    in (x, y, t) order whatever the slab boundaries, and refinement accepts
+    strict improvements only.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
@@ -224,12 +253,9 @@ def certify_gsc(
 
     necessary = check_eta_necessary(f, eta, ctx, grid_n)
 
-    d, max_abs_f = _defect_tensor(f, eta, c, ctx, xs, xs, ts)
-    evaluations = d.size
-    flat = int(np.argmin(d))
-    i, j, k = np.unravel_index(flat, d.shape)
+    (i, j, k), min_defect, max_abs_f = _lattice_min(f, eta, c, ctx, xs, xs, ts)
+    evaluations = grid_n**3
     best = (float(xs[i]), float(xs[j]), float(ts[k]))
-    min_defect = float(d[i, j, k])
 
     tol = 1e-9 * (1.0 + max_abs_f)
     # When a necessary condition already fails decisively, skip the local
@@ -245,13 +271,11 @@ def certify_gsc(
         lx = np.linspace(max(a, cx - wx), min(b, cx + wx), 13)
         ly = np.linspace(max(a, cy - wx), min(b, cy + wx), 13)
         lt = np.linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
-        dl, mf = _defect_tensor(f, eta, c, ctx, lx, ly, lt)
-        evaluations += dl.size
+        (i, j, k), box_min, mf = _lattice_min(f, eta, c, ctx, lx, ly, lt)
+        evaluations += 13**3
         max_abs_f = max(max_abs_f, mf)
-        flat = int(np.argmin(dl))
-        i, j, k = np.unravel_index(flat, dl.shape)
-        if float(dl[i, j, k]) < min_defect:
-            min_defect = float(dl[i, j, k])
+        if box_min < min_defect:
+            min_defect = box_min
             best = (float(lx[i]), float(ly[j]), float(lt[k]))
 
     tol = 1e-9 * (1.0 + max_abs_f)

@@ -430,6 +430,45 @@ def _pow_literal(base, r: float, pos: int):
     return np.sign(base) * np.abs(base) ** r
 
 
+def _eval(n: ExprAst, env, params, alpha: float):
+    """Recursive worker of ``evaluate_raw``.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, and the cycle would keep ``env`` (and so
+    every input array) alive until the cyclic garbage collector runs.
+    """
+    if isinstance(n, Num):
+        return n.value
+    if isinstance(n, Name):
+        if n.name in env:
+            return env[n.name]
+        if n.name in params:
+            return float(params[n.name])
+        raise EvalError(f"unbound name {n.name!r} at offset {n.pos}", n.pos)
+    if isinstance(n, Neg):
+        return -_eval(n.child, env, params, alpha)
+    if isinstance(n, Abs):
+        return np.abs(_eval(n.child, env, params, alpha))
+    if isinstance(n, Pow):
+        base = _eval(n.base, env, params, alpha)
+        if isinstance(n.exp, ExpAlpha):
+            return _pow_alpha(base, n.exp.k, alpha, n.pos)
+        return _pow_literal(base, n.exp.value, n.pos)
+    if isinstance(n, Bin):
+        lhs = _eval(n.left, env, params, alpha)
+        rhs = _eval(n.right, env, params, alpha)
+        if n.op == "+":
+            return lhs + rhs
+        if n.op == "-":
+            return lhs - rhs
+        if n.op == "*":
+            return lhs * rhs
+        if np.any(np.asarray(rhs) == 0.0):
+            raise EvalError(f"division by zero at offset {n.pos}", n.pos)
+        return lhs / rhs
+    raise TypeError(f"not an expression node: {n!r}")
+
+
 def evaluate_raw(
     node: ExprAst,
     env: Mapping[str, Union[float, np.ndarray]],
@@ -437,41 +476,7 @@ def evaluate_raw(
     params: Optional[Mapping[str, float]] = None,
 ):
     """Evaluate to a float or ndarray (broadcasting over array inputs)."""
-    alpha = ctx.alpha
-    params = params or {}
-
-    def go(n: ExprAst):
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Name):
-            if n.name in env:
-                return env[n.name]
-            if n.name in params:
-                return float(params[n.name])
-            raise EvalError(f"unbound name {n.name!r} at offset {n.pos}", n.pos)
-        if isinstance(n, Neg):
-            return -go(n.child)
-        if isinstance(n, Abs):
-            return np.abs(go(n.child))
-        if isinstance(n, Pow):
-            base = go(n.base)
-            if isinstance(n.exp, ExpAlpha):
-                return _pow_alpha(base, n.exp.k, alpha, n.pos)
-            return _pow_literal(base, n.exp.value, n.pos)
-        if isinstance(n, Bin):
-            lhs, rhs = go(n.left), go(n.right)
-            if n.op == "+":
-                return lhs + rhs
-            if n.op == "-":
-                return lhs - rhs
-            if n.op == "*":
-                return lhs * rhs
-            if np.any(np.asarray(rhs) == 0.0):
-                raise EvalError(f"division by zero at offset {n.pos}", n.pos)
-            return lhs / rhs
-        raise TypeError(f"not an expression node: {n!r}")
-
-    out = go(node)
+    out = _eval(node, env, params or {}, ctx.alpha)
     if not np.all(np.isfinite(out)):
         raise EvalError("non-finite value in evaluation")
     return out

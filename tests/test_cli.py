@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from fracon import cli
 from fracon.cli import main
 
 
@@ -125,6 +126,43 @@ def test_certify_aggregates_all_config_problems(capsys):
                      "--interval needs a < b", "--grid must be >= 8"):
         assert fragment in line
     assert line.count("fracon: error:") == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "other"),
+    [
+        (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5",
+          "--refine", "-1"], "--refine must be >= 0, got -1"),
+        (["sweep", "--alphas", "0.5", "--interval", "5,1"], "--interval needs a < b"),
+    ],
+    ids=["certify", "sweep"],
+)
+def test_grid_cap_is_a_config_error(capsys, monkeypatch, argv, other):
+    """A grid over the cap is rejected with the other problems, before any work."""
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("certify_gsc ran on a rejected grid")
+
+    monkeypatch.setattr(cli, "certify_gsc", no_lattice)
+    code, out, err = run(capsys, [*argv, "--grid", str(cli._MAX_GRID + 1)])
+    assert code == 1
+    assert out == ""
+    assert f"--grid must be <= {cli._MAX_GRID}, got {cli._MAX_GRID + 1}" in err
+    assert other in err
+    assert err.count("fracon: error:") == 1
+
+
+def test_consecutive_runs_share_no_state(capsys, tmp_path):
+    """The parser is built once; a config-file run leaves nothing behind."""
+    argv = ["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5"]
+    _, plain, _ = run(capsys, argv)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"c": 1.0, "interval": "-1,1", "grid": 12, "refine": 0,
+                               "meta": "from-file"}))
+    code, configured, _ = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(configured)["config_echo"]["grid"] == 12
+    assert run(capsys, argv)[1] == plain
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ------------------------------------------------------------------- hh/fejer

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fracon import (
     certify_gsc,
     check_eta_necessary,
     check_symmetry,
+    convexity,
     defect,
     estimate_eta_sup,
     minimum_condition_check,
@@ -214,6 +216,64 @@ def test_certify_requires_domain():
     f = FunctionSpec.from_text("x^(2a)")
     with pytest.raises(ValueError):
         certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=16)
+
+
+# ------------------------------------------------------ streamed lattice
+
+
+_SLAB_CASES = [
+    ("x^(2a)", "u - v", 1.0, 1.0, "NoViolationFound"),
+    ("-x^(2a)", "u - v", 1.0, 0.5, "Violated"),
+    ("x^(4a)", "u - v", 1.0, 0.5, "Violated"),
+    ("x^(4a)", "2^a*u + v", 0.0, 0.3, "NoViolationFound"),  # minimum 0, tied
+    ("abs(x - 0.3)^(a)", "u - v", 0.0, 1.0, "NoViolationFound"),
+    ("abs(x - 0.3)^(a)", "u - v", 1.0, 0.3, "Violated"),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _SLAB_CASES,
+                         ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
+def test_certify_report_independent_of_slab_size(monkeypatch, text, eta, c, alpha, status,
+                                                 rows):
+    """Slabs of 1 or 3 x-rows (3 leaves a short last slab) change nothing."""
+    f = _f(text, 0.0, 1.0)
+    eta = EtaSpec.from_text(eta)
+    ctx = AlphaContext(alpha=alpha)
+    default = certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3)
+    assert default.status == status
+    monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 20 * 20)
+    assert certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3).to_dict() == default.to_dict()
+
+
+@pytest.mark.parametrize("slab_cells", [1, 5 * 17 * 17, 1 << 16])
+def test_certify_tie_keeps_first_lattice_index(monkeypatch, slab_cells):
+    """f = 1, eta = -1, c = 0: the defect is -t^al, so every (x, y) ties at
+    t = 1 and the witness is the first of them, x = y = a."""
+    monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    rep = certify_gsc(_f("1", 0.2, 1.3), EtaSpec.from_text("-1"), 0.0,
+                      AlphaContext(alpha=0.5), grid_n=17, refine_depth=2)
+    assert rep.status == "Violated"
+    assert (rep.witness.x, rep.witness.y, rep.witness.t) == (0.2, 0.2, 1.0)
+    assert rep.witness.defect == -1.0
+
+
+def test_certify_memory_is_bounded():
+    """At grid 120 a whole-lattice tensor would peak near 53 MiB."""
+    f = _f("x^(2a)", 0.0, 1.0)
+    eta = EtaSpec.from_text("u - v")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        certify_gsc(f, eta, 1.0, AlphaContext(alpha=0.5), grid_n=120, refine_depth=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------- necessary-sign checks

@@ -1,5 +1,8 @@
 """Expression DSL: parsing, printing, evaluation, and the polynomial form."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,21 @@ def test_function_spec_vectorized_matches_scalar():
     many = f.evaluate_many(xs, _CTX05)
     sing = np.array([f.evaluate(float(x), _CTX05) for x in xs])
     assert np.array_equal(many, sing)
+
+
+@pytest.mark.parametrize("text", ["x^(2a) + 1", "abs(x - 0.3)^(a)*x/2"])
+def test_evaluate_many_does_not_pin_its_input(text):
+    """Without the cyclic collector, dropping the input frees it at once."""
+    f = FunctionSpec.from_text(text)
+    xs = np.linspace(0.0, 2.0, 101)
+    ref = weakref.ref(xs)
+    gc.disable()
+    try:
+        f.evaluate_many(xs, _CTX05)
+        del xs
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_eta_spec_broadcast():
