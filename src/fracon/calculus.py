@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -56,7 +58,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .expr import FunctionSpec, GPoly
-from .fractal_scalar import AlphaContext, FractalScalar, gamma
+from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
     "BackendKind",
@@ -129,13 +131,7 @@ NUMERIC = IntegralBackend(kind=BackendKind.NUMERIC_RL)
 # denormal territory.
 _END_DEPTH = 46
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(points: int) -> tuple[np.ndarray, np.ndarray]:
-    if points not in _GL_CACHE:
-        _GL_CACHE[points] = leggauss(points)
-    return _GL_CACHE[points]
+_gl = functools.cache(leggauss)
 
 
 def _graded_breakpoints(V: float, panels: int) -> np.ndarray:
@@ -258,24 +254,32 @@ def _table_integral(gp: GPoly, span: float, alpha: float) -> float:
     return total
 
 
+def _finite(value: float) -> float:
+    """``value`` as a float; a non-finite result (an overflow) is a ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite scalar value {value!r}")
+    return float(value)
+
+
 def lf_integral(
     f: Union[FunctionSpec, Callable[[np.ndarray], np.ndarray]],
     a: float,
     b: float,
     ctx: AlphaContext,
     backend: IntegralBackend = NUMERIC,
-) -> FractalScalar:
+) -> float:
     """Local fractional integral a_I_b f of order ctx.alpha.
 
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
     The exact route needs f in generalized-polynomial form about the lower
     endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise); the
     numeric route accepts any vectorized integrand, and splits a
-    FunctionSpec's integral at its singular points.
+    FunctionSpec's integral at its singular points.  A non-finite result
+    (an overflow) raises ValueError.
     """
     a, b = float(a), float(b)
     if a == b:
-        return FractalScalar(0.0, ctx.alpha)
+        return 0.0
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
@@ -283,13 +287,13 @@ def lf_integral(
         if not isinstance(f, FunctionSpec):
             raise TypeError("exact backend requires a FunctionSpec")
         gp = f.gpoly(a, ctx)
-        return FractalScalar(sign * _table_integral(gp, b - a, ctx.alpha), ctx.alpha)
+        return _finite(sign * _table_integral(gp, b - a, ctx.alpha))
     if isinstance(f, FunctionSpec):
         fn, kinks = (lambda xs: f.evaluate_many(xs, ctx)), f.singular_points()
     else:
         fn, kinks = f, ()
     res = rl_integrate(fn, a, b, ctx.alpha, backend, points=kinks)
-    return FractalScalar(sign * res.value, ctx.alpha)
+    return _finite(sign * res.value)
 
 
 def _term_rule(gp: GPoly, x0: float, alpha: float) -> float:
@@ -310,13 +314,14 @@ def lf_derivative(
     mode: DerivativeMode = DerivativeMode.EXACT_MONOMIAL,
     s: Optional[float] = None,
     quad: IntegralBackend = NUMERIC,
-) -> FractalScalar:
+) -> float:
     """Local fractional derivative of order ctx.alpha at x0, from point s.
 
     ``s`` is the expansion/base point (defaults to the lower domain
     endpoint, else 0) and x0 must satisfy x0 >= s.  The exact mode applies
     the conjugate monomial rule to the generalized-polynomial form; the
-    finite-difference mode is described in the module docstring.
+    finite-difference mode is described in the module docstring.  A
+    non-finite result (an overflow) raises ValueError.
     """
     alpha = ctx.alpha
     x0 = float(x0)
@@ -328,19 +333,18 @@ def lf_derivative(
 
     if mode is DerivativeMode.EXACT_MONOMIAL:
         gp = f.gpoly(s, ctx)
-        return FractalScalar(_term_rule(gp, x0, alpha), ctx.alpha)
+        return _finite(_term_rule(gp, x0, alpha))
 
     if alpha == 1.0:
         h = 1e-6
-        value = gamma(2.0) * (f.evaluate(x0 + h, ctx) - f.evaluate(x0, ctx)) / h
-        return FractalScalar(value, ctx.alpha)
+        return _finite(gamma(2.0) * (f.evaluate(x0 + h, ctx) - f.evaluate(x0, ctx)) / h)
 
     if x0 == s:
         # At the base point the plain alpha-quotient is the definition and
         # is exact for the leading generalized-monomial term.
         h = min(max((1e-6) ** (1.0 / alpha), 1e-12), 1e-3)
         value = gamma(1.0 + alpha) * (f.evaluate(s + h, ctx) - f.evaluate(s, ctx)) / h**alpha
-        return FractalScalar(value, ctx.alpha)
+        return _finite(value)
 
     beta = 1.0 - alpha
     f_s = f.evaluate(s, ctx)
@@ -354,8 +358,7 @@ def lf_derivative(
         return res.value
 
     delta = 1e-3 * (x0 - s)
-    value = (G(x0 + delta) - G(x0 - delta)) / (2.0 * delta)
-    return FractalScalar(value, ctx.alpha)
+    return _finite((G(x0 + delta) - G(x0 - delta)) / (2.0 * delta))
 
 
 @dataclass(frozen=True)
@@ -377,8 +380,8 @@ def backend_crosscheck(
     quad: IntegralBackend = NUMERIC,
 ) -> CrosscheckReport:
     """Run both integration routes and flag relative deviation > 1e-6."""
-    exact = lf_integral(f, a, b, ctx, EXACT).value
-    numeric = lf_integral(f, a, b, ctx, quad).value
+    exact = lf_integral(f, a, b, ctx, EXACT)
+    numeric = lf_integral(f, a, b, ctx, quad)
     denom = max(abs(exact), abs(numeric))
     dev = 0.0 if denom == 0.0 else abs(exact - numeric) / denom
     return CrosscheckReport(exact, numeric, dev, dev > 1e-6)

@@ -127,21 +127,8 @@ def _emit_report(command: str, config_echo: dict, results: dict, notes: list[str
 
 # ------------------------------------------------------------ config merge
 
-# Keys a JSON config file may supply, per subcommand.  Flag values given
-# explicitly on the command line take precedence over file values.
-_CONFIG_KEYS = {
-    "certify": ("alpha", "c", "interval", "f", "eta", "grid", "refine",
-                "meta", "out"),
-    "hh": ("alpha", "c", "interval", "f", "eta", "meta", "out", "backend",
-           "m_eta"),
-    "fejer": ("alpha", "c", "interval", "f", "eta", "w", "meta", "out"),
-    "sweep": ("alphas", "cs", "etas", "fs", "interval", "grid", "refine",
-              "budget", "out"),
-}
-
-
 def _merge_config(args: argparse.Namespace) -> None:
-    """Layer a JSON config file under explicit flags (flags win)."""
+    """Layer a JSON config file, keyed by option dest, under explicit flags (flags win)."""
     path = getattr(args, "config", None)
     if path is None:
         return
@@ -155,8 +142,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    allowed = _CONFIG_KEYS[args.cmd]
-    unknown = sorted(set(data) - set(allowed))
+    allowed = set(vars(args)) - {"cmd", "func", "config"}
+    unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(
             f"config file {path!r} has unknown keys for '{args.cmd}': "
@@ -468,12 +455,12 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
                                params={"lo": lo, "hi": hi})
     backend = NUMERIC if args.backend == "rl" else EXACT
     try:
-        value = lf_integral(f, args.a, args.b, ctx, backend).value
+        value = lf_integral(f, args.a, args.b, ctx, backend)
     except NotPolynomial:
         if args.backend == "exact":
             raise
         backend = NUMERIC
-        value = lf_integral(f, args.a, args.b, ctx, backend).value
+        value = lf_integral(f, args.a, args.b, ctx, backend)
     sys.stdout.write(_fmt(value) + "\n")
     sys.stdout.write(f"backend: {backend.kind.value}\n")
     return 0
@@ -490,12 +477,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     f = FunctionSpec.from_text(f_text)
     mode = DerivativeMode("exact" if args.mode == "auto" else args.mode)
     try:
-        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base).value
+        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base)
     except NotPolynomial:
         if args.mode == "exact":
             raise
         mode = DerivativeMode.FINITE_DIFFERENCE
-        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base).value
+        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base)
     sys.stdout.write(_fmt(value) + "\n")
     sys.stdout.write(f"mode: {mode.value}\n")
     return 0

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .calculus import DerivativeMode, lf_derivative
-from .expr import EtaSpec, FunctionSpec, NotPolynomial, WeightSpec
-from .fractal_scalar import AlphaContext, FractalScalar, gamma
+from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, WeightSpec
+from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
     "Counterexample",
@@ -104,8 +104,8 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
     and evaluates every cell with the same expression, in the same
     operation order, as a whole-lattice evaluation would, so the defects
     are bit-identical to it.  The running best moves on a strict
-    improvement only (or from a number to NaN, as ``np.argmin`` does), so
-    ties keep the first index.
+    improvement only, so ties keep the first index.  A non-finite slab
+    minimum (inf, or a NaN anywhere in the slab) raises EvalError.
     """
     al = ctx.alpha
     fx = f.evaluate_many(xs, ctx)
@@ -115,7 +115,7 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
     corr = c**al * ta * (1.0 - ts) ** al
     dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
     rows = max(1, _SLAB_CELLS // (len(ys) * len(ts)))
-    best_idx, best, max_abs_f = None, math.nan, 0.0
+    best_idx, best, max_abs_f = None, math.inf, 0.0
     for i0 in range(0, len(xs), rows):
         sl = slice(i0, i0 + rows)
         mix = ts[None, None, :] * xs[sl, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
@@ -129,7 +129,10 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
         max_abs_f = max(max_abs_f, float(np.max(np.abs(fmix))))
         i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
         value = float(d[i, j, k])
-        if best_idx is None or value < best or (math.isnan(value) and not math.isnan(best)):
+        if not math.isfinite(value):
+            x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
+            raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
+        if value < best:
             best_idx, best = (i0 + int(i), int(j), int(k)), value
     return best_idx, best, max_abs_f
 
@@ -141,8 +144,8 @@ class Counterexample:
     x: float
     y: float
     t: float
-    lhs: FractalScalar
-    rhs: FractalScalar
+    lhs: float
+    rhs: float
     defect: float
 
     def to_dict(self) -> dict:
@@ -150,8 +153,8 @@ class Counterexample:
             "x": self.x,
             "y": self.y,
             "t": self.t,
-            "lhs": self.lhs.value,
-            "rhs": self.rhs.value,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "defect": self.defect,
         }
 
@@ -239,7 +242,8 @@ def certify_gsc(
     instances, so an eta failing them is also caught as a plain
     counterexample.  Deterministic: ties resolve to the first lattice index
     in (x, y, t) order whatever the slab boundaries, and refinement accepts
-    strict improvements only.
+    strict improvements only.  A non-finite defect (e.g. |x - y|**(2*al)
+    overflowing on a very wide interval) raises EvalError.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
@@ -287,8 +291,8 @@ def certify_gsc(
             x=best[0],
             y=best[1],
             t=best[2],
-            lhs=FractalScalar(lhs, ctx.alpha),
-            rhs=FractalScalar(rhs, ctx.alpha),
+            lhs=lhs,
+            rhs=rhs,
             defect=rhs - lhs,
         )
         min_defect = min(min_defect, witness.defect)
@@ -514,10 +518,10 @@ def minimum_condition_check(
             x_star, f_star = float(lx[j]), float(lf[j])
         w /= 3.0
     try:
-        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.EXACT_MONOMIAL, s=a).value
+        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.EXACT_MONOMIAL, s=a)
         mode = "exact"
     except NotPolynomial:
-        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.FINITE_DIFFERENCE, s=a).value
+        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.FINITE_DIFFERENCE, s=a)
         mode = "fd"
 
     dy = xs - x_star

@@ -44,7 +44,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .fractal_scalar import AlphaContext, FractalScalar
+from .fractal_scalar import AlphaContext
 
 __all__ = [
     "ParseError",
@@ -487,9 +487,9 @@ def evaluate(
     args: Mapping[str, float],
     ctx: AlphaContext,
     params: Optional[Mapping[str, float]] = None,
-) -> FractalScalar:
-    """Evaluate at scalar arguments, returning an order-tagged scalar."""
-    return FractalScalar(float(evaluate_raw(node, args, ctx, params)), ctx.alpha)
+) -> float:
+    """Evaluate at scalar arguments to a float."""
+    return float(evaluate_raw(node, args, ctx, params))
 
 
 # --- generalized polynomial form ------------------------------------------
@@ -502,9 +502,6 @@ class GPoly:
     s: float
     alpha: float
     terms: tuple[tuple[int, float], ...]
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.terms)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)

@@ -12,9 +12,9 @@ provided:
 * :class:`IsoFractal` -- base-value semantics.  The seven arithmetic
   properties of the fractal set hold exactly; this carrier exists to make
   that checkable, not to do analysis.
-* :class:`FractalScalar` -- magnitude semantics.  Ordinary real arithmetic
-  on ``sign(a)*|a|**alpha`` carries every analytic computation in the
-  package.
+* :class:`FractalScalar` -- magnitude semantics: ordinary real arithmetic
+  on ``sign(a)*|a|**alpha`` with an order tag that rejects mixing.  The
+  package computes in these semantics on plain floats.
 
 The two semantics genuinely disagree for alpha < 1 (the additive embedding
 identity fails on magnitudes: ``4**0.5 + 9**0.5 = 5 != 13**0.5``).

@@ -180,7 +180,7 @@ def hh_terms(
         M = float(m_eta)
         source = "supplied"
 
-    integral = lf_integral(f, a, b, ctx, backend).value
+    integral = lf_integral(f, a, b, ctx, backend)
 
     T1 = fm - M / 2**al
     T2 = g1 / span**al * (integral - ca / 4**al * span ** (3 * al) * A)

@@ -86,8 +86,8 @@ def test_criterion_02_integrator_monomial_oracle():
                                                params={"lo": a, "hi": b})
                     ref = (gamma(1 + k * alpha) / gamma(1 + (k + 1) * alpha)
                            * (b - a) ** ((k + 1) * alpha))
-                    numeric = lf_integral(f, a, b, ctx, NUMERIC).value
-                    exact = lf_integral(f, a, b, ctx, EXACT).value
+                    numeric = lf_integral(f, a, b, ctx, NUMERIC)
+                    exact = lf_integral(f, a, b, ctx, EXACT)
                     assert abs(numeric - ref) <= 1e-6 * abs(ref), (alpha, k, a, b)
                     assert abs(exact - ref) <= 1e-12 * abs(ref), (alpha, k, a, b)
 
@@ -105,7 +105,7 @@ def test_criterion_03_derivative_crosscheck():
                            * x0 ** ((k - 1) * alpha))
                     fd = lf_derivative(f, float(x0), ctx,
                                        mode=DerivativeMode.FINITE_DIFFERENCE,
-                                       s=0.0).value
+                                       s=0.0)
                     assert abs(fd - ref) <= 1e-4 * abs(ref), (alpha, k, x0)
 
 

@@ -15,9 +15,11 @@ from fracon import (
     IntegrationError,
     NotPolynomial,
     backend_crosscheck,
+    evaluate,
     gamma,
     lf_derivative,
     lf_integral,
+    parse,
     rl_integrate,
 )
 from fracon.calculus import BackendKind
@@ -87,8 +89,8 @@ def test_monomial_oracle_both_backends(alpha, k, interval):
     ctx = AlphaContext(alpha=alpha)
     f = _monomial_spec(k, a, b)
     ref = _closed_form(k, alpha, b - a)
-    exact = lf_integral(f, a, b, ctx, EXACT).value
-    numeric = lf_integral(f, a, b, ctx, NUMERIC).value
+    exact = lf_integral(f, a, b, ctx, EXACT)
+    numeric = lf_integral(f, a, b, ctx, NUMERIC)
     assert abs(exact - ref) <= 1e-12 * abs(ref)
     assert abs(numeric - ref) <= 1e-6 * abs(ref)
 
@@ -98,8 +100,8 @@ def test_frozen_quadrature_oracles():
     for alpha, k, a, b, ref in _FROZEN_MONOMIAL:
         ctx = AlphaContext(alpha=alpha)
         f = _monomial_spec(k, a, b)
-        assert abs(lf_integral(f, a, b, ctx, EXACT).value - ref) <= 1e-13 * abs(ref)
-        assert abs(lf_integral(f, a, b, ctx, NUMERIC).value - ref) <= 1e-8 * abs(ref)
+        assert abs(lf_integral(f, a, b, ctx, EXACT) - ref) <= 1e-13 * abs(ref)
+        assert abs(lf_integral(f, a, b, ctx, NUMERIC) - ref) <= 1e-8 * abs(ref)
 
 
 def test_sqrt_pi_over_two_value():
@@ -108,14 +110,14 @@ def test_sqrt_pi_over_two_value():
     f = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
     ref = 0.8862269254527580136490837416705725913988  # mpmath, 40 digits
     for backend in (EXACT, NUMERIC):
-        assert abs(lf_integral(f, 0.0, 1.0, ctx, backend).value - ref) <= 1e-9
+        assert abs(lf_integral(f, 0.0, 1.0, ctx, backend) - ref) <= 1e-9
 
 
 def test_classical_third():
     ctx = AlphaContext(alpha=1.0)
     f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
-    assert abs(lf_integral(f, 0.0, 1.0, ctx, EXACT).value - 1.0 / 3.0) <= 1e-14
-    assert abs(lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value - 1.0 / 3.0) <= 1e-12
+    assert abs(lf_integral(f, 0.0, 1.0, ctx, EXACT) - 1.0 / 3.0) <= 1e-14
+    assert abs(lf_integral(f, 0.0, 1.0, ctx, NUMERIC) - 1.0 / 3.0) <= 1e-12
 
 
 def test_product_integrand_frozen_values():
@@ -131,9 +133,9 @@ def test_product_integrand_frozen_values():
             with pytest.raises(NotPolynomial):
                 lf_integral(f, 0.0, 1.0, ctx, EXACT)
         else:
-            exact = lf_integral(f, 0.0, 1.0, ctx, EXACT).value
+            exact = lf_integral(f, 0.0, 1.0, ctx, EXACT)
             assert abs(exact - 1.0 / 6.0) <= 1e-12
-        got = lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value
+        got = lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
         assert abs(got - ref) <= 1e-8 * abs(ref)
         closed = gamma(1 + 2 * alpha) / (2 * gamma(1 + 3 * alpha))
         assert abs(got - closed) <= 1e-8 * abs(closed)
@@ -143,7 +145,7 @@ def test_kink_integrand_exact_at_unit_order():
     """|x| on [-1,1] at alpha=1: panel edge sits on the kink, value 1."""
     ctx = AlphaContext(alpha=1.0)
     f = FunctionSpec.from_text("abs(x)", domain=(-1.0, 1.0))
-    assert abs(lf_integral(f, -1.0, 1.0, ctx, NUMERIC).value - 1.0) <= 1e-12
+    assert abs(lf_integral(f, -1.0, 1.0, ctx, NUMERIC) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(("s", "alpha"), sorted(_FROZEN_KINK))
@@ -161,7 +163,7 @@ def test_kinked_integrand_meets_rtol(s, alpha):
     ref = _FROZEN_KINK[s, alpha]
     assert res.converged
     assert abs(res.value - ref) <= NUMERIC.rtol * (1.0 + abs(ref))
-    assert lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value == res.value
+    assert lf_integral(f, 0.0, 1.0, ctx, NUMERIC) == res.value
 
 
 def test_fd_derivative_splits_at_kink():
@@ -175,7 +177,7 @@ def test_fd_derivative_splits_at_kink():
     ctx = AlphaContext(alpha=0.3)
     f = FunctionSpec.from_text("abs(x - 0.3)^(a)", domain=(0.0, 1.0))
     ref = -0.053480157377824188334
-    got = lf_derivative(f, 0.4, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0).value
+    got = lf_derivative(f, 0.4, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0)
     assert abs(got - ref) <= 5e-6 * (1.0 + abs(ref))
 
 
@@ -185,15 +187,33 @@ def test_fd_derivative_splits_at_kink():
 def test_empty_interval_is_zero():
     ctx = AlphaContext(alpha=0.5)
     f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
-    assert lf_integral(f, 0.7, 0.7, ctx, NUMERIC).value == 0.0
-    assert lf_integral(f, 0.7, 0.7, ctx, EXACT).value == 0.0
+    assert lf_integral(f, 0.7, 0.7, ctx, NUMERIC) == 0.0
+    assert lf_integral(f, 0.7, 0.7, ctx, EXACT) == 0.0
+
+
+def test_integral_derivative_and_evaluate_return_plain_floats():
+    """Every route yields a Python float, not a wrapper or a numpy scalar."""
+    f = FunctionSpec.from_text("x^(2a) + 1", domain=(0.0, 1.0))
+    ctx = AlphaContext(alpha=0.5)
+    fd = DerivativeMode.FINITE_DIFFERENCE
+    values = [
+        lf_integral(f, 0.0, 1.0, ctx, EXACT),
+        lf_integral(f, 0.0, 1.0, ctx, NUMERIC),
+        lf_integral(f, 0.7, 0.7, ctx, NUMERIC),
+        lf_derivative(f, 0.5, ctx, mode=DerivativeMode.EXACT_MONOMIAL, s=0.0),
+        lf_derivative(f, 0.5, ctx, mode=fd, s=0.0),
+        lf_derivative(f, 0.5, AlphaContext(alpha=1.0), mode=fd, s=0.0),
+        lf_derivative(f, 0.0, ctx, mode=fd, s=0.0),
+        evaluate(parse("x^(a)", arity=1), {"x": 4.0}, ctx),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 def test_orientation_negates():
     ctx = AlphaContext(alpha=0.7)
     f = FunctionSpec.from_text("x^(2a) + 1", domain=(0.0, 1.0))
-    fwd = lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value
-    rev = lf_integral(f, 1.0, 0.0, ctx, NUMERIC).value
+    fwd = lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
+    rev = lf_integral(f, 1.0, 0.0, ctx, NUMERIC)
     assert rev == -fwd
 
 
@@ -204,7 +224,7 @@ def test_constant_rule(alpha):
     f = FunctionSpec.from_text("2.5", domain=(0.5, 2.0))
     ref = 2.5 * 1.5**alpha / gamma(1 + alpha)
     for backend in (EXACT, NUMERIC):
-        got = lf_integral(f, 0.5, 2.0, ctx, backend).value
+        got = lf_integral(f, 0.5, 2.0, ctx, backend)
         assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
@@ -224,7 +244,7 @@ def test_changed_variable_route_agrees(alpha, text, rtol):
     """(b-a)^alpha-scaled pullback to [0, 1] equals the direct evaluation."""
     ctx = AlphaContext(alpha=alpha)
     f = FunctionSpec.from_text(text, domain=(0.0, 1.5))
-    direct = lf_integral(f, 0.0, 1.5, ctx, NUMERIC).value
+    direct = lf_integral(f, 0.0, 1.5, ctx, NUMERIC)
     pulled = rl_integrate(lambda ts: f.evaluate_many(1.5 * ts, ctx), 0.0, 1.0, alpha)
     changed = 1.5**alpha * pulled.value
     assert abs(changed - direct) <= rtol * (1.0 + abs(direct))
@@ -244,9 +264,9 @@ def test_linearity(p, q, alpha):
     g = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
     combo = FunctionSpec.from_text(f"{p:.3f}*x^(2a) + {q:.3f}*x^(a)",
                                    domain=(0.0, 1.0))
-    lhs = lf_integral(combo, 0.0, 1.0, ctx, NUMERIC).value
-    rhs = (p * lf_integral(f, 0.0, 1.0, ctx, NUMERIC).value
-           + q * lf_integral(g, 0.0, 1.0, ctx, NUMERIC).value)
+    lhs = lf_integral(combo, 0.0, 1.0, ctx, NUMERIC)
+    rhs = (p * lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
+           + q * lf_integral(g, 0.0, 1.0, ctx, NUMERIC))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
@@ -258,8 +278,8 @@ def test_monotonicity(alpha):
     hi = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
     xs = np.linspace(0.0, 1.0, 1000)
     assert np.all(lo.evaluate_many(xs, ctx) <= hi.evaluate_many(xs, ctx) + 1e-15)
-    assert (lf_integral(lo, 0.0, 1.0, ctx, NUMERIC).value
-            <= lf_integral(hi, 0.0, 1.0, ctx, NUMERIC).value + 1e-9)
+    assert (lf_integral(lo, 0.0, 1.0, ctx, NUMERIC)
+            <= lf_integral(hi, 0.0, 1.0, ctx, NUMERIC) + 1e-9)
 
 
 # ---------------------------------------------------------------- derivative
@@ -269,7 +289,7 @@ def test_classical_derivative_at_three():
     ctx = AlphaContext(alpha=1.0)
     f = FunctionSpec.from_text("x^(2a)")
     got = lf_derivative(f, 3.0, ctx, mode=DerivativeMode.EXACT_MONOMIAL, s=0.0)
-    assert abs(got.value - 6.0) <= 1e-12
+    assert abs(got - 6.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -279,7 +299,7 @@ def test_order_alpha_monomial_derivative_constant(alpha, x0):
     ctx = AlphaContext(alpha=alpha)
     f = FunctionSpec.from_text("x^(a)")
     got = lf_derivative(f, x0, ctx, mode=DerivativeMode.EXACT_MONOMIAL, s=0.0)
-    assert abs(got.value - gamma(1 + alpha)) <= 1e-12
+    assert abs(got - gamma(1 + alpha)) <= 1e-12
 
 
 def test_constant_derivative_zero():
@@ -287,8 +307,8 @@ def test_constant_derivative_zero():
     f = FunctionSpec.from_text("3.25")
     exact = lf_derivative(f, 1.0, ctx, mode=DerivativeMode.EXACT_MONOMIAL, s=0.0)
     fd = lf_derivative(f, 1.0, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0)
-    assert exact.value == 0.0
-    assert abs(fd.value) <= 1e-9
+    assert exact == 0.0
+    assert abs(fd) <= 1e-9
 
 
 def test_fd_at_base_point_monomial_exact():
@@ -297,7 +317,7 @@ def test_fd_at_base_point_monomial_exact():
         ctx = AlphaContext(alpha=alpha)
         f = FunctionSpec.from_text("x^(a)")
         fd = lf_derivative(f, 0.0, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0)
-        assert abs(fd.value - gamma(1 + alpha)) <= 1e-9 * gamma(1 + alpha)
+        assert abs(fd - gamma(1 + alpha)) <= 1e-9 * gamma(1 + alpha)
 
 
 @pytest.mark.parametrize("alpha", _ALPHAS)
@@ -309,9 +329,9 @@ def test_fd_matches_term_rule(alpha, k):
     worst = 0.0
     for x0 in np.linspace(0.2, 2.0, 10):
         exact = lf_derivative(f, float(x0), ctx,
-                              mode=DerivativeMode.EXACT_MONOMIAL, s=0.0).value
+                              mode=DerivativeMode.EXACT_MONOMIAL, s=0.0)
         fd = lf_derivative(f, float(x0), ctx,
-                           mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0).value
+                           mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0)
         worst = max(worst, abs(fd - exact) / abs(exact))
     assert worst <= 1e-4
 

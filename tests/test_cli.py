@@ -68,6 +68,22 @@ def test_integrate_forced_exact_rejects_nonmonomial(capsys):
     assert err.startswith("fracon: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "1e300*x^(2a)", "0", "1e10", "--alpha", "1", "--backend", "exact"],
+        ["diff", "1e300*x^(4a)", "--at", "1e100", "--alpha", "0.5"],
+    ],
+    ids=["integrate", "diff"],
+)
+def test_overflowed_result_exit_three(capsys, argv):
+    """An integral or derivative that overflows to inf is a runtime failure."""
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "fracon: ValueError: non-finite scalar value inf\n"
+
+
 # ----------------------------------------------------------------------- diff
 
 
@@ -113,6 +129,18 @@ def test_certify_violation_exit_two(capsys):
     w = doc["results"]["witness"]
     assert w["defect"] <= -0.4
     assert doc["diagnostics"]["notes"] == ["counterexample found; defect below -tolerance"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow, expected
+def test_certify_non_finite_defect_exit_three(capsys):
+    """|x - y|^(2a) overflows on this interval, making 0 * inf defects."""
+    code, out, err = run(capsys, ["certify", "--f", "const", "--eta", "difference",
+                                  "--alpha", "1", "--c", "1", "--interval=-1e200,1e200"])
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("fracon: EvalError: non-finite defect nan at x=")
 
 
 def test_certify_aggregates_all_config_problems(capsys):
@@ -360,9 +388,11 @@ def test_config_file_fills_and_flags_win(capsys, tmp_path):
         ("hh", {}, ["--grid", "20"], "unrecognized arguments: --grid 20"),
         ("fejer", {}, ["--grid", "20", "--refine", "2"],
          "unrecognized arguments: --grid 20 --refine 2"),
+        # Namespace entries that are not options are not config keys.
+        ("hh", {"func": 1}, [], "unknown keys for 'hh': func"),
     ],
     ids=["hh-bogus", "hh-grid-refine-key", "fejer-refine-key", "hh-grid-flag",
-         "fejer-grid-refine-flag"],
+         "fejer-grid-refine-flag", "hh-func-key"],
 )
 def test_config_unknown_key_exit_one(capsys, tmp_path, cmd, keys, flags, message):
     cfg = tmp_path / "run.json"

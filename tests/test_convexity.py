@@ -26,6 +26,7 @@ from fracon import (
     AlphaContext,
     Counterexample,
     EtaSpec,
+    EvalError,
     FunctionSpec,
     WeightSpec,
     certify_gsc,
@@ -167,7 +168,7 @@ def test_certify_concave_finds_witness():
     # Witness must be self-validating: re-evaluating the defect at the
     # reported point reproduces the reported value exactly.
     assert defect(f, eta, 1.0, _CTX1, w.x, w.y, w.t) == w.defect
-    assert w.rhs.value - w.lhs.value == w.defect
+    assert w.rhs - w.lhs == w.defect
     assert rep.min_defect == w.defect
 
 
@@ -205,6 +206,15 @@ def test_certify_report_dict_shape():
                       "grid", "evaluations", "necessary"}
     assert d["grid"] == {"grid_n": 16, "refine_depth": 1, "interval": [0.0, 1.0]}
     assert d["witness"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow, expected
+def test_certify_non_finite_defect_raises():
+    """On [-1e200, 1e200] |x - y|^(2a) overflows: no report, an EvalError."""
+    f = FunctionSpec.from_text("1", domain=(-1e200, 1e200))
+    eta = EtaSpec.from_text("u - v")
+    with pytest.raises(EvalError, match=r"^non-finite defect nan at x=-1e\+200, y="):
+        certify_gsc(f, eta, 1.0, _CTX1, grid_n=8, refine_depth=0)
 
 
 def test_certify_rejects_tiny_grid():

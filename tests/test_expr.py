@@ -102,17 +102,17 @@ def test_parse_deterministic():
 
 
 def test_eval_examples():
-    assert evaluate(parse("x^(2a)", arity=1), {"x": 3.0}, _CTX1).value == 9.0
-    assert evaluate(parse("x^(2a)", arity=1), {"x": 2.0}, _CTX05).value == 2.0
-    assert evaluate(parse("2^a*u+v", arity=2), {"u": 1.0, "v": 1.0}, _CTX1).value == 3.0
+    assert evaluate(parse("x^(2a)", arity=1), {"x": 3.0}, _CTX1) == 9.0
+    assert evaluate(parse("x^(2a)", arity=1), {"x": 2.0}, _CTX05) == 2.0
+    assert evaluate(parse("2^a*u+v", arity=2), {"u": 1.0, "v": 1.0}, _CTX1) == 3.0
 
 
 def test_eval_sign_convention():
     """Odd alpha-powers keep sign, even powers drop it."""
     ast = parse("x^(a)", arity=1)
-    assert evaluate(ast, {"x": -4.0}, _CTX05).value == -2.0
+    assert evaluate(ast, {"x": -4.0}, _CTX05) == -2.0
     ast2 = parse("x^(2a)", arity=1)
-    assert evaluate(ast2, {"x": -2.0}, _CTX05).value == 2.0
+    assert evaluate(ast2, {"x": -2.0}, _CTX05) == 2.0
 
 
 def test_eval_division_by_zero():
@@ -224,7 +224,7 @@ def test_normalize_eval_agreement(text, alpha):
     ast = parse(text, arity=1)
     gp = normalize(ast, 0.0, ctx)
     xs = np.linspace(0.0, 2.0, 100)
-    ast_vals = np.array([evaluate(ast, {"x": float(x)}, ctx).value for x in xs])
+    ast_vals = np.array([evaluate(ast, {"x": float(x)}, ctx) for x in xs])
     gp_vals = gp.evaluate(xs)
     assert np.all(np.abs(gp_vals - ast_vals) <= 1e-10 * (1.0 + np.abs(ast_vals)))
 
@@ -244,6 +244,6 @@ def test_gpoly_matches_ast_pointwise(x, alpha):
     ctx = AlphaContext(alpha=alpha)
     ast = parse("x^(2a) - x^(a)/3 + 2", arity=1)
     gp = normalize(ast, 0.0, ctx)
-    ast_val = evaluate(ast, {"x": x}, ctx).value
+    ast_val = evaluate(ast, {"x": x}, ctx)
     gp_val = float(gp.evaluate(np.array([x]))[0])
     assert abs(gp_val - ast_val) <= 1e-10 * (1.0 + abs(ast_val))
