@@ -43,6 +43,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .calculus import (
     EXACT,
@@ -662,7 +664,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Overflow surfaces as a one-line error below, not as numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"fracon: error: {exc}", file=sys.stderr)
         return 1

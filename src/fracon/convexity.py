@@ -89,10 +89,12 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     return lhs, rhs
 
 
-# Lattice cells per x-slab in _lattice_min.  Its working set is a few
-# float64 arrays of this many cells (about 0.5 MiB each) whatever the grid;
-# only the grid**2 arrays (eta, distances) grow with it.
-_SLAB_CELLS = 1 << 16
+# Lattice cells per x-slab in _lattice_min.  Its working set is three
+# reused float64 buffers of this many cells (128 KiB each) plus the
+# temporaries of one f evaluation, whatever the grid, unless one x-row
+# alone is larger; only the grid**2 arrays (eta, distances, one-row tiles)
+# grow with it.
+_SLAB_CELLS = 1 << 14
 
 
 def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, float]:
@@ -103,37 +105,63 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
     Each slab covers ``max(1, _SLAB_CELLS // (len(ys) * len(ts)))`` x-rows
     and evaluates every cell with the same expression, in the same
     operation order, as a whole-lattice evaluation would, so the defects
-    are bit-identical to it.  The running best moves on a strict
-    improvement only, so ties keep the first index.  A non-finite slab
-    minimum (inf, or a NaN anywhere in the slab) raises EvalError.
+    are bit-identical to it.  The mixtures, the defects and one scratch
+    array live in three buffers allocated once per call and written in
+    place by every slab.  The running best moves on a strict improvement
+    only, so ties keep the first index.  A non-finite slab minimum (inf,
+    or a NaN anywhere in the slab) raises EvalError.  Floating-point
+    warnings are silenced here; non-finite values are errors instead.
     """
-    al = ctx.alpha
-    fx = f.evaluate_many(xs, ctx)
-    fy = f.evaluate_many(ys, ctx)
-    e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
-    ta = ts**al
-    corr = c**al * ta * (1.0 - ts) ** al
-    dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
-    rows = max(1, _SLAB_CELLS // (len(ys) * len(ts)))
-    best_idx, best, max_abs_f = None, math.inf, 0.0
-    for i0 in range(0, len(xs), rows):
-        sl = slice(i0, i0 + rows)
-        mix = ts[None, None, :] * xs[sl, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
-        fmix = f.evaluate_many(mix, ctx)
-        d = (
-            fy[None, :, None]
-            + ta[None, None, :] * e[sl, :, None]
-            - corr[None, None, :] * dist[sl, :, None]
-            - fmix
-        )
-        max_abs_f = max(max_abs_f, float(np.max(np.abs(fmix))))
-        i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
-        value = float(d[i, j, k])
-        if not math.isfinite(value):
-            x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
-            raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
-        if value < best:
-            best_idx, best = (i0 + int(i), int(j), int(k)), value
+    with np.errstate(all="ignore"):
+        al = ctx.alpha
+        ny, nt = len(ys), len(ts)
+        fx = f.evaluate_many(xs, ctx)
+        fy = f.evaluate_many(ys, ctx)
+        e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
+        ta = ts**al
+        corr = c**al * ta * (1.0 - ts) ** al
+        dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
+        ty = (1.0 - ts[None, :]) * ys[:, None]  # (1 - t) * y, the same in every slab
+        # The other slab-invariant factors, tiled to one x-row: a ufunc that
+        # broadcasts an operand along the innermost (t) axis runs several
+        # times slower than one over contiguous rows, so the slab arithmetic
+        # broadcasts only whole rows, and e and dist are spread along t by
+        # a plain copy first.
+        ts_row, fy_row, ta_row, corr_row = np.empty((4, ny, nt))
+        ts_row[...] = ts
+        fy_row[...] = fy[:, None]
+        ta_row[...] = ta
+        corr_row[...] = corr
+        rows = min(len(xs), max(1, _SLAB_CELLS // (ny * nt)))
+        # One block rather than three: on glibc, freeing a block this large
+        # raises malloc's mmap and trim thresholds above it, so the slab-sized
+        # temporaries of later f evaluations stay on the heap instead of
+        # being handed back to the OS and faulted in again on every slab.
+        mix_buf, d_buf, tmp_buf = np.empty((3, rows, ny, nt))
+        best_idx, best, max_abs_f = None, math.inf, 0.0
+        for i0 in range(0, len(xs), rows):
+            n = min(rows, len(xs) - i0)
+            sl = slice(i0, i0 + n)
+            mix, d, tmp = mix_buf[:n], d_buf[:n], tmp_buf[:n]
+            np.multiply(ts_row, xs[sl, None, None], out=mix)
+            np.add(mix, ty, out=mix)
+            fmix = f.evaluate_many(mix, ctx)
+            np.copyto(tmp, e[sl, :, None])
+            np.multiply(ta_row, tmp, out=tmp)
+            np.add(fy_row, tmp, out=d)
+            np.copyto(tmp, dist[sl, :, None])
+            np.multiply(corr_row, tmp, out=tmp)
+            np.subtract(d, tmp, out=d)
+            np.subtract(d, fmix, out=d)
+            # evaluate_many has rejected non-finite values, so this is max |fmix|.
+            max_abs_f = max(max_abs_f, float(fmix.max()), float(-fmix.min()))
+            i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
+            value = float(d[i, j, k])
+            if not math.isfinite(value):
+                x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
+                raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
+            if value < best:
+                best_idx, best = (i0 + int(i), int(j), int(k)), value
     return best_idx, best, max_abs_f
 
 
@@ -233,17 +261,19 @@ def certify_gsc(
     Evaluates the defect on a ``grid_n``**3 lattice over
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
-    level (clipped to bounds).  The lattice is streamed in x-slabs with a
-    running minimum, so memory is bounded: a fixed per-slab working set
-    plus a few ``grid_n``**2 arrays, never a ``grid_n``**3 tensor.  The
-    violation threshold scales with the sampled magnitude of f:
-    tol = 1e-9 * (1 + max |f|).  Reductions run through the same lattice:
-    endpoints of the t-grid cover the necessary conditions' t = 1
-    instances, so an eta failing them is also caught as a plain
-    counterexample.  Deterministic: ties resolve to the first lattice index
-    in (x, y, t) order whatever the slab boundaries, and refinement accepts
-    strict improvements only.  A non-finite defect (e.g. |x - y|**(2*al)
-    overflowing on a very wide interval) raises EvalError.
+    level (clipped to bounds).  The lattice is streamed in x-slabs of about
+    16k cells with a running minimum, so memory is bounded: three slab
+    buffers reused by every slab, one f evaluation's temporaries and a few
+    ``grid_n``**2 arrays, never a ``grid_n``**3 tensor (traced peak about
+    2.6 MiB at grid 150).  The violation threshold scales with the sampled
+    magnitude of f: tol = 1e-9 * (1 + max |f|).  Reductions run through
+    the same lattice: endpoints of the t-grid cover the necessary
+    conditions' t = 1 instances, so an eta failing them is also caught as
+    a plain counterexample.  Deterministic: ties resolve to the first
+    lattice index in (x, y, t) order whatever the slab boundaries, and
+    refinement accepts strict improvements only.  A non-finite defect
+    (e.g. |x - y|**(2*al) overflowing on a very wide interval) raises
+    EvalError.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
@@ -435,9 +465,12 @@ def estimate_eta_sup(
 
     This is the sampled bound M on eta values (an alpha-type magnitude);
     the chain terms use it directly as M / 2**al and M * B.  A sampled sup
-    is a lower estimate of the true sup, which is the honest direction for
-    the upper chain terms: an undersized M can only make T1 larger and T4
-    smaller, never hide a genuine failure by inflation.
+    is a lower estimate of the true sup, and a low M is not safe: it makes
+    T1 larger and T4 smaller, which pushes both links toward FAILS, so it
+    can report a failure that the true M would not.  The grid misses kinks
+    between its points: for abs(x - 0.3)^(a) at alpha 0.3 on [0, 1] the
+    sampled M is 0.79122 against a true 0.7**0.3 = 0.89852.  Callers that
+    know a bound should pass it instead (``m_eta`` in ``hh_terms``).
     """
     if a is None or b is None:
         a, b = _domain_of(f)

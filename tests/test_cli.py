@@ -69,19 +69,25 @@ def test_integrate_forced_exact_rejects_nonmonomial(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ["integrate", "1e300*x^(2a)", "0", "1e10", "--alpha", "1", "--backend", "exact"],
-        ["diff", "1e300*x^(4a)", "--at", "1e100", "--alpha", "0.5"],
+        (["integrate", "1e300*x^(2a)", "0", "1e10", "--alpha", "1", "--backend", "exact"],
+         "ValueError: non-finite scalar value inf"),
+        (["diff", "1e300*x^(4a)", "--at", "1e100", "--alpha", "0.5"],
+         "ValueError: non-finite scalar value inf"),
+        (["integrate", "1e300*x^(2a)", "0", "1e10", "--alpha", "1", "--backend", "rl"],
+         "EvalError: non-finite value in evaluation"),
     ],
-    ids=["integrate", "diff"],
+    ids=["integrate", "diff", "integrate-rl"],
 )
-def test_overflowed_result_exit_three(capsys, argv):
-    """An integral or derivative that overflows to inf is a runtime failure."""
+def test_overflowed_result_exit_three(capsys, argv, message):
+    """An integral, derivative or integrand sample that overflows to inf is
+    a runtime failure: one error line, no numpy warning (pytest turns a
+    RuntimeWarning into an error)."""
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
-    assert err == "fracon: ValueError: non-finite scalar value inf\n"
+    assert err == f"fracon: {message}\n"
 
 
 # ----------------------------------------------------------------------- diff
@@ -131,7 +137,6 @@ def test_certify_violation_exit_two(capsys):
     assert doc["diagnostics"]["notes"] == ["counterexample found; defect below -tolerance"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow, expected
 def test_certify_non_finite_defect_exit_three(capsys):
     """|x - y|^(2a) overflows on this interval, making 0 * inf defects."""
     code, out, err = run(capsys, ["certify", "--f", "const", "--eta", "difference",

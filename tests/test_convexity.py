@@ -208,13 +208,19 @@ def test_certify_report_dict_shape():
     assert d["witness"] is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow, expected
-def test_certify_non_finite_defect_raises():
-    """On [-1e200, 1e200] |x - y|^(2a) overflows: no report, an EvalError."""
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+def test_certify_non_finite_defect_raises(monkeypatch, rows):
+    """On [-1e200, 1e200] |x - y|^(2a) overflows: no report, an EvalError
+    naming the first NaN cell, whatever the slab size."""
+    if rows is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
     f = FunctionSpec.from_text("1", domain=(-1e200, 1e200))
     eta = EtaSpec.from_text("u - v")
-    with pytest.raises(EvalError, match=r"^non-finite defect nan at x=-1e\+200, y="):
+    with pytest.raises(EvalError) as info:
         certify_gsc(f, eta, 1.0, _CTX1, grid_n=8, refine_depth=0)
+    # The first cell of the lattice: x = a, y = a + (b - a) / 7, t = 0.
+    assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
+                               f"y={-1e200 + 2e200 / 7!r}, t=0.0")
 
 
 def test_certify_rejects_tiny_grid():
@@ -266,6 +272,53 @@ def test_certify_tie_keeps_first_lattice_index(monkeypatch, slab_cells):
     assert rep.status == "Violated"
     assert (rep.witness.x, rep.witness.y, rep.witness.t) == (0.2, 0.2, 1.0)
     assert rep.witness.defect == -1.0
+
+
+def _lattice_min_reference(f, eta, c, ctx, xs, ys, ts):
+    """The whole-tensor lattice evaluation that the slabs replace."""
+    al = ctx.alpha
+    fx = f.evaluate_many(xs, ctx)
+    fy = f.evaluate_many(ys, ctx)
+    e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
+    ta = ts**al
+    corr = c**al * ta * (1.0 - ts) ** al
+    dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
+    mix = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * ys[None, :, None]
+    fmix = f.evaluate_many(mix, ctx)
+    d = (
+        fy[None, :, None]
+        + ta[None, None, :] * e[:, :, None]
+        - corr[None, None, :] * dist[:, :, None]
+        - fmix
+    )
+    i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
+    return (int(i), int(j), int(k)), float(d[i, j, k]), float(np.max(np.abs(fmix)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+@pytest.mark.parametrize("box", [False, True], ids=["lattice", "box"])
+@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _SLAB_CASES,
+                         ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
+def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, status, box,
+                                          rows):
+    """The slabbed kernel returns exactly the whole-tensor index, minimum
+    and max |f|, on the main lattice and on an off-centre refinement box
+    clipped at x = 0 (so xs differs from ys)."""
+    f = _f(text, 0.0, 1.0)
+    eta = EtaSpec.from_text(eta)
+    ctx = AlphaContext(alpha=alpha)
+    if box:
+        w = 1.0 / 19
+        xs = np.linspace(max(0.0, 0.02 - w), min(1.0, 0.02 + w), 13)
+        ys = np.linspace(max(0.0, 0.61 - w), min(1.0, 0.61 + w), 13)
+        ts = np.linspace(max(0.0, 0.97 - w), min(1.0, 0.97 + w), 13)
+    else:
+        xs = ys = np.linspace(0.0, 1.0, 20)
+        ts = np.linspace(0.0, 1.0, 20)
+    if rows is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * len(ys) * len(ts))
+    got = convexity._lattice_min(f, eta, c, ctx, xs, ys, ts)
+    assert got == _lattice_min_reference(f, eta, c, ctx, xs, ys, ts)
 
 
 def test_certify_memory_is_bounded():
