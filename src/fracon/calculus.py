@@ -19,7 +19,8 @@ v = (b - x)**alpha removes the kernel singularity,
     V = (b - a)**alpha,
 
 and the numeric backend integrates that regular form with Gauss--Legendre
-panels.  The transformed integrand still has weak algebraic behavior at
+panels, on settings that are module constants (only the tolerance can be
+set per call).  The transformed integrand still has weak algebraic behavior at
 both ends (e.g. (V - v)**(k*alpha) factors), so the two end panels of the
 uniform starting grid are subdivided geometrically toward their endpoints.
 Kinks of the integrand (zeros of |x - s| and of alpha- or fractional-power
@@ -47,7 +48,6 @@ consistent wherever both apply.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
@@ -90,41 +90,27 @@ class IntegrationError(RuntimeError):
     """Numeric integration failure (non-finite integrand sample)."""
 
 
-_ALLOWED_POINTS = (4, 8, 16)
-
-
 @dataclass(frozen=True)
 class IntegralBackend:
-    """Integration route and quadrature settings.
-
-    ``panels`` base panels (plus the graded end panels and any kink
-    breakpoints) with ``points``-point Gauss--Legendre each.  Panels whose
-    local error estimate exceeds their width-share of ``rtol`` relative are
-    bisected until the summed estimates meet ``rtol`` or the next pass
-    would take the cumulative evaluation count past ``max_evals``.
-    """
+    """Integration route: the exact monomial table or ``rl_integrate``."""
 
     kind: BackendKind
-    panels: int = 32
-    points: int = 8
-    rtol: float = 1e-9
-    max_evals: int = 2**20
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, BackendKind):
             raise ValueError(f"invalid backend kind {self.kind!r}")
-        if self.panels < 1:
-            raise ValueError(f"panels must be >= 1, got {self.panels!r}")
-        if self.points not in _ALLOWED_POINTS:
-            raise ValueError(f"points must be one of {_ALLOWED_POINTS}, got {self.points!r}")
-        if not 0.0 < self.rtol < 1.0:
-            raise ValueError(f"rtol must be in (0, 1), got {self.rtol!r}")
-        if self.max_evals < self.panels * self.points:
-            raise ValueError("max_evals too small for even one pass")
 
 
 EXACT = IntegralBackend(kind=BackendKind.EXACT_MONOMIAL)
 NUMERIC = IntegralBackend(kind=BackendKind.NUMERIC_RL)
+
+# rl_integrate's settings: _PANELS base panels of _POINTS-point
+# Gauss--Legendre, refined to _RTOL relative (a call may pass another
+# rtol) within _MAX_EVALS cumulative integrand samples.
+_PANELS = 32
+_POINTS = 8
+_RTOL = 1e-9
+_MAX_EVALS = 2**20
 
 # Depth of the geometric subdivision of the two end panels.  2**-46 of a
 # panel is comfortably below any tolerance in play while staying far from
@@ -134,9 +120,9 @@ _END_DEPTH = 46
 _gl = functools.cache(leggauss)
 
 
-def _graded_breakpoints(V: float, panels: int) -> np.ndarray:
+def _graded_breakpoints(V: float) -> np.ndarray:
     """Uniform breakpoints on [0, V] with dyadically graded end panels."""
-    base = np.linspace(0.0, V, panels + 1)
+    base = np.linspace(0.0, V, _PANELS + 1)
     w = base[1] - base[0]
     left = base[0] + w * 0.5 ** np.arange(_END_DEPTH, 0, -1)
     right = base[-1] - w * 0.5 ** np.arange(1, _END_DEPTH + 1)
@@ -145,10 +131,10 @@ def _graded_breakpoints(V: float, panels: int) -> np.ndarray:
 
 
 def _panel_values(
-    fn: Callable[[np.ndarray], np.ndarray], left: np.ndarray, right: np.ndarray, points: int
+    fn: Callable[[np.ndarray], np.ndarray], left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
     """Gauss--Legendre value of fn over each panel [left[i], right[i]]."""
-    nodes, wts = _gl(points)
+    nodes, wts = _gl(_POINTS)
     half = 0.5 * (right - left)
     mid = 0.5 * (left + right)
     xs = mid[:, None] + nodes[None, :] * half[:, None]
@@ -175,21 +161,22 @@ def rl_integrate(
     a: float,
     b: float,
     order: float,
-    quad: IntegralBackend = NUMERIC,
     points: Iterable[float] = (),
+    rtol: float = _RTOL,
 ) -> QuadResult:
     """Order-``order`` integral of a vectorized callable over [a, b].
 
     Evaluates (1/Gamma(1+order)) * integral_0^V fn(b - v**(1/order)) dv
-    with V = (b - a)**order on the graded panel grid, with every abscissa
+    with V = (b - a)**order on the graded grid of ``_PANELS`` base panels
+    with ``_POINTS``-point Gauss--Legendre each, with every abscissa
     of ``points`` inside (a, b) (kinks of fn; others are ignored) added as
     a breakpoint.  Each pass evaluates fn once, on the halves of the live
     panels; a panel's error estimate is |its value - the sum of its
     halves|.  The result has converged when the accepted plus the live
-    estimates are within ``quad.rtol * (1 + |value|)``.  Otherwise the
+    estimates are within ``rtol * (1 + |value|)``.  Otherwise the
     panels whose estimate exceeds their width-share of that tolerance are
     bisected, and the others are accepted.  The loop stops unconverged when
-    the next pass would exceed ``quad.max_evals`` cumulative samples, or
+    the next pass would exceed ``_MAX_EVALS`` cumulative samples, or
     when rounding leaves the total over the tolerance with no panel over
     its share.  Requires a < b (callers handle orientation and the empty
     interval).
@@ -205,17 +192,17 @@ def rl_integrate(
         return fn(np.clip(b - v**inv, lo, hi))
 
     kinks = [(b - p) ** order for p in map(float, points) if a < p < b]
-    bpts = _graded_breakpoints(V, quad.panels)
+    bpts = _graded_breakpoints(V)
     if kinks:
         bpts = np.union1d(bpts, kinks)
     left, right = bpts[:-1], bpts[1:]
-    if 3 * left.size * quad.points > quad.max_evals:
+    if 3 * left.size * _POINTS > _MAX_EVALS:
         raise ValueError(
-            f"max_evals={quad.max_evals} is below the first pass's "
-            f"{3 * left.size * quad.points} evaluations"
+            f"max_evals={_MAX_EVALS} is below the first pass's "
+            f"{3 * left.size * _POINTS} evaluations"
         )
-    coarse = _panel_values(g, left, right, quad.points)
-    evals, levels = left.size * quad.points, 0
+    coarse = _panel_values(g, left, right)
+    evals, levels = left.size * _POINTS, 0
     done_value = done_err = 0.0  # sums over the accepted panels
     converged = False
     while True:
@@ -224,13 +211,13 @@ def rl_integrate(
         # pass this is the sorted halved grid, summed in grid order.
         hl = np.column_stack((left, mid)).ravel()
         hr = np.column_stack((mid, right)).ravel()
-        vals = _panel_values(g, hl, hr, quad.points)
-        evals += hl.size * quad.points
+        vals = _panel_values(g, hl, hr)
+        evals += hl.size * _POINTS
         levels += 1
         fine = vals[0::2] + vals[1::2]
         err = np.abs(coarse - fine)
         value = done_value + float(np.sum(vals))
-        tol = quad.rtol * (1.0 + abs(value))
+        tol = rtol * (1.0 + abs(value))
         if done_err + float(np.sum(err)) <= tol:
             converged = True
             break
@@ -241,7 +228,7 @@ def rl_integrate(
         done_err += float(np.sum(err[~fail]))
         live = np.repeat(fail, 2)
         left, right, coarse = hl[live], hr[live], vals[live]
-        if evals + 2 * left.size * quad.points > quad.max_evals:
+        if evals + 2 * left.size * _POINTS > _MAX_EVALS:
             break
     return QuadResult(value / gamma(1.0 + order), evals, levels, converged)
 
@@ -292,7 +279,7 @@ def lf_integral(
         fn, kinks = (lambda xs: f.evaluate_many(xs, ctx)), f.singular_points()
     else:
         fn, kinks = f, ()
-    res = rl_integrate(fn, a, b, ctx.alpha, backend, points=kinks)
+    res = rl_integrate(fn, a, b, ctx.alpha, points=kinks)
     return _finite(sign * res.value)
 
 
@@ -313,7 +300,6 @@ def lf_derivative(
     ctx: AlphaContext,
     mode: DerivativeMode = DerivativeMode.EXACT_MONOMIAL,
     s: Optional[float] = None,
-    quad: IntegralBackend = NUMERIC,
 ) -> float:
     """Local fractional derivative of order ctx.alpha at x0, from point s.
 
@@ -348,14 +334,12 @@ def lf_derivative(
 
     beta = 1.0 - alpha
     f_s = f.evaluate(s, ctx)
-    gquad = dataclasses.replace(quad, kind=BackendKind.NUMERIC_RL, rtol=min(quad.rtol, 1e-11))
     kinks = f.singular_points()
 
     def G(x: float) -> float:
-        res = rl_integrate(
-            lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, gquad, points=kinks
-        )
-        return res.value
+        return rl_integrate(
+            lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, points=kinks, rtol=1e-11
+        ).value
 
     delta = 1e-3 * (x0 - s)
     return _finite((G(x0 + delta) - G(x0 - delta)) / (2.0 * delta))
@@ -377,11 +361,10 @@ def backend_crosscheck(
     a: float,
     b: float,
     ctx: AlphaContext,
-    quad: IntegralBackend = NUMERIC,
 ) -> CrosscheckReport:
     """Run both integration routes and flag relative deviation > 1e-6."""
     exact = lf_integral(f, a, b, ctx, EXACT)
-    numeric = lf_integral(f, a, b, ctx, quad)
+    numeric = lf_integral(f, a, b, ctx, NUMERIC)
     denom = max(abs(exact), abs(numeric))
     dev = 0.0 if denom == 0.0 else abs(exact - numeric) / denom
     return CrosscheckReport(exact, numeric, dev, dev > 1e-6)

@@ -38,6 +38,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -78,6 +79,9 @@ _SWEEP_BUDGET = 100_000
 # Largest accepted --grid: 1e9 lattice cells.  The lattice is streamed, but
 # its grid**2 arrays (eta and distances, 8 MB each at this cap) are not.
 _MAX_GRID = 1000
+# Largest accepted axioms --triples: the conformance table holds about 88 B
+# per triple for each alpha (8.4 MiB traced peak at 10**5), so ~88 MB here.
+_MAX_TRIPLES = 1_000_000
 
 
 class ConfigError(Exception):
@@ -162,11 +166,17 @@ def _apply_defaults(args: argparse.Namespace, defaults: dict) -> None:
             setattr(args, key, value)
 
 
-def _as_float(name: str, value) -> float:
+def _as_float(label: str, value) -> float:
+    """``value`` as a finite float; ``label`` names the input in messages."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"--{name} must be a number, got {value!r}") from None
+        raise ConfigError(f"{label} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{label} must be finite, got {value!r}")
+    return x
 
 
 def _as_int(name: str, value) -> int:
@@ -189,6 +199,8 @@ def _parse_interval(value) -> tuple[float, float]:
         a, b = float(parts[0]), float(parts[1])
     except (TypeError, ValueError):
         raise ConfigError(f"--interval must be two numbers, got {value!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"--interval must be finite, got {value!r}")
     if not a < b:
         raise ConfigError(f"--interval needs a < b, got {value!r}")
     return a, b
@@ -236,10 +248,10 @@ class RunConfig:
         if args.alpha is None:
             problems.append("--alpha is required")
         else:
-            alpha = _as_float("alpha", args.alpha)
+            alpha = _as_float("--alpha", args.alpha)
             if not 0.0 < alpha <= 1.0:
                 problems.append(f"--alpha must be in (0, 1], got {alpha!r}")
-        c = _as_float("c", args.c)
+        c = _as_float("--c", args.c)
         if not c >= 0.0:
             problems.append(f"--c must be >= 0, got {c!r}")
         try:
@@ -317,7 +329,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     if args.backend not in ("exact", "rl", None):
         pre.append(f"--backend must be exact|rl, got {args.backend!r}")
     cfg = RunConfig.from_args(args, pre=pre)
-    m_eta = None if args.m_eta is None else _as_float("m-eta", args.m_eta)
+    m_eta = None if args.m_eta is None else _as_float("--m-eta", args.m_eta)
     f, eta, echo = _make_specs(cfg, args.f, args.eta)
     backend = EXACT if args.backend == "exact" else NUMERIC
     report = hh_terms(f, eta, cfg.c, cfg.a, cfg.b, cfg.ctx, backend=backend,
@@ -368,6 +380,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                            "budget": _SWEEP_BUDGET})
     alphas = _split_list(args.alphas, "alphas", float) if args.alphas is not None else _SWEEP_ALPHAS
     cs = _split_list(args.cs, "cs", float) if args.cs is not None else _SWEEP_CS
+    cs = tuple(_as_float("--cs", c) for c in cs)
     etas = _split_list(args.etas, "etas") if args.etas is not None else _SWEEP_ETAS
     fs = _split_list(args.fs, "fs") if args.fs is not None else _SWEEP_FS
     problems: list[str] = []
@@ -442,7 +455,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _check_alpha(value) -> float:
     if value is None:
         raise ConfigError("--alpha is required")
-    alpha = _as_float("alpha", value)
+    alpha = _as_float("--alpha", value)
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"--alpha must be in (0, 1], got {alpha!r}")
     return alpha
@@ -450,19 +463,20 @@ def _check_alpha(value) -> float:
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     alpha = _check_alpha(args.alpha)
+    a, b = _as_float("a", args.a), _as_float("b", args.b)
     ctx = AlphaContext(alpha=alpha)
-    lo, hi = min(args.a, args.b), max(args.a, args.b)
+    lo, hi = min(a, b), max(a, b)
     _, f_text = resolve_f(args.f)
     f = FunctionSpec.from_text(f_text, domain=(lo, hi) if lo < hi else None,
                                params={"lo": lo, "hi": hi})
     backend = NUMERIC if args.backend == "rl" else EXACT
     try:
-        value = lf_integral(f, args.a, args.b, ctx, backend)
+        value = lf_integral(f, a, b, ctx, backend)
     except NotPolynomial:
         if args.backend == "exact":
             raise
         backend = NUMERIC
-        value = lf_integral(f, args.a, args.b, ctx, backend)
+        value = lf_integral(f, a, b, ctx, backend)
     sys.stdout.write(_fmt(value) + "\n")
     sys.stdout.write(f"backend: {backend.kind.value}\n")
     return 0
@@ -470,21 +484,22 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     alpha = _check_alpha(args.alpha)
-    if args.at < args.base:
+    at, base = _as_float("--at", args.at), _as_float("--from", args.base)
+    if at < base:
         raise ConfigError(
-            f"--at must be >= the base point, got at={args.at!r} < from={args.base!r}"
+            f"--at must be >= the base point, got at={at!r} < from={base!r}"
         )
     ctx = AlphaContext(alpha=alpha)
     _, f_text = resolve_f(args.f)
     f = FunctionSpec.from_text(f_text)
     mode = DerivativeMode("exact" if args.mode == "auto" else args.mode)
     try:
-        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base)
+        value = lf_derivative(f, at, ctx, mode=mode, s=base)
     except NotPolynomial:
         if args.mode == "exact":
             raise
         mode = DerivativeMode.FINITE_DIFFERENCE
-        value = lf_derivative(f, args.at, ctx, mode=mode, s=args.base)
+        value = lf_derivative(f, at, ctx, mode=mode, s=base)
     sys.stdout.write(_fmt(value) + "\n")
     sys.stdout.write(f"mode: {mode.value}\n")
     return 0
@@ -500,6 +515,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         alphas = _SWEEP_ALPHAS
     if args.triples < 1:
         raise ConfigError(f"--triples must be >= 1, got {args.triples!r}")
+    if args.triples > _MAX_TRIPLES:
+        raise ConfigError(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
 
     blocks = []
     for alpha in alphas:

@@ -148,13 +148,12 @@ def hh_terms(
     ctx: AlphaContext,
     backend: IntegralBackend = NUMERIC,
     m_eta: Optional[float] = None,
-    est_grid: int = 512,
 ) -> HHReport:
     """Evaluate the four Hermite--Hadamard chain terms and their links.
 
     ``m_eta`` is the bound on eta values (magnitude semantics); when not
-    supplied it is the sampled sup of eta over f-image pairs on [a, b].
-    Links hold up to 1e-9 relative to the term scale.
+    supplied it is the sup of eta over f-image pairs on a 512-point grid of
+    [a, b].  Links hold up to 1e-9 relative to the term scale.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -174,7 +173,7 @@ def hh_terms(
     e_ab = eta.evaluate(fa, fb, ctx)
     e_ba = eta.evaluate(fb, fa, ctx)
     if m_eta is None:
-        M = estimate_eta_sup(f, eta, ctx, est_grid, a, b)
+        M = estimate_eta_sup(f, eta, ctx, a=a, b=b)
         source = "estimated"
     else:
         M = float(m_eta)
@@ -271,22 +270,20 @@ def fejer_terms(
     a: float,
     b: float,
     ctx: AlphaContext,
-    quad: IntegralBackend = NUMERIC,
-    sym_grid: int = 1001,
 ) -> FejerReport:
     """Evaluate the three Fejer chain terms for a symmetric weight.
 
-    Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled);
-    violations raise :class:`~fracon.convexity.SymmetryError`.  All
-    integrals run on the numeric route (weights make the exact table
-    inapplicable in general).
+    Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled on
+    ``check_symmetry``'s default grid); violations raise
+    :class:`~fracon.convexity.SymmetryError`.  All integrals run on the
+    numeric route (weights make the exact table inapplicable in general).
     """
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
-    sym = check_symmetry(w, a, b, ctx, sym_grid)
+    sym = check_symmetry(w, a, b, ctx)
     if not sym.symmetric:
         raise SymmetryError(
             f"weight is not symmetric about the midpoint: max asymmetry "
@@ -315,7 +312,7 @@ def fejer_terms(
         return w.evaluate_many(a + ts * span, ctx)
 
     def q01(fn, points=t_pts) -> float:
-        return rl_integrate(fn, 0.0, 1.0, al, quad, points=points).value
+        return rl_integrate(fn, 0.0, 1.0, al, points=points).value
 
     m0 = span**al * q01(wx)
     m1 = span ** (3 * al) * q01(
@@ -330,9 +327,9 @@ def fejer_terms(
         return eta.evaluate_many(frev, fxs, ctx) * w.evaluate_many(xs, ctx)
 
     mirrored = tuple(a + b - p for p in f_pts)
-    L = rl_integrate(eta_integrand, a, b, al, quad, points=f_pts + mirrored + w_pts).value / 2**al
+    L = rl_integrate(eta_integrand, a, b, al, points=f_pts + mirrored + w_pts).value / 2**al
     F2 = rl_integrate(
-        lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b, al, quad,
+        lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b, al,
         points=f_pts + w_pts,
     ).value
     R = (e_ab + e_ba) / (2**al * span**al) * m2
@@ -411,7 +408,6 @@ def hh_fejer_consistency(
     a: float,
     b: float,
     ctx: AlphaContext,
-    quad: IntegralBackend = NUMERIC,
 ) -> ConsistencyReport:
     """Check that the w = 1 Fejer chain recomposes the plain chain.
 
@@ -428,8 +424,8 @@ def hh_fejer_consistency(
     g1 = gamma(1.0 + al)
     span = b - a
     w1 = WeightSpec.from_text("1", domain=(a, b))
-    hh = hh_terms(f, eta, c, a, b, ctx, backend=quad)
-    fj = fejer_terms(f, eta, c, w1, a, b, ctx, quad=quad)
+    hh = hh_terms(f, eta, c, a, b, ctx)
+    fj = fejer_terms(f, eta, c, w1, a, b, ctx)
     k = g1 / span**al
 
     lhs1, rhs1 = fj.F2 * k, k * hh.integral

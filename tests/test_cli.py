@@ -369,6 +369,19 @@ def test_axioms_text_deterministic(capsys):
     assert first == second
 
 
+def test_axioms_triples_cap_is_a_config_error(capsys, monkeypatch):
+    """A --triples over the cap is rejected before any table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("axiom_conformance ran on a rejected --triples")
+
+    monkeypatch.setattr(cli, "axiom_conformance", no_table)
+    code, out, err = run(capsys, ["axioms", "--triples", str(cli._MAX_TRIPLES + 1)])
+    assert code == 1
+    assert out == ""
+    assert err == (f"fracon: error: --triples must be <= {cli._MAX_TRIPLES}, "
+                   f"got {cli._MAX_TRIPLES + 1}\n")
+
+
 # ------------------------------------------------------------- config layering
 
 
@@ -423,6 +436,40 @@ def test_config_missing_file_exit_one(capsys, tmp_path):
                                 "--config", str(tmp_path / "absent.json")])
     assert code == 1
     assert "fracon: error:" in err
+
+
+_SQUARE = ["--f", "square", "--eta", "difference"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "config"),
+    [
+        (["hh", *_SQUARE, "--alpha", "0.5", "--m-eta", "nan"], None),
+        (["hh", *_SQUARE, "--alpha", "0.5", "--c", "inf"], None),
+        (["fejer", *_SQUARE, "--alpha", "0.5", "--c", "inf"], None),
+        (["certify", *_SQUARE, "--alpha", "0.5", "--c", "inf"], None),
+        (["hh", *_SQUARE, "--alpha", "0.5", "--interval", "0,inf"], None),
+        (["integrate", "x^(2a)", "0", "inf", "--alpha", "0.5"], None),
+        (["diff", "x^(2a)", "--at", "nan", "--alpha", "0.5"], None),
+        (["sweep", "--cs", "inf"], None),
+        (["hh", *_SQUARE, "--alpha", "0.5"], '{"c": Infinity}'),
+        (["hh", *_SQUARE], '{"alpha": true, "c": false}'),
+    ],
+    ids=["hh-m-eta-nan", "hh-c-inf", "fejer-c-inf", "certify-c-inf",
+         "hh-interval-inf", "integrate-bound-inf", "diff-at-nan", "sweep-cs-inf",
+         "config-infinity", "config-booleans"],
+)
+def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config):
+    """inf, nan and JSON booleans are config errors, not runs or crashes."""
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fracon: error: ")
+    assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------ envelope/output

@@ -9,6 +9,7 @@ say so.
 import pytest
 
 from fracon import AlphaContext, EtaSpec, FunctionSpec, certify_gsc, rl_integrate
+from fracon import DerivativeMode, calculus, lf_derivative
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0))
@@ -44,3 +45,28 @@ def test_certify_lattice_cells(grid, refine, cells):
                       grid_n=grid, refine_depth=refine)
     assert rep.status == "NoViolationFound"
     assert rep.evaluations == grid**3 + refine * 13**3 == cells
+
+
+@pytest.mark.parametrize(("text", "x0", "alpha", "work"), (
+    ("abs(x - 0.3)^(a)", 0.4, 0.3, (3896, 14, True)),
+    ("x^(2a)", 0.5, 0.5, (2976, 1, True)),
+))
+def test_fd_derivative_inner_work(monkeypatch, text, x0, alpha, work):
+    """The fd derivative's two inner integrals run at rtol 1e-11.
+
+    One central difference of G = I^(1-alpha)[f - f(s)] takes two
+    rl_integrate calls.  At the default rtol 1e-9 the kinked pair would
+    each take (3544, 9, True).
+    """
+    seen = []
+    original = calculus.rl_integrate
+
+    def recording(*args, **kwargs):
+        res = original(*args, **kwargs)
+        seen.append((res.evals, res.levels, res.converged))
+        return res
+
+    monkeypatch.setattr(calculus, "rl_integrate", recording)
+    f = FunctionSpec.from_text(text)
+    lf_derivative(f, x0, AlphaContext(alpha=alpha), DerivativeMode.FINITE_DIFFERENCE, s=0.0)
+    assert seen == [work, work]
