@@ -7,7 +7,7 @@ generalized strong eta-convexity, and measures every link of the
 Hermite--Hadamard and Fejer inequality chains with signed gaps.  Nothing
 is assumed from theory: each claimed inequality is checked numerically
 and reported honestly, including the documented divergence of the
-magnitude carrier's additive embedding for alpha < 1.
+additive embedding in magnitude semantics for alpha < 1.
 """
 
 from .calculus import (
@@ -54,12 +54,8 @@ from .expr import (
 from .fractal_scalar import (
     AlphaContext,
     AxiomRow,
-    FractalScalar,
     GammaDomainError,
-    IsoFractal,
-    TagMismatchError,
     axiom_conformance,
-    embed,
     gamma,
 )
 from .inequalities import (
@@ -89,14 +85,12 @@ __all__ = [
     "EtaSpec",
     "EvalError",
     "FejerReport",
-    "FractalScalar",
     "FunctionSpec",
     "GPoly",
     "GammaDomainError",
     "HHReport",
     "IntegralBackend",
     "IntegrationError",
-    "IsoFractal",
     "LinkStatus",
     "MinimumConditionReport",
     "NUMERIC",
@@ -106,7 +100,6 @@ __all__ = [
     "QuadResult",
     "SymmetryError",
     "SymmetryReport",
-    "TagMismatchError",
     "WeightSpec",
     "axiom_conformance",
     "backend_crosscheck",
@@ -114,7 +107,6 @@ __all__ = [
     "check_eta_necessary",
     "check_symmetry",
     "defect",
-    "embed",
     "estimate_eta_sup",
     "evaluate",
     "fejer_terms",

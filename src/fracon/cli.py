@@ -206,15 +206,26 @@ def _parse_interval(value) -> tuple[float, float]:
     return a, b
 
 
+def _collect(problems: list[str], convert, *args, default=None):
+    """``convert(*args)``; on a ConfigError, add it to ``problems`` and
+    return ``default`` so the caller can go on to find the next problem."""
+    try:
+        return convert(*args)
+    except ConfigError as exc:
+        problems.append(str(exc))
+        return default
+
+
 def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, int]:
-    """Validated ``--grid``/``--refine``; range problems go to ``problems``."""
-    grid = _as_int("grid", args.grid)
-    refine = _as_int("refine", args.refine)
-    if grid < 8:
-        problems.append(f"--grid must be >= 8, got {grid!r}")
-    elif grid > _MAX_GRID:
-        problems.append(f"--grid must be <= {_MAX_GRID}, got {grid!r}")
-    if refine < 0:
+    """Validated ``--grid``/``--refine``; every problem goes to ``problems``."""
+    grid = _collect(problems, _as_int, "grid", args.grid)
+    refine = _collect(problems, _as_int, "refine", args.refine)
+    if grid is not None:
+        if grid < 8:
+            problems.append(f"--grid must be >= 8, got {grid!r}")
+        elif grid > _MAX_GRID:
+            problems.append(f"--grid must be <= {_MAX_GRID}, got {grid!r}")
+    if refine is not None and refine < 0:
         problems.append(f"--refine must be >= 0, got {refine!r}")
     return grid, refine
 
@@ -244,20 +255,11 @@ class RunConfig:
         cls, args: argparse.Namespace, pre: Sequence[str] = ()
     ) -> "RunConfig":
         problems: list[str] = list(pre)
-        alpha = c = a = b = 0.0
-        if args.alpha is None:
-            problems.append("--alpha is required")
-        else:
-            alpha = _as_float("--alpha", args.alpha)
-            if not 0.0 < alpha <= 1.0:
-                problems.append(f"--alpha must be in (0, 1], got {alpha!r}")
-        c = _as_float("--c", args.c)
-        if not c >= 0.0:
+        alpha = _collect(problems, _check_alpha, args.alpha)
+        c = _collect(problems, _as_float, "--c", args.c)
+        if c is not None and not c >= 0.0:
             problems.append(f"--c must be >= 0, got {c!r}")
-        try:
-            a, b = _parse_interval(args.interval)
-        except ConfigError as exc:
-            problems.append(str(exc))
+        a, b = _collect(problems, _parse_interval, args.interval, default=(0.0, 0.0))
         grid, refine = _lattice_size(args, problems) if "grid" in args else (None, None)
         if problems:
             raise ConfigError("; ".join(problems))
@@ -328,8 +330,8 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     pre = _missing_flags(args, "f", "eta")
     if args.backend not in ("exact", "rl", None):
         pre.append(f"--backend must be exact|rl, got {args.backend!r}")
+    m_eta = None if args.m_eta is None else _collect(pre, _as_float, "--m-eta", args.m_eta)
     cfg = RunConfig.from_args(args, pre=pre)
-    m_eta = None if args.m_eta is None else _as_float("--m-eta", args.m_eta)
     f, eta, echo = _make_specs(cfg, args.f, args.eta)
     backend = EXACT if args.backend == "exact" else NUMERIC
     report = hh_terms(f, eta, cfg.c, cfg.a, cfg.b, cfg.ctx, backend=backend,
@@ -380,25 +382,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                            "budget": _SWEEP_BUDGET})
     alphas = _split_list(args.alphas, "alphas", float) if args.alphas is not None else _SWEEP_ALPHAS
     cs = _split_list(args.cs, "cs", float) if args.cs is not None else _SWEEP_CS
-    cs = tuple(_as_float("--cs", c) for c in cs)
     etas = _split_list(args.etas, "etas") if args.etas is not None else _SWEEP_ETAS
     fs = _split_list(args.fs, "fs") if args.fs is not None else _SWEEP_FS
     problems: list[str] = []
-    a = b = 0.0
-    try:
-        a, b = _parse_interval(args.interval)
-    except ConfigError as exc:
-        problems.append(str(exc))
+    cs = tuple(_collect(problems, _as_float, "--cs", c) for c in cs)
+    a, b = _collect(problems, _parse_interval, args.interval, default=(0.0, 0.0))
     grid, refine = _lattice_size(args, problems)
-    budget = _as_int("budget", args.budget)
+    budget = _collect(problems, _as_int, "budget", args.budget)
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             problems.append(f"sweep alpha must be in (0, 1], got {alpha!r}")
     for c in cs:
-        if not c >= 0.0:
+        if c is not None and not c >= 0.0:
             problems.append(f"sweep c must be >= 0, got {c!r}")
     rows = len(alphas) * len(cs) * len(etas) * len(fs)
-    if rows > budget:
+    if budget is not None and rows > budget:
         problems.append(f"sweep would produce {rows} rows, over the budget "
                         f"of {budget}")
     if problems:
@@ -517,6 +515,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         raise ConfigError(f"--triples must be >= 1, got {args.triples!r}")
     if args.triples > _MAX_TRIPLES:
         raise ConfigError(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed!r}")
 
     blocks = []
     for alpha in alphas:

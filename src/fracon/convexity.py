@@ -404,17 +404,6 @@ class SymmetryReport:
     def ok(self) -> bool:
         return self.symmetric and self.nonnegative
 
-    def to_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "max_asymmetry": self.max_asymmetry,
-            "asym_witness": self.asym_witness,
-            "nonnegative": self.nonnegative,
-            "min_value": self.min_value,
-            "neg_witness": self.neg_witness,
-            "tol": self.tol,
-        }
-
 
 def check_symmetry(
     w: WeightSpec, a: float, b: float, ctx: AlphaContext, grid_n: int = 1001
@@ -503,20 +492,6 @@ class MinimumConditionReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star,
-            "f_star": self.f_star,
-            "derivative": self.derivative,
-            "derivative_mode": self.derivative_mode,
-            "antecedent_count": self.antecedent_count,
-            "checked": self.checked,
-            "violations": [[y, m] for y, m in self.violations],
-            "tol_antecedent": self.tol_antecedent,
-            "tol_consequent": self.tol_consequent,
-            "ok": self.ok,
-        }
 
 
 def minimum_condition_check(

@@ -1,4 +1,4 @@
-"""Alpha-type scalars: the two numeric carriers for fractal-set values.
+"""Order-alpha numbers: the order context, Gamma, and axiom conformance.
 
 For an order 0 < alpha <= 1, the fractal set R^alpha consists of the
 alpha-type numbers ``a^alpha``.  Its arithmetic identifies
@@ -6,15 +6,14 @@ alpha-type numbers ``a^alpha``.  Its arithmetic identifies
 to the reals via the base value ``a``.  Quantitative formulas (the
 ``Gamma(1+k*alpha)/Gamma(1+(k+1)*alpha)`` integration table, inequality
 terms, defects) are only meaningful when ``a^alpha`` denotes the real
-magnitude ``sign(a)*|a|**alpha``.  Both readings are needed, so both are
-provided:
+magnitude ``sign(a)*|a|**alpha``.  There are two readings of ``a^alpha``:
 
-* :class:`IsoFractal` -- base-value semantics.  The seven arithmetic
-  properties of the fractal set hold exactly; this carrier exists to make
+* base-value semantics -- compute on the base ``a``.  The seven arithmetic
+  properties of the fractal set hold exactly; this reading exists to make
   that checkable, not to do analysis.
-* :class:`FractalScalar` -- magnitude semantics: ordinary real arithmetic
-  on ``sign(a)*|a|**alpha`` with an order tag that rejects mixing.  The
-  package computes in these semantics on plain floats.
+* magnitude semantics -- ordinary real arithmetic on
+  ``sign(a)*|a|**alpha``.  The package computes in these semantics on
+  plain floats.
 
 The two semantics genuinely disagree for alpha < 1 (the additive embedding
 identity fails on magnitudes: ``4**0.5 + 9**0.5 = 5 != 13**0.5``).
@@ -31,12 +30,8 @@ import numpy as np
 
 __all__ = [
     "AlphaContext",
-    "FractalScalar",
-    "IsoFractal",
     "GammaDomainError",
-    "TagMismatchError",
     "gamma",
-    "embed",
     "axiom_conformance",
     "AxiomRow",
 ]
@@ -44,10 +39,6 @@ __all__ = [
 
 class GammaDomainError(ValueError):
     """Gamma evaluated at a pole (non-positive integer) or non-finite point."""
-
-
-class TagMismatchError(ValueError):
-    """Arithmetic attempted between scalars of different fractal order."""
 
 
 def gamma(x: float) -> float:
@@ -81,129 +72,13 @@ class AlphaContext:
             raise ValueError(f"alpha must satisfy 0 < alpha <= 1, got {a!r}")
         object.__setattr__(self, "alpha", float(a))
 
-    def gamma1p(self) -> float:
-        """Gamma(1 + alpha), the normalization constant of the order."""
-        return gamma(1.0 + self.alpha)
-
-
-def _check_tags(a, b) -> None:
-    if a.alpha != b.alpha:
-        raise TagMismatchError(
-            f"operands carry different orders: {a.alpha!r} vs {b.alpha!r}"
-        )
-
-
-@dataclass(frozen=True)
-class FractalScalar:
-    """Alpha-type number in magnitude semantics.
-
-    ``value`` is the real magnitude ``sign(a)*|a|**alpha`` of some base
-    ``a``; arithmetic is ordinary real arithmetic on magnitudes, which is
-    what every quantitative formula in the package means.  The order tag
-    travels with the value and mixing orders is an error.
-    """
-
-    value: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite scalar value {self.value!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"invalid order tag {self.alpha!r}")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-    def __add__(self, other: "FractalScalar") -> "FractalScalar":
-        _check_tags(self, other)
-        return FractalScalar(self.value + other.value, self.alpha)
-
-    def __sub__(self, other: "FractalScalar") -> "FractalScalar":
-        _check_tags(self, other)
-        return FractalScalar(self.value - other.value, self.alpha)
-
-    def __mul__(self, other: "FractalScalar") -> "FractalScalar":
-        _check_tags(self, other)
-        return FractalScalar(self.value * other.value, self.alpha)
-
-    def __neg__(self) -> "FractalScalar":
-        return FractalScalar(-self.value, self.alpha)
-
-    def __lt__(self, other: "FractalScalar") -> bool:
-        _check_tags(self, other)
-        return self.value < other.value
-
-    def __le__(self, other: "FractalScalar") -> bool:
-        _check_tags(self, other)
-        return self.value <= other.value
-
-    def __gt__(self, other: "FractalScalar") -> bool:
-        _check_tags(self, other)
-        return self.value > other.value
-
-    def __ge__(self, other: "FractalScalar") -> bool:
-        _check_tags(self, other)
-        return self.value >= other.value
-
-
-@dataclass(frozen=True)
-class IsoFractal:
-    """Alpha-type number in base-value semantics.
-
-    Stores the base ``a`` of ``a^alpha`` and computes through the
-    isomorphism with the reals, so the fractal-set arithmetic identities
-    (``a^alpha + b^alpha = (a+b)^alpha`` and friends) hold exactly by
-    construction.  Carries no quantitative meaning on its own.
-    """
-
-    base: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.base):
-            raise ValueError(f"non-finite base value {self.base!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"invalid order tag {self.alpha!r}")
-        object.__setattr__(self, "base", float(self.base))
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-    def __add__(self, other: "IsoFractal") -> "IsoFractal":
-        _check_tags(self, other)
-        return IsoFractal(self.base + other.base, self.alpha)
-
-    def __sub__(self, other: "IsoFractal") -> "IsoFractal":
-        _check_tags(self, other)
-        return IsoFractal(self.base - other.base, self.alpha)
-
-    def __mul__(self, other: "IsoFractal") -> "IsoFractal":
-        _check_tags(self, other)
-        return IsoFractal(self.base * other.base, self.alpha)
-
-    def __neg__(self) -> "IsoFractal":
-        return IsoFractal(-self.base, self.alpha)
-
-    def magnitude(self) -> float:
-        """Real magnitude sign(a)*|a|**alpha of the stored base."""
-        return math.copysign(abs(self.base) ** self.alpha, self.base)
-
-
-def embed(a: float, ctx: AlphaContext) -> FractalScalar:
-    """Map a real base to its alpha-type magnitude sign(a)*|a|**alpha.
-
-    The map is an odd, strictly increasing bijection of the reals and is
-    multiplicative: embed(a*b) = embed(a)*embed(b).  It is *not* additive
-    for alpha < 1; that failure is precisely the divergence reported by
-    :func:`axiom_conformance`.
-    """
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError(f"embed argument must be finite, got {a!r}")
-    return FractalScalar(math.copysign(abs(a) ** ctx.alpha, a), ctx.alpha)
-
 
 @dataclass(frozen=True)
 class AxiomRow:
-    """Conformance result for one arithmetic property under both carriers."""
+    """Conformance result for one arithmetic property under both semantics.
+
+    ``iso_*`` is the base-value reading, ``mag_*`` the magnitude reading.
+    """
 
     index: int
     title: str
@@ -227,7 +102,7 @@ def axiom_conformance(
     """Measure the seven fractal-set arithmetic properties on random triples.
 
     Draws ``triples`` base triples (a, b, c) uniformly from [-10, 10] with a
-    fixed seed and evaluates each property under both carriers:
+    fixed seed and evaluates each property under both semantics:
 
     1. closure of + and * (results finite),
     2. commutativity of + and the additive embedding a^al + b^al = (a+b)^al,
@@ -238,7 +113,7 @@ def axiom_conformance(
     7. additive and multiplicative neutrals 0^al and 1^al.
 
     A property passes when its worst relative discrepancy is <= ``tol``.
-    IsoFractal passes everything by construction; FractalScalar fails the
+    Base values pass everything by construction; magnitudes fail the
     additive embedding part of property 2 for alpha < 1, which is reported,
     not hidden.
     """

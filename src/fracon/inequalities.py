@@ -369,16 +369,6 @@ class ConsistencyCheck:
     tol: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tol": self.tol,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -391,14 +381,6 @@ class ConsistencyReport:
     @property
     def ok(self) -> bool:
         return all(ch.ok for ch in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [ch.to_dict() for ch in self.checks],
-            "ok": self.ok,
-            "hh": self.hh.to_dict(),
-            "fejer": self.fejer.to_dict(),
-        }
 
 
 def hh_fejer_consistency(

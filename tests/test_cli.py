@@ -382,6 +382,19 @@ def test_axioms_triples_cap_is_a_config_error(capsys, monkeypatch):
                    f"got {cli._MAX_TRIPLES + 1}\n")
 
 
+
+def test_axioms_negative_seed_is_a_config_error(capsys, monkeypatch):
+    """A negative --seed is rejected before any table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("axiom_conformance ran on a rejected --seed")
+
+    monkeypatch.setattr(cli, "axiom_conformance", no_table)
+    code, out, err = run(capsys, ["axioms", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "fracon: error: --seed must be >= 0, got -1\n"
+
+
 # ------------------------------------------------------------- config layering
 
 
@@ -470,6 +483,41 @@ def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config)
     assert out == ""
     assert err.startswith("fracon: error: ")
     assert err.count("\n") == 1
+
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "fragments"),
+    [
+        (["certify", *_SQUARE, "--alpha", "2", "--c", "inf", "--grid", "3"], None,
+         ["--alpha must be in (0, 1], got 2.0", "--c must be finite, got inf",
+          "--grid must be >= 8, got 3"]),
+        (["certify", *_SQUARE, "--alpha", "5"], '{"c": "x", "grid": "y"}',
+         ["--alpha must be in (0, 1], got 5.0", "--c must be a number, got 'x'",
+          "--grid must be an integer, got 'y'"]),
+        (["hh", *_SQUARE, "--alpha", "2", "--m-eta", "nan", "--c", "inf"], None,
+         ["--m-eta must be finite, got nan", "--alpha must be in (0, 1], got 2.0",
+          "--c must be finite, got inf"]),
+        (["sweep", "--cs", "inf,-1"], '{"budget": "x", "refine": "z"}',
+         ["--cs must be finite, got inf", "sweep c must be >= 0, got -1.0",
+          "--refine must be an integer, got 'z'",
+          "--budget must be an integer, got 'x'"]),
+    ],
+    ids=["certify-flags", "certify-config", "hh-m-eta", "sweep"],
+)
+def test_number_problems_are_aggregated(capsys, tmp_path, argv, config, fragments):
+    """A bad number joins the other problems in one message, not alone."""
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fracon: error: ")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
 
 
 # ------------------------------------------------------------ envelope/output

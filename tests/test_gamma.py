@@ -71,11 +71,6 @@ def test_poles_raise(x):
         gamma(x)
 
 
-def test_alpha_context_gamma1p():
-    ctx = AlphaContext(alpha=0.37)
-    assert ctx.gamma1p() == gamma(1.37)
-
-
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.0001, 2.0])
 def test_alpha_context_rejects_out_of_range(alpha):
     with pytest.raises(ValueError):
