@@ -117,17 +117,27 @@ _MAX_EVALS = 2**20
 # denormal territory.
 _END_DEPTH = 46
 
+# Distinct V = (b - a)**order values whose graded breakpoints are kept.
+# Most calls integrate over a unit span, where V is 1.0 at every order.
+_BREAKPOINT_CACHE = 64
+
 _gl = functools.cache(leggauss)
 
 
+@functools.lru_cache(maxsize=_BREAKPOINT_CACHE)
 def _graded_breakpoints(V: float) -> np.ndarray:
-    """Uniform breakpoints on [0, V] with dyadically graded end panels."""
+    """Uniform breakpoints on [0, V] with dyadically graded end panels.
+
+    The array is cached per V and shared between calls, so it is read-only.
+    """
     base = np.linspace(0.0, V, _PANELS + 1)
     w = base[1] - base[0]
     left = base[0] + w * 0.5 ** np.arange(_END_DEPTH, 0, -1)
     right = base[-1] - w * 0.5 ** np.arange(1, _END_DEPTH + 1)
     pts = np.concatenate((base[:1], left, base[1:-1], np.sort(right), base[-1:]))
-    return np.unique(pts)
+    pts = np.unique(pts)
+    pts.flags.writeable = False
+    return pts
 
 
 def _panel_values(

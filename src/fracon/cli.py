@@ -336,6 +336,13 @@ def _cmd_hh(args: argparse.Namespace) -> int:
     backend = EXACT if args.backend == "exact" else NUMERIC
     report = hh_terms(f, eta, cfg.c, cfg.a, cfg.b, cfg.ctx, backend=backend,
                       m_eta=m_eta)
+    # M bounds eta(f(x), f(y)) over all pairs, these two among them: a
+    # smaller M is a wrong input, not a violation of the chain.
+    if m_eta is not None and m_eta < max(report.eta_ab, report.eta_ba):
+        raise ConfigError(
+            f"--m-eta must be >= max(eta_ab, eta_ba), got {_fmt(m_eta)} with "
+            f"eta_ab = {_fmt(report.eta_ab)} and eta_ba = {_fmt(report.eta_ba)}"
+        )
     notes = [f"m_eta {report.m_eta_source}"]
     for link in report.links:
         if not link.holds:
@@ -362,7 +369,10 @@ def _cmd_fejer(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-def _split_list(value, kind: str, conv=str) -> tuple:
+def _split_list(value, kind: str, default: tuple, conv=str) -> tuple:
+    """``value`` as a tuple of ``conv`` items, or ``default`` when unset."""
+    if value is None:
+        return default
     if isinstance(value, (list, tuple)):
         items = [str(item).strip() for item in value]
     else:
@@ -380,11 +390,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _merge_config(args)
     _apply_defaults(args, {"interval": "0,1", "grid": 24, "refine": 2,
                            "budget": _SWEEP_BUDGET})
-    alphas = _split_list(args.alphas, "alphas", float) if args.alphas is not None else _SWEEP_ALPHAS
-    cs = _split_list(args.cs, "cs", float) if args.cs is not None else _SWEEP_CS
-    etas = _split_list(args.etas, "etas") if args.etas is not None else _SWEEP_ETAS
-    fs = _split_list(args.fs, "fs") if args.fs is not None else _SWEEP_FS
     problems: list[str] = []
+    alphas = _collect(problems, _split_list, args.alphas, "alphas", _SWEEP_ALPHAS, float,
+                      default=())
+    cs = _collect(problems, _split_list, args.cs, "cs", _SWEEP_CS, float, default=())
+    etas = _collect(problems, _split_list, args.etas, "etas", _SWEEP_ETAS, default=())
+    fs = _collect(problems, _split_list, args.fs, "fs", _SWEEP_FS, default=())
     cs = tuple(_collect(problems, _as_float, "--cs", c) for c in cs)
     a, b = _collect(problems, _parse_interval, args.interval, default=(0.0, 0.0))
     grid, refine = _lattice_size(args, problems)
@@ -507,16 +518,19 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    problems: list[str] = []
     if args.alpha is not None:
-        alphas = (_check_alpha(args.alpha),)
+        alphas = (_collect(problems, _check_alpha, args.alpha),)
     else:
         alphas = _SWEEP_ALPHAS
     if args.triples < 1:
-        raise ConfigError(f"--triples must be >= 1, got {args.triples!r}")
-    if args.triples > _MAX_TRIPLES:
-        raise ConfigError(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
+        problems.append(f"--triples must be >= 1, got {args.triples!r}")
+    elif args.triples > _MAX_TRIPLES:
+        problems.append(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed!r}")
+        problems.append(f"--seed must be >= 0, got {args.seed!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
 
     blocks = []
     for alpha in alphas:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import DerivativeMode, lf_derivative
-from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, WeightSpec
+from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, WeightSpec, _monotone_dirs
 from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
@@ -460,13 +460,53 @@ def estimate_eta_sup(
     between its points: for abs(x - 0.3)^(a) at alpha 0.3 on [0, 1] the
     sampled M is 0.79122 against a true 0.7**0.3 = 0.89852.  Callers that
     know a bound should pass it instead (``m_eta`` in ``hh_terms``).
+
+    When eta is separately monotone (``expr._monotone_dirs``: sums,
+    differences and nonzero constant multiples of u and v, as both presets
+    are), only the 2 x 2 corners {min fx, max fx}**2 are evaluated, and the
+    result is bit for bit the max over all grid_n**2 pairs:
+
+    * IEEE round-to-nearest +, - and scaling by a nonzero constant are
+      non-decreasing in each operand (non-increasing for a negative
+      constant), through overflow and underflow, with -0.0 ordered below
+      +0.0.  So every pair value is at most the corner taken at the
+      extremes of fx (in that order) in eta's directions, and that corner
+      is itself a pair.
+    * A non-finite pair implies a non-finite corner, so the same
+      ``EvalError`` is raised.
+    * Only zero has two bit patterns.  If the max is 0 and every zero
+      corner is -0.0, every zero pair is -0.0 too.  If some corner is
+      +0.0, the pairs may mix the two signs and ``np.max`` picks one by
+      its reduction order, so the full matrix is evaluated as before;
+      unless all samples of f are bitwise equal, which makes every pair
+      bitwise equal.
     """
     if a is None or b is None:
         a, b = _domain_of(f)
     xs = np.linspace(float(a), float(b), grid_n)
     fx = f.evaluate_many(xs, ctx)
+    if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
+        lo, hi = _signed_extremes(fx)
+        ends = np.array([lo, hi])
+        corners = eta.evaluate_many(ends[:, None], ends[None, :], ctx)
+        top = float(np.max(corners))
+        same = lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi)
+        if top != 0.0 or same or np.signbit(corners[corners == 0.0]).all():
+            return top
     pair = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
     return float(np.max(pair))
+
+
+def _signed_extremes(fx: np.ndarray) -> tuple[float, float]:
+    """Min and max of fx in the order that puts -0.0 below +0.0."""
+    lo, hi = float(np.min(fx)), float(np.max(fx))
+    if lo == 0.0 or hi == 0.0:
+        signs = np.signbit(fx[fx == 0.0])
+        if lo == 0.0:
+            lo = -0.0 if signs.any() else 0.0
+        if hi == 0.0:
+            hi = 0.0 if not signs.all() else -0.0
+    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ which is the half-line the exact rules integrate over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -490,6 +491,59 @@ def evaluate(
 ) -> float:
     """Evaluate at scalar arguments to a float."""
     return float(evaluate_raw(node, args, ctx, params))
+
+
+def _monotone_dirs(
+    n: ExprAst, params: Mapping[str, float], alpha: float
+) -> Optional[tuple[int, int]]:
+    """Directions (du, dv) in {-1, 0, 1} in which the float-evaluated arity-2
+    expression is monotone in u and in v, or None when no rule applies.
+
+    Sums and differences of u, v and constants qualify, as do their
+    products with, and quotients by, a constant subtree whose value is
+    finite and nonzero; ``abs`` and powers count only as parts of a
+    constant subtree, which gives (0, 0).  ``convexity.estimate_eta_sup``
+    says why the float evaluation of such an expression stays monotone.
+    """
+    if isinstance(n, Num):
+        return (0, 0)
+    if isinstance(n, Name):
+        if n.name == "u":
+            return (1, 0)
+        if n.name == "v":
+            return (0, 1)
+        return (0, 0) if n.name in params else None
+    if isinstance(n, Neg):
+        d = _monotone_dirs(n.child, params, alpha)
+        return None if d is None else (-d[0], -d[1])
+    if isinstance(n, (Abs, Pow)):
+        child = n.child if isinstance(n, Abs) else n.base
+        return (0, 0) if _monotone_dirs(child, params, alpha) == (0, 0) else None
+    if not isinstance(n, Bin):
+        return None
+    left = _monotone_dirs(n.left, params, alpha)
+    right = _monotone_dirs(n.right, params, alpha)
+    if left is None or right is None:
+        return None
+    if n.op in "+-":
+        if n.op == "-":
+            right = (-right[0], -right[1])
+        if left[0] * right[0] < 0 or left[1] * right[1] < 0:
+            return None
+        return (left[0] or right[0], left[1] or right[1])
+    if n.op == "*" and left == (0, 0):
+        const, dirs = n.left, right
+    elif right == (0, 0):
+        const, dirs = n.right, left
+    else:
+        return None
+    try:
+        k = float(_eval(const, {}, params, alpha))
+    except EvalError:
+        return None
+    if not math.isfinite(k) or k == 0.0:
+        return None
+    return dirs if k > 0.0 else (-dirs[0], -dirs[1])
 
 
 # --- generalized polynomial form ------------------------------------------

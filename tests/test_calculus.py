@@ -448,3 +448,12 @@ def test_exact_backend_requires_polynomial_form():
     f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
     with pytest.raises(NotPolynomial):
         lf_integral(f, 0.0, 1.0, ctx, EXACT)
+
+
+def test_graded_breakpoints_are_cached_read_only():
+    """One array per V, shared between rl_integrate calls, so callers cannot write it."""
+    pts = calculus._graded_breakpoints(1.0)
+    assert calculus._graded_breakpoints(1.0) is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0] = 1.0

@@ -228,6 +228,16 @@ def test_hh_fractional_break_reported_exit_two(capsys):
     assert links["T2<=T3"] is False
 
 
+def test_hh_supplied_bound_below_known_eta_is_a_config_error(capsys):
+    """M bounds eta over all pairs, (f(a), f(b)) and (f(b), f(a)) among them:
+    for square on [0, 1], eta_ab = 0 - 1 and eta_ba = 1 - 0."""
+    code, out, err = run(capsys, ["hh", *_SQUARE, "--alpha", "0.5", "--m-eta", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == ("fracon: error: --m-eta must be >= max(eta_ab, eta_ba), got -1 "
+                   "with eta_ab = -1 and eta_ba = 1\n")
+
+
 def test_hh_supplied_bound_echoed(capsys):
     code, out, _ = run(capsys, ["hh", "--f", "square", "--eta", "difference",
                                 "--alpha", "1.0", "--m-eta", "10"])
@@ -502,8 +512,12 @@ def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config)
          ["--cs must be finite, got inf", "sweep c must be >= 0, got -1.0",
           "--refine must be an integer, got 'z'",
           "--budget must be an integer, got 'x'"]),
+        (["sweep", "--alphas", "x", "--grid", "3"], None,
+         ["--alphas has a non-numeric entry in 'x'", "--grid must be >= 8, got 3"]),
+        (["axioms", "--alpha", "2", "--seed", "-1"], None,
+         ["--alpha must be in (0, 1], got 2.0", "--seed must be >= 0, got -1"]),
     ],
-    ids=["certify-flags", "certify-config", "hh-m-eta", "sweep"],
+    ids=["certify-flags", "certify-config", "hh-m-eta", "sweep", "sweep-list", "axioms"],
 )
 def test_number_problems_are_aggregated(capsys, tmp_path, argv, config, fragments):
     """A bad number joins the other problems in one message, not alone."""

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracon import (
@@ -37,6 +38,7 @@ from fracon import (
     estimate_eta_sup,
     minimum_condition_check,
 )
+from fracon.expr import _monotone_dirs
 
 _CTX1 = AlphaContext(alpha=1.0)
 
@@ -418,6 +420,92 @@ def test_eta_sup_interval_override():
     fsq = _f("x^(2a)", 0.0, 1.0)
     got = estimate_eta_sup(fsq, EtaSpec.from_text("u - v"), _CTX1, a=0.0, b=2.0)
     assert got == pytest.approx(4.0, abs=1e-12)
+
+
+class _Samples:
+    """Stands in for a FunctionSpec whose samples on any grid are ``fx``."""
+
+    def __init__(self, fx: np.ndarray):
+        self.fx = fx
+
+    def evaluate_many(self, xs, ctx):
+        assert xs.size == self.fx.size
+        return self.fx
+
+
+# Positive constants, among them 2^a, a subnormal and one that overflows a
+# product; the samples hold both zeros and both signs of tiny and huge values.
+_ETA_CONSTS = ("3", "0.5", "2^a", "2^(2a)", "5e-324", "1e-310", "1e300")
+_ETA_SAMPLES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, 1.0, -1.0, 3.0,
+                1e300, -1e300, 1.7e308)
+
+
+def _neg(d):
+    return (-d[0], -d[1])
+
+
+def _eta_sum(pair):
+    (lt, ld), (rt, rd), op = pair
+    rd = rd if op == "+" else _neg(rd)
+    if ld[0] * rd[0] < 0 or ld[1] * rd[1] < 0:
+        return None
+    return f"({lt} {op} {rt})", (ld[0] or rd[0], ld[1] or rd[1])
+
+
+def _eta_extend(child):
+    const = st.sampled_from(_ETA_CONSTS)
+    return st.one_of(
+        child.map(lambda t: (f"-({t[0]})", _neg(t[1]))),
+        st.tuples(const, child).map(lambda p: (f"{p[0]}*({p[1][0]})", p[1][1])),
+        st.tuples(child, const).map(lambda p: (f"({p[0][0]})/{p[1]}", p[0][1])),
+        st.tuples(child, child, st.sampled_from("+-")).map(_eta_sum).filter(bool),
+    )
+
+
+# (text, directions) of a separately monotone eta, built so by construction.
+_MONOTONE_ETAS = st.recursive(
+    st.sampled_from((("u", (1, 0)), ("v", (0, 1)), ("1", (0, 0)), ("0", (0, 0))))
+    | st.sampled_from(_ETA_CONSTS).map(lambda c: (c, (0, 0))),
+    _eta_extend,
+    max_leaves=6,
+)
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    eta_dirs=_MONOTONE_ETAS,
+    fx=st.lists(st.sampled_from(_ETA_SAMPLES) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12),
+    alpha=st.sampled_from((0.3, 0.5, 1.0)),
+)
+# np.max keeps the last of tied zeros: a +0.0 corner with a -0.0 pair after
+# it needs the full matrix, and -u needs the -0.0 sample as its lower end.
+@example(eta_dirs=("u + v", (1, 1)), fx=[0.0, -0.0], alpha=1.0)
+@example(eta_dirs=("u + v", (1, 1)), fx=[0.0, 0.0, -0.0], alpha=1.0)
+@example(eta_dirs=("-(u)", (-1, 0)), fx=[-0.0, 0.0, 0.0], alpha=1.0)
+def test_eta_sup_corners_match_full_matrix_bitwise(eta_dirs, fx, alpha):
+    """For a separately monotone eta the 2 x 2 corner evaluation gives the
+    full pair matrix's max bit for bit, the sign of zero included, and the
+    same EvalError when some pair is non-finite."""
+    text, dirs = eta_dirs
+    eta = EtaSpec.from_text(text)
+    ctx = AlphaContext(alpha=alpha)
+    assert _monotone_dirs(eta.ast, {}, alpha) == dirs
+    fx = np.array(fx)
+    with np.errstate(all="ignore"):
+        try:
+            want = float(np.max(eta.evaluate_many(fx[:, None], fx[None, :], ctx)))
+        except EvalError:
+            want = None
+        try:
+            got = estimate_eta_sup(_Samples(fx), eta, ctx, grid_n=fx.size, a=0.0, b=1.0)
+        except EvalError:
+            got = None
+    assert _bits(got) == _bits(want)
 
 
 # ------------------------------------------------------- minimum-point check

@@ -20,6 +20,7 @@ from fracon import (
     parse,
     pretty,
 )
+from fracon.expr import _monotone_dirs
 
 _CTX1 = AlphaContext(alpha=1.0)
 _CTX05 = AlphaContext(alpha=0.5)
@@ -247,3 +248,24 @@ def test_gpoly_matches_ast_pointwise(x, alpha):
     ast_val = evaluate(ast, {"x": x}, ctx)
     gp_val = float(gp.evaluate(np.array([x]))[0])
     assert abs(gp_val - ast_val) <= 1e-10 * (1.0 + abs(ast_val))
+
+
+# ------------------------------------------------------ monotone classifier
+
+
+@pytest.mark.parametrize(
+    ("text", "dirs"),
+    [
+        ("u - v", (1, -1)),
+        ("2^a*u + v", (1, 1)),
+        ("-(2*u) - v*3", (-1, -1)),
+        ("u*v", None),
+        ("abs(u - v)", None),
+        ("u^(2)", None),
+        ("0*u", None),
+        ("u/v", None),
+    ],
+)
+def test_monotone_dirs(text, dirs):
+    """Separately monotone: sums, differences and nonzero constant multiples."""
+    assert _monotone_dirs(parse(text, arity=2), {}, 0.5) == dirs

@@ -9,7 +9,8 @@ say so.
 import pytest
 
 from fracon import AlphaContext, EtaSpec, FunctionSpec, certify_gsc, rl_integrate
-from fracon import DerivativeMode, calculus, lf_derivative
+from fracon import DerivativeMode, calculus, estimate_eta_sup, lf_derivative
+from fracon.presets import ETA_PRESETS, F_PRESETS
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0))
@@ -70,3 +71,28 @@ def test_fd_derivative_inner_work(monkeypatch, text, x0, alpha, work):
     f = FunctionSpec.from_text(text)
     lf_derivative(f, x0, AlphaContext(alpha=alpha), DerivativeMode.FINITE_DIFFERENCE, s=0.0)
     assert seen == [work, work]
+
+
+@pytest.mark.parametrize(("eta", "f", "points"), (
+    (ETA_PRESETS["difference"], F_PRESETS["square"], [4]),
+    (ETA_PRESETS["example23"], F_PRESETS["square"], [4]),
+    ("u*v", F_PRESETS["square"], [512**2]),
+    ("u - 1", "x", [4, 512**2]),
+))
+def test_eta_sup_work(monkeypatch, eta, f, points):
+    """eta is evaluated on the 2 x 2 corners of the sampled f-range when it
+    is separately monotone, and on all 512**2 pairs otherwise.  For u - 1
+    and f = x on [0, 1] the corner max is +0.0, so the full matrix settles
+    the sign of zero after the corners."""
+    seen = []
+    original = EtaSpec.evaluate_many
+
+    def recording(self, us, vs, ctx):
+        out = original(self, us, vs, ctx)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(EtaSpec, "evaluate_many", recording)
+    estimate_eta_sup(FunctionSpec.from_text(f, domain=(0.0, 1.0)), EtaSpec.from_text(eta),
+                     AlphaContext(alpha=0.5))
+    assert seen == points
