@@ -151,19 +151,24 @@ def _panel_values(
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise IntegrationError("non-finite integrand sample")
-    return np.sum(vals * wts[None, :], axis=1) * half
+    return (vals * wts).sum(axis=1) * half
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Adaptive quadrature outcome with its effort diagnostics."""
+    """Adaptive quadrature outcome with its effort diagnostics.
+
+    ``error`` is the sum of the accepted and the live panel error
+    estimates, in the units of ``value``.
+    """
 
     value: float
     evals: int
     levels: int
     converged: bool
+    error: float
 
 
 def rl_integrate(
@@ -180,8 +185,9 @@ def rl_integrate(
     with V = (b - a)**order on the graded grid of ``_PANELS`` base panels
     with ``_POINTS``-point Gauss--Legendre each, with every abscissa
     of ``points`` inside (a, b) (kinks of fn; others are ignored) added as
-    a breakpoint.  Each pass evaluates fn once, on the halves of the live
-    panels; a panel's error estimate is |its value - the sum of its
+    a breakpoint.  Each pass evaluates fn once: the first on the panels and
+    their halves together, each later one on the halves of the live
+    panels.  A panel's error estimate is |its value - the sum of its
     halves|.  The result has converged when the accepted plus the live
     estimates are within ``rtol * (1 + |value|)``.  Otherwise the
     panels whose estimate exceeds their width-share of that tolerance are
@@ -199,7 +205,9 @@ def rl_integrate(
     lo, hi = a, b
 
     def g(v: np.ndarray) -> np.ndarray:
-        return fn(np.clip(b - v**inv, lo, hi))
+        # np.clip(x, lo, hi) bit for bit: on a tie (+0.0 against -0.0)
+        # np.maximum and np.minimum return their second operand, x.
+        return fn(np.minimum(hi, np.maximum(lo, b - v**inv)))
 
     kinks = [(b - p) ** order for p in map(float, points) if a < p < b]
     bpts = _graded_breakpoints(V)
@@ -211,36 +219,44 @@ def rl_integrate(
             f"max_evals={_MAX_EVALS} is below the first pass's "
             f"{3 * left.size * _POINTS} evaluations"
         )
-    coarse = _panel_values(g, left, right)
     evals, levels = left.size * _POINTS, 0
     done_value = done_err = 0.0  # sums over the accepted panels
     converged = False
     while True:
+        n = left.size
         mid = 0.5 * (left + right)
         # Halves interleaved (left_0, right_0, left_1, ...): on the first
         # pass this is the sorted halved grid, summed in grid order.
-        hl = np.column_stack((left, mid)).ravel()
-        hr = np.column_stack((mid, right)).ravel()
-        vals = _panel_values(g, hl, hr)
-        evals += hl.size * _POINTS
+        hl = np.empty(2 * n)
+        hl[0::2], hl[1::2] = left, mid
+        hr = np.empty(2 * n)
+        hr[0::2], hr[1::2] = mid, right
+        if levels == 0:  # fn is elementwise, and each panel is its own row
+            vals = _panel_values(g, np.concatenate((left, hl)), np.concatenate((right, hr)))
+            coarse, vals = vals[:n], vals[n:]
+        else:
+            vals = _panel_values(g, hl, hr)
+        evals += 2 * n * _POINTS
         levels += 1
         fine = vals[0::2] + vals[1::2]
         err = np.abs(coarse - fine)
-        value = done_value + float(np.sum(vals))
+        value = done_value + float(vals.sum())
         tol = rtol * (1.0 + abs(value))
-        if done_err + float(np.sum(err)) <= tol:
+        error = done_err + float(err.sum())
+        if error <= tol:
             converged = True
             break
         fail = err > tol * (right - left) / V
         if not fail.any():  # over the total with every panel in its share
             break
-        done_value += float(np.sum(fine[~fail]))
-        done_err += float(np.sum(err[~fail]))
+        done_value += float(fine[~fail].sum())
+        done_err += float(err[~fail].sum())
         live = np.repeat(fail, 2)
         left, right, coarse = hl[live], hr[live], vals[live]
         if evals + 2 * left.size * _POINTS > _MAX_EVALS:
             break
-    return QuadResult(value / gamma(1.0 + order), evals, levels, converged)
+    scale = gamma(1.0 + order)
+    return QuadResult(value / scale, evals, levels, converged, error / scale)
 
 
 def _table_integral(gp: GPoly, span: float, alpha: float) -> float:

@@ -453,6 +453,10 @@ def _eval(n: ExprAst, env, params, alpha: float):
     if isinstance(n, Pow):
         base = _eval(n.base, env, params, alpha)
         if isinstance(n.exp, ExpAlpha):
+            p = n.exp.k * alpha
+            if isinstance(n.base, Abs) and p > 0.0:
+                # base >= +0, so sign(base) is 0 or 1 and 0**p == 0.
+                return base**p
             return _pow_alpha(base, n.exp.k, alpha, n.pos)
         return _pow_literal(base, n.exp.value, n.pos)
     if isinstance(n, Bin):
@@ -478,7 +482,7 @@ def evaluate_raw(
 ):
     """Evaluate to a float or ndarray (broadcasting over array inputs)."""
     out = _eval(node, env, params or {}, ctx.alpha)
-    if not np.all(np.isfinite(out)):
+    if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else math.isfinite(out)):
         raise EvalError("non-finite value in evaluation")
     return out
 

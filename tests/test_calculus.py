@@ -10,12 +10,15 @@ from fracon import (
     NUMERIC,
     AlphaContext,
     DerivativeMode,
+    EtaSpec,
     FunctionSpec,
     IntegralBackend,
     IntegrationError,
     NotPolynomial,
+    WeightSpec,
     backend_crosscheck,
     evaluate,
+    fejer_terms,
     gamma,
     lf_derivative,
     lf_integral,
@@ -23,6 +26,7 @@ from fracon import (
     rl_integrate,
 )
 from fracon import calculus
+from fracon.presets import ETA_PRESETS, W_PRESETS
 
 _ALPHAS = (0.3, 0.5, 0.9, 1.0)
 _INTERVALS = ((0.0, 1.0), (0.5, 2.0), (-1.0, 1.0))
@@ -381,6 +385,20 @@ def test_rl_integrate_reports_convergence():
     assert abs(res.value - 1.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", (0.3, 1.0))
+@pytest.mark.parametrize("text", ("x^(2a)", "abs(x - 0.3)^(a)", "x^(a) + 1"))
+def test_rl_integrate_error_is_within_the_tolerance_when_converged(text, alpha):
+    """The error is the stopping sum, in the units of value: the criterion
+    error * Gamma(1+alpha) <= rtol * (1 + |value| * Gamma(1+alpha)) bounds
+    it by rtol * (1 + |value|) / Gamma(1+alpha)."""
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                       points=f.singular_points())
+    assert res.converged
+    assert 0.0 <= res.error <= calculus._RTOL * (1.0 + abs(res.value)) / gamma(1.0 + alpha)
+
+
 def test_rl_integrate_rejects_non_finite_samples():
     with pytest.raises(IntegrationError):
         rl_integrate(lambda xs: np.full_like(xs, np.inf), 0.0, 1.0, 0.5)
@@ -423,23 +441,26 @@ def test_rl_integrate_stops_when_no_panel_fails(monkeypatch):
     A = 0.99 * tol1  # x < 0.5, both passes
     tol2 = (0.5 + 0.25 * A + 0.25 * 2.0) / (1.0 + 0.25 * 0.99)
     C = 2.0 - 0.99 * tol2  # x >= 0.5 on pass 2, after 2.0 on pass 1
-    samples = [
-        lambda xs: np.zeros_like(xs),
-        lambda xs: np.where(xs < 0.5, A, 2.0),
-        lambda xs: np.where(xs < 0.5, A, C),
-    ]
     calls = []
 
     def fn(xs):
         calls.append(xs.size)
-        return samples[len(calls) - 1](xs)
+        if len(calls) > 1:
+            return np.where(xs < 0.5, A, C)
+        n = xs.shape[0] // 3  # pass 1: the panels' rows, then their halves'
+        return np.concatenate((np.zeros_like(xs[:n]), np.where(xs[n:] < 0.5, A, 2.0)))
 
     monkeypatch.setattr(calculus, "_PANELS", 1)
     monkeypatch.setattr(calculus, "_POINTS", 4)
-    res = rl_integrate(fn, 0.0, 1.0, 1.0, rtol=0.5)
-    assert len(calls) == 3
+    calculus._graded_breakpoints.cache_clear()  # drop grids built at 32 panels
+    try:
+        res = rl_integrate(fn, 0.0, 1.0, 1.0, rtol=0.5)
+    finally:
+        calculus._graded_breakpoints.cache_clear()  # and the one built at 1
+    assert len(calls) == 2
     assert (res.levels, res.converged) == (2, False)
     assert res.evals == sum(calls)
+    assert res.error > 0.5 * (1.0 + abs(res.value))
     assert abs(res.value - 0.5 * (A + C)) <= 1e-12
 
 
@@ -457,3 +478,59 @@ def test_graded_breakpoints_are_cached_read_only():
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0] = 1.0
+
+
+def test_clip_order_keeps_signed_zero_ties():
+    """rl_integrate clips with np.minimum(hi, np.maximum(lo, x)): on a tie of
+    +0.0 with -0.0 both return their second operand, x, as np.clip does."""
+    xs = np.array([0.0, -0.0, 0.25, -0.25, 2.0, -2.0] * 11)
+    for lo, hi in ((-0.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)):
+        got = np.minimum(hi, np.maximum(lo, xs))
+        assert got.tobytes() == np.clip(xs, lo, hi).tobytes()
+
+
+def _rl_hex(text, alpha):
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                       points=f.singular_points())
+    return res.value.hex()
+
+
+# float.hex of the numeric route's results, frozen from the implementation
+# that evaluated the first pass's panels and their halves in two calls.
+# Any reordering of the quadrature arithmetic changes some of them.
+_PINNED_RL = {
+    ("x^(2a)", 0.5): "0x1.812746b0379e6p-1",
+    ("x^(2a)", 1.0): "0x1.5555555555556p-2",
+    ("abs(x - 0.3)^(a)", 0.3): "0x1.bdb4eba0f9f99p-1",
+    ("abs(x - 0.3)^(a)", 0.9): "0x1.68e951f7b7f56p-2",
+    ("abs(x - 0.5)^(a)", 0.3): "0x1.9404cbed144cdp-1",
+    ("abs(x - 0.5)^(a)", 0.9): "0x1.3296ac93da1f4p-2",
+    ("abs(x - 0.7)^(a)", 0.3): "0x1.6a5711b276e00p-1",
+    ("abs(x - 0.7)^(a)", 0.9): "0x1.4b5f35783bd1ap-2",
+}
+
+
+@pytest.mark.parametrize(("text", "alpha"), sorted(_PINNED_RL))
+def test_rl_integrate_values_are_pinned_bitwise(text, alpha):
+    assert _rl_hex(text, alpha) == _PINNED_RL[text, alpha]
+
+
+def test_reversed_integral_and_fd_derivative_are_pinned_bitwise():
+    f = FunctionSpec.from_text("abs(x - 0.3)^(a)")
+    assert lf_integral(f, 1.0, 0.0, AlphaContext(alpha=0.5)).hex() == "-0x1.5f75e769f132ap-1"
+    d = lf_derivative(f, 0.4, AlphaContext(alpha=0.3), DerivativeMode.FINITE_DIFFERENCE, s=0.0)
+    assert d.hex() == "-0x1.b61d4b41e3fb0p-5"
+
+
+def test_fejer_moments_are_pinned_bitwise():
+    ctx = AlphaContext(alpha=0.5)
+    w = WeightSpec.from_text(W_PRESETS["parabolic"], domain=(0.0, 1.0),
+                             params={"lo": 0.0, "hi": 1.0})
+    rep = fejer_terms(FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0)),
+                      EtaSpec.from_text(ETA_PRESETS["difference"]), 0.0, w, 0.0, 1.0, ctx)
+    assert [m.hex() for m in (rep.m0, rep.m1, rep.m2, rep.m3)] == [
+        "0x1.812746b0379e7p-2", "0x1.73efe24506fdbp-3",
+        "0x1.20dd750429b6cp-2", "0x1.341f6bc02c7edp-3",
+    ]

@@ -1,6 +1,7 @@
 """Expression DSL: parsing, printing, evaluation, and the polynomial form."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -20,7 +21,8 @@ from fracon import (
     parse,
     pretty,
 )
-from fracon.expr import _monotone_dirs
+from fracon.expr import (Abs, ExpAlpha, Name, Pow, _eval, _monotone_dirs, _pow_alpha,
+                         evaluate_raw)
 
 _CTX1 = AlphaContext(alpha=1.0)
 _CTX05 = AlphaContext(alpha=0.5)
@@ -126,6 +128,40 @@ def test_eval_zero_to_negative_power():
     ast = parse("x^(-1)", arity=1)
     with pytest.raises(EvalError):
         evaluate(ast, {"x": 0.0}, _CTX1)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("form", (float, np.float64, np.array, lambda v: np.array([1.0, v])),
+                         ids=("float", "float64", "0-d", "n-d"))
+def test_evaluate_raw_rejects_non_finite(bad, form):
+    node = parse("x", arity=1)
+    assert np.array_equal(evaluate_raw(node, {"x": form(2.0)}, _CTX1), form(2.0))
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate_raw(node, {"x": form(bad)}, _CTX1)
+
+
+# Both zeros, subnormals, ordinary, huge and overflowing magnitudes.
+_POW_SAMPLES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -1.0, 3.0,
+                1e300, -1e300, 1.7e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.sampled_from(_POW_SAMPLES) | st.floats(allow_nan=False),
+                min_size=1, max_size=12),
+    k=st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0)),
+    alpha=st.sampled_from((0.3, 0.5, 0.9, 1.0)),
+)
+def test_abs_alpha_power_matches_magnitude_rule_bitwise(xs, k, alpha):
+    """abs(...)^(k*a) with k*a > 0 skips the sign factor of the magnitude
+    rule.  The parser admits no k < 0, but a tree built with one keeps the
+    factor, as sign(0) * 0**(k*a) is NaN there, not inf."""
+    node = Pow(Abs(Name("x")), ExpAlpha(k))
+    for x in (np.array(xs), xs[0]):
+        with np.errstate(all="ignore"):
+            got = np.asarray(_eval(node, {"x": x}, {}, alpha), dtype=float).ravel()
+            want = np.asarray(_pow_alpha(np.abs(x), k, alpha, 0), dtype=float).ravel()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_function_spec_vectorized_matches_scalar():

@@ -38,6 +38,25 @@ def test_rl_integrate_kinked_work():
     assert res.evals <= 1_014_816 // 10
 
 
+@pytest.mark.parametrize(("text", "alpha", "levels"), (
+    ("x^(2a)", 0.5, 1),
+    ("abs(x - 0.5)^(a)", 0.3, 10),
+))
+def test_rl_integrate_calls_fn_once_per_level(text, alpha, levels):
+    """The first pass evaluates the panels and their halves in one call."""
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    sizes = []
+
+    def fn(xs):
+        sizes.append(xs.size)
+        return f.evaluate_many(xs, ctx)
+
+    res = rl_integrate(fn, 0.0, 1.0, alpha, points=f.singular_points())
+    assert len(sizes) == res.levels == levels
+    assert sum(sizes) == res.evals
+
+
 @pytest.mark.parametrize(("grid", "refine", "cells"), ((20, 2, 12394), (16, 0, 4096)))
 def test_certify_lattice_cells(grid, refine, cells):
     """grid**3 lattice cells plus one 13**3 box per refinement level."""
