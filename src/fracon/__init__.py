@@ -14,12 +14,10 @@ from .calculus import (
     EXACT,
     NUMERIC,
     BackendKind,
-    CrosscheckReport,
     DerivativeMode,
     IntegralBackend,
     IntegrationError,
     QuadResult,
-    backend_crosscheck,
     lf_derivative,
     lf_integral,
     rl_integrate,
@@ -79,7 +77,6 @@ __all__ = [
     "ConsistencyReport",
     "ConvexityReport",
     "Counterexample",
-    "CrosscheckReport",
     "DerivativeMode",
     "EXACT",
     "EtaSpec",
@@ -102,7 +99,6 @@ __all__ = [
     "SymmetryReport",
     "WeightSpec",
     "axiom_conformance",
-    "backend_crosscheck",
     "certify_gsc",
     "check_eta_necessary",
     "check_symmetry",

@@ -52,7 +52,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -71,8 +71,6 @@ __all__ = [
     "rl_integrate",
     "lf_integral",
     "lf_derivative",
-    "backend_crosscheck",
-    "CrosscheckReport",
 ]
 
 
@@ -275,7 +273,7 @@ def _finite(value: float) -> float:
 
 
 def lf_integral(
-    f: Union[FunctionSpec, Callable[[np.ndarray], np.ndarray]],
+    f: FunctionSpec,
     a: float,
     b: float,
     ctx: AlphaContext,
@@ -286,9 +284,8 @@ def lf_integral(
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
     The exact route needs f in generalized-polynomial form about the lower
     endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise); the
-    numeric route accepts any vectorized integrand, and splits a
-    FunctionSpec's integral at its singular points.  A non-finite result
-    (an overflow) raises ValueError.
+    numeric route splits the integral at f's singular points.  A
+    non-finite result (an overflow) raises ValueError.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -297,15 +294,11 @@ def lf_integral(
     if a > b:
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
-        if not isinstance(f, FunctionSpec):
-            raise TypeError("exact backend requires a FunctionSpec")
         gp = f.gpoly(a, ctx)
         return _finite(sign * _table_integral(gp, b - a, ctx.alpha))
-    if isinstance(f, FunctionSpec):
-        fn, kinks = (lambda xs: f.evaluate_many(xs, ctx)), f.singular_points()
-    else:
-        fn, kinks = f, ()
-    res = rl_integrate(fn, a, b, ctx.alpha, points=kinks)
+    res = rl_integrate(
+        lambda xs: f.evaluate_many(xs, ctx), a, b, ctx.alpha, points=f.singular_points()
+    )
     return _finite(sign * res.value)
 
 
@@ -325,20 +318,18 @@ def lf_derivative(
     x0: float,
     ctx: AlphaContext,
     mode: DerivativeMode = DerivativeMode.EXACT_MONOMIAL,
-    s: Optional[float] = None,
+    *,
+    s: float,
 ) -> float:
     """Local fractional derivative of order ctx.alpha at x0, from point s.
 
-    ``s`` is the expansion/base point (defaults to the lower domain
-    endpoint, else 0) and x0 must satisfy x0 >= s.  The exact mode applies
-    the conjugate monomial rule to the generalized-polynomial form; the
-    finite-difference mode is described in the module docstring.  A
-    non-finite result (an overflow) raises ValueError.
+    ``s`` is the expansion/base point and x0 must satisfy x0 >= s.  The
+    exact mode applies the conjugate monomial rule to the generalized-
+    polynomial form; the finite-difference mode is described in the module
+    docstring.  A non-finite result (an overflow) raises ValueError.
     """
     alpha = ctx.alpha
     x0 = float(x0)
-    if s is None:
-        s = f.domain[0] if f.domain is not None else 0.0
     s = float(s)
     if x0 < s:
         raise ValueError(f"x0 must be >= base point s, got x0={x0!r} < s={s!r}")
@@ -369,28 +360,3 @@ def lf_derivative(
 
     delta = 1e-3 * (x0 - s)
     return _finite((G(x0 + delta) - G(x0 - delta)) / (2.0 * delta))
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Agreement between the exact and numeric integration routes."""
-
-    exact: float
-    numeric: float
-    rel_deviation: float
-    flagged: bool
-    threshold: float = 1e-6
-
-
-def backend_crosscheck(
-    f: FunctionSpec,
-    a: float,
-    b: float,
-    ctx: AlphaContext,
-) -> CrosscheckReport:
-    """Run both integration routes and flag relative deviation > 1e-6."""
-    exact = lf_integral(f, a, b, ctx, EXACT)
-    numeric = lf_integral(f, a, b, ctx, NUMERIC)
-    denom = max(abs(exact), abs(numeric))
-    dev = 0.0 if denom == 0.0 else abs(exact - numeric) / denom
-    return CrosscheckReport(exact, numeric, dev, dev > 1e-6)

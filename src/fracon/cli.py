@@ -255,6 +255,11 @@ class RunConfig:
         cls, args: argparse.Namespace, pre: Sequence[str] = ()
     ) -> "RunConfig":
         problems: list[str] = list(pre)
+        # A config file can hold any JSON value where a flag gives a string.
+        for name in ("f", "eta", "w", "meta"):
+            value = getattr(args, name, None)
+            if value is not None and not isinstance(value, str):
+                problems.append(f"--{name} must be a string, got {value!r}")
         alpha = _collect(problems, _check_alpha, args.alpha)
         c = _collect(problems, _as_float, "--c", args.c)
         if c is not None and not c >= 0.0:
@@ -324,6 +329,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- hh/fejer
 
 
+def _link_notes(report) -> list[str]:
+    """One diagnostics note per chain link that fails, with its shortfall."""
+    return [f"link {link.name} fails by {_fmt(-link.gap)}"
+            for link in report.links if not link.holds]
+
+
 def _cmd_hh(args: argparse.Namespace) -> int:
     _merge_config(args)
     _apply_defaults(args, {"c": 0.0, "interval": "0,1", "backend": "rl"})
@@ -343,10 +354,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
             f"--m-eta must be >= max(eta_ab, eta_ba), got {_fmt(m_eta)} with "
             f"eta_ab = {_fmt(report.eta_ab)} and eta_ba = {_fmt(report.eta_ba)}"
         )
-    notes = [f"m_eta {report.m_eta_source}"]
-    for link in report.links:
-        if not link.holds:
-            notes.append(f"link {link.name} fails by {_fmt(-link.gap)}")
+    notes = [f"m_eta {report.m_eta_source}", *_link_notes(report)]
     echo = {**cfg.echo(), **echo, "backend": args.backend, "m_eta": m_eta}
     _emit_report("hh", echo, report.to_dict(), notes, args.out)
     return 0 if report.all_hold else 2
@@ -358,10 +366,7 @@ def _cmd_fejer(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, w, echo = _make_specs(cfg, args.f, args.eta, args.w)
     report = fejer_terms(f, eta, cfg.c, w, cfg.a, cfg.b, cfg.ctx)
-    notes = []
-    for link in report.links:
-        if not link.holds:
-            notes.append(f"link {link.name} fails by {_fmt(-link.gap)}")
+    notes = _link_notes(report)
     _emit_report("fejer", {**cfg.echo(), **echo}, report.to_dict(), notes, args.out)
     return 0 if report.all_hold else 2
 

@@ -400,10 +400,6 @@ class SymmetryReport:
     neg_witness: Optional[float]
     tol: float
 
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.nonnegative
-
 
 def check_symmetry(
     w: WeightSpec, a: float, b: float, ctx: AlphaContext, grid_n: int = 1001
@@ -528,10 +524,6 @@ class MinimumConditionReport:
     violations: tuple[tuple[float, float], ...]  # (y, consequent margin)
     tol_antecedent: float
     tol_consequent: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def minimum_condition_check(

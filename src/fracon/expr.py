@@ -412,7 +412,7 @@ def _is_near_int(v: float, tol: float = 1e-9) -> bool:
     return abs(v - round(v)) <= tol
 
 
-def _pow_alpha(base, k: float, alpha: float, pos: int):
+def _pow_alpha(base, k: float, alpha: float):
     """base^(k*alpha) in magnitude semantics (sign rules in module doc)."""
     mag = np.abs(base) ** (k * alpha)
     if _is_near_int(k) and int(round(k)) % 2 == 0:
@@ -457,7 +457,7 @@ def _eval(n: ExprAst, env, params, alpha: float):
             if isinstance(n.base, Abs) and p > 0.0:
                 # base >= +0, so sign(base) is 0 or 1 and 0**p == 0.
                 return base**p
-            return _pow_alpha(base, n.exp.k, alpha, n.pos)
+            return _pow_alpha(base, n.exp.k, alpha)
         return _pow_literal(base, n.exp.value, n.pos)
     if isinstance(n, Bin):
         lhs = _eval(n.left, env, params, alpha)
@@ -661,7 +661,7 @@ def normalize(
             k = n.exp.k
             if not _is_near_int(k):
                 return None
-            coeff = float(_pow_alpha(u, k, alpha, n.pos))
+            coeff = float(_pow_alpha(u, k, alpha))
             return {int(round(k)): coeff}
         r = n.exp.value
         i = r / alpha
@@ -733,7 +733,7 @@ def normalize(
                 raise NotPolynomial("fractional or negative literal power of a non-constant")
             k = n.exp.k
             if cv is not None:
-                return {0: float(_pow_alpha(cv, k, alpha, n.pos))}
+                return {0: float(_pow_alpha(cv, k, alpha))}
             if _is_near_int(k):
                 ki = int(round(k))
                 deg = k * alpha
@@ -743,7 +743,7 @@ def normalize(
                 ((j, u),) = p.items()
                 i = j * k * alpha
                 if _is_near_int(i):
-                    coeff = float(_pow_alpha(u, k, alpha, n.pos))
+                    coeff = float(_pow_alpha(u, k, alpha))
                     return {int(round(i)): coeff}
             raise NotPolynomial(
                 "alpha-power applies only to constants and (scaled) monomials"

@@ -78,11 +78,35 @@ class LinkStatus:
         return {"name": self.name, "holds": self.holds, "gap": self.gap}
 
 
-def _links(names_values: list[tuple[str, float, float]], tol: float) -> tuple[LinkStatus, ...]:
-    out = []
-    for name, lo, hi in names_values:
-        out.append(LinkStatus(name=name, holds=lo <= hi + tol, gap=hi - lo))
-    return tuple(out)
+def _link_tol(*terms: float) -> float:
+    """The link tolerance: _LINK_RTOL relative to the largest |term|."""
+    return _LINK_RTOL * (1.0 + max(abs(t) for t in terms))
+
+
+def _links(names_values: list[tuple[str, float, float]]) -> tuple[float, tuple[LinkStatus, ...]]:
+    """Verdicts on ``(name, lo, hi)`` links, and the tolerance they share."""
+    tol = _link_tol(*(v for _, lo, hi in names_values for v in (lo, hi)))
+    return tol, tuple(LinkStatus(name, lo <= hi + tol, hi - lo) for name, lo, hi in names_values)
+
+
+def _check_chain_inputs(a: float, b: float, c: float) -> tuple[float, float]:
+    """[a, b] as floats; a >= b or c < 0 (or NaN) is a ValueError."""
+    a, b = float(a), float(b)
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    if not c >= 0.0:
+        raise ValueError(f"c must be >= 0, got {c!r}")
+    return a, b
+
+
+def _endpoint_values(
+    f: FunctionSpec, eta: EtaSpec, a: float, b: float, ctx: AlphaContext
+) -> tuple[float, float, float, float, float]:
+    """f(a), f(b), f((a+b)/2), eta(f(a), f(b)) and eta(f(b), f(a))."""
+    fa = f.evaluate(a, ctx)
+    fb = f.evaluate(b, ctx)
+    fm = f.evaluate((a + b) / 2.0, ctx)
+    return fa, fb, fm, eta.evaluate(fa, fb, ctx), eta.evaluate(fb, fa, ctx)
 
 
 @dataclass(frozen=True)
@@ -155,11 +179,7 @@ def hh_terms(
     supplied it is the sup of eta over f-image pairs on a 512-point grid of
     [a, b].  Links hold up to 1e-9 relative to the term scale.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
+    a, b = _check_chain_inputs(a, b, c)
     al = ctx.alpha
     g1 = gamma(1.0 + al)
     A = gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)
@@ -167,11 +187,7 @@ def hh_terms(
     span = b - a
     ca = c**al
 
-    fa = f.evaluate(a, ctx)
-    fb = f.evaluate(b, ctx)
-    fm = f.evaluate((a + b) / 2.0, ctx)
-    e_ab = eta.evaluate(fa, fb, ctx)
-    e_ba = eta.evaluate(fb, fa, ctx)
+    fa, fb, fm, e_ab, e_ba = _endpoint_values(f, eta, a, b, ctx)
     if m_eta is None:
         M = estimate_eta_sup(f, eta, ctx, a=a, b=b)
         source = "estimated"
@@ -190,10 +206,7 @@ def hh_terms(
     A1 = fb + e_ab * g1 * B - ca * span ** (2 * al) * g1 * (B - A)
     A2 = fa + e_ba * g1 * B - ca * span ** (2 * al) * g1 * (B - A)
 
-    tol = _LINK_RTOL * (1.0 + max(abs(T1), abs(T2), abs(T3), abs(T4)))
-    links = _links(
-        [("T1<=T2", T1, T2), ("T2<=T3", T2, T3), ("T3<=T4", T3, T4)], tol
-    )
+    tol, links = _links([("T1<=T2", T1, T2), ("T2<=T3", T2, T3), ("T3<=T4", T3, T4)])
     return HHReport(
         alpha=al,
         a=a,
@@ -278,11 +291,7 @@ def fejer_terms(
     :class:`~fracon.convexity.SymmetryError`.  All integrals run on the
     numeric route (weights make the exact table inapplicable in general).
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
+    a, b = _check_chain_inputs(a, b, c)
     sym = check_symmetry(w, a, b, ctx)
     if not sym.symmetric:
         raise SymmetryError(
@@ -298,11 +307,7 @@ def fejer_terms(
     al = ctx.alpha
     span = b - a
     ca = c**al
-    fa = f.evaluate(a, ctx)
-    fb = f.evaluate(b, ctx)
-    fm = f.evaluate((a + b) / 2.0, ctx)
-    e_ab = eta.evaluate(fa, fb, ctx)
-    e_ba = eta.evaluate(fb, fa, ctx)
+    fa, fb, fm, e_ab, e_ba = _endpoint_values(f, eta, a, b, ctx)
 
     # Kinks of each integrand, as breakpoints for the quadrature.
     f_pts, w_pts = f.singular_points(), w.singular_points()
@@ -337,8 +342,7 @@ def fejer_terms(
     F1 = fm * m0 - L + ca / 4**al * m1
     F3 = (fa + fb) / 2**al * m0 + R - ca * m3
 
-    tol = _LINK_RTOL * (1.0 + max(abs(F1), abs(F2), abs(F3)))
-    links = _links([("F1<=F2", F1, F2), ("F2<=F3", F2, F3)], tol)
+    tol, links = _links([("F1<=F2", F1, F2), ("F2<=F3", F2, F3)])
     return FejerReport(
         alpha=al,
         a=a,
@@ -395,8 +399,8 @@ def hh_fejer_consistency(
 
     (i)  F2 * Gamma(1+al)/span**al equals T2's integral part,
     (ii) R * Gamma(1+al)/span**al equals the eta-average term of T3,
-    (iii) L * Gamma(1+al)/span**al <= M / 2**al (+1e-9): the weighted
-          midpoint correction never exceeds the sampled eta bound.
+    (iii) L * Gamma(1+al)/span**al <= M / 2**al (+_LINK_RTOL): the
+          weighted midpoint correction never exceeds the sampled eta bound.
 
     Both sides run on the numeric route so (i) compares identical
     quadrature paths.
@@ -411,12 +415,12 @@ def hh_fejer_consistency(
     k = g1 / span**al
 
     lhs1, rhs1 = fj.F2 * k, k * hh.integral
-    tol1 = 1e-9 * (1.0 + abs(rhs1))
+    tol1 = _link_tol(rhs1)
     lhs2 = fj.R_eta * k
     rhs2 = g1 * (hh.eta_ab + hh.eta_ba) / 2**al * hh.B_const
-    tol2 = 1e-9 * (1.0 + abs(rhs2))
+    tol2 = _link_tol(rhs2)
     lhs3, rhs3 = fj.L_eta * k, hh.m_eta / 2**al
-    tol3 = 1e-9
+    tol3 = _LINK_RTOL
 
     checks = (
         ConsistencyCheck("F2 recomposes the mean integral", "eq", lhs1, rhs1, tol1, abs(lhs1 - rhs1) <= tol1),

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracon
 from fracon import (
     EXACT,
     NUMERIC,
@@ -197,10 +200,15 @@ def test_criterion_09_sweep_determinism(tmp_path):
     """Two fresh-process runs of the preset sweep emit identical bytes."""
     with criterion(9, "byte-identical sweep reruns", 60.0):
         paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        # The fresh processes import the fracon under test, wherever the
+        # test process found it (an install, PYTHONPATH or pytest's pythonpath).
+        src = str(Path(fracon.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         for path in paths:
             proc = subprocess.run(
                 [sys.executable, "-m", "fracon", "sweep", "--out", str(path)],
-                capture_output=True, text=True, timeout=55,
+                capture_output=True, text=True, timeout=55, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == ""

@@ -477,13 +477,19 @@ _SQUARE = ["--f", "square", "--eta", "difference"]
         (["sweep", "--cs", "inf"], None),
         (["hh", *_SQUARE, "--alpha", "0.5"], '{"c": Infinity}'),
         (["hh", *_SQUARE], '{"alpha": true, "c": false}'),
+        (["certify", *_SQUARE, "--alpha", "0.5"], '{"meta": NaN}'),
+        (["hh", *_SQUARE, "--alpha", "0.5"], '{"meta": NaN}'),
+        (["fejer", *_SQUARE, "--alpha", "0.5"], '{"meta": NaN}'),
     ],
     ids=["hh-m-eta-nan", "hh-c-inf", "fejer-c-inf", "certify-c-inf",
          "hh-interval-inf", "integrate-bound-inf", "diff-at-nan", "sweep-cs-inf",
-         "config-infinity", "config-booleans"],
+         "config-infinity", "config-booleans", "certify-meta-nan", "hh-meta-nan",
+         "fejer-meta-nan"],
 )
 def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config):
-    """inf, nan and JSON booleans are config errors, not runs or crashes."""
+    """inf, nan and JSON booleans are config errors, not runs or crashes.
+    A meta that is not a string (NaN here) is one too: it is checked before
+    the run, not when the report is written."""
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(config)
@@ -532,6 +538,22 @@ def test_number_problems_are_aggregated(capsys, tmp_path, argv, config, fragment
     assert err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
+
+
+@pytest.mark.parametrize("cmd", ["certify", "hh", "fejer"])
+def test_config_non_string_expressions_exit_one(capsys, tmp_path, cmd):
+    """A config-file f, eta or w that is not a string is one config error."""
+    keys = {"f": 3, "eta": ["u"], **({"w": 1.5} if cmd == "fejer" else {})}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(keys))
+    code, out, err = run(capsys, [cmd, "--alpha", "0.5", "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fracon: error: ")
+    assert err.count("\n") == 1
+    assert "--f must be a string, got 3" in err
+    assert "--eta must be a string, got ['u']" in err
+    assert ("--w must be a string, got 1.5" in err) == (cmd == "fejer")
 
 
 # ------------------------------------------------------------ envelope/output

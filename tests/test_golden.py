@@ -1,0 +1,38 @@
+"""Frozen CLI outputs: the default sweep and README's commands, byte for byte.
+
+The files under ``tests/golden/`` hold the stdout these commands printed
+when they were frozen.  A change to any of them is a change in what users
+see, so it must come with a reason and a refreshed file, never silently.
+Refresh a file with ``PYTHONPATH=src python -m fracon ARGV > tests/golden/NAME``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from fracon.cli import main
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_CASES = {
+    "sweep.csv": (["sweep"], 0),
+    "certify.json": (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5",
+                      "--c", "1", "--interval", "0,2"], 2),
+    "hh.json": (["hh", "--f", "square", "--eta", "difference", "--alpha", "0.3"], 2),
+    "fejer.json": (["fejer", "--f", "square", "--eta", "difference", "--w", "parabolic",
+                    "--alpha", "0.5"], 2),
+    "integrate.txt": (["integrate", "x^(a)", "0", "1", "--alpha", "0.5"], 0),
+    "diff.txt": (["diff", "x^(2a)", "--at", "3", "--alpha", "1.0"], 0),
+    "axioms.txt": (["axioms", "--alpha", "0.5"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_output_matches_frozen_file(capsys, name):
+    argv, code = _CASES[name]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (_GOLDEN / name).read_bytes()
