@@ -230,6 +230,13 @@ def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, i
     return grid, refine
 
 
+def _non_strings(args: argparse.Namespace, *names: str) -> list[str]:
+    """Problem lines for options a config file set to a JSON value that is
+    not a string, where a flag always gives one."""
+    return [f"--{n} must be a string, got {v!r}" for n in names
+            if (v := getattr(args, n, None)) is not None and not isinstance(v, str)]
+
+
 def _missing_flags(args: argparse.Namespace, *names: str) -> list[str]:
     """Problem lines for required flags that are still unset after layering."""
     return [f"--{n} is required" for n in names if getattr(args, n) is None]
@@ -254,12 +261,7 @@ class RunConfig:
     def from_args(
         cls, args: argparse.Namespace, pre: Sequence[str] = ()
     ) -> "RunConfig":
-        problems: list[str] = list(pre)
-        # A config file can hold any JSON value where a flag gives a string.
-        for name in ("f", "eta", "w", "meta"):
-            value = getattr(args, name, None)
-            if value is not None and not isinstance(value, str):
-                problems.append(f"--{name} must be a string, got {value!r}")
+        problems = [*pre, *_non_strings(args, "f", "eta", "w", "meta", "out")]
         alpha = _collect(problems, _check_alpha, args.alpha)
         c = _collect(problems, _as_float, "--c", args.c)
         if c is not None and not c >= 0.0:
@@ -395,7 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _merge_config(args)
     _apply_defaults(args, {"interval": "0,1", "grid": 24, "refine": 2,
                            "budget": _SWEEP_BUDGET})
-    problems: list[str] = []
+    problems = _non_strings(args, "out")
     alphas = _collect(problems, _split_list, args.alphas, "alphas", _SWEEP_ALPHAS, float,
                       default=())
     cs = _collect(problems, _split_list, args.cs, "cs", _SWEEP_CS, float, default=())

@@ -169,6 +169,21 @@ def test_kinked_integrand_meets_rtol(s, alpha):
     assert lf_integral(f, 0.0, 1.0, ctx, NUMERIC) == res.value
 
 
+@pytest.mark.parametrize(("s", "alpha"), sorted(_FROZEN_KINK))
+def test_kinked_integrand_converges_in_one_level(s, alpha):
+    """The ladder of breakpoints beside the kink resolves it on the first
+    pass, to 1e-12 of the mpmath value, and the reported error covers the
+    true one."""
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                       points=f.singular_points())
+    ref = _FROZEN_KINK[s, alpha]
+    assert (res.levels, res.converged) == (1, True)
+    assert abs(res.value - ref) <= 1e-12 * abs(ref)
+    assert res.error >= abs(res.value - ref)
+
+
 def test_fd_derivative_splits_at_kink():
     """diff abs(x - 0.3)^(a) at 0.4 from 0, alpha 0.3, against mpmath.
 
@@ -408,19 +423,24 @@ def test_rl_integrate_rejects_non_finite_samples():
 
 @pytest.mark.parametrize("max_evals", (3000, 3100, 3300, 3600))
 def test_rl_integrate_respects_the_evaluation_cap(max_evals, monkeypatch):
-    """A kinked integral cut short never exceeds the cap nor claims convergence."""
+    """A kinked integral cut short never exceeds the cap nor claims convergence.
+
+    The kink is not passed as a breakpoint, so the loop bisects toward it:
+    uncapped, the run takes 3680 samples over 14 levels (2976 on the first
+    pass), and every cap here cuts it short.
+    """
     ctx = AlphaContext(alpha=0.3)
     f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
     monkeypatch.setattr(calculus, "_MAX_EVALS", max_evals)
-    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3,
-                       points=f.singular_points())
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3, points=())
     assert res.evals <= max_evals
     assert res.converged is False
 
 
 def test_rl_integrate_rejects_a_cap_below_the_first_pass(monkeypatch):
-    """125 panels (124 graded + the kink) x 8 points x (1 + 2) = 3000."""
-    monkeypatch.setattr(calculus, "_MAX_EVALS", 2999)
+    """145 panels (124 graded + 21 from the kink and its ladder) x 8 points
+    x (1 + 2) = 3,480 samples."""
+    monkeypatch.setattr(calculus, "_MAX_EVALS", 3479)
     with pytest.raises(ValueError, match="first pass"):
         rl_integrate(lambda xs: np.abs(xs - 0.5), 0.0, 1.0, 0.3, points=(0.5,))
 
@@ -499,18 +519,20 @@ def _rl_hex(text, alpha):
     return res.value.hex()
 
 
-# float.hex of the numeric route's results, frozen from the implementation
-# that evaluated the first pass's panels and their halves in two calls.
-# Any reordering of the quadrature arithmetic changes some of them.
+# float.hex of the numeric route's results.  The x^(2a) values were frozen
+# from the implementation that evaluated the first pass's panels and their
+# halves in two calls; the kinked ones from the grid that adds a ratio-1/4
+# ladder of breakpoints beside each kink.  Any reordering of the quadrature
+# arithmetic changes some of them.
 _PINNED_RL = {
     ("x^(2a)", 0.5): "0x1.812746b0379e6p-1",
     ("x^(2a)", 1.0): "0x1.5555555555556p-2",
-    ("abs(x - 0.3)^(a)", 0.3): "0x1.bdb4eba0f9f99p-1",
-    ("abs(x - 0.3)^(a)", 0.9): "0x1.68e951f7b7f56p-2",
-    ("abs(x - 0.5)^(a)", 0.3): "0x1.9404cbed144cdp-1",
-    ("abs(x - 0.5)^(a)", 0.9): "0x1.3296ac93da1f4p-2",
-    ("abs(x - 0.7)^(a)", 0.3): "0x1.6a5711b276e00p-1",
-    ("abs(x - 0.7)^(a)", 0.9): "0x1.4b5f35783bd1ap-2",
+    ("abs(x - 0.3)^(a)", 0.3): "0x1.bdb4eb9b30f05p-1",
+    ("abs(x - 0.3)^(a)", 0.9): "0x1.68e951f519167p-2",
+    ("abs(x - 0.5)^(a)", 0.3): "0x1.9404cbe6d1b74p-1",
+    ("abs(x - 0.5)^(a)", 0.9): "0x1.3296ac91068c0p-2",
+    ("abs(x - 0.7)^(a)", 0.3): "0x1.6a5711adb5e20p-1",
+    ("abs(x - 0.7)^(a)", 0.9): "0x1.4b5f3575a3609p-2",
 }
 
 
@@ -521,9 +543,9 @@ def test_rl_integrate_values_are_pinned_bitwise(text, alpha):
 
 def test_reversed_integral_and_fd_derivative_are_pinned_bitwise():
     f = FunctionSpec.from_text("abs(x - 0.3)^(a)")
-    assert lf_integral(f, 1.0, 0.0, AlphaContext(alpha=0.5)).hex() == "-0x1.5f75e769f132ap-1"
+    assert lf_integral(f, 1.0, 0.0, AlphaContext(alpha=0.5)).hex() == "-0x1.5f75e76393b3bp-1"
     d = lf_derivative(f, 0.4, AlphaContext(alpha=0.3), DerivativeMode.FINITE_DIFFERENCE, s=0.0)
-    assert d.hex() == "-0x1.b61d4b41e3fb0p-5"
+    assert d.hex() == "-0x1.b61d4b25d9068p-5"
 
 
 def test_fejer_moments_are_pinned_bitwise():
@@ -533,6 +555,6 @@ def test_fejer_moments_are_pinned_bitwise():
     rep = fejer_terms(FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0)),
                       EtaSpec.from_text(ETA_PRESETS["difference"]), 0.0, w, 0.0, 1.0, ctx)
     assert [m.hex() for m in (rep.m0, rep.m1, rep.m2, rep.m3)] == [
-        "0x1.812746b0379e7p-2", "0x1.73efe24506fdbp-3",
+        "0x1.812746b0379e7p-2", "0x1.73efe24506fdcp-3",
         "0x1.20dd750429b6cp-2", "0x1.341f6bc02c7edp-3",
     ]

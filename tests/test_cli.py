@@ -556,6 +556,29 @@ def test_config_non_string_expressions_exit_one(capsys, tmp_path, cmd):
     assert ("--w must be a string, got 1.5" in err) == (cmd == "fejer")
 
 
+@pytest.mark.parametrize(("argv", "computes"), [
+    (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["certify_gsc"]),
+    (["hh", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["hh_terms"]),
+    (["fejer", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["fejer_terms"]),
+    (["sweep", "--alphas", "0.5", "--cs", "0", "--etas", "difference", "--fs", "square"],
+     ["hh_terms", "certify_gsc"]),
+], ids=["certify", "hh", "fejer", "sweep"])
+def test_config_non_string_out_exit_one(capsys, tmp_path, monkeypatch, argv, computes):
+    """A config-file out that is not a string is a config error found before
+    any work, not a TypeError from writing the finished output."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran with a non-string out")
+
+    for name in computes:
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": 3}))
+    code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err == "fracon: error: --out must be a string, got 3\n"
+
+
 # ------------------------------------------------------------ envelope/output
 
 

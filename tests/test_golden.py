@@ -1,4 +1,5 @@
-"""Frozen CLI outputs: the default sweep and README's commands, byte for byte.
+"""Frozen CLI outputs, byte for byte: the default sweep, README's commands,
+and hh, fejer and an fd diff on kinked integrands.
 
 The files under ``tests/golden/`` hold the stdout these commands printed
 when they were frozen.  A change to any of them is a change in what users
@@ -26,6 +27,12 @@ _CASES = {
     "integrate.txt": (["integrate", "x^(a)", "0", "1", "--alpha", "0.5"], 0),
     "diff.txt": (["diff", "x^(2a)", "--at", "3", "--alpha", "1.0"], 0),
     "axioms.txt": (["axioms", "--alpha", "0.5"], 0),
+    "hh_kinked.json": (["hh", "--f", "abs(x - 0.3)^(a)", "--eta", "difference",
+                        "--alpha", "0.3"], 0),
+    "fejer_kinked.json": (["fejer", "--f", "abs(x - 0.7)^(a)", "--eta", "example23",
+                           "--w", "parabolic", "--alpha", "0.5"], 0),
+    "diff_kinked.txt": (["diff", "abs(x - 0.3)^(a)", "--at", "0.4", "--from", "0",
+                         "--alpha", "0.3", "--mode", "fd"], 0),
 }
 
 

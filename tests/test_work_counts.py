@@ -25,22 +25,34 @@ def test_rl_integrate_smooth_work(alpha):
 def test_rl_integrate_kinked_work():
     """abs(x - 0.5)^(a) at alpha 0.3 with its kink as a breakpoint.
 
-    125 panels take the first pass (1000 + 2000 evaluations); nine more
-    passes bisect only the 6, then 4, live panels beside the kink
-    (5 x 96 + 4 x 64).  Refining every panel took 1,014,816 evaluations
+    The kink and its two 10-step ladders add 21 panels to the 124 graded
+    ones, and the 145 panels converge on the first pass: 1160 + 2320 =
+    3,480 evaluations.  Refining every panel took 1,014,816 evaluations
     and hit the cap.
     """
     ctx = AlphaContext(alpha=0.3)
     f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3,
                        points=f.singular_points())
-    assert (res.evals, res.levels, res.converged) == (3736, 10, True)
+    assert (res.evals, res.levels, res.converged) == (3480, 1, True)
     assert res.evals <= 1_014_816 // 10
+
+
+@pytest.mark.parametrize("s", (0.3, 0.5, 0.7))
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+def test_rl_integrate_kinked_set_work(s, alpha):
+    """Every abs(x - s)^(a) of the frozen kinked set, at the default rtol,
+    takes the one 145-panel first pass."""
+    ctx = AlphaContext(alpha=alpha)
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                       points=f.singular_points())
+    assert (res.evals, res.levels, res.converged) == (3480, 1, True)
 
 
 @pytest.mark.parametrize(("text", "alpha", "levels"), (
     ("x^(2a)", 0.5, 1),
-    ("abs(x - 0.5)^(a)", 0.3, 10),
+    ("abs(x - 0.5)^(a)", 0.3, 1),
 ))
 def test_rl_integrate_calls_fn_once_per_level(text, alpha, levels):
     """The first pass evaluates the panels and their halves in one call."""
@@ -68,15 +80,16 @@ def test_certify_lattice_cells(grid, refine, cells):
 
 
 @pytest.mark.parametrize(("text", "x0", "alpha", "work"), (
-    ("abs(x - 0.3)^(a)", 0.4, 0.3, (3896, 14, True)),
+    ("abs(x - 0.3)^(a)", 0.4, 0.3, (3480, 1, True)),
     ("x^(2a)", 0.5, 0.5, (2976, 1, True)),
+    ("abs(x - 0.7)^(a)", 0.9, 0.5, (3480, 1, True)),
 ))
 def test_fd_derivative_inner_work(monkeypatch, text, x0, alpha, work):
     """The fd derivative's two inner integrals run at rtol 1e-11.
 
     One central difference of G = I^(1-alpha)[f - f(s)] takes two
-    rl_integrate calls.  At the default rtol 1e-9 the kinked pair would
-    each take (3544, 9, True).
+    rl_integrate calls.  A kinked pair converges on the first pass at
+    1e-11, as at the default 1e-9.
     """
     seen = []
     original = calculus.rl_integrate
