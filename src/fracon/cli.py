@@ -55,7 +55,7 @@ from .calculus import (
     lf_derivative,
     lf_integral,
 )
-from .convexity import SymmetryError, certify_gsc
+from .convexity import _MAX_REFINE, SymmetryError, certify_gsc
 from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError, WeightSpec
 from .fractal_scalar import (
     AlphaContext,
@@ -225,8 +225,11 @@ def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, i
             problems.append(f"--grid must be >= 8, got {grid!r}")
         elif grid > _MAX_GRID:
             problems.append(f"--grid must be <= {_MAX_GRID}, got {grid!r}")
-    if refine is not None and refine < 0:
-        problems.append(f"--refine must be >= 0, got {refine!r}")
+    if refine is not None:
+        if refine < 0:
+            problems.append(f"--refine must be >= 0, got {refine!r}")
+        elif refine > _MAX_REFINE:
+            problems.append(f"--refine must be <= {_MAX_REFINE}, got {refine!r}")
     return grid, refine
 
 

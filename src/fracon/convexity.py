@@ -29,7 +29,15 @@ from typing import Optional
 import numpy as np
 
 from .calculus import DerivativeMode, lf_derivative
-from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, WeightSpec, _monotone_dirs
+from .expr import (
+    EtaSpec,
+    EvalError,
+    FunctionSpec,
+    NotPolynomial,
+    WeightSpec,
+    _eval,
+    _monotone_dirs,
+)
 from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
@@ -90,11 +98,20 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
 
 
 # Lattice cells per x-slab in _lattice_min.  Its working set is three
-# reused float64 buffers of this many cells (128 KiB each) plus the
+# reused float64 buffers of at most this many cells (256 KiB) plus the
 # temporaries of one f evaluation, whatever the grid, unless one x-row
-# alone is larger; only the grid**2 arrays (eta, distances, one-row tiles)
-# grow with it.
-_SLAB_CELLS = 1 << 14
+# alone is larger; only the grid**2 arrays (eta, distances, (t, y) tiles)
+# grow with it.  On the lattice benchmark 1 << 15 cuts the median case
+# time by about 9% against 1 << 14, at the same throughput and traced peak
+# (2.09 MiB); 1 << 16 raises that peak to 2.95 MiB.
+_SLAB_CELLS = 1 << 15
+
+# Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
+# level 40 it spans 3**-39 (about 2.5e-19) of a grid step, far below the
+# defect's float resolution; on [0, 1] at grid 8 its x and y sides hold
+# a single point from level 34 on.  From level 648 on, 3**(level - 1) no
+# longer converts to a float at all.
+_MAX_REFINE = 40
 
 
 def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, float]:
@@ -103,13 +120,17 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
     Returns ``((i, j, k), min defect, max |f| over the mixtures)``, where
     (i, j, k) is the first lattice index (C order) holding the minimum.
     Each slab covers ``max(1, _SLAB_CELLS // (len(ys) * len(ts)))`` x-rows
-    and evaluates every cell with the same expression, in the same
-    operation order, as a whole-lattice evaluation would, so the defects
-    are bit-identical to it.  The mixtures, the defects and one scratch
-    array live in three buffers allocated once per call and written in
-    place by every slab.  The running best moves on a strict improvement
-    only, so ties keep the first index.  A non-finite slab minimum (inf,
-    or a NaN anywhere in the slab) raises EvalError.  Floating-point
+    laid out (x, t, y), and evaluates every cell with the same expression,
+    in the same operation order, as a whole-lattice evaluation would, so
+    the defects are bit-identical to it.  The mixtures, the defects and one
+    scratch array live in three buffers allocated once per call and written
+    in place by every slab.  A slab's minimum is located by one contiguous
+    argmin; only when it beats the running best (or is not finite) is the
+    x-row holding it searched again in (y, t) order, and the best moves on
+    a strict improvement only, so ties keep the first index.
+    A non-finite f at a mixture, or a non-finite slab minimum (a NaN
+    anywhere in the slab, -inf, or +inf in every cell), raises EvalError; a
+    +inf defect (an overflowed right side) is no violation.  Floating-point
     warnings are silenced here; non-finite values are errors instead.
     """
     with np.errstate(all="ignore"):
@@ -121,47 +142,63 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
         ta = ts**al
         corr = c**al * ta * (1.0 - ts) ** al
         dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
-        ty = (1.0 - ts[None, :]) * ys[:, None]  # (1 - t) * y, the same in every slab
-        # The other slab-invariant factors, tiled to one x-row: a ufunc that
-        # broadcasts an operand along the innermost (t) axis runs several
-        # times slower than one over contiguous rows, so the slab arithmetic
-        # broadcasts only whole rows, and e and dist are spread along t by
-        # a plain copy first.
-        ts_row, fy_row, ta_row, corr_row = np.empty((4, ny, nt))
-        ts_row[...] = ts
-        fy_row[...] = fy[:, None]
-        ta_row[...] = ta
-        corr_row[...] = corr
+        # The slab-invariant factors as (t, y) tiles.  A ufunc that
+        # broadcasts an operand along the innermost axis runs several times
+        # slower than one over contiguous rows, so y is the inner axis and
+        # the (x, y) rows of e and dist broadcast along t, the middle one.
+        ts_ty, fy_ty, ta_ty, corr_ty = np.empty((4, nt, ny))
+        ts_ty[...] = ts[:, None]
+        fy_ty[...] = fy
+        ta_ty[...] = ta[:, None]
+        corr_ty[...] = corr[:, None]
+        ty = (1.0 - ts[:, None]) * ys  # (1 - t) * y, the same in every slab
+        # A strong term of +0.0 everywhere changes no bit when subtracted,
+        # so it is skipped; an infinite distance keeps it, as 0 * inf is NaN.
+        strong = corr.any() or np.signbit(corr).any() or not np.isfinite(dist).all()
+        params = f._params()
         rows = min(len(xs), max(1, _SLAB_CELLS // (ny * nt)))
         # One block rather than three: on glibc, freeing a block this large
         # raises malloc's mmap and trim thresholds above it, so the slab-sized
         # temporaries of later f evaluations stay on the heap instead of
         # being handed back to the OS and faulted in again on every slab.
-        mix_buf, d_buf, tmp_buf = np.empty((3, rows, ny, nt))
+        mix_buf, d_buf, tmp_buf = np.empty((3, rows, nt, ny))
         best_idx, best, max_abs_f = None, math.inf, 0.0
         for i0 in range(0, len(xs), rows):
             n = min(rows, len(xs) - i0)
             sl = slice(i0, i0 + n)
             mix, d, tmp = mix_buf[:n], d_buf[:n], tmp_buf[:n]
-            np.multiply(ts_row, xs[sl, None, None], out=mix)
+            np.multiply(ts_ty, xs[sl, None, None], out=mix)
             np.add(mix, ty, out=mix)
-            fmix = f.evaluate_many(mix, ctx)
-            np.copyto(tmp, e[sl, :, None])
-            np.multiply(ta_row, tmp, out=tmp)
-            np.add(fy_row, tmp, out=d)
-            np.copyto(tmp, dist[sl, :, None])
-            np.multiply(corr_row, tmp, out=tmp)
-            np.subtract(d, tmp, out=d)
+            # The right side first: its broadcasting ufuncs allocate iterator
+            # buffers, which then never coexist with f's values.
+            np.multiply(ta_ty, e[sl, None, :], out=tmp)
+            np.add(fy_ty, tmp, out=d)
+            if strong:
+                np.multiply(corr_ty, dist[sl, None, :], out=tmp)
+                np.subtract(d, tmp, out=d)
+            # The evaluator's worker, without evaluate_raw's finiteness pass:
+            # the max and min that max |f| needs are NaN or infinite exactly
+            # when some value is.
+            fmix = np.asarray(_eval(f.ast, {"x": mix}, params, al))
+            hi, lo = float(fmix.max()), float(fmix.min())
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise EvalError("non-finite value in evaluation")
+            max_abs_f = max(max_abs_f, hi, -lo)
             np.subtract(d, fmix, out=d)
-            # evaluate_many has rejected non-finite values, so this is max |fmix|.
-            max_abs_f = max(max_abs_f, float(fmix.max()), float(-fmix.min()))
-            i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
-            value = float(d[i, j, k])
-            if not math.isfinite(value):
-                x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
-                raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
-            if value < best:
-                best_idx, best = (i0 + int(i), int(j), int(k)), value
+            del fmix  # before the argmin below copies a row, not alongside it
+            # The first minimum in (x, t, y) order lies in the first x-row
+            # holding the minimum (or a NaN); only that row's (y, t) order
+            # decides between the cells tied there.
+            flat = int(np.argmin(d))
+            low = d.flat[flat]
+            if low < best or not math.isfinite(low):
+                i = flat // (nt * ny)
+                j, k = divmod(int(np.argmin(d[i].T)), nt)
+                value = float(d[i, k, j])
+                if not math.isfinite(value):
+                    x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
+                    raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
+                best_idx, best = (i0 + i, j, k), value
     return best_idx, best, max_abs_f
 
 
@@ -261,24 +298,28 @@ def certify_gsc(
     Evaluates the defect on a ``grid_n``**3 lattice over
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
-    level (clipped to bounds).  The lattice is streamed in x-slabs of about
-    16k cells with a running minimum, so memory is bounded: three slab
-    buffers reused by every slab, one f evaluation's temporaries and a few
-    ``grid_n``**2 arrays, never a ``grid_n``**3 tensor (traced peak about
-    2.6 MiB at grid 150).  The violation threshold scales with the sampled
-    magnitude of f: tol = 1e-9 * (1 + max |f|).  Reductions run through
-    the same lattice: endpoints of the t-grid cover the necessary
-    conditions' t = 1 instances, so an eta failing them is also caught as
-    a plain counterexample.  Deterministic: ties resolve to the first
-    lattice index in (x, y, t) order whatever the slab boundaries, and
-    refinement accepts strict improvements only.  A non-finite defect
-    (e.g. |x - y|**(2*al) overflowing on a very wide interval) raises
-    EvalError.
+    level (clipped to bounds); ``refine_depth`` must lie in [0, 40].  The
+    lattice is streamed in x-slabs of about 32k cells, laid out (x, t, y),
+    with a running minimum, so memory is bounded: three slab buffers reused
+    by every slab, one f evaluation's temporaries and a few ``grid_n``**2
+    arrays, never a ``grid_n``**3 tensor (traced peak about 2.1 MiB at
+    grid 150).  The violation threshold scales with the sampled magnitude
+    of f: tol = 1e-9 * (1 + max |f|).  Reductions run through the same
+    lattice: endpoints of the t-grid cover the necessary conditions' t = 1
+    instances, so an eta failing them is also caught as a plain
+    counterexample.  Deterministic: ties resolve to the first lattice index
+    in (x, y, t) order whatever the slab boundaries, and refinement accepts
+    strict improvements only.  A +inf defect (an overflowed right side) is
+    no violation.  A NaN defect (e.g. 0 * inf where |x - y|**(2*al)
+    overflows on a very wide interval), a slab whose minimum defect is
+    infinite, or a non-finite f at a mixture raises EvalError.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
     if refine_depth < 0:
         raise ValueError(f"refine_depth must be >= 0, got {refine_depth!r}")
+    if refine_depth > _MAX_REFINE:
+        raise ValueError(f"refine_depth must be <= {_MAX_REFINE}, got {refine_depth!r}")
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
     a, b = _domain_of(f)

@@ -184,6 +184,26 @@ def test_grid_cap_is_a_config_error(capsys, monkeypatch, argv, other):
     assert err.count("fracon: error:") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5"],
+     ["sweep", "--alphas", "0.5"]],
+    ids=["certify", "sweep"],
+)
+def test_refine_cap_is_a_config_error(capsys, monkeypatch, argv):
+    """A refinement depth over the cap is exit 1 before any work, not an
+    OverflowError from 3**(level - 1) at depth 648 and above."""
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("certify_gsc ran on a rejected depth")
+
+    monkeypatch.setattr(cli, "certify_gsc", no_lattice)
+    for depth in (cli._MAX_REFINE + 1, 648):
+        code, out, err = run(capsys, [*argv, "--refine", str(depth)])
+        assert code == 1
+        assert out == ""
+        assert err == f"fracon: error: --refine must be <= {cli._MAX_REFINE}, got {depth}\n"
+
+
 def test_consecutive_runs_share_no_state(capsys, tmp_path):
     """The parser is built once; a config-file run leaves nothing behind."""
     argv = ["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5"]

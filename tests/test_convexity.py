@@ -225,6 +225,43 @@ def test_certify_non_finite_defect_raises(monkeypatch, rows):
                                f"y={-1e200 + 2e200 / 7!r}, t=0.0")
 
 
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+def test_certify_zero_strong_term_keeps_nan_defect(monkeypatch, rows):
+    """With c = 0 the strong term is zero, but 0 * inf is still NaN: on
+    [-1e200, 1e200] the overflowing |x - y|^(2a) raises as it does at c = 1."""
+    if rows is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
+    f = FunctionSpec.from_text("1", domain=(-1e200, 1e200))
+    with pytest.raises(EvalError) as info:
+        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=8, refine_depth=0)
+    assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
+                               f"y={-1e200 + 2e200 / 7!r}, t=0.0")
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
+def test_certify_overflowing_mixture_raises(monkeypatch, rows):
+    """(x - 0.5)^(-200) is at most 14^200 on the grid-8 points of [0, 1], but
+    the mixture 24/49 (x = 0, y = 4/7, t = 1/7) lies 1/98 from 0.5, and
+    98^200 overflows."""
+    if rows is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
+    f = _f("(x - 0.5)^(-200)", 0.0, 1.0)
+    assert np.isfinite(f.evaluate_many(np.linspace(0.0, 1.0, 8), _CTX1)).all()
+    with pytest.raises(EvalError, match="^non-finite value in evaluation$"):
+        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=8, refine_depth=0)
+
+
+def test_certify_rejects_refine_past_cap():
+    """3**(level - 1) stops converting to float at level 648; the cap comes first."""
+    f, eta = _f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v")
+    for depth in (convexity._MAX_REFINE + 1, 648):
+        with pytest.raises(ValueError,
+                           match=f"refine_depth must be <= {convexity._MAX_REFINE}, got {depth}"):
+            certify_gsc(f, eta, 0.0, _CTX1, grid_n=8, refine_depth=depth)
+    rep = certify_gsc(f, eta, 0.0, _CTX1, grid_n=8, refine_depth=convexity._MAX_REFINE)
+    assert rep.evaluations == 8**3 + convexity._MAX_REFINE * 13**3
+
+
 def test_certify_rejects_tiny_grid():
     with pytest.raises(ValueError, match="grid_n"):
         certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=7)
@@ -321,6 +358,53 @@ def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, stat
         monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * len(ys) * len(ts))
     got = convexity._lattice_min(f, eta, c, ctx, xs, ys, ts)
     assert got == _lattice_min_reference(f, eta, c, ctx, xs, ys, ts)
+
+
+def test_lattice_min_inf_defect_is_no_violation_unless_it_is_the_minimum():
+    """f = 1.5e308, eta = u: at t = 1 the right side f(y) + eta overflows to
+    +inf, which is no violation; a slab of +inf cells only has no finite
+    minimum, and raises."""
+    f, eta = _f("1.5e308", 0.0, 1.0), EtaSpec.from_text("u")
+    xs = np.array([0.0, 0.5])
+    got = convexity._lattice_min(f, eta, 0.0, _CTX1, xs, xs, np.array([0.0, 1.0]))
+    assert got == ((0, 0, 0), 0.0, 1.5e308)
+    with pytest.raises(EvalError, match=r"^non-finite defect inf at x=0\.0, y=0\.0, t=1\.0$"):
+        convexity._lattice_min(f, eta, 0.0, _CTX1, xs, xs, np.array([1.0]))
+
+
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(["x^(2a)", "-x^(2a)", "x"]),
+    eta=st.sampled_from(["u - v", "u*v"]),
+    c=st.sampled_from([0.0, 2.0, -0.0]),
+    xs=st.lists(_DYADIC, min_size=1, max_size=6),
+    ys=st.lists(_DYADIC, min_size=1, max_size=6),
+    ts=st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=1, max_size=6),
+    slab_cells=st.integers(1, 400),
+)
+# Defects +0.0 then -0.0 in one slab: the slab's min() is -0.0, but the
+# first index holds +0.0.
+@example(text="x", eta="u*v", c=0.0, xs=[0.5], ys=[0.0, -0.0], ts=[0.0], slab_cells=2)
+# The first zero in (x, y, t) order is +0.0, in (x, t, y) order -0.0.
+@example(text="x", eta="u*v", c=0.0, xs=[0.0], ys=[0.125, 1.0, -0.0], ts=[0.625, 0.0],
+         slab_cells=6)
+# A strong term of -0.0 (c = -0.0) turns the defect -0.0 into +0.0.
+@example(text="x", eta="u*v", c=-0.0, xs=[0.5], ys=[-0.0], ts=[0.0], slab_cells=1)
+def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts, slab_cells):
+    """On dyadic points at alpha = 1 every defect is exact, so many cells tie,
+    zeros of both signs among them.  Index, minimum and max |f| match the
+    whole tensor bit for bit, whatever the slab size."""
+    f, eta = _f(text, -1.0, 1.0), EtaSpec.from_text(eta)
+    xs, ys, ts = np.array(xs), np.array(ys), np.array(ts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "_SLAB_CELLS", slab_cells)
+        got = convexity._lattice_min(f, eta, c, _CTX1, xs, ys, ts)
+    want = _lattice_min_reference(f, eta, c, _CTX1, xs, ys, ts)
+    assert got[0] == want[0]
+    assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
 
 
 def test_certify_memory_is_bounded():

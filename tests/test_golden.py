@@ -1,5 +1,6 @@
 """Frozen CLI outputs, byte for byte: the default sweep, README's commands,
-and hh, fejer and an fd diff on kinked integrands.
+a grid-100 certify with c = 0, and hh, fejer and an fd diff on kinked
+integrands.
 
 The files under ``tests/golden/`` hold the stdout these commands printed
 when they were frozen.  A change to any of them is a change in what users
@@ -21,6 +22,9 @@ _CASES = {
     "sweep.csv": (["sweep"], 0),
     "certify.json": (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5",
                       "--c", "1", "--interval", "0,2"], 2),
+    # A zero strong term on a lattice of many slabs.
+    "certify_x4a_c0.json": (["certify", "--f", "x^(4a)", "--eta", "difference",
+                             "--alpha", "0.5", "--c", "0", "--grid", "100"], 2),
     "hh.json": (["hh", "--f", "square", "--eta", "difference", "--alpha", "0.3"], 2),
     "fejer.json": (["fejer", "--f", "square", "--eta", "difference", "--w", "parabolic",
                     "--alpha", "0.5"], 2),
