@@ -36,6 +36,14 @@ halves, and only the panels whose estimate exceeds their width-share of
 the tolerance are bisected (the QUADPACK QAGP scheme of Piessens,
 de Doncker et al., 1983, with a Gauss--Legendre pair).
 
+Everything the first pass computes before it samples the integrand
+depends only on (a, b, order, kinks): the graded breakpoints merged with
+the kink ladders, the panels and their halves, the nodes mapped to x and
+clipped to [a, b], and the half-widths.  That mesh is built once per key
+and kept, read-only, in a bounded LRU cache keyed on the bits of the
+doubles (so -0.0 and +0.0 are different keys), and a cached call costs
+only the integrand, its finiteness check and the weighted sums.
+
 Derivatives use the conjugate rule
 
     D^alpha |x - s|**(k*alpha)
@@ -56,8 +64,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -126,27 +135,26 @@ _END_DEPTH = 46
 # 8 and 1.4e-13 at 10, each converged on the first pass.
 _KINK_DEPTH = 10
 
-# Distinct V = (b - a)**order values whose graded breakpoints are kept.
-# Most calls integrate over a unit span, where V is 1.0 at every order.
-_BREAKPOINT_CACHE = 64
+# The first-pass mesh cache holds at most _MESH_CACHE meshes of at most
+# _MESH_SAMPLES first-pass samples each: the graded grid with two kinks
+# (3,984 samples) fits, with three (4,488) it does not.  A mesh of n panels
+# holds 32n + 1 floats, 32/3 bytes per sample, so the cache stays under
+# 3.5 MiB whatever the inputs.  Each pass of the quadrature benchmark's
+# case list integrates on 64 distinct meshes.
+_MESH_CACHE = 80
+_MESH_SAMPLES = 4096
 
 _gl = functools.cache(leggauss)
 
 
-@functools.lru_cache(maxsize=_BREAKPOINT_CACHE)
 def _graded_breakpoints(V: float) -> np.ndarray:
-    """Uniform breakpoints on [0, V] with dyadically graded end panels.
-
-    The array is cached per V and shared between calls, so it is read-only.
-    """
+    """Uniform breakpoints on [0, V] with dyadically graded end panels."""
     base = np.linspace(0.0, V, _PANELS + 1)
     w = base[1] - base[0]
     left = base[0] + w * 0.5 ** np.arange(_END_DEPTH, 0, -1)
     right = base[-1] - w * 0.5 ** np.arange(1, _END_DEPTH + 1)
     pts = np.concatenate((base[:1], left, base[1:-1], np.sort(right), base[-1:]))
-    pts = np.unique(pts)
-    pts.flags.writeable = False
-    return pts
+    return np.unique(pts)
 
 
 def _kink_ladders(kinks: list[float], V: float) -> np.ndarray:
@@ -157,14 +165,82 @@ def _kink_ladders(kinks: list[float], V: float) -> np.ndarray:
     return pts[(pts > 0.0) & (pts < V)]
 
 
-def _panel_values(
-    fn: Callable[[np.ndarray], np.ndarray], left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Gauss--Legendre value of fn over each panel [left[i], right[i]]."""
-    nodes, wts = _gl(_POINTS)
+def _check_first_pass(panels: int) -> None:
+    """A first pass over ``panels`` panels must fit within ``_MAX_EVALS``."""
+    if 3 * panels * _POINTS > _MAX_EVALS:
+        raise ValueError(
+            f"max_evals={_MAX_EVALS} is below the first pass's "
+            f"{3 * panels * _POINTS} evaluations"
+        )
+
+
+def _halves(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of the panels [left, right], interleaved (left_0, right_0, left_1, ...)."""
+    mid = 0.5 * (left + right)
+    hl = np.empty(2 * left.size)
+    hl[0::2], hl[1::2] = left, mid
+    hr = np.empty(2 * left.size)
+    hr[0::2], hr[1::2] = mid, right
+    return hl, hr
+
+
+def _abscissae(
+    left: np.ndarray, right: np.ndarray, a: float, b: float, order: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss--Legendre nodes of the v-panels [left, right], mapped to x, and
+    the panels' half-widths: one row of ``_POINTS`` nodes per panel."""
+    nodes, _ = _gl(_POINTS)
     half = 0.5 * (right - left)
     mid = 0.5 * (left + right)
-    xs = mid[:, None] + nodes[None, :] * half[:, None]
+    v = mid[:, None] + nodes[None, :] * half[:, None]
+    # np.clip(x, a, b) bit for bit: on a tie (+0.0 against -0.0)
+    # np.maximum and np.minimum return their second operand, x.
+    return np.minimum(b, np.maximum(a, b - v ** (1.0 / order))), half
+
+
+class _Mesh(NamedTuple):
+    """rl_integrate's first pass before it calls fn; every array is read-only."""
+
+    V: float  # (b - a)**order
+    left: np.ndarray  # the panels [left, right] in v: graded breakpoints
+    right: np.ndarray  # merged with the kink ladders
+    hl: np.ndarray  # their halves, interleaved
+    hr: np.ndarray
+    xs: np.ndarray  # nodes in x, the panels' rows and then the halves'
+    half: np.ndarray  # the half-width of each row of xs
+
+
+@functools.lru_cache(maxsize=_MESH_CACHE)
+def _mesh(key: bytes) -> _Mesh:
+    """The first-pass mesh of ``key``, the packed doubles (a, b, order,
+    *kinks), with the kinks (abscissae) inside (a, b).
+
+    Cached on the key's bytes, so -0.0 and +0.0 are distinct keys: a node
+    that maps onto b is b itself, and one that rounds below a is clipped to
+    a itself, so the sign of a zero endpoint reaches fn.  Callers pass
+    only keys whose mesh fits ``_MESH_SAMPLES``; larger ones are built by
+    ``_mesh.__wrapped__`` on every call.
+    """
+    a, b, order, *points = struct.unpack(f"{len(key) // 8}d", key)
+    V = (b - a) ** order
+    bpts = _graded_breakpoints(V)
+    if points:
+        bpts = np.union1d(bpts, _kink_ladders([(b - p) ** order for p in points], V))
+    _check_first_pass(bpts.size - 1)  # before the node arrays, 24 floats a panel
+    left, right = bpts[:-1], bpts[1:]
+    hl, hr = _halves(left, right)
+    xs, half = _abscissae(np.concatenate((left, hl)), np.concatenate((right, hr)), a, b, order)
+    for arr in (bpts, left, right, hl, hr, xs, half):
+        arr.flags.writeable = False
+    return _Mesh(V, left, right, hl, hr, xs, half)
+
+
+def _panel_values(
+    fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, half: np.ndarray
+) -> np.ndarray:
+    """Gauss--Legendre value of fn over each panel, from its row of nodes
+    ``xs`` in x and its half-width in v."""
+    _, wts = _gl(_POINTS)
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
@@ -217,48 +293,36 @@ def rl_integrate(
     when rounding leaves the total over the tolerance with no panel over
     its share.  Requires a < b (callers handle orientation and the empty
     interval).
+
+    The first pass's mesh comes from ``_mesh``, an LRU cache keyed on the
+    bytes of (a, b, order, kinks inside (a, b)), so signed zeros are kept
+    apart.  Its arrays are shared and read-only: on the first pass fn
+    receives one, and writing into it raises ValueError.  The cache holds
+    at most ``_MESH_CACHE`` meshes of at most ``_MESH_SAMPLES`` samples
+    (under 3.5 MiB); a larger first pass (three kinks or more) is built on
+    every call.  ``_MAX_EVALS`` is checked on every call, cached or not.
     """
-    a, b = float(a), float(b)
+    a, b, order = float(a), float(b), float(order)
     if not b > a:
         raise ValueError("rl_integrate requires a < b")
-    V = (b - a) ** order
-    inv = 1.0 / order
-    lo, hi = a, b
-
-    def g(v: np.ndarray) -> np.ndarray:
-        # np.clip(x, lo, hi) bit for bit: on a tie (+0.0 against -0.0)
-        # np.maximum and np.minimum return their second operand, x.
-        return fn(np.minimum(hi, np.maximum(lo, b - v**inv)))
-
-    kinks = [(b - p) ** order for p in map(float, points) if a < p < b]
-    bpts = _graded_breakpoints(V)
-    if kinks:
-        bpts = np.union1d(bpts, _kink_ladders(kinks, V))
-    left, right = bpts[:-1], bpts[1:]
-    if 3 * left.size * _POINTS > _MAX_EVALS:
-        raise ValueError(
-            f"max_evals={_MAX_EVALS} is below the first pass's "
-            f"{3 * left.size * _POINTS} evaluations"
-        )
-    evals, levels = left.size * _POINTS, 0
+    kinks = [p for p in map(float, points) if a < p < b]
+    key = struct.pack(f"{3 + len(kinks)}d", a, b, order, *kinks)
+    # An upper bound: merging the ladders may drop duplicate breakpoints.
+    panels = _PANELS + 2 * _END_DEPTH + (2 * _KINK_DEPTH + 1) * len(kinks)
+    build = _mesh if 3 * panels * _POINTS <= _MESH_SAMPLES else _mesh.__wrapped__
+    V, left, right, hl, hr, xs, half = build(key)
+    n = left.size
+    _check_first_pass(n)  # again: a cached mesh may predate a lower _MAX_EVALS
+    # fn is elementwise, and each panel is its own row: the first pass
+    # evaluates the panels and their halves in one call.
+    vals = _panel_values(fn, xs, half)
+    coarse, vals = vals[:n], vals[n:]
+    evals, levels = 3 * n * _POINTS, 1
     done_value = done_err = 0.0  # sums over the accepted panels
     converged = False
     while True:
-        n = left.size
-        mid = 0.5 * (left + right)
-        # Halves interleaved (left_0, right_0, left_1, ...): on the first
-        # pass this is the sorted halved grid, summed in grid order.
-        hl = np.empty(2 * n)
-        hl[0::2], hl[1::2] = left, mid
-        hr = np.empty(2 * n)
-        hr[0::2], hr[1::2] = mid, right
-        if levels == 0:  # fn is elementwise, and each panel is its own row
-            vals = _panel_values(g, np.concatenate((left, hl)), np.concatenate((right, hr)))
-            coarse, vals = vals[:n], vals[n:]
-        else:
-            vals = _panel_values(g, hl, hr)
-        evals += 2 * n * _POINTS
-        levels += 1
+        # The halves are interleaved: on the first pass they are the
+        # sorted halved grid, summed in grid order.
         fine = vals[0::2] + vals[1::2]
         err = np.abs(coarse - fine)
         value = done_value + float(vals.sum())
@@ -276,6 +340,10 @@ def rl_integrate(
         left, right, coarse = hl[live], hr[live], vals[live]
         if evals + 2 * left.size * _POINTS > _MAX_EVALS:
             break
+        hl, hr = _halves(left, right)
+        vals = _panel_values(fn, *_abscissae(hl, hr, a, b, order))
+        evals += 2 * left.size * _POINTS
+        levels += 1
     scale = gamma(1.0 + order)
     return QuadResult(value / scale, evals, levels, converged, error / scale)
 

@@ -109,8 +109,9 @@ _SLAB_CELLS = 1 << 15
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
 # level 40 it spans 3**-39 (about 2.5e-19) of a grid step, far below the
 # defect's float resolution; on [0, 1] at grid 8 its x and y sides hold
-# a single point from level 34 on.  From level 648 on, 3**(level - 1) no
-# longer converts to a float at all.
+# a single point from level 34 on (certify_gsc stops at the first level
+# where all three sides do).  From level 648 on, 3**(level - 1) no longer
+# converts to a float at all.
 _MAX_REFINE = 40
 
 
@@ -125,13 +126,15 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
     the defects are bit-identical to it.  The mixtures, the defects and one
     scratch array live in three buffers allocated once per call and written
     in place by every slab.  A slab's minimum is located by one contiguous
-    argmin; only when it beats the running best (or is not finite) is the
-    x-row holding it searched again in (y, t) order, and the best moves on
+    argmin; only when it beats the running best (or is NaN, or no cell is
+    held yet) is the x-row holding it searched again in (y, t) order, and the best moves on
     a strict improvement only, so ties keep the first index.
-    A non-finite f at a mixture, or a non-finite slab minimum (a NaN
-    anywhere in the slab, -inf, or +inf in every cell), raises EvalError; a
-    +inf defect (an overflowed right side) is no violation.  Floating-point
-    warnings are silenced here; non-finite values are errors instead.
+    A non-finite f at a mixture, a NaN anywhere, or a -inf defect raises
+    EvalError at the slab holding it.  A +inf defect (an overflowed right
+    side) is no violation; only a lattice whose minimum is +inf, i.e. +inf
+    in every cell, raises, at its first cell, so the outcome does not depend
+    on the slab size.  Floating-point warnings are silenced here;
+    non-finite values are errors instead.
     """
     with np.errstate(all="ignore"):
         al = ctx.alpha
@@ -189,16 +192,20 @@ def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], floa
             # The first minimum in (x, t, y) order lies in the first x-row
             # holding the minimum (or a NaN); only that row's (y, t) order
             # decides between the cells tied there.
+            # An all-+inf slab is searched only while no cell is held, so the
+            # first +inf cell stands for a lattice that is +inf throughout.
             flat = int(np.argmin(d))
             low = d.flat[flat]
-            if low < best or not math.isfinite(low):
+            if low < best or math.isnan(low) or best_idx is None:
                 i = flat // (nt * ny)
                 j, k = divmod(int(np.argmin(d[i].T)), nt)
-                value = float(d[i, k, j])
-                if not math.isfinite(value):
-                    x, y, t = float(xs[i0 + i]), float(ys[j]), float(ts[k])
-                    raise EvalError(f"non-finite defect {value!r} at x={x!r}, y={y!r}, t={t!r}")
-                best_idx, best = (i0 + i, j, k), value
+                best_idx, best = (i0 + i, j, k), float(d[i, k, j])
+                if not best > -math.inf:  # NaN or -inf: no later slab can matter
+                    break
+    if not math.isfinite(best):
+        i, j, k = best_idx
+        x, y, t = float(xs[i]), float(ys[j]), float(ts[k])
+        raise EvalError(f"non-finite defect {best!r} at x={x!r}, y={y!r}, t={t!r}")
     return best_idx, best, max_abs_f
 
 
@@ -309,10 +316,14 @@ def certify_gsc(
     instances, so an eta failing them is also caught as a plain
     counterexample.  Deterministic: ties resolve to the first lattice index
     in (x, y, t) order whatever the slab boundaries, and refinement accepts
-    strict improvements only.  A +inf defect (an overflowed right side) is
-    no violation.  A NaN defect (e.g. 0 * inf where |x - y|**(2*al)
-    overflows on a very wide interval), a slab whose minimum defect is
-    infinite, or a non-finite f at a mixture raises EvalError.
+    strict improvements only.  Refinement stops before a level whose box
+    holds a single value on every axis: that box is the best cell alone,
+    as is every later one, so no level from there on can improve on it,
+    and ``evaluations`` counts only the levels that ran.  A +inf defect (an
+    overflowed right side) is no violation.  A NaN defect (e.g. 0 * inf
+    where |x - y|**(2*al) overflows on a very wide interval), a -inf
+    defect, a lattice or box whose every defect is +inf, or a non-finite f
+    at a mixture raises EvalError.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
@@ -346,6 +357,8 @@ def certify_gsc(
         lx = np.linspace(max(a, cx - wx), min(b, cx + wx), 13)
         ly = np.linspace(max(a, cy - wx), min(b, cy + wx), 13)
         lt = np.linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
+        if lx[0] == lx[-1] and ly[0] == ly[-1] and lt[0] == lt[-1]:
+            break  # the box is the best cell alone, here and at every later level
         (i, j, k), box_min, mf = _lattice_min(f, eta, c, ctx, lx, ly, lt)
         evaluations += 13**3
         max_abs_f = max(max_abs_f, mf)

@@ -1,5 +1,9 @@
 """Integral and derivative backends against closed forms and frozen oracles."""
 
+import gc
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -474,11 +478,11 @@ def test_rl_integrate_stops_when_no_panel_fails(monkeypatch):
 
     monkeypatch.setattr(calculus, "_PANELS", 1)
     monkeypatch.setattr(calculus, "_POINTS", 4)
-    calculus._graded_breakpoints.cache_clear()  # drop grids built at 32 panels
+    calculus._mesh.cache_clear()  # drop grids built at 32 panels
     try:
         res = rl_integrate(fn, 0.0, 1.0, 1.0, rtol=0.5)
     finally:
-        calculus._graded_breakpoints.cache_clear()  # and the one built at 1
+        calculus._mesh.cache_clear()  # and the one built at 1
     assert len(calls) == 2
     assert (res.levels, res.converged) == (2, False)
     assert res.evals == sum(calls)
@@ -494,9 +498,9 @@ def test_exact_backend_requires_polynomial_form():
 
 
 def test_graded_breakpoints_are_cached_read_only():
-    """One array per V, shared between rl_integrate calls, so callers cannot write it."""
-    pts = calculus._graded_breakpoints(1.0)
-    assert calculus._graded_breakpoints(1.0) is pts
+    """One array per mesh key, shared between rl_integrate calls, so callers cannot write it."""
+    pts = calculus._mesh(struct.pack("3d", 0.0, 1.0, 1.0)).left
+    assert calculus._mesh(struct.pack("3d", 0.0, 1.0, 1.0)).left is pts
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0] = 1.0
@@ -558,3 +562,131 @@ def test_fejer_moments_are_pinned_bitwise():
         "0x1.812746b0379e7p-2", "0x1.73efe24506fdcp-3",
         "0x1.20dd750429b6cp-2", "0x1.341f6bc02c7edp-3",
     ]
+
+
+# ------------------------------------------------------- first-pass mesh cache
+
+
+def _sign_seeing(xs):
+    """A smooth integrand whose value also shows the sign of a zero sample."""
+    return 1.0 + np.signbit(xs) + xs * xs
+
+
+def _cold_then_warm(calls):
+    """float.hex of each rl_integrate call run cold (cache cleared before it)
+    and then warm (all calls again, in reverse, on the filled cache)."""
+    cold = []
+    for fn, a, b, order, points in calls:
+        calculus._mesh.cache_clear()
+        cold.append(rl_integrate(fn, a, b, order, points=points).value.hex())
+    warm = [rl_integrate(fn, a, b, order, points=points).value.hex()
+            for fn, a, b, order, points in reversed(calls)]
+    return cold, warm[::-1]
+
+
+def test_mesh_cache_warm_matches_cold_on_the_kinked_set():
+    calls = []
+    for s, alpha in sorted(_FROZEN_KINK):
+        ctx = AlphaContext(alpha=alpha)
+        f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+        calls.append((lambda xs, f=f, ctx=ctx: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
+                      f.singular_points()))
+    cold, warm = _cold_then_warm(calls)
+    assert warm == cold
+
+
+def test_mesh_cache_keeps_signed_zeros_apart():
+    """[-0.0, 1] against [0.0, 1] as the keys that must not collide, and
+    intervals where the sign of an endpoint zero reaches the integrand:
+    at order 0.01 the nodes nearest b map to x = b itself."""
+    pairs = (((-0.0, 1.0), (0.0, 1.0)), ((-0.0, 2.0), (0.0, 2.0)),
+             ((-1.0, -0.0), (-1.0, 0.0)))
+    calls = [(_sign_seeing, a, b, order, points)
+             for pair in pairs for a, b in pair
+             for order in (0.01, 0.5)
+             for points in ((), (0.5, -0.5))]
+    cold, warm = _cold_then_warm(calls)
+    assert warm == cold
+    # calls 4k..4k+3 and 4k+4..4k+7 differ only in the sign of one zero;
+    # at order 0.01 without kinks (call 4k) it shows in the value.
+    assert cold[0] == cold[4]
+    assert cold[8] != cold[12]
+    assert cold[16] != cold[20]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from((-1.0, -0.0, 0.0, 0.25)),
+    st.sampled_from((0.5, 1.0, 2.0)),
+    st.sampled_from((0.01, 0.3, 0.5, 1.0)),
+    st.lists(st.sampled_from((-0.0, 0.0, 0.1, 0.5, 1.5, 3.0)), max_size=3),
+), min_size=2, max_size=6))
+def test_mesh_cache_warm_matches_cold_on_random_draws(draws):
+    """Random (a, b, order, points) draws from small sets, so keys that
+    differ in one field or in the sign of a zero meet in one cache."""
+    calls = [(_sign_seeing, a, a + span, order, tuple(points))
+             for a, span, order, points in draws]
+    cold, warm = _cold_then_warm(calls)
+    assert warm == cold
+
+
+def test_cached_mesh_arrays_are_read_only():
+    calculus._mesh.cache_clear()
+    rl_integrate(_sign_seeing, 0.0, 1.0, 0.5, points=(0.3,))
+    mesh = calculus._mesh(struct.pack("4d", 0.0, 1.0, 0.5, 0.3))
+    assert calculus._mesh.cache_info().hits == 1
+    arrays = [x for x in mesh if isinstance(x, np.ndarray)]
+    assert len(arrays) == 6
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+
+    def writes_its_argument(xs):
+        xs[...] = 0.5
+        return xs
+
+    with pytest.raises(ValueError):
+        rl_integrate(writes_its_argument, 0.0, 1.0, 0.5, points=(0.3,))
+
+
+def test_mesh_cache_size_is_bounded():
+    """Many distinct kinked keys, two kinks (cached) and forty (built per
+    call), leave at most _MESH_CACHE meshes and under 4 MiB resident
+    (about 3.4 MiB: 80 meshes of 43.8 KB)."""
+    rl_integrate(_sign_seeing, 0.0, 1.0, 0.5, points=(0.3, 0.4))  # lazy imports first
+    calculus._mesh.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            s = 0.001 + i / 250
+            rl_integrate(_sign_seeing, 0.0, 1.0, 0.5, points=(s, s + 0.1))
+        for i in range(20):
+            rl_integrate(_sign_seeing, 0.0, 1.0, 0.5,
+                         points=tuple(0.001 * i + k / 41 for k in range(1, 41)))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+        info = calculus._mesh.cache_info()
+    finally:
+        tracemalloc.stop()
+        calculus._mesh.cache_clear()
+    assert grown < 4 * 2**20
+    assert info.currsize == info.maxsize == calculus._MESH_CACHE
+
+
+def test_rl_integrate_rejects_an_oversized_first_pass_before_its_nodes():
+    """3,000 kinks make a first pass of about 1.5M samples, over the cap:
+    the breakpoints are checked before the node arrays are built.  The
+    traced peak is 2.1 MiB, as when only the breakpoints were built; built
+    first, the node arrays raised it to 43 MiB."""
+    points = tuple(k / 3001 for k in range(1, 3001))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="first pass"):
+            rl_integrate(_sign_seeing, 0.0, 1.0, 0.5, points=points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -252,13 +252,16 @@ def test_certify_overflowing_mixture_raises(monkeypatch, rows):
 
 
 def test_certify_rejects_refine_past_cap():
-    """3**(level - 1) stops converting to float at level 648; the cap comes first."""
+    """3**(level - 1) stops converting to float at level 648; the cap comes first.
+    At alpha 0.5 the minimizer sits at x = 0, where the box never collapses,
+    so all 40 levels run."""
     f, eta = _f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v")
     for depth in (convexity._MAX_REFINE + 1, 648):
         with pytest.raises(ValueError,
                            match=f"refine_depth must be <= {convexity._MAX_REFINE}, got {depth}"):
             certify_gsc(f, eta, 0.0, _CTX1, grid_n=8, refine_depth=depth)
-    rep = certify_gsc(f, eta, 0.0, _CTX1, grid_n=8, refine_depth=convexity._MAX_REFINE)
+    rep = certify_gsc(f, eta, 0.0, AlphaContext(alpha=0.5), grid_n=8,
+                      refine_depth=convexity._MAX_REFINE)
     assert rep.evaluations == 8**3 + convexity._MAX_REFINE * 13**3
 
 
@@ -370,6 +373,66 @@ def test_lattice_min_inf_defect_is_no_violation_unless_it_is_the_minimum():
     assert got == ((0, 0, 0), 0.0, 1.5e308)
     with pytest.raises(EvalError, match=r"^non-finite defect inf at x=0\.0, y=0\.0, t=1\.0$"):
         convexity._lattice_min(f, eta, 0.0, _CTX1, xs, xs, np.array([1.0]))
+
+
+@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
+@pytest.mark.parametrize(("xs", "want"), (([0.0, 1.0], (0, 0, 0)), ([1.0, 0.0], (1, 0, 0))))
+def test_lattice_min_inf_cells_do_not_depend_on_slab_size(monkeypatch, slab_cells, xs, want):
+    """f = 1.5e308*x, eta = u at y = t = 1: the x = 0 cell is 1.5e308 and
+    the x = 1 cell +inf.  A slab holding only the +inf cell raised at one
+    x-row per slab; only a lattice that is +inf throughout raises now."""
+    if slab_cells is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    got = convexity._lattice_min(_f("1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0,
+                                 _CTX1, np.array(xs), np.array([1.0]), np.array([1.0]))
+    assert got == (want, 1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
+def test_lattice_min_minus_inf_defect_raises(monkeypatch, slab_cells):
+    """f = -1.5e308*x, eta = u at y = t = 1: the x = 1 cell is -inf, which
+    raises whatever the slab size, after a finite x = 0 cell."""
+    if slab_cells is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    with pytest.raises(EvalError, match=r"^non-finite defect -inf at x=1\.0, y=1\.0, t=1\.0$"):
+        convexity._lattice_min(_f("-1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+                               np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]))
+
+
+# min_defect, max |f| and witness (x, y, t, lhs, rhs, defect) as float.hex,
+# frozen from the implementation that ran every refinement level.
+_COLLAPSED = {
+    ("x^(2a)", 1.0): (35, "-0x1.8000000000000p-52", "0x1.0000000000000p+0", None),
+    ("abs(x - 0.3)^(a)", 0.5): (34, "-0x1.62cac76c59d7ep-2", "0x1.ac5eb3f7ab2f8p-1", [
+        "0x1.3333333333333p-2", "0x1.ffffffffffffep-1", "0x1.f425ed097b381p-2",
+        "0x1.326398fbaf35fp-1", "0x1.01fc6a8b04940p-2", "-0x1.62cac76c59d7ep-2"]),
+}
+
+
+@pytest.mark.parametrize(("text", "alpha"), sorted(_COLLAPSED))
+def test_certify_stops_refining_a_collapsed_box(monkeypatch, text, alpha):
+    """At grid 8 (9 for the kink) and refine 40, the box around the
+    minimizer holds one value per axis before level 40; the levels after
+    that would evaluate 13**3 copies of one cell, so they are not run, and
+    the report is bit-identical to running them."""
+    calls, original = [], convexity._lattice_min
+
+    def counting(*args):
+        calls.append(args[4].size)
+        return original(*args)
+
+    monkeypatch.setattr(convexity, "_lattice_min", counting)
+    grid = 9 if "abs" in text else 8
+    rep = certify_gsc(_f(text, 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0,
+                      AlphaContext(alpha=alpha), grid_n=grid, refine_depth=40)
+    runs, min_defect, max_abs_f, witness = _COLLAPSED[text, alpha]
+    assert (rep.min_defect.hex(), rep.max_abs_f.hex()) == (min_defect, max_abs_f)
+    w = rep.witness
+    assert (None if w is None else
+            [v.hex() for v in (w.x, w.y, w.t, w.lhs, w.rhs, w.defect)]) == witness
+    assert len(calls) == runs < 41
+    assert rep.evaluations == grid**3 + (runs - 1) * 13**3
+    assert rep.refine_depth == 40
 
 
 _DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)

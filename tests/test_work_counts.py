@@ -8,8 +8,8 @@ say so.
 
 import pytest
 
-from fracon import AlphaContext, EtaSpec, FunctionSpec, certify_gsc, rl_integrate
-from fracon import DerivativeMode, calculus, estimate_eta_sup, lf_derivative
+from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, certify_gsc, rl_integrate
+from fracon import DerivativeMode, calculus, estimate_eta_sup, fejer_terms, lf_derivative
 from fracon.presets import ETA_PRESETS, F_PRESETS
 
 
@@ -128,3 +128,16 @@ def test_eta_sup_work(monkeypatch, eta, f, points):
     estimate_eta_sup(FunctionSpec.from_text(f, domain=(0.0, 1.0)), EtaSpec.from_text(eta),
                      AlphaContext(alpha=0.5))
     assert seen == points
+
+
+def test_fejer_terms_builds_two_meshes_and_reuses_them():
+    """Of fejer_terms' six integrals on x^(2a) over [0, 1] with a smooth
+    weight, five share the smooth [0, 1] mesh and m1 adds the kink at 1/2:
+    two meshes built, four reuses."""
+    ctx = AlphaContext(alpha=0.5)
+    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    calculus._mesh.cache_clear()
+    fejer_terms(FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0)),
+                EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
+    info = calculus._mesh.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
