@@ -213,7 +213,7 @@ class _Mesh(NamedTuple):
 @functools.lru_cache(maxsize=_MESH_CACHE)
 def _mesh(key: bytes) -> _Mesh:
     """The first-pass mesh of ``key``, the packed doubles (a, b, order,
-    *kinks), with the kinks (abscissae) inside (a, b).
+    *kinks), with the kinks (abscissae) sorted, distinct and inside (a, b).
 
     Cached on the key's bytes, so -0.0 and +0.0 are distinct keys: a node
     that maps onto b is b itself, and one that rounds below a is clipped to
@@ -295,17 +295,21 @@ def rl_integrate(
     interval).
 
     The first pass's mesh comes from ``_mesh``, an LRU cache keyed on the
-    bytes of (a, b, order, kinks inside (a, b)), so signed zeros are kept
-    apart.  Its arrays are shared and read-only: on the first pass fn
-    receives one, and writing into it raises ValueError.  The cache holds
-    at most ``_MESH_CACHE`` meshes of at most ``_MESH_SAMPLES`` samples
-    (under 3.5 MiB); a larger first pass (three kinks or more) is built on
-    every call.  ``_MAX_EVALS`` is checked on every call, cached or not.
+    bytes of (a, b, order, the sorted distinct kinks inside (a, b)), so the
+    signed zeros of a and b are kept apart.  Its arrays are shared and
+    read-only: on the first pass fn receives one, and writing into it
+    raises ValueError.  The cache holds at most ``_MESH_CACHE`` meshes of
+    at most ``_MESH_SAMPLES`` samples (under 3.5 MiB); a larger first pass
+    (three distinct kinks or more) is built on every call.  ``_MAX_EVALS``
+    is checked on every call, cached or not.
     """
     a, b, order = float(a), float(b), float(order)
     if not b > a:
         raise ValueError("rl_integrate requires a < b")
-    kinks = [p for p in map(float, points) if a < p < b]
+    # Sorted and distinct, -0.0 as 0.0: the mesh merges the kinks' ladders
+    # into one sorted set anyway, so each kink set gets one key, and a
+    # repeated kink counts once against the panel bound.
+    kinks = sorted({p + 0.0 for p in map(float, points) if a < p < b})
     key = struct.pack(f"{3 + len(kinks)}d", a, b, order, *kinks)
     # An upper bound: merging the ladders may drop duplicate breakpoints.
     panels = _PANELS + 2 * _END_DEPTH + (2 * _KINK_DEPTH + 1) * len(kinks)

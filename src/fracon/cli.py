@@ -28,7 +28,10 @@ Exit codes
 Reports are deterministic: floats are normalized to 15 significant
 digits, no timestamps are embedded, and reruns of the same command are
 byte-identical.  JSON reports share the envelope
-``{"version": "1", "config_echo": ..., "results": ..., "diagnostics": ...}``.
+``{"version": "1", "config_echo": ..., "results": ..., "diagnostics": ...}``,
+written in one pass that rounds each float as it goes, byte-identical to
+``json.dumps(indent=2)`` of the rounded envelope.  Each command line is
+parsed once, by its command's own parser.
 """
 
 from __future__ import annotations
@@ -100,17 +103,43 @@ def _fmt(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def _norm(obj):
-    """Round every float in a JSON-ready structure to 15 significant digits."""
-    if isinstance(obj, bool):
-        return obj
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, nl: str) -> str:
+    """``obj`` as JSON text in one pass, every float first rounded to 15
+    significant digits: the bytes ``json.dumps(obj, indent=2,
+    allow_nan=False)`` writes for the rounded tree, with the same errors
+    for NaN, infinities and types JSON has no form for.  ``nl`` is a
+    newline followed by the indent of ``obj``'s line; dict keys must be
+    strings."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        x = float(_fmt(obj))
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        return float.__repr__(x)
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, dict):
-        return {k: _norm(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]) + nl + "}")
     if isinstance(obj, (list, tuple)):
-        return [_norm(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
@@ -128,7 +157,7 @@ def _emit_report(command: str, config_echo: dict, results: dict, notes: list[str
         "results": results,
         "diagnostics": {"notes": notes},
     }
-    _emit_text(json.dumps(_norm(payload), indent=2, allow_nan=False) + "\n", out)
+    _emit_text(_json_text(payload, "\n") + "\n", out)
 
 
 # ------------------------------------------------------------ config merge
@@ -613,11 +642,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser: built on the first call, and the same
     instance is returned after that, so callers must not modify it."""
-    return _parser_tree()
+    return _parser_tree()[0]
 
 
 @functools.cache
-def _parser_tree() -> argparse.ArgumentParser:
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(prog="fracon",
                      description="verification toolkit for generalized "
                                  "strongly eta-convex functions")
@@ -697,14 +727,30 @@ def _parser_tree() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_axioms)
 
-    return parser
+    return parser, dict(subs.choices)
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, reading the line once.
+
+    A line that starts with a command goes straight to that command's
+    parser: the top-level parser would read the whole line and then hand
+    it everything after the command.  Help, ``--version``, an empty line
+    and an unknown command stay with the top-level parser.
+    """
+    sub = _parser_tree()[1].get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.cmd = argv[0]
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand; returns the exit code (see module docstring)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         # Overflow surfaces as a one-line error below, not as numpy warnings.
         with np.errstate(all="ignore"):
             return args.func(args)

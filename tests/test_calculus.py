@@ -614,6 +614,20 @@ def test_mesh_cache_keeps_signed_zeros_apart():
     assert cold[16] != cold[20]
 
 
+def test_mesh_cache_keys_a_kink_set_once():
+    """Kinks in any order, repeated, or with -0.0 for 0.0, and with others
+    outside (a, b), name one kink set: one mesh is built, and every call
+    gives the cold value bit for bit."""
+    kink_sets = [(0.0, 0.5), (0.5, 0.0), (0.5, -0.0, 0.5), (-0.0, 0.5, 0.5, 0.0, 2.0)]
+    calls = [(_sign_seeing, -1.0, 1.0, 0.5, points) for points in kink_sets]
+    cold, warm = _cold_then_warm(calls)
+    assert len(set(cold)) == 1 and warm == cold
+    calculus._mesh.cache_clear()
+    for points in kink_sets:
+        rl_integrate(_sign_seeing, -1.0, 1.0, 0.5, points=points)
+    assert calculus._mesh.cache_info().misses == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(
     st.sampled_from((-1.0, -0.0, 0.0, 0.25)),

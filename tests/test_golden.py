@@ -10,6 +10,8 @@ Refresh a file with ``PYTHONPATH=src python -m fracon ARGV > tests/golden/NAME``
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,17 @@ def test_output_matches_frozen_file(capsys, name):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (_GOLDEN / name).read_bytes()
+
+
+def test_output_does_not_depend_on_cache_state():
+    """The benchmark's quadrature and sweep cases print the same bytes
+    whether fracon's caches (the parser tree, the quadrature meshes and
+    Gauss--Legendre rules) are warm or cleared before every case."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    argv = [sys.executable, str(tool), "--workload", "quadrature", "--workload", "sweep",
+            "--seeds", "1"]
+    warm = subprocess.run(argv, capture_output=True, text=True, check=True)
+    cold = subprocess.run([*argv, "--cold"], capture_output=True, text=True, check=True)
+    assert warm.stdout.splitlines()[0].startswith("quadrature ")
+    assert len(warm.stdout.splitlines()) == 2
+    assert cold.stdout == warm.stdout

@@ -141,3 +141,18 @@ def test_fejer_terms_builds_two_meshes_and_reuses_them():
                 EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
     info = calculus._mesh.cache_info()
     assert (info.misses, info.hits) == (2, 4)
+
+
+def test_fejer_terms_repeated_kink_shares_one_mesh():
+    """On abs(x - 0.5)^(a), L's kinks are f's and their mirror images,
+    (0.5, 0.5), and m1's are (0.5,): one kink set, so one mesh.  Sorting
+    and deduplicating the kinks before the cache key leaves two meshes
+    built (the smooth [0, 1] one and the one kinked at 1/2), one fewer
+    than when the repeated kink made a key of its own."""
+    ctx = AlphaContext(alpha=0.3)
+    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    calculus._mesh.cache_clear()
+    fejer_terms(FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0)),
+                EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
+    info = calculus._mesh.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
