@@ -9,9 +9,10 @@ c >= 0 and bifunction eta) when for all x, y in [a, b] and t in [0, 1]
 
 with al = alpha.  The *defect* is (right side) - (left side); membership
 is defect >= 0 everywhere.  Certification searches a deterministic
-(x, y, t) lattice, locally refines around the worst point, and reports
-either ``NoViolationFound`` or a self-validating counterexample whose
-defect can be re-evaluated from its coordinates alone.
+(x, y, t) lattice, whose mixtures all lie on one fine grid of [a, b] (so f
+is evaluated once per distinct mixture), locally refines around the worst
+point, and reports either ``NoViolationFound`` or a self-validating
+counterexample whose defect can be re-evaluated from its coordinates alone.
 
 The search can only ever certify "no violation found on this grid" -- a
 clean negative is a counterexample, a clean positive is evidence, and the
@@ -35,7 +36,6 @@ from .expr import (
     FunctionSpec,
     NotPolynomial,
     WeightSpec,
-    _eval,
     _monotone_dirs,
 )
 from .fractal_scalar import AlphaContext, gamma
@@ -97,13 +97,11 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     return lhs, rhs
 
 
-# Lattice cells per x-slab in _lattice_min.  Its working set is three
-# reused float64 buffers of at most this many cells (256 KiB) plus the
-# temporaries of one f evaluation, whatever the grid, unless one x-row
-# alone is larger; only the grid**2 arrays (eta, distances, (t, y) tiles)
-# grow with it.  On the lattice benchmark 1 << 15 cuts the median case
-# time by about 9% against 1 << 14, at the same throughput and traced peak
-# (2.09 MiB); 1 << 16 raises that peak to 2.95 MiB.
+# Lattice cells per slab in _lattice_min.  A slab is as many whole t-planes
+# (grid**2 cells each) as fit, and at least one, so its two float64 buffers
+# (defects, scratch) hold at most this many cells (256 KiB each) unless one
+# plane alone is larger; then they grow with grid**2, like the table of f
+# and the eta and distance arrays.
 _SLAB_CELLS = 1 << 15
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
@@ -115,98 +113,107 @@ _SLAB_CELLS = 1 << 15
 _MAX_REFINE = 40
 
 
-def _lattice_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, float]:
-    """Minimum defect over the (x, y, t) lattice, streamed in x-slabs.
+def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
+    """The factors of the defect's right side: eta(f(x), f(y)) and
+    |x - y|**(2 al) over (x, y), t**al and c**al t**al (1 - t)**al over t."""
+    al = ctx.alpha
+    e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
+    ta = ts**al
+    corr = c**al * ta * (1.0 - ts) ** al
+    dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
+    return e, ta, corr, dist
 
-    Returns ``((i, j, k), min defect, max |f| over the mixtures)``, where
-    (i, j, k) is the first lattice index (C order) holding the minimum.
-    Each slab covers ``max(1, _SLAB_CELLS // (len(ys) * len(ts)))`` x-rows
-    laid out (x, t, y), and evaluates every cell with the same expression,
-    in the same operation order, as a whole-lattice evaluation would, so
-    the defects are bit-identical to it.  The mixtures, the defects and one
-    scratch array live in three buffers allocated once per call and written
-    in place by every slab.  A slab's minimum is located by one contiguous
-    argmin; only when it beats the running best (or is NaN, or no cell is
-    held yet) is the x-row holding it searched again in (y, t) order, and the best moves on
-    a strict improvement only, so ties keep the first index.
-    A non-finite f at a mixture, a NaN anywhere, or a -inf defect raises
-    EvalError at the slab holding it.  A +inf defect (an overflowed right
-    side) is no violation; only a lattice whose minimum is +inf, i.e. +inf
-    in every cell, raises, at its first cell, so the outcome does not depend
-    on the slab size.  Floating-point warnings are silenced here;
-    non-finite values are errors instead.
+
+def _finite_min(low: float, x, y, t) -> float:
+    """``low``, the minimum defect at (x, y, t), unless it is NaN or infinite."""
+    if not math.isfinite(low):
+        x, y, t = float(x), float(y), float(t)
+        raise EvalError(f"non-finite defect {low!r} at x={x!r}, y={y!r}, t={t!r}")
+    return low
+
+
+def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, float]:
+    """Minimum defect over the main lattice, x and y on xs, t on ts.
+
+    xs and ts are the ``linspace``s of n points over [a, b] and [0, 1], so
+    the mixture t_k x_i + (1 - t_k) x_j is a + (b - a) m / (n - 1)**2 with
+    m = k i + (n - 1 - k) j.  f is evaluated once, on the table
+    X = linspace(a, b, (n - 1)**2 + 1) with X[::n - 1] = xs, so the t = 0
+    and t = 1 planes see f at the lattice points themselves, and plane k
+    reads f(mixture) as a view of the table with strides k and n - 1 - k.
+    Returns ``((i, j, k), min defect, max |f| over the table)``, where
+    (i, j, k) is the first lattice index (C order) holding the minimum;
+    every table point is a mixture (plane k = 1 alone covers every m).
+    The lattice is walked in slabs of ``max(1, _SLAB_CELLS // n**2)``
+    whole t-planes laid out (t, x, y); the right side keeps the operation
+    order of a whole-lattice evaluation, so only f(mixture) differs from
+    f at the float mixture fl(t x) + fl((1 - t) y).  Each plane's first
+    minimum (or NaN) comes from one argmin, and the planes' minima are
+    ranked NaN first, then by value, (x, y) index and t, so ties keep the
+    first index whatever the slab size.  A non-finite f on the table, a
+    NaN anywhere or a -inf defect raises EvalError.  A +inf defect (an
+    overflowed right side) is no violation; the t = 0 plane is exactly 0,
+    so no main lattice is +inf throughout.  Floating-point warnings are
+    silenced here; non-finite values are errors instead.
     """
+    n = len(xs)
     with np.errstate(all="ignore"):
-        al = ctx.alpha
-        ny, nt = len(ys), len(ts)
-        fx = f.evaluate_many(xs, ctx)
-        fy = f.evaluate_many(ys, ctx)
-        e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
-        ta = ts**al
-        corr = c**al * ta * (1.0 - ts) ** al
-        dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
-        # The slab-invariant factors as (t, y) tiles.  A ufunc that
-        # broadcasts an operand along the innermost axis runs several times
-        # slower than one over contiguous rows, so y is the inner axis and
-        # the (x, y) rows of e and dist broadcast along t, the middle one.
-        ts_ty, fy_ty, ta_ty, corr_ty = np.empty((4, nt, ny))
-        ts_ty[...] = ts[:, None]
-        fy_ty[...] = fy
-        ta_ty[...] = ta[:, None]
-        corr_ty[...] = corr[:, None]
-        ty = (1.0 - ts[:, None]) * ys  # (1 - t) * y, the same in every slab
+        mixtures = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
+        mixtures[:: n - 1] = xs
+        table = f.evaluate_many(mixtures, ctx)
+        fx = table[:: n - 1]
+        e, ta, corr, dist = _right_side(eta, c, ctx, fx, fx, xs, xs, ts)
         # A strong term of +0.0 everywhere changes no bit when subtracted,
         # so it is skipped; an infinite distance keeps it, as 0 * inf is NaN.
         strong = corr.any() or np.signbit(corr).any() or not np.isfinite(dist).all()
-        params = f._params()
-        rows = min(len(xs), max(1, _SLAB_CELLS // (ny * nt)))
-        # One block rather than three: on glibc, freeing a block this large
-        # raises malloc's mmap and trim thresholds above it, so the slab-sized
-        # temporaries of later f evaluations stay on the heap instead of
-        # being handed back to the OS and faulted in again on every slab.
-        mix_buf, d_buf, tmp_buf = np.empty((3, rows, nt, ny))
-        best_idx, best, max_abs_f = None, math.inf, 0.0
-        for i0 in range(0, len(xs), rows):
-            n = min(rows, len(xs) - i0)
-            sl = slice(i0, i0 + n)
-            mix, d, tmp = mix_buf[:n], d_buf[:n], tmp_buf[:n]
-            np.multiply(ts_ty, xs[sl, None, None], out=mix)
-            np.add(mix, ty, out=mix)
-            # The right side first: its broadcasting ufuncs allocate iterator
-            # buffers, which then never coexist with f's values.
-            np.multiply(ta_ty, e[sl, None, :], out=tmp)
-            np.add(fy_ty, tmp, out=d)
+        planes = min(n, max(1, _SLAB_CELLS // (n * n)))
+        d_buf, tmp_buf = np.empty((2, planes, n, n))
+        # f(y) as whole (x, y) rows: a ufunc that broadcasts an operand along
+        # the innermost axis runs slower than one over contiguous rows.
+        fy = fx[None, :].repeat(n, axis=0)
+        step = table.itemsize
+        best = (True, math.inf, n * n, n)  # (not NaN, defect, i n + j, k)
+        for k0 in range(0, n, planes):
+            k1 = min(n, k0 + planes)
+            d, tmp = d_buf[: k1 - k0], tmp_buf[: k1 - k0]
+            np.multiply(ta[k0:k1, None, None], e, out=d)
+            np.add(fy, d, out=d)
             if strong:
-                np.multiply(corr_ty, dist[sl, None, :], out=tmp)
+                np.multiply(corr[k0:k1, None, None], dist, out=tmp)
                 np.subtract(d, tmp, out=d)
-            # The evaluator's worker, without evaluate_raw's finiteness pass:
-            # the max and min that max |f| needs are NaN or infinite exactly
-            # when some value is.
-            fmix = np.asarray(_eval(f.ast, {"x": mix}, params, al))
-            hi, lo = float(fmix.max()), float(fmix.min())
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise EvalError("non-finite value in evaluation")
-            max_abs_f = max(max_abs_f, hi, -lo)
-            np.subtract(d, fmix, out=d)
-            del fmix  # before the argmin below copies a row, not alongside it
-            # The first minimum in (x, t, y) order lies in the first x-row
-            # holding the minimum (or a NaN); only that row's (y, t) order
-            # decides between the cells tied there.
-            # An all-+inf slab is searched only while no cell is held, so the
-            # first +inf cell stands for a lattice that is +inf throughout.
-            flat = int(np.argmin(d))
-            low = d.flat[flat]
-            if low < best or math.isnan(low) or best_idx is None:
-                i = flat // (nt * ny)
-                j, k = divmod(int(np.argmin(d[i].T)), nt)
-                best_idx, best = (i0 + i, j, k), float(d[i, k, j])
-                if not best > -math.inf:  # NaN or -inf: no later slab can matter
-                    break
-    if not math.isfinite(best):
-        i, j, k = best_idx
-        x, y, t = float(xs[i]), float(ys[j]), float(ts[k])
-        raise EvalError(f"non-finite defect {best!r} at x={x!r}, y={y!r}, t={t!r}")
-    return best_idx, best, max_abs_f
+            for plane, k in zip(d, range(k0, k1)):
+                strides = (k * step, (n - 1 - k) * step)
+                np.subtract(plane, np.ndarray((n, n), table.dtype, table, 0, strides), out=plane)
+            rows = d.reshape(k1 - k0, n * n)
+            at = rows.argmin(axis=1)
+            lows = rows[np.arange(k1 - k0), at]
+            for k, flat, low in zip(range(k0, k1), at.tolist(), lows.tolist()):
+                key = (low == low, low if low == low else 0.0, flat, k)
+                if key < best:
+                    best = key
+        max_abs_f = float(np.abs(table).max())
+    ok, low, flat, k = best
+    i, j = divmod(flat, n)
+    return (i, j, k), _finite_min(low if ok else math.nan, xs[i], xs[j], ts[k]), max_abs_f
+
+
+def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, float]:
+    """Minimum defect over a refinement box, evaluated as one (x, y, t) tensor.
+
+    The box's mixtures lie on no 1-D grid, so f is evaluated at the float
+    mixtures fl(t x) + fl((1 - t) y).  Returns as ``_lattice_min`` does,
+    with max |f| over the mixtures; ties keep the first index.  A
+    non-finite f at a mixture, a NaN or -inf defect, or a box whose every
+    defect is +inf raises EvalError.
+    """
+    with np.errstate(all="ignore"):
+        fx, fy = f.evaluate_many(xs, ctx), f.evaluate_many(ys, ctx)
+        e, ta, corr, dist = _right_side(eta, c, ctx, fx, fy, xs, ys, ts)
+        fmix = f.evaluate_many(ts * xs[:, None, None] + (1.0 - ts) * ys[:, None], ctx)
+        d = fy[:, None] + ta * e[:, :, None] - corr * dist[:, :, None] - fmix
+    i, j, k = (int(v) for v in np.unravel_index(int(np.argmin(d)), d.shape))
+    low = _finite_min(float(d[i, j, k]), xs[i], ys[j], ts[k])
+    return (i, j, k), low, float(np.abs(fmix).max())
 
 
 @dataclass(frozen=True)
@@ -306,12 +313,16 @@ def certify_gsc(
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
     level (clipped to bounds); ``refine_depth`` must lie in [0, 40].  The
-    lattice is streamed in x-slabs of about 32k cells, laid out (x, t, y),
-    with a running minimum, so memory is bounded: three slab buffers reused
-    by every slab, one f evaluation's temporaries and a few ``grid_n``**2
-    arrays, never a ``grid_n``**3 tensor (traced peak about 2.1 MiB at
-    grid 150).  The violation threshold scales with the sampled magnitude
-    of f: tol = 1e-9 * (1 + max |f|).  Reductions run through the same
+    lattice's mixtures t*x + (1-t)*y are the (grid_n - 1)**2 + 1 evenly
+    spaced points of [a, b], so f is evaluated once on that table and read
+    back plane by plane.  The lattice is walked in slabs of whole t-planes
+    (about 32k cells, or one plane when a plane is larger) with a running
+    minimum, so memory is bounded: two slab buffers and a few ``grid_n``**2
+    arrays (the table among them), never a ``grid_n``**3 tensor (traced
+    peak about 1.4 MiB at grid 150).  A refinement box, whose mixtures lie
+    on no such grid, is one 13**3 tensor at float mixtures.  The violation
+    threshold scales with the sampled magnitude of f over the mixtures:
+    tol = 1e-9 * (1 + max |f|).  Reductions run through the same
     lattice: endpoints of the t-grid cover the necessary conditions' t = 1
     instances, so an eta failing them is also caught as a plain
     counterexample.  Deterministic: ties resolve to the first lattice index
@@ -322,8 +333,8 @@ def certify_gsc(
     and ``evaluations`` counts only the levels that ran.  A +inf defect (an
     overflowed right side) is no violation.  A NaN defect (e.g. 0 * inf
     where |x - y|**(2*al) overflows on a very wide interval), a -inf
-    defect, a lattice or box whose every defect is +inf, or a non-finite f
-    at a mixture raises EvalError.
+    defect, a box whose every defect is +inf, or a non-finite f at a
+    mixture raises EvalError.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
@@ -339,7 +350,7 @@ def certify_gsc(
 
     necessary = check_eta_necessary(f, eta, ctx, grid_n)
 
-    (i, j, k), min_defect, max_abs_f = _lattice_min(f, eta, c, ctx, xs, xs, ts)
+    (i, j, k), min_defect, max_abs_f = _lattice_min(f, eta, c, ctx, xs, ts)
     evaluations = grid_n**3
     best = (float(xs[i]), float(xs[j]), float(ts[k]))
 
@@ -359,7 +370,7 @@ def certify_gsc(
         lt = np.linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
         if lx[0] == lx[-1] and ly[0] == ly[-1] and lt[0] == lt[-1]:
             break  # the box is the best cell alone, here and at every later level
-        (i, j, k), box_min, mf = _lattice_min(f, eta, c, ctx, lx, ly, lt)
+        (i, j, k), box_min, mf = _box_min(f, eta, c, ctx, lx, ly, lt)
         evaluations += 13**3
         max_abs_f = max(max_abs_f, mf)
         if box_min < min_defect:

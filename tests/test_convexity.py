@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -276,7 +277,11 @@ def test_certify_requires_domain():
         certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=16)
 
 
-# ------------------------------------------------------ streamed lattice
+# ------------------------------------------------------------ lattice kernels
+#
+# The main lattice reads f from the table of its (grid - 1)**2 + 1 evenly
+# spaced mixtures and is walked in slabs of whole t-planes; a refinement
+# box is evaluated whole, at float mixtures.
 
 
 _SLAB_CASES = [
@@ -294,7 +299,7 @@ _SLAB_CASES = [
                          ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
 def test_certify_report_independent_of_slab_size(monkeypatch, text, eta, c, alpha, status,
                                                  rows):
-    """Slabs of 1 or 3 x-rows (3 leaves a short last slab) change nothing."""
+    """Slabs of 1 or 3 t-planes (3 leaves a short last slab) change nothing."""
     f = _f(text, 0.0, 1.0)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
@@ -316,8 +321,37 @@ def test_certify_tie_keeps_first_lattice_index(monkeypatch, slab_cells):
     assert rep.witness.defect == -1.0
 
 
-def _lattice_min_reference(f, eta, c, ctx, xs, ys, ts):
-    """The whole-tensor lattice evaluation that the slabs replace."""
+def _table_defects(f, eta, c, ctx, xs, ts):
+    """The main lattice's defects and f(mixture) as whole (x, y, t) tensors.
+
+    Mixture (i, j, k) is table point k*i + (n - 1 - k)*j, gathered here by
+    fancy indexing rather than through the kernel's plane views.
+    """
+    n, al = len(xs), ctx.alpha
+    mixtures = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
+    mixtures[:: n - 1] = xs
+    table = f.evaluate_many(mixtures, ctx)
+    fx = table[:: n - 1]
+    e = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
+    ta = ts**al
+    corr = c**al * ta * (1.0 - ts) ** al
+    dist = np.abs(xs[:, None] - xs[None, :]) ** (2.0 * al)
+    i, j, k = np.ogrid[:n, :n, :n]
+    fmix = table[k * i + (n - 1 - k) * j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = fx[None, :, None] + ta * e[:, :, None] - corr * dist[:, :, None] - fmix
+    return d, fmix
+
+
+def _table_reference(f, eta, c, ctx, xs, ts):
+    """The whole-tensor evaluation that the main-lattice slabs replace."""
+    d, fmix = _table_defects(f, eta, c, ctx, xs, ts)
+    i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
+    return (int(i), int(j), int(k)), float(d[i, j, k]), float(np.max(np.abs(fmix)))
+
+
+def _box_reference(f, eta, c, ctx, xs, ys, ts):
+    """The whole-tensor evaluation at float mixtures t*x + (1-t)*y."""
     al = ctx.alpha
     fx = f.evaluate_many(xs, ctx)
     fy = f.evaluate_many(ys, ctx)
@@ -343,66 +377,169 @@ def _lattice_min_reference(f, eta, c, ctx, xs, ys, ts):
                          ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
 def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, status, box,
                                           rows):
-    """The slabbed kernel returns exactly the whole-tensor index, minimum
-    and max |f|, on the main lattice and on an off-centre refinement box
-    clipped at x = 0 (so xs differs from ys)."""
+    """Both kernels return exactly the whole-tensor index, minimum and max
+    |f|: the main lattice in slabs of 1 or 3 t-planes or the default, and an
+    off-centre refinement box clipped at x = 0 (so xs differs from ys),
+    which reads no slab size at all."""
     f = _f(text, 0.0, 1.0)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
+    xs = ts = np.linspace(0.0, 1.0, 20)
+    if rows is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * len(xs) ** 2)
     if box:
         w = 1.0 / 19
         xs = np.linspace(max(0.0, 0.02 - w), min(1.0, 0.02 + w), 13)
         ys = np.linspace(max(0.0, 0.61 - w), min(1.0, 0.61 + w), 13)
         ts = np.linspace(max(0.0, 0.97 - w), min(1.0, 0.97 + w), 13)
+        got = convexity._box_min(f, eta, c, ctx, xs, ys, ts)
+        assert got == _box_reference(f, eta, c, ctx, xs, ys, ts)
     else:
-        xs = ys = np.linspace(0.0, 1.0, 20)
-        ts = np.linspace(0.0, 1.0, 20)
-    if rows is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * len(ys) * len(ts))
-    got = convexity._lattice_min(f, eta, c, ctx, xs, ys, ts)
-    assert got == _lattice_min_reference(f, eta, c, ctx, xs, ys, ts)
+        got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
+        assert got == _table_reference(f, eta, c, ctx, xs, ts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(8, 30),
+    text=st.sampled_from(["x^(2a)", "-x^(2a)", "x", "1", "abs(x - 0.3)^(a)", "x^(4a) - x^(a)"]),
+    eta=st.sampled_from(["u - v", "u*v", "2^a*u + v", "-1"]),
+    alpha=st.sampled_from([0.3, 0.5, 1.0]),
+    c=st.sampled_from([0.0, -0.0, 2.0]),
+    interval=st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (-0.7, 0.4), (0.2, 1.3), (-3.0, -1.0)])
+    | st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 2.0)),
+    slab_cells=st.integers(1, 3 * 30 * 30),
+)
+# The minimum -96/49 sits at the mirror cells (7, 0, 3) and (0, 7, 4); the
+# first in (x, y, t) order is in the later plane, and here the later slab.
+@example(n=8, text="x", eta="u - v", alpha=1.0, c=2.0, interval=(-1.0, 1.0), slab_cells=1)
+def test_lattice_min_matches_table_reference(n, text, eta, alpha, c, interval, slab_cells):
+    """On random grids and intervals (a < 0 < b among them) the main-lattice
+    kernel returns the whole-tensor index, minimum and max |f| over the same
+    mixture table bit for bit, whatever the slab size."""
+    f, eta = _f(text, *interval), EtaSpec.from_text(eta)
+    ctx = AlphaContext(alpha=alpha)
+    xs, ts = np.linspace(*interval, n), np.linspace(0.0, 1.0, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convexity, "_SLAB_CELLS", slab_cells)
+        got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
+    want = _table_reference(f, eta, c, ctx, xs, ts)
+    assert got[0] == want[0]
+    assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
+@pytest.mark.parametrize("text", ["abs(x - 0.3)^(a)", "x^(a) - 2*x^(3a)", "-abs(x + 0.1)^(2a)"])
+@pytest.mark.parametrize("n", [8, 21, 50])
+def test_lattice_min_t0_plane_is_exactly_zero(monkeypatch, text, n):
+    """The table holds the lattice points themselves at every (n - 1)-th
+    entry (on [-0.7, 1.3] a fine linspace alone misses 4 of them at grid 21
+    and 36 at grid 50), so at t = 0 the mixture is y and the defect
+    f(y) - f(y) is +0.0.  With eta = u - v + 1e6 every later plane is far
+    positive, so the minimum is that zero, at the first cell."""
+    tables = []
+    original = FunctionSpec.evaluate_many
+
+    def recording(self, xs, ctx):
+        tables.append(xs)
+        return original(self, xs, ctx)
+
+    f, eta = _f(text, -0.7, 1.3), EtaSpec.from_text("u - v + 1e6")
+    xs, ts = np.linspace(-0.7, 1.3, n), np.linspace(0.0, 1.0, n)
+    monkeypatch.setattr(FunctionSpec, "evaluate_many", recording)
+    (i, j, k), low, _ = convexity._lattice_min(f, eta, 1.0, AlphaContext(alpha=0.4), xs, ts)
+    assert ((i, j, k), low.hex()) == ((0, 0, 0), (0.0).hex())
+    [table] = tables
+    assert table.size == (n - 1) ** 2 + 1
+    assert [v.hex() for v in table[:: n - 1]] == [v.hex() for v in xs]
+
+
+@pytest.mark.parametrize("n", [8, 9, 24, 50, 151])
+def test_every_table_point_is_a_lattice_mixture(n):
+    """Plane k = 1 alone reaches every m = i + (n - 2) j in [0, (n - 1)**2],
+    so max |f| over the table is the max over the whole lattice."""
+    i, j = np.ogrid[:n, :n]
+    assert np.array_equal(np.unique(i + (n - 2) * j), np.arange((n - 1) ** 2 + 1))
+    # |f| peaks at 0.3, which is a lattice point of [0, 1] only at grid 151.
+    f, eta = _f("1 - abs(x - 0.3)^(a)", 0.0, 1.0), EtaSpec.from_text("u - v")
+    xs, ts = np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n)
+    ctx = AlphaContext(alpha=0.5)
+    got = convexity._lattice_min(f, eta, 0.0, ctx, xs, ts)[2]
+    mixtures = np.linspace(0.0, 1.0, (n - 1) ** 2 + 1)
+    mixtures[:: n - 1] = xs
+    table = f.evaluate_many(mixtures, ctx)
+    assert np.max(np.abs(table)) > np.max(np.abs(f.evaluate_many(xs, ctx))) or n == 151
+    assert got == float(np.max(np.abs(table))) == float(np.max(np.abs(
+        _table_defects(f, eta, 0.0, ctx, xs, ts)[1])))
 
 
 def test_lattice_min_inf_defect_is_no_violation_unless_it_is_the_minimum():
     """f = 1.5e308, eta = u: at t = 1 the right side f(y) + eta overflows to
-    +inf, which is no violation; a slab of +inf cells only has no finite
-    minimum, and raises."""
+    +inf, which is no violation; a box of +inf cells only has no finite
+    minimum, and raises at its first cell."""
     f, eta = _f("1.5e308", 0.0, 1.0), EtaSpec.from_text("u")
     xs = np.array([0.0, 0.5])
-    got = convexity._lattice_min(f, eta, 0.0, _CTX1, xs, xs, np.array([0.0, 1.0]))
+    got = convexity._box_min(f, eta, 0.0, _CTX1, xs, xs, np.array([0.0, 1.0]))
     assert got == ((0, 0, 0), 0.0, 1.5e308)
     with pytest.raises(EvalError, match=r"^non-finite defect inf at x=0\.0, y=0\.0, t=1\.0$"):
-        convexity._lattice_min(f, eta, 0.0, _CTX1, xs, xs, np.array([1.0]))
+        convexity._box_min(f, eta, 0.0, _CTX1, xs, xs, np.array([1.0]))
 
 
-@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
 @pytest.mark.parametrize(("xs", "want"), (([0.0, 1.0], (0, 0, 0)), ([1.0, 0.0], (1, 0, 0))))
-def test_lattice_min_inf_cells_do_not_depend_on_slab_size(monkeypatch, slab_cells, xs, want):
+def test_box_min_inf_cell_before_or_after_the_finite_one(xs, want):
     """f = 1.5e308*x, eta = u at y = t = 1: the x = 0 cell is 1.5e308 and
-    the x = 1 cell +inf.  A slab holding only the +inf cell raised at one
-    x-row per slab; only a lattice that is +inf throughout raises now."""
-    if slab_cells is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
-    got = convexity._lattice_min(_f("1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0,
-                                 _CTX1, np.array(xs), np.array([1.0]), np.array([1.0]))
+    the x = 1 cell +inf, in either order; only a box that is +inf
+    throughout raises."""
+    got = convexity._box_min(_f("1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+                             np.array(xs), np.array([1.0]), np.array([1.0]))
     assert got == (want, 1.5e308, 1.5e308)
 
 
 @pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
-def test_lattice_min_minus_inf_defect_raises(monkeypatch, slab_cells):
-    """f = -1.5e308*x, eta = u at y = t = 1: the x = 1 cell is -inf, which
-    raises whatever the slab size, after a finite x = 0 cell."""
+@pytest.mark.parametrize(("xs", "want"), (([0.5, 1.0], ((0, 0, 0), 0.0, 1.5e308)),
+                                          ([0.9, 1.0], ((0, 0, 0), 0.0, 1.5e308))))
+def test_lattice_min_inf_cells_do_not_depend_on_slab_size(monkeypatch, slab_cells, xs, want):
+    """f = 1.5e308*x, eta = u, c = 0 on [a, 1] at grid 8: the right side
+    f(y) + t*f(x) overflows to +inf near x = y = t = 1, and on [0.9, 1]
+    every plane from t = 3/7 on is +inf throughout.  A +inf cell is no
+    violation, so in slabs of one plane or of the whole lattice the
+    minimum is the t = 0 plane's exact 0 at the first cell."""
     if slab_cells is not None:
         monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
-    with pytest.raises(EvalError, match=r"^non-finite defect -inf at x=1\.0, y=1\.0, t=1\.0$"):
+    f, eta = _f("1.5e308*x", *xs), EtaSpec.from_text("u")
+    lattice, ts = np.linspace(*xs, 8), np.linspace(0.0, 1.0, 8)
+    assert np.isposinf(_table_defects(f, eta, 0.0, _CTX1, lattice, ts)[0]).any()
+    assert convexity._lattice_min(f, eta, 0.0, _CTX1, lattice, ts) == want
+
+
+@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
+def test_lattice_min_minus_inf_defect_raises(monkeypatch, slab_cells):
+    """f = -1.5e308*x, eta = u, c = 0 on [0, 1] at grid 8: f(y) + t*f(x)
+    overflows to -inf first, in (x, y, t) order, at x = 2/7, y = 1,
+    t = 5/7 (1 + 10/49 times -1.5e308); at x = 1/7 even y = t = 1 stays
+    finite.  That cell is named whatever the slab size, though later
+    planes reach -inf at smaller (x, y)."""
+    if slab_cells is not None:
+        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    xs, ts = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8)
+    want = f"non-finite defect -inf at x={float(xs[2])!r}, y=1.0, t={float(ts[5])!r}"
+    with pytest.raises(EvalError, match=f"^{re.escape(want)}$"):
         convexity._lattice_min(_f("-1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
-                               np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]))
+                               xs, ts)
+
+
+def test_box_min_minus_inf_defect_raises():
+    """f = -1.5e308*x, eta = u at y = t = 1: the x = 1 cell is -inf, which
+    raises after a finite x = 0 cell."""
+    with pytest.raises(EvalError, match=r"^non-finite defect -inf at x=1\.0, y=1\.0, t=1\.0$"):
+        convexity._box_min(_f("-1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+                           np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]))
 
 
 # min_defect, max |f| and witness (x, y, t, lhs, rhs, defect) as float.hex,
-# frozen from the implementation that ran every refinement level.
+# frozen from the implementation that ran every refinement level; the x^(2a)
+# minimum is float noise of the main lattice's mixtures.
 _COLLAPSED = {
-    ("x^(2a)", 1.0): (35, "-0x1.8000000000000p-52", "0x1.0000000000000p+0", None),
+    ("x^(2a)", 1.0): (34, "-0x1.0000000000000p-53", "0x1.0000000000000p+0", None),
     ("abs(x - 0.3)^(a)", 0.5): (34, "-0x1.62cac76c59d7ep-2", "0x1.ac5eb3f7ab2f8p-1", [
         "0x1.3333333333333p-2", "0x1.ffffffffffffep-1", "0x1.f425ed097b381p-2",
         "0x1.326398fbaf35fp-1", "0x1.01fc6a8b04940p-2", "-0x1.62cac76c59d7ep-2"]),
@@ -415,13 +552,13 @@ def test_certify_stops_refining_a_collapsed_box(monkeypatch, text, alpha):
     minimizer holds one value per axis before level 40; the levels after
     that would evaluate 13**3 copies of one cell, so they are not run, and
     the report is bit-identical to running them."""
-    calls, original = [], convexity._lattice_min
+    calls = []
+    for name in ("_lattice_min", "_box_min"):
+        def counting(*args, _kernel=getattr(convexity, name)):
+            calls.append(args[4].size)
+            return _kernel(*args)
 
-    def counting(*args):
-        calls.append(args[4].size)
-        return original(*args)
-
-    monkeypatch.setattr(convexity, "_lattice_min", counting)
+        monkeypatch.setattr(convexity, name, counting)
     grid = 9 if "abs" in text else 8
     rep = certify_gsc(_f(text, 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0,
                       AlphaContext(alpha=alpha), grid_n=grid, refine_depth=40)
@@ -446,32 +583,29 @@ _DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)
     xs=st.lists(_DYADIC, min_size=1, max_size=6),
     ys=st.lists(_DYADIC, min_size=1, max_size=6),
     ts=st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=1, max_size=6),
-    slab_cells=st.integers(1, 400),
 )
-# Defects +0.0 then -0.0 in one slab: the slab's min() is -0.0, but the
-# first index holds +0.0.
-@example(text="x", eta="u*v", c=0.0, xs=[0.5], ys=[0.0, -0.0], ts=[0.0], slab_cells=2)
+# Defects +0.0 then -0.0: the box's min() is -0.0, but the first index
+# holds +0.0.
+@example(text="x", eta="u*v", c=0.0, xs=[0.5], ys=[0.0, -0.0], ts=[0.0])
 # The first zero in (x, y, t) order is +0.0, in (x, t, y) order -0.0.
-@example(text="x", eta="u*v", c=0.0, xs=[0.0], ys=[0.125, 1.0, -0.0], ts=[0.625, 0.0],
-         slab_cells=6)
+@example(text="x", eta="u*v", c=0.0, xs=[0.0], ys=[0.125, 1.0, -0.0], ts=[0.625, 0.0])
 # A strong term of -0.0 (c = -0.0) turns the defect -0.0 into +0.0.
-@example(text="x", eta="u*v", c=-0.0, xs=[0.5], ys=[-0.0], ts=[0.0], slab_cells=1)
-def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts, slab_cells):
+@example(text="x", eta="u*v", c=-0.0, xs=[0.5], ys=[-0.0], ts=[0.0])
+def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts):
     """On dyadic points at alpha = 1 every defect is exact, so many cells tie,
-    zeros of both signs among them.  Index, minimum and max |f| match the
-    whole tensor bit for bit, whatever the slab size."""
+    zeros of both signs among them.  The box kernel, which takes any xs, ys
+    and ts, returns the whole tensor's index, minimum and max |f| bit for
+    bit."""
     f, eta = _f(text, -1.0, 1.0), EtaSpec.from_text(eta)
     xs, ys, ts = np.array(xs), np.array(ys), np.array(ts)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexity, "_SLAB_CELLS", slab_cells)
-        got = convexity._lattice_min(f, eta, c, _CTX1, xs, ys, ts)
-    want = _lattice_min_reference(f, eta, c, _CTX1, xs, ys, ts)
+    got = convexity._box_min(f, eta, c, _CTX1, xs, ys, ts)
+    want = _box_reference(f, eta, c, _CTX1, xs, ys, ts)
     assert got[0] == want[0]
     assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
 
 
-def test_certify_memory_is_bounded():
-    """At grid 120 a whole-lattice tensor would peak near 53 MiB."""
+def _certify_peak(grid_n: int) -> int:
+    """Traced peak bytes of one certify of x^(2a) on [0, 1] at alpha 0.5."""
     f = _f("x^(2a)", 0.0, 1.0)
     eta = EtaSpec.from_text("u - v")
     tracing = tracemalloc.is_tracing()
@@ -480,12 +614,25 @@ def test_certify_memory_is_bounded():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        certify_gsc(f, eta, 1.0, AlphaContext(alpha=0.5), grid_n=120, refine_depth=3)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        certify_gsc(f, eta, 1.0, AlphaContext(alpha=0.5), grid_n=grid_n, refine_depth=3)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_certify_memory_is_bounded():
+    """At grid 120 a whole-lattice tensor would peak near 53 MiB."""
+    assert _certify_peak(120) < 8 * 2**20
+
+
+def test_certify_memory_grows_with_grid_squared_past_one_plane_per_slab():
+    """At grid 300 one t-plane (90,000 cells) exceeds _SLAB_CELLS, so each
+    slab is a single plane, and the working set is a few grid**2 arrays
+    (720 KB each): the table of f, eta, the distances and the two slab
+    buffers.  A whole-lattice tensor would take 216 MB."""
+    assert 300**2 > convexity._SLAB_CELLS
+    assert _certify_peak(300) < 8 * 2**20
 
 
 # ---------------------------------------------------- necessary-sign checks

@@ -79,6 +79,29 @@ def test_certify_lattice_cells(grid, refine, cells):
     assert rep.evaluations == grid**3 + refine * 13**3 == cells
 
 
+@pytest.mark.parametrize(("grid", "refine"), ((20, 2), (50, 0), (8, 1)))
+def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine):
+    """The main lattice's grid**3 mixtures are the (grid - 1)**2 + 1 evenly
+    spaced points of one table, so f is evaluated there once each: after
+    the grid points of the eta screen, one table call, then per refinement
+    level the box's 13 x and 13 y points and its 13**3 mixtures.  The
+    report's ``evaluations`` still counts lattice cells."""
+    sizes = []
+    original = FunctionSpec.evaluate_many
+
+    def recording(self, xs, ctx):
+        out = original(self, xs, ctx)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(FunctionSpec, "evaluate_many", recording)
+    rep = certify_gsc(FunctionSpec.from_text("x^(2a)", domain=(-1.0, 1.0)),
+                      EtaSpec.from_text("u - v"), 0.0, AlphaContext(alpha=0.5),
+                      grid_n=grid, refine_depth=refine)
+    assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13, 13, 13**3]
+    assert rep.evaluations == grid**3 + refine * 13**3
+
+
 @pytest.mark.parametrize(("text", "x0", "alpha", "work"), (
     ("abs(x - 0.3)^(a)", 0.4, 0.3, (3480, 1, True)),
     ("x^(2a)", 0.5, 0.5, (2976, 1, True)),
