@@ -80,8 +80,9 @@ _SWEEP_ETAS = ("difference", "example23")
 _SWEEP_FS = ("square", "negsquare", "const")
 _SWEEP_BUDGET = 100_000
 # Largest accepted --grid: 1e9 lattice cells.  The lattice is streamed, but
-# its grid**2 arrays (the (grid - 1)**2 + 1 table of f, eta, distances and
-# the slab buffers, about 8 MB each at this cap) are not.
+# its six grid**2 arrays (the (grid - 1)**2 + 1 table of f, eta, distances,
+# the f(y) tile and the two slab buffers, about 8 MB each at this cap, 46 MiB
+# traced peak) are not.
 _MAX_GRID = 1000
 # Largest accepted axioms --triples: the conformance table holds about 88 B
 # per triple for each alpha (8.4 MiB traced peak at 10**5), so ~88 MB here.

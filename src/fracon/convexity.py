@@ -100,8 +100,9 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
 # Lattice cells per slab in _lattice_min.  A slab is as many whole t-planes
 # (grid**2 cells each) as fit, and at least one, so its two float64 buffers
 # (defects, scratch) hold at most this many cells (256 KiB each) unless one
-# plane alone is larger; then they grow with grid**2, like the table of f
-# and the eta and distance arrays.
+# plane alone is larger; then they grow with grid**2, like the other four
+# arrays live in the slab loop: the table of f, eta, the distances and the
+# f(y) tile.
 _SLAB_CELLS = 1 << 15
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
@@ -161,6 +162,10 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         mixtures = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
         mixtures[:: n - 1] = xs
         table = f.evaluate_many(mixtures, ctx)
+        # Free the mixtures and |table| before the slab buffers exist, so
+        # the slab loop holds six grid**2 arrays.
+        del mixtures
+        max_abs_f = float(np.abs(table).max())
         fx = table[:: n - 1]
         e, ta, corr, dist = _right_side(eta, c, ctx, fx, fx, xs, xs, ts)
         # A strong term of +0.0 everywhere changes no bit when subtracted,
@@ -191,7 +196,6 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
                 key = (low == low, low if low == low else 0.0, flat, k)
                 if key < best:
                     best = key
-        max_abs_f = float(np.abs(table).max())
     ok, low, flat, k = best
     i, j = divmod(flat, n)
     return (i, j, k), _finite_min(low if ok else math.nan, xs[i], xs[j], ts[k]), max_abs_f
@@ -201,17 +205,27 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     """Minimum defect over a refinement box, evaluated as one (x, y, t) tensor.
 
     The box's mixtures lie on no 1-D grid, so f is evaluated at the float
-    mixtures fl(t x) + fl((1 - t) y).  Returns as ``_lattice_min`` does,
-    with max |f| over the mixtures; ties keep the first index.  A
-    non-finite f at a mixture, a NaN or -inf defect, or a box whose every
+    mixtures fl(t x) + fl((1 - t) y), in one call together with xs and ys.
+    The defect is built in place in the operation order of
+    ``fy + t**al eta - strong - f(mixture)``.  Returns as ``_lattice_min``
+    does, with max |f| over the mixtures; ties keep the first index.  A
+    non-finite f at a box point, a NaN or -inf defect, or a box whose every
     defect is +inf raises EvalError.
     """
+    nx, ny, nt = len(xs), len(ys), len(ts)
     with np.errstate(all="ignore"):
-        fx, fy = f.evaluate_many(xs, ctx), f.evaluate_many(ys, ctx)
+        mix = ts * xs[:, None, None] + (1.0 - ts) * ys[:, None]
+        values = f.evaluate_many(np.concatenate((xs, ys, mix.ravel())), ctx)
+        fx, fy = values[:nx], values[nx : nx + ny]
+        fmix = values[nx + ny :].reshape(mix.shape)
         e, ta, corr, dist = _right_side(eta, c, ctx, fx, fy, xs, ys, ts)
-        fmix = f.evaluate_many(ts * xs[:, None, None] + (1.0 - ts) * ys[:, None], ctx)
-        d = fy[:, None] + ta * e[:, :, None] - corr * dist[:, :, None] - fmix
-    i, j, k = (int(v) for v in np.unravel_index(int(np.argmin(d)), d.shape))
+        d = np.multiply(ta, e[:, :, None])
+        np.add(fy[:, None], d, out=d)
+        np.multiply(corr, dist[:, :, None], out=mix)
+        np.subtract(d, mix, out=d)
+        np.subtract(d, fmix, out=d)
+    i, jk = divmod(int(np.argmin(d)), ny * nt)
+    j, k = divmod(jk, nt)
     low = _finite_min(float(d[i, j, k]), xs[i], ys[j], ts[k])
     return (i, j, k), low, float(np.abs(fmix).max())
 
@@ -317,17 +331,18 @@ def certify_gsc(
     spaced points of [a, b], so f is evaluated once on that table and read
     back plane by plane.  The lattice is walked in slabs of whole t-planes
     (about 32k cells, or one plane when a plane is larger) with a running
-    minimum, so memory is bounded: two slab buffers and a few ``grid_n``**2
-    arrays (the table among them), never a ``grid_n``**3 tensor (traced
-    peak about 1.4 MiB at grid 150).  A refinement box, whose mixtures lie
-    on no such grid, is one 13**3 tensor at float mixtures.  The violation
-    threshold scales with the sampled magnitude of f over the mixtures:
-    tol = 1e-9 * (1 + max |f|).  Reductions run through the same
-    lattice: endpoints of the t-grid cover the necessary conditions' t = 1
-    instances, so an eta failing them is also caught as a plain
-    counterexample.  Deterministic: ties resolve to the first lattice index
-    in (x, y, t) order whatever the slab boundaries, and refinement accepts
-    strict improvements only.  Refinement stops before a level whose box
+    minimum, so memory is bounded: the slab loop holds six arrays of about
+    ``grid_n``**2 floats (the table, eta, the distances, the f(y) tile and
+    two slab buffers), never a ``grid_n``**3 tensor (traced peak about
+    1.1 MiB at grid 150).  A refinement box, whose mixtures lie on no such
+    grid, is one 13**3 tensor at float mixtures, with f evaluated once per
+    box.  The violation threshold scales with the sampled magnitude of f
+    over the mixtures: tol = 1e-9 * (1 + max |f|).  Reductions run through
+    the same lattice: endpoints of the t-grid cover the necessary
+    conditions' t = 1 instances, so an eta failing them is also caught as a
+    plain counterexample.  Deterministic: ties resolve to the first lattice
+    index in (x, y, t) order whatever the slab boundaries, and refinement
+    accepts strict improvements only.  Refinement stops before a level whose box
     holds a single value on every axis: that box is the best cell alone,
     as is every later one, so no level from there on can improve on it,
     and ``evaluations`` counts only the levels that ran.  A +inf defect (an

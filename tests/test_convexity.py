@@ -604,6 +604,44 @@ def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts):
     assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
 
 
+# f texts whose evaluation runs abs, sign and power ufuncs on the box arrays.
+_BOX_FS = ["abs(x - 0.3)^(a)", "x^(a)", "x^(2a) - abs(x)^(3a)", "x^3 - 2*x^2",
+           "abs(x)^2.5", "x^(0.5)", "1 - x^(2a)", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(_BOX_FS),
+    eta=st.sampled_from(["u - v", "u*v", "2^a*u + v", "(u - v)^2 + abs(u)^(a)"]),
+    alpha=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+    c=st.sampled_from([0.0, 0.5, 2.0]),
+    centers=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+    widths=st.tuples(st.floats(1e-6, 0.3), st.floats(1e-6, 0.3)),
+)
+# max |f| over the mixtures (about 0.53) is far below |f| at x near 1.
+@example(text="x", eta="u - v", alpha=0.5, c=0.0, centers=(0.95, 0.0, 0.5),
+         widths=(0.05, 0.05))
+def test_box_min_matches_separate_evaluations(text, eta, alpha, c, centers, widths):
+    """f evaluated once over the box's x, y and mixture points gives, slice by
+    slice, the bits of three separate ``evaluate_many`` calls; and the box
+    kernel, which builds its defect in place from that one call, returns
+    the whole-tensor reference's index, minimum and max |f| bit for bit."""
+    f, eta = _f(text, -1.0, 1.0), EtaSpec.from_text(eta)
+    ctx = AlphaContext(alpha=alpha)
+    (cx, cy, ct), (wx, wt) = centers, widths
+    xs = np.linspace(max(-1.0, cx - wx), min(1.0, cx + wx), 13)
+    ys = np.linspace(max(-1.0, cy - wx), min(1.0, cy + wx), 13)
+    ts = np.linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
+    mix = ts * xs[:, None, None] + (1.0 - ts) * ys[:, None]
+    merged = f.evaluate_many(np.concatenate((xs, ys, mix.ravel())), ctx)
+    parts = [f.evaluate_many(v, ctx) for v in (xs, ys, mix)]
+    assert merged.tobytes() == b"".join(p.tobytes() for p in parts)
+    got = convexity._box_min(f, eta, c, ctx, xs, ys, ts)
+    want = _box_reference(f, eta, c, ctx, xs, ys, ts)
+    assert got[0] == want[0]
+    assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
 def _certify_peak(grid_n: int) -> int:
     """Traced peak bytes of one certify of x^(2a) on [0, 1] at alpha 0.5."""
     f = _f("x^(2a)", 0.0, 1.0)
@@ -633,6 +671,15 @@ def test_certify_memory_grows_with_grid_squared_past_one_plane_per_slab():
     buffers.  A whole-lattice tensor would take 216 MB."""
     assert 300**2 > convexity._SLAB_CELLS
     assert _certify_peak(300) < 8 * 2**20
+
+
+def test_certify_working_set_is_six_grid_squared_arrays():
+    """The mixtures are dropped once f's table is built, and max |f| is taken
+    before the slab buffers exist, so the slab loop runs with six grid**2
+    arrays live: the table, eta, the distances, the f(y) tile and the two
+    slab buffers (one plane each at grid 300).  Keeping the mixtures, or
+    taking |f| while the slab buffers exist, adds a seventh."""
+    assert _certify_peak(300) < 6.5 * 8 * 300**2
 
 
 # ---------------------------------------------------- necessary-sign checks

@@ -19,6 +19,7 @@ import pytest
 from fracon.cli import main
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
+_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
 _CASES = {
     "sweep.csv": (["sweep"], 0),
@@ -55,11 +56,21 @@ def test_output_does_not_depend_on_cache_state():
     """The benchmark's quadrature and sweep cases print the same bytes
     whether fracon's caches (the parser tree, the quadrature meshes and
     Gauss--Legendre rules) are warm or cleared before every case."""
-    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
-    argv = [sys.executable, str(tool), "--workload", "quadrature", "--workload", "sweep",
+    argv = [sys.executable, str(_DIGEST), "--workload", "quadrature", "--workload", "sweep",
             "--seeds", "1"]
     warm = subprocess.run(argv, capture_output=True, text=True, check=True)
     cold = subprocess.run([*argv, "--cold"], capture_output=True, text=True, check=True)
     assert warm.stdout.splitlines()[0].startswith("quadrature ")
     assert len(warm.stdout.splitlines()) == 2
     assert cold.stdout == warm.stdout
+
+
+def test_lattice_output_digest_is_frozen():
+    """The 48 certify cases of the benchmark's lattice workload (seed 1,
+    grids 50 to 150) print the bytes they printed when this digest was
+    frozen, so a kernel change that moves any bit of a certify report
+    fails here.  Refresh with
+    ``python3 tools/output_digest.py --workload lattice --seeds 1``."""
+    argv = [sys.executable, str(_DIGEST), "--workload", "lattice", "--seeds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out == "lattice 48 175a548500ef0adbbf2785fe552d0ff33cdc87f078f4e2717d2aea14553c7098\n"

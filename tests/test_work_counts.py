@@ -84,8 +84,8 @@ def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine
     """The main lattice's grid**3 mixtures are the (grid - 1)**2 + 1 evenly
     spaced points of one table, so f is evaluated there once each: after
     the grid points of the eta screen, one table call, then per refinement
-    level the box's 13 x and 13 y points and its 13**3 mixtures.  The
-    report's ``evaluations`` still counts lattice cells."""
+    level one call over the box's 13 x points, 13 y points and 13**3
+    mixtures.  The report's ``evaluations`` still counts lattice cells."""
     sizes = []
     original = FunctionSpec.evaluate_many
 
@@ -98,7 +98,7 @@ def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine
     rep = certify_gsc(FunctionSpec.from_text("x^(2a)", domain=(-1.0, 1.0)),
                       EtaSpec.from_text("u - v"), 0.0, AlphaContext(alpha=0.5),
                       grid_n=grid, refine_depth=refine)
-    assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13, 13, 13**3]
+    assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13 + 13 + 13**3]
     assert rep.evaluations == grid**3 + refine * 13**3
 
 
