@@ -28,7 +28,6 @@ from .convexity import (
     MinimumConditionReport,
     NecessaryReport,
     SymmetryError,
-    SymmetryReport,
     certify_gsc,
     check_eta_necessary,
     check_symmetry,
@@ -96,7 +95,6 @@ __all__ = [
     "ParseError",
     "QuadResult",
     "SymmetryError",
-    "SymmetryReport",
     "WeightSpec",
     "axiom_conformance",
     "certify_gsc",

@@ -58,7 +58,7 @@ from .calculus import (
     lf_derivative,
     lf_integral,
 )
-from .convexity import _MAX_REFINE, SymmetryError, certify_gsc
+from .convexity import _MAX_GRID, _MAX_REFINE, SymmetryError, certify_gsc
 from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError, WeightSpec
 from .fractal_scalar import (
     AlphaContext,
@@ -79,11 +79,6 @@ _SWEEP_CS = (0.0, 1.0)
 _SWEEP_ETAS = ("difference", "example23")
 _SWEEP_FS = ("square", "negsquare", "const")
 _SWEEP_BUDGET = 100_000
-# Largest accepted --grid: 1e9 lattice cells.  The lattice is streamed, but
-# its six grid**2 arrays (the (grid - 1)**2 + 1 table of f, eta, distances,
-# the f(y) tile and the two slab buffers, about 8 MB each at this cap, 46 MiB
-# traced peak) are not.
-_MAX_GRID = 1000
 # Largest accepted axioms --triples: the conformance table holds about 88 B
 # per triple for each alpha (8.4 MiB traced peak at 10**5), so ~88 MB here.
 _MAX_TRIPLES = 1_000_000
@@ -512,8 +507,12 @@ def _check_alpha(value) -> float:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    alpha = _check_alpha(args.alpha)
-    a, b = _as_float("a", args.a), _as_float("b", args.b)
+    problems: list[str] = []
+    alpha = _collect(problems, _check_alpha, args.alpha)
+    a = _collect(problems, _as_float, "a", args.a)
+    b = _collect(problems, _as_float, "b", args.b)
+    if problems:
+        raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
     lo, hi = min(a, b), max(a, b)
     _, f_text = resolve_f(args.f)
@@ -533,12 +532,14 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    alpha = _check_alpha(args.alpha)
-    at, base = _as_float("--at", args.at), _as_float("--from", args.base)
-    if at < base:
-        raise ConfigError(
-            f"--at must be >= the base point, got at={at!r} < from={base!r}"
-        )
+    problems: list[str] = []
+    alpha = _collect(problems, _check_alpha, args.alpha)
+    at = _collect(problems, _as_float, "--at", args.at)
+    base = _collect(problems, _as_float, "--from", args.base)
+    if at is not None and base is not None and at < base:
+        problems.append(f"--at must be >= the base point, got at={at!r} < from={base!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
     _, f_text = resolve_f(args.f)
     f = FunctionSpec.from_text(f_text)

@@ -44,7 +44,6 @@ __all__ = [
     "Counterexample",
     "ConvexityReport",
     "NecessaryReport",
-    "SymmetryReport",
     "SymmetryError",
     "MinimumConditionReport",
     "defect",
@@ -104,6 +103,11 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
 # arrays live in the slab loop: the table of f, eta, the distances and the
 # f(y) tile.
 _SLAB_CELLS = 1 << 15
+
+# Largest accepted grid_n: 1e9 lattice cells.  The lattice is streamed, but
+# its six grid**2 arrays (the (grid - 1)**2 + 1 table of f, eta, the
+# distances, the f(y) tile and the two slab buffers) are not.
+_MAX_GRID = 1000
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
 # level 40 it spans 3**-39 (about 2.5e-19) of a grid step, far below the
@@ -326,15 +330,15 @@ def certify_gsc(
     Evaluates the defect on a ``grid_n``**3 lattice over
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
-    level (clipped to bounds); ``refine_depth`` must lie in [0, 40].  The
-    lattice's mixtures t*x + (1-t)*y are the (grid_n - 1)**2 + 1 evenly
-    spaced points of [a, b], so f is evaluated once on that table and read
-    back plane by plane.  The lattice is walked in slabs of whole t-planes
-    (about 32k cells, or one plane when a plane is larger) with a running
-    minimum, so memory is bounded: the slab loop holds six arrays of about
-    ``grid_n``**2 floats (the table, eta, the distances, the f(y) tile and
-    two slab buffers), never a ``grid_n``**3 tensor (traced peak about
-    1.1 MiB at grid 150).  A refinement box, whose mixtures lie on no such
+    level (clipped to bounds); ``grid_n`` must lie in [8, 1000] and
+    ``refine_depth`` in [0, 40].  The lattice's mixtures t*x + (1-t)*y are
+    the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
+    evaluated once on that table and read back plane by plane.  The lattice
+    is walked in slabs of whole t-planes (about 32k cells, or one plane when
+    a plane is larger) with a running minimum, so memory is bounded: the
+    slab loop holds six arrays of about ``grid_n``**2 floats (the table,
+    eta, the distances, the f(y) tile and two slab buffers), never a
+    ``grid_n``**3 tensor.  A refinement box, whose mixtures lie on no such
     grid, is one 13**3 tensor at float mixtures, with f evaluated once per
     box.  The violation threshold scales with the sampled magnitude of f
     over the mixtures: tol = 1e-9 * (1 + max |f|).  Reductions run through
@@ -353,6 +357,8 @@ def certify_gsc(
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
+    if grid_n > _MAX_GRID:
+        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
     if refine_depth < 0:
         raise ValueError(f"refine_depth must be >= 0, got {refine_depth!r}")
     if refine_depth > _MAX_REFINE:
@@ -468,64 +474,37 @@ def check_eta_necessary(
     )
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Sampled symmetry/nonnegativity verdict for a weight on [a, b]."""
+def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None:
+    """Raise SymmetryError unless w is symmetric about (a+b)/2 and nonnegative.
 
-    symmetric: bool
-    max_asymmetry: float
-    asym_witness: Optional[float]
-    nonnegative: bool
-    min_value: float
-    neg_witness: Optional[float]
-    tol: float
-
-
-def check_symmetry(
-    w: WeightSpec, a: float, b: float, ctx: AlphaContext, grid_n: int = 1001
-) -> SymmetryReport:
-    """Sample |w(x) - w(a + b - x)| on [a, b] and the sign of w.
-
-    Symmetric when the worst sampled asymmetry is <= 1e-10 * (1 + max |w|);
-    the report also carries a negativity check since Fejer weights must be
-    nonnegative.
+    w is sampled at 1001 evenly spaced points of [a, b].  It is symmetric
+    when the worst sampled |w(x) - w(a + b - x)| is <= 1e-10 * (1 + max |w|),
+    and nonnegative when its sampled minimum is >= -1e-12 * (1 + max |w|),
+    since Fejer weights must be both.  Symmetry is checked first; a NaN
+    sample fails both checks.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
-    xs = np.linspace(a, b, grid_n)
+    xs = np.linspace(a, b, 1001)
     wx = w.evaluate_many(xs, ctx)
-    wrev = w.evaluate_many(a + b - xs, ctx)
-    asym = np.abs(wx - wrev)
+    asym = np.abs(wx - w.evaluate_many(a + b - xs, ctx))
     i = int(np.argmax(asym))
-    max_asym = float(asym[i])
     scale = 1.0 + float(np.max(np.abs(wx)))
     tol = 1e-10 * scale
-    symmetric = max_asym <= tol
+    if not float(asym[i]) <= tol:
+        raise SymmetryError(
+            f"weight is not symmetric about the midpoint: max asymmetry "
+            f"{float(asym[i]):.3e} at x={float(xs[i])!r} (tol {tol:.3e})"
+        )
     j = int(np.argmin(wx))
-    min_value = float(wx[j])
-    nonnegative = min_value >= -1e-12 * scale
-    return SymmetryReport(
-        symmetric=symmetric,
-        max_asymmetry=max_asym,
-        asym_witness=None if symmetric else float(xs[i]),
-        nonnegative=nonnegative,
-        min_value=min_value,
-        neg_witness=None if nonnegative else float(xs[j]),
-        tol=tol,
-    )
+    if not float(wx[j]) >= -1e-12 * scale:
+        raise SymmetryError(
+            f"weight takes negative values: min {float(wx[j]):.3e} at x={float(xs[j])!r}"
+        )
 
 
-def estimate_eta_sup(
-    f: FunctionSpec,
-    eta: EtaSpec,
-    ctx: AlphaContext,
-    grid_n: int = 512,
-    a: Optional[float] = None,
-    b: Optional[float] = None,
-) -> float:
+def estimate_eta_sup(f: FunctionSpec, eta: EtaSpec, ctx: AlphaContext, a: float, b: float) -> float:
     """Max of eta over sampled pairs of the f-image on [a, b].
 
     This is the sampled bound M on eta values (an alpha-type magnitude);
@@ -540,7 +519,7 @@ def estimate_eta_sup(
     When eta is separately monotone (``expr._monotone_dirs``: sums,
     differences and nonzero constant multiples of u and v, as both presets
     are), only the 2 x 2 corners {min fx, max fx}**2 are evaluated, and the
-    result is bit for bit the max over all grid_n**2 pairs:
+    result is bit for bit the max over all 512**2 pairs:
 
     * IEEE round-to-nearest +, - and scaling by a nonzero constant are
       non-decreasing in each operand (non-increasing for a negative
@@ -557,9 +536,7 @@ def estimate_eta_sup(
       unless all samples of f are bitwise equal, which makes every pair
       bitwise equal.
     """
-    if a is None or b is None:
-        a, b = _domain_of(f)
-    xs = np.linspace(float(a), float(b), grid_n)
+    xs = np.linspace(float(a), float(b), 512)
     fx = f.evaluate_many(xs, ctx)
     if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
         lo, hi = _signed_extremes(fx)
@@ -607,29 +584,24 @@ class MinimumConditionReport:
 
 
 def minimum_condition_check(
-    f: FunctionSpec,
-    eta: EtaSpec,
-    c: float,
-    ctx: AlphaContext,
-    grid_n: int = 200,
+    f: FunctionSpec, eta: EtaSpec, c: float, ctx: AlphaContext
 ) -> MinimumConditionReport:
     """Locate the sampled minimizer of f and test the minimum property.
 
     The minimizer search is the 1-D analogue of the certification lattice
-    (grid argmin plus three 13-point refinement rounds shrinking 3x).  The
+    (argmin over 200 grid points plus three 13-point refinement rounds shrinking 3x).  The
     derivative at x* uses the exact rule when f normalizes about the left
     endpoint and the finite-difference mode otherwise.  The consequent is
     allowed to fail by at most 1e-9 before a violation is recorded.
     """
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
     al = ctx.alpha
     a, b = _domain_of(f)
-    xs = np.linspace(a, b, grid_n)
+    n = 200
+    xs = np.linspace(a, b, n)
     fx = f.evaluate_many(xs, ctx)
     i = int(np.argmin(fx))
     x_star, f_star = float(xs[i]), float(fx[i])
-    w = (b - a) / (grid_n - 1)
+    w = (b - a) / (n - 1)
     for level in range(3):
         lx = np.linspace(max(a, x_star - w), min(b, x_star + w), 13)
         lf = f.evaluate_many(lx, ctx)
@@ -661,7 +633,7 @@ def minimum_condition_check(
         derivative=deriv,
         derivative_mode=mode,
         antecedent_count=int(np.count_nonzero(active)),
-        checked=grid_n,
+        checked=n,
         violations=violations,
         tol_antecedent=tol_a,
         tol_consequent=tol_c,

@@ -408,8 +408,8 @@ def pretty(node: ExprAst) -> str:
 # --- evaluation -----------------------------------------------------------
 
 
-def _is_near_int(v: float, tol: float = 1e-9) -> bool:
-    return abs(v - round(v)) <= tol
+def _is_near_int(v: float) -> bool:
+    return abs(v - round(v)) <= 1e-9
 
 
 def _pow_alpha(base, k: float, alpha: float):

@@ -97,7 +97,6 @@ def axiom_conformance(
     alpha: float,
     triples: int = 1000,
     seed: int = 2718,
-    tol: float = 1e-12,
 ) -> list[AxiomRow]:
     """Measure the seven fractal-set arithmetic properties on random triples.
 
@@ -112,7 +111,7 @@ def axiom_conformance(
     6. distributivity,
     7. additive and multiplicative neutrals 0^al and 1^al.
 
-    A property passes when its worst relative discrepancy is <= ``tol``.
+    A property passes when its worst relative discrepancy is <= 1e-12.
     Base values pass everything by construction; magnitudes fail the
     additive embedding part of property 2 for alpha < 1, which is reported,
     not hidden.
@@ -129,9 +128,9 @@ def axiom_conformance(
     def run(index: int, title: str, check, note_mag: str = "") -> None:
         iso_err = check(a, b, c, lambda x: x)  # base-value semantics
         mag_err = check(a, b, c, mag)  # magnitude semantics
-        note = note_mag if mag_err > tol else ""
+        note = note_mag if mag_err > 1e-12 else ""
         rows.append(
-            AxiomRow(index, title, iso_err <= tol, iso_err, mag_err <= tol, mag_err, note)
+            AxiomRow(index, title, iso_err <= 1e-12, iso_err, mag_err <= 1e-12, mag_err, note)
         )
 
     def chk_closure(a, b, c, rep):

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import IntegralBackend, NUMERIC, lf_integral, rl_integrate
-from .convexity import SymmetryError, check_symmetry, estimate_eta_sup
+from .convexity import check_symmetry, estimate_eta_sup
 from .expr import EtaSpec, FunctionSpec, WeightSpec
 from .fractal_scalar import AlphaContext, gamma
 
@@ -286,23 +286,13 @@ def fejer_terms(
 ) -> FejerReport:
     """Evaluate the three Fejer chain terms for a symmetric weight.
 
-    Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled on
-    ``check_symmetry``'s default grid); violations raise
+    Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled at
+    1001 points by ``check_symmetry``); violations raise
     :class:`~fracon.convexity.SymmetryError`.  All integrals run on the
     numeric route (weights make the exact table inapplicable in general).
     """
     a, b = _check_chain_inputs(a, b, c)
-    sym = check_symmetry(w, a, b, ctx)
-    if not sym.symmetric:
-        raise SymmetryError(
-            f"weight is not symmetric about the midpoint: max asymmetry "
-            f"{sym.max_asymmetry:.3e} at x={sym.asym_witness!r} (tol {sym.tol:.3e})"
-        )
-    if not sym.nonnegative:
-        raise SymmetryError(
-            f"weight takes negative values: min {sym.min_value:.3e} "
-            f"at x={sym.neg_witness!r}"
-        )
+    check_symmetry(w, a, b, ctx)
 
     al = ctx.alpha
     span = b - a

@@ -67,7 +67,7 @@ def test_criterion_01_axiom_conformance(capsys):
     """Base-value arithmetic satisfies all seven axioms at 1e-12, under 1s."""
     with criterion(1, "axiom conformance, 4 orders x 1000 triples", 1.0):
         for alpha in _ALPHAS:
-            rows = axiom_conformance(alpha, triples=1000, seed=2718, tol=1e-12)
+            rows = axiom_conformance(alpha, triples=1000, seed=2718)
             assert len(rows) == 7
             for row in rows:
                 assert row.iso_ok, (alpha, row.index, row.iso_err)
@@ -168,8 +168,7 @@ def test_criterion_07_minimum_condition():
     """x^2, al=1, c=1 on [0,2]: antecedent never pairs with a failed consequent."""
     with criterion(7, "minimum-point condition on a 200-point grid", 1.0):
         f = FunctionSpec.from_text("x^2", domain=(0.0, 2.0))
-        rep = minimum_condition_check(f, _DIFF, 1.0, AlphaContext(alpha=1.0),
-                                      grid_n=200)
+        rep = minimum_condition_check(f, _DIFF, 1.0, AlphaContext(alpha=1.0))
         assert rep.checked == 200
         assert rep.violations == ()
         # The equality case: at the sampled minimizer x*=0 the consequent

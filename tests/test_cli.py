@@ -287,6 +287,23 @@ def test_fejer_asymmetric_weight_exit_one(capsys):
     assert "not symmetric" in err
 
 
+@pytest.mark.parametrize(
+    ("w", "alpha", "message"),
+    [
+        ("x", "0.5", "weight is not symmetric about the midpoint: max asymmetry 1.000e+00 "
+                     "at x=0.0 (tol 2.000e-10)"),
+        ("abs(x - 0.5) - 0.25", "1", "weight takes negative values: min -2.500e-01 at x=0.5"),
+    ],
+    ids=["asymmetric", "negative"],
+)
+def test_fejer_weight_precondition_messages(capsys, w, alpha, message):
+    code, out, err = run(capsys, ["fejer", "--f", "square", "--eta", "difference",
+                                  "--w", w, "--alpha", alpha])
+    assert code == 1
+    assert out == ""
+    assert err == f"fracon: error: {message}\n"
+
+
 def test_malformed_expression_exit_one_with_offset(capsys):
     code, _, err = run(capsys, ["hh", "--f", "x^(1.5a", "--eta", "difference",
                                 "--alpha", "0.5"])
@@ -542,8 +559,13 @@ def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config)
          ["--alphas has a non-numeric entry in 'x'", "--grid must be >= 8, got 3"]),
         (["axioms", "--alpha", "2", "--seed", "-1"], None,
          ["--alpha must be in (0, 1], got 2.0", "--seed must be >= 0, got -1"]),
+        (["integrate", "x^(2a)", "0", "inf", "--alpha", "2"], None,
+         ["--alpha must be in (0, 1], got 2.0", "b must be finite, got inf"]),
+        (["diff", "x^(2a)", "--at", "nan", "--alpha", "2"], None,
+         ["--alpha must be in (0, 1], got 2.0", "--at must be finite, got nan"]),
     ],
-    ids=["certify-flags", "certify-config", "hh-m-eta", "sweep", "sweep-list", "axioms"],
+    ids=["certify-flags", "certify-config", "hh-m-eta", "sweep", "sweep-list", "axioms",
+         "integrate", "diff"],
 )
 def test_number_problems_are_aggregated(capsys, tmp_path, argv, config, fragments):
     """A bad number joins the other problems in one message, not alone."""

@@ -30,6 +30,7 @@ from fracon import (
     EtaSpec,
     EvalError,
     FunctionSpec,
+    SymmetryError,
     WeightSpec,
     certify_gsc,
     check_eta_necessary,
@@ -269,6 +270,18 @@ def test_certify_rejects_refine_past_cap():
 def test_certify_rejects_tiny_grid():
     with pytest.raises(ValueError, match="grid_n"):
         certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=7)
+
+
+def test_certify_rejects_grid_over_cap_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("certify_gsc sampled a rejected grid_n")
+
+    monkeypatch.setattr(convexity, "_lattice_min", no_sampling)
+    monkeypatch.setattr(convexity, "check_eta_necessary", no_sampling)
+    cap = convexity._MAX_GRID
+    with pytest.raises(ValueError, match=f"grid_n must be <= {cap}, got {cap + 1}"):
+        certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1,
+                    grid_n=cap + 1)
 
 
 def test_certify_requires_domain():
@@ -711,38 +724,47 @@ def test_necessary_passes_for_additive_eta_on_nonnegative_f(alpha):
 # ----------------------------------------------------------- symmetry checks
 
 
+_SYMMETRY_XS = np.linspace(0.0, 1.0, 1001)  # check_symmetry's samples of [0, 1]
+
+
+def _asymmetries(w, ctx):
+    """|w(x) - w(1 - x)| on check_symmetry's samples of [0, 1]."""
+    return np.abs(w.evaluate_many(_SYMMETRY_XS, ctx) - w.evaluate_many(1.0 - _SYMMETRY_XS, ctx))
+
+
 def test_symmetry_constant_weight():
-    rep = check_symmetry(WeightSpec.from_text("1", domain=(0.0, 1.0)), 0.0, 1.0, _CTX1)
-    assert rep.symmetric and rep.nonnegative
-    assert rep.max_asymmetry == 0.0
+    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    assert check_symmetry(w, 0.0, 1.0, _CTX1) is None
+    assert np.max(_asymmetries(w, _CTX1)) == 0.0
 
 
 def test_symmetry_parabolic_weight():
     ctx = AlphaContext(alpha=0.5)
     w = WeightSpec.from_text("(x - lo)^(a)*(hi - x)^(a)", domain=(0.0, 1.0),
                              params={"lo": 0.0, "hi": 1.0})
-    rep = check_symmetry(w, 0.0, 1.0, ctx)
-    assert rep.symmetric and rep.nonnegative
-    assert rep.max_asymmetry <= 1e-12
+    assert check_symmetry(w, 0.0, 1.0, ctx) is None
+    assert np.max(_asymmetries(w, ctx)) <= 1e-12
 
 
 def test_symmetry_detects_skew():
     """w(x) = x on [0,1]: w(0) = 0 vs w(1) = 1 gives asymmetry 1 at x=0."""
     w = WeightSpec.from_text("x^(a)", domain=(0.0, 1.0))
-    rep = check_symmetry(w, 0.0, 1.0, _CTX1)
-    assert not rep.symmetric
-    assert rep.max_asymmetry == pytest.approx(1.0, abs=1e-12)
-    assert rep.asym_witness == pytest.approx(0.0, abs=1e-12)
-    assert rep.nonnegative
+    asym = _asymmetries(w, _CTX1)
+    assert np.max(asym) == pytest.approx(1.0, abs=1e-12)
+    assert _SYMMETRY_XS[np.argmax(asym)] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(SymmetryError, match=re.escape(
+            "weight is not symmetric about the midpoint: max asymmetry 1.000e+00 "
+            "at x=0.0 (tol 2.000e-10)")):
+        check_symmetry(w, 0.0, 1.0, _CTX1)
 
 
 def test_symmetry_detects_negative_weight():
+    """w = -1 is symmetric, so the negativity check is the one that fails."""
     w = WeightSpec.from_text("-1", domain=(0.0, 1.0))
-    rep = check_symmetry(w, 0.0, 1.0, _CTX1)
-    assert rep.symmetric
-    assert not rep.nonnegative
-    assert rep.min_value == -1.0
-    assert rep.neg_witness is not None
+    assert np.min(w.evaluate_many(_SYMMETRY_XS, _CTX1)) == -1.0
+    with pytest.raises(SymmetryError,
+                       match=re.escape("weight takes negative values: min -1.000e+00 at x=0.0")):
+        check_symmetry(w, 0.0, 1.0, _CTX1)
 
 
 # ----------------------------------------------------------- eta sup estimate
@@ -750,11 +772,15 @@ def test_symmetry_detects_negative_weight():
 
 def test_eta_sup_examples():
     fsq = _f("x^(2a)", 0.0, 1.0)
-    assert estimate_eta_sup(fsq, EtaSpec.from_text("u - v"), _CTX1) == pytest.approx(1.0, abs=1e-12)
-    assert estimate_eta_sup(fsq, EtaSpec.from_text("0"), _CTX1) == 0.0
-    assert estimate_eta_sup(fsq, EtaSpec.from_text("3"), _CTX1) == 3.0
+
+    def sup(eta):
+        return estimate_eta_sup(fsq, EtaSpec.from_text(eta), _CTX1, 0.0, 1.0)
+
+    assert sup("u - v") == pytest.approx(1.0, abs=1e-12)
+    assert sup("0") == 0.0
+    assert sup("3") == 3.0
     # The estimate is a signed max, not a max of absolute values.
-    assert estimate_eta_sup(fsq, EtaSpec.from_text("-1"), _CTX1) == -1.0
+    assert sup("-1") == -1.0
 
 
 def test_eta_sup_interval_override():
@@ -770,7 +796,6 @@ class _Samples:
         self.fx = fx
 
     def evaluate_many(self, xs, ctx):
-        assert xs.size == self.fx.size
         return self.fx
 
 
@@ -843,7 +868,7 @@ def test_eta_sup_corners_match_full_matrix_bitwise(eta_dirs, fx, alpha):
         except EvalError:
             want = None
         try:
-            got = estimate_eta_sup(_Samples(fx), eta, ctx, grid_n=fx.size, a=0.0, b=1.0)
+            got = estimate_eta_sup(_Samples(fx), eta, ctx, a=0.0, b=1.0)
         except EvalError:
             got = None
     assert _bits(got) == _bits(want)
@@ -882,8 +907,4 @@ def test_sampling_checks_reject_tiny_grid():
     f = _f("x^(2a)", 0.0, 1.0)
     eta = EtaSpec.from_text("u - v")
     with pytest.raises(ValueError, match="grid_n"):
-        minimum_condition_check(f, eta, 0.0, _CTX1, grid_n=3)
-    with pytest.raises(ValueError, match="grid_n"):
         check_eta_necessary(f, eta, _CTX1, grid_n=3)
-    with pytest.raises(ValueError, match="grid_n"):
-        check_symmetry(WeightSpec.from_text("1", domain=(0.0, 1.0)), 0.0, 1.0, _CTX1, grid_n=3)

@@ -154,7 +154,7 @@ def test_one_sided_terms_average_to_endpoint_term(alpha):
 def test_estimated_bound_matches_standalone_estimator():
     f = _f("x^(2a)", 0.0, 1.0)
     rep = hh_terms(f, _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    assert rep.m_eta == estimate_eta_sup(f, _DIFF, _CTX1, grid_n=512, a=0.0, b=1.0)
+    assert rep.m_eta == estimate_eta_sup(f, _DIFF, _CTX1, a=0.0, b=1.0)
 
 
 def test_exact_backend_integral():

@@ -149,7 +149,7 @@ def test_eta_sup_work(monkeypatch, eta, f, points):
 
     monkeypatch.setattr(EtaSpec, "evaluate_many", recording)
     estimate_eta_sup(FunctionSpec.from_text(f, domain=(0.0, 1.0)), EtaSpec.from_text(eta),
-                     AlphaContext(alpha=0.5))
+                     AlphaContext(alpha=0.5), 0.0, 1.0)
     assert seen == points
 
 
