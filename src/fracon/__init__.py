@@ -25,6 +25,7 @@ from .calculus import (
 from .convexity import (
     ConvexityReport,
     Counterexample,
+    LatticeGrid,
     MinimumConditionReport,
     NecessaryReport,
     SymmetryError,
@@ -87,6 +88,7 @@ __all__ = [
     "HHReport",
     "IntegralBackend",
     "IntegrationError",
+    "LatticeGrid",
     "LinkStatus",
     "MinimumConditionReport",
     "NUMERIC",

@@ -144,7 +144,8 @@ _KINK_DEPTH = 10
 _MESH_CACHE = 80
 _MESH_SAMPLES = 4096
 
-_gl = functools.cache(leggauss)
+# The _POINTS-point Gauss--Legendre rule on [-1, 1].
+_NODES, _WEIGHTS = leggauss(_POINTS)
 
 
 def _graded_breakpoints(V: float) -> np.ndarray:
@@ -189,10 +190,9 @@ def _abscissae(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss--Legendre nodes of the v-panels [left, right], mapped to x, and
     the panels' half-widths: one row of ``_POINTS`` nodes per panel."""
-    nodes, _ = _gl(_POINTS)
     half = 0.5 * (right - left)
     mid = 0.5 * (left + right)
-    v = mid[:, None] + nodes[None, :] * half[:, None]
+    v = mid[:, None] + _NODES[None, :] * half[:, None]
     # np.clip(x, a, b) bit for bit: on a tie (+0.0 against -0.0)
     # np.maximum and np.minimum return their second operand, x.
     return np.minimum(b, np.maximum(a, b - v ** (1.0 / order))), half
@@ -240,13 +240,12 @@ def _panel_values(
 ) -> np.ndarray:
     """Gauss--Legendre value of fn over each panel, from its row of nodes
     ``xs`` in x and its half-width in v."""
-    _, wts = _gl(_POINTS)
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
     if not np.isfinite(vals).all():
         raise IntegrationError("non-finite integrand sample")
-    return (vals * wts).sum(axis=1) * half
+    return (vals * _WEIGHTS).sum(axis=1) * half
 
 
 @dataclass(frozen=True)

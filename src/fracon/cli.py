@@ -30,8 +30,10 @@ digits, no timestamps are embedded, and reruns of the same command are
 byte-identical.  JSON reports share the envelope
 ``{"version": "1", "config_echo": ..., "results": ..., "diagnostics": ...}``,
 written in one pass that rounds each float as it goes, byte-identical to
-``json.dumps(indent=2)`` of the rounded envelope.  Each command line is
-parsed once, by its command's own parser.
+``json.dumps(indent=2)`` of the rounded envelope.  A report is written as
+its fields, in declaration order, so a report's JSON keys are its
+dataclass fields.  Each command line is parsed once, by its command's own
+parser.
 """
 
 from __future__ import annotations
@@ -107,9 +109,10 @@ def _json_text(obj, nl: str) -> str:
     """``obj`` as JSON text in one pass, every float first rounded to 15
     significant digits: the bytes ``json.dumps(obj, indent=2,
     allow_nan=False)`` writes for the rounded tree, with the same errors
-    for NaN, infinities and types JSON has no form for.  ``nl`` is a
-    newline followed by the indent of ``obj``'s line; dict keys must be
-    strings."""
+    for NaN, infinities and types JSON has no form for.  A dataclass
+    instance is written as the dict of its fields, in declaration order.
+    ``nl`` is a newline followed by the indent of ``obj``'s line; dict keys
+    must be strings."""
     if isinstance(obj, float):
         x = float(_fmt(obj))
         if not math.isfinite(x):
@@ -136,17 +139,23 @@ def _json_text(obj, nl: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    fields = getattr(type(obj), "__dataclass_fields__", None)
+    if fields is not None:
+        return _json_text({name: getattr(obj, name) for name in fields}, nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(command: str, config_echo: dict, results: dict, notes: list[str],
+def _emit_report(command: str, config_echo: dict, results, notes: list[str],
                  out: Optional[str]) -> None:
     payload = {
         "version": "1",
@@ -221,6 +230,8 @@ def _parse_interval(value) -> tuple[float, float]:
         parts = str(value).split(",")
     if len(parts) != 2:
         raise ConfigError(f"--interval must be 'a,b', got {value!r}")
+    if any(isinstance(part, bool) for part in parts):
+        raise ConfigError(f"--interval must be two numbers, got {value!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
     except (TypeError, ValueError):
@@ -353,7 +364,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         notes.append("necessary-condition screen failed; see results.necessary")
     if report.status == "Violated":
         notes.append("counterexample found; defect below -tolerance")
-    _emit_report("certify", {**cfg.echo(), **echo}, report.to_dict(), notes, args.out)
+    _emit_report("certify", {**cfg.echo(), **echo}, report, notes, args.out)
     return 2 if report.status == "Violated" else 0
 
 
@@ -387,7 +398,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
         )
     notes = [f"m_eta {report.m_eta_source}", *_link_notes(report)]
     echo = {**cfg.echo(), **echo, "backend": args.backend, "m_eta": m_eta}
-    _emit_report("hh", echo, report.to_dict(), notes, args.out)
+    _emit_report("hh", echo, report, notes, args.out)
     return 0 if report.all_hold else 2
 
 
@@ -398,7 +409,7 @@ def _cmd_fejer(args: argparse.Namespace) -> int:
     f, eta, w, echo = _make_specs(cfg, args.f, args.eta, args.w)
     report = fejer_terms(f, eta, cfg.c, w, cfg.a, cfg.b, cfg.ctx)
     notes = _link_notes(report)
-    _emit_report("fejer", {**cfg.echo(), **echo}, report.to_dict(), notes, args.out)
+    _emit_report("fejer", {**cfg.echo(), **echo}, report, notes, args.out)
     return 0 if report.all_hold else 2
 
 

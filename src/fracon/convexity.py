@@ -43,6 +43,7 @@ from .fractal_scalar import AlphaContext, gamma
 __all__ = [
     "Counterexample",
     "ConvexityReport",
+    "LatticeGrid",
     "NecessaryReport",
     "SymmetryError",
     "MinimumConditionReport",
@@ -245,16 +246,6 @@ class Counterexample:
     rhs: float
     defect: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "t": self.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "defect": self.defect,
-        }
-
 
 @dataclass(frozen=True)
 class NecessaryReport:
@@ -272,16 +263,15 @@ class NecessaryReport:
     def ok(self) -> bool:
         return self.diag_ok and self.upper_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "diag_ok": self.diag_ok,
-            "diag_min": self.diag_min,
-            "diag_witness": self.diag_witness,
-            "upper_ok": self.upper_ok,
-            "upper_min_margin": self.upper_min_margin,
-            "upper_witness": list(self.upper_witness) if self.upper_witness else None,
-            "tol": self.tol,
-        }
+
+@dataclass(frozen=True)
+class LatticeGrid:
+    """The lattice a certification searched: points per axis, refinement
+    levels and the interval [a, b] of x and y."""
+
+    grid_n: int
+    refine_depth: int
+    interval: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -293,28 +283,9 @@ class ConvexityReport:
     min_defect: float
     tol_violation: float
     max_abs_f: float
-    grid_n: int
-    refine_depth: int
-    a: float
-    b: float
+    grid: LatticeGrid
     evaluations: int
     necessary: NecessaryReport
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "min_defect": self.min_defect,
-            "tol_violation": self.tol_violation,
-            "max_abs_f": self.max_abs_f,
-            "grid": {
-                "grid_n": self.grid_n,
-                "refine_depth": self.refine_depth,
-                "interval": [self.a, self.b],
-            },
-            "evaluations": self.evaluations,
-            "necessary": self.necessary.to_dict(),
-        }
 
 
 def certify_gsc(
@@ -419,10 +390,7 @@ def certify_gsc(
         min_defect=min_defect,
         tol_violation=tol,
         max_abs_f=max_abs_f,
-        grid_n=grid_n,
-        refine_depth=refine_depth,
-        a=a,
-        b=b,
+        grid=LatticeGrid(grid_n, refine_depth, (a, b)),
         evaluations=evaluations,
         necessary=necessary,
     )

@@ -74,9 +74,6 @@ class LinkStatus:
     holds: bool
     gap: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "gap": self.gap}
-
 
 def _link_tol(*terms: float) -> float:
     """The link tolerance: _LINK_RTOL relative to the largest |term|."""
@@ -111,11 +108,11 @@ def _endpoint_values(
 
 @dataclass(frozen=True)
 class HHReport:
-    """Hermite--Hadamard chain terms with per-link verdicts."""
+    """Hermite--Hadamard chain terms with per-link verdicts; ``all_hold`` is
+    true iff every link holds."""
 
     alpha: float
-    a: float
-    b: float
+    interval: tuple[float, float]
     c: float
     backend: str
     m_eta: float
@@ -123,8 +120,8 @@ class HHReport:
     integral: float
     eta_ab: float
     eta_ba: float
-    A_const: float
-    B_const: float
+    A: float
+    B: float
     T1: float
     T2: float
     T3: float
@@ -133,34 +130,7 @@ class HHReport:
     A2: float
     link_tol: float
     links: tuple[LinkStatus, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(link.holds for link in self.links)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "interval": [self.a, self.b],
-            "c": self.c,
-            "backend": self.backend,
-            "m_eta": self.m_eta,
-            "m_eta_source": self.m_eta_source,
-            "integral": self.integral,
-            "eta_ab": self.eta_ab,
-            "eta_ba": self.eta_ba,
-            "A": self.A_const,
-            "B": self.B_const,
-            "T1": self.T1,
-            "T2": self.T2,
-            "T3": self.T3,
-            "T4": self.T4,
-            "A1": self.A1,
-            "A2": self.A2,
-            "link_tol": self.link_tol,
-            "links": [l.to_dict() for l in self.links],
-            "all_hold": self.all_hold,
-        }
+    all_hold: bool
 
 
 def hh_terms(
@@ -209,8 +179,7 @@ def hh_terms(
     tol, links = _links([("T1<=T2", T1, T2), ("T2<=T3", T2, T3), ("T3<=T4", T3, T4)])
     return HHReport(
         alpha=al,
-        a=a,
-        b=b,
+        interval=(a, b),
         c=c,
         backend=backend.kind.value,
         m_eta=M,
@@ -218,8 +187,8 @@ def hh_terms(
         integral=integral,
         eta_ab=e_ab,
         eta_ba=e_ba,
-        A_const=A,
-        B_const=B,
+        A=A,
+        B=B,
         T1=T1,
         T2=T2,
         T3=T3,
@@ -228,16 +197,17 @@ def hh_terms(
         A2=A2,
         link_tol=tol,
         links=links,
+        all_hold=all(link.holds for link in links),
     )
 
 
 @dataclass(frozen=True)
 class FejerReport:
-    """Weighted (Fejer) chain terms with per-link verdicts."""
+    """Weighted (Fejer) chain terms with per-link verdicts; ``all_hold`` is
+    true iff every link holds."""
 
     alpha: float
-    a: float
-    b: float
+    interval: tuple[float, float]
     c: float
     m0: float
     m1: float
@@ -250,29 +220,7 @@ class FejerReport:
     F3: float
     link_tol: float
     links: tuple[LinkStatus, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(link.holds for link in self.links)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "interval": [self.a, self.b],
-            "c": self.c,
-            "m0": self.m0,
-            "m1": self.m1,
-            "m2": self.m2,
-            "m3": self.m3,
-            "L_eta": self.L_eta,
-            "R_eta": self.R_eta,
-            "F1": self.F1,
-            "F2": self.F2,
-            "F3": self.F3,
-            "link_tol": self.link_tol,
-            "links": [l.to_dict() for l in self.links],
-            "all_hold": self.all_hold,
-        }
+    all_hold: bool
 
 
 def fejer_terms(
@@ -335,8 +283,7 @@ def fejer_terms(
     tol, links = _links([("F1<=F2", F1, F2), ("F2<=F3", F2, F3)])
     return FejerReport(
         alpha=al,
-        a=a,
-        b=b,
+        interval=(a, b),
         c=c,
         m0=m0,
         m1=m1,
@@ -349,6 +296,7 @@ def fejer_terms(
         F3=F3,
         link_tol=tol,
         links=links,
+        all_hold=all(link.holds for link in links),
     )
 
 
@@ -407,7 +355,7 @@ def hh_fejer_consistency(
     lhs1, rhs1 = fj.F2 * k, k * hh.integral
     tol1 = _link_tol(rhs1)
     lhs2 = fj.R_eta * k
-    rhs2 = g1 * (hh.eta_ab + hh.eta_ba) / 2**al * hh.B_const
+    rhs2 = g1 * (hh.eta_ab + hh.eta_ba) / 2**al * hh.B
     tol2 = _link_tol(rhs2)
     lhs3, rhs3 = fj.L_eta * k, hh.m_eta / 2**al
     tol3 = _LINK_RTOL

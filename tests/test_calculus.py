@@ -477,7 +477,10 @@ def test_rl_integrate_stops_when_no_panel_fails(monkeypatch):
         return np.concatenate((np.zeros_like(xs[:n]), np.where(xs[n:] < 0.5, A, 2.0)))
 
     monkeypatch.setattr(calculus, "_PANELS", 1)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
     monkeypatch.setattr(calculus, "_POINTS", 4)
+    monkeypatch.setattr(calculus, "_NODES", nodes)
+    monkeypatch.setattr(calculus, "_WEIGHTS", weights)
     calculus._mesh.cache_clear()  # drop grids built at 32 panels
     try:
         res = rl_integrate(fn, 0.0, 1.0, 1.0, rtol=0.5)

@@ -582,6 +582,22 @@ def test_number_problems_are_aggregated(capsys, tmp_path, argv, config, fragment
         assert fragment in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", *_SQUARE, "--alpha", "0.5", "--grid", "8", "--refine", "0"],
+    ["hh", *_SQUARE, "--alpha", "0.5"],
+    ["fejer", *_SQUARE, "--alpha", "0.5"],
+    ["sweep", "--alphas", "0.5", "--cs", "0", "--etas", "difference", "--fs", "square"],
+], ids=["certify", "hh", "fejer", "sweep"])
+def test_config_boolean_interval_exit_one(capsys, tmp_path, argv):
+    """JSON booleans are not numbers for --interval either."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"interval": [false, true]}')
+    code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err == "fracon: error: --interval must be two numbers, got [False, True]\n"
+
+
 @pytest.mark.parametrize("cmd", ["certify", "hh", "fejer"])
 def test_config_non_string_expressions_exit_one(capsys, tmp_path, cmd):
     """A config-file f, eta or w that is not a string is one config error."""
@@ -674,6 +690,21 @@ def test_sweep_out_flag_writes_csv(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == _HEADER
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--f", "square", "--eta", "difference", "--alpha", "0.5"],
+    ["sweep", "--alphas", "0.5", "--cs", "0", "--etas", "difference", "--fs", "square"],
+], ids=["hh", "sweep"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
+    """An --out path that cannot be written is one config error, not a traceback."""
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"fracon: error: cannot write output file {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_unknown_subcommand_exit_one(capsys):

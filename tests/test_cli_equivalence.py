@@ -6,25 +6,40 @@ that command's parser; ``build_parser().parse_args`` reads the line at the
 top level first and then hands on the rest.  ``cli._json_text`` writes a
 report in one pass; ``_norm`` below, with ``json.dumps(indent=2,
 allow_nan=False)``, is the two-pass writer it stands in for, kept here as
-the reference.
+the reference.  The reference writes a dataclass as
+``dataclasses.asdict`` does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracon import __version__, cli
+from fracon import (
+    AlphaContext,
+    EtaSpec,
+    FunctionSpec,
+    WeightSpec,
+    __version__,
+    certify_gsc,
+    cli,
+    fejer_terms,
+    hh_terms,
+)
 from fracon.cli import ConfigError, main
 
 # ------------------------------------------------------------------ writer
 
 
 def _norm(obj):
-    """Round every float in a JSON-ready structure to 15 significant digits."""
+    """Round every float in a JSON-ready structure to 15 significant digits;
+    a dataclass instance becomes the dict of its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _norm(dataclasses.asdict(obj))
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
@@ -99,6 +114,38 @@ def test_writer_rejects_non_finite_floats_with_the_json_message(bad, where):
 def test_writer_rejects_types_json_has_no_form_for():
     with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
         cli._json_text({"a": [{1.0}]}, "\n")
+
+
+def _spec(text: str, a: float = 0.0, b: float = 1.0) -> FunctionSpec:
+    return FunctionSpec.from_text(text, domain=(a, b))
+
+
+_CTX = AlphaContext(alpha=0.5)
+_DIFF = EtaSpec.from_text("u - v")
+_REPORTS = {
+    "hh": lambda: hh_terms(_spec("abs(x - 0.3)^(a)"), _DIFF, 1.0, 0.0, 1.0, _CTX),
+    "fejer": lambda: fejer_terms(_spec("x^(2a)"), _DIFF, 0.0,
+                                 WeightSpec.from_text("x*(1 - x)", domain=(0.0, 1.0)),
+                                 0.0, 1.0, _CTX),
+    "certify": lambda: certify_gsc(_spec("x^(2a)"), _DIFF, 0.0, _CTX, 16, 1),
+    "certify-violated": lambda: certify_gsc(_spec("-x^(2a)"), _DIFF, 1.0, _CTX, 16, 1),
+    # Both necessary conditions fail, so both of their witnesses are set.
+    "certify-necessary": lambda: certify_gsc(_spec("1", 0.2, 1.3), EtaSpec.from_text("-1"),
+                                             0.0, _CTX, 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTS))
+def test_writer_writes_a_report_as_its_fields(name):
+    """A report dataclass is written as ``dataclasses.asdict`` of it: its
+    fields in declaration order, nested reports and tuples included."""
+    rep = _REPORTS[name]()
+    if name.startswith("certify-"):
+        assert rep.status == "Violated" and rep.witness is not None
+    if name == "certify-necessary":
+        assert rep.necessary.diag_witness is not None
+        assert rep.necessary.upper_witness is not None
+    assert cli._json_text(rep, "\n") == _reference(rep)
 
 
 @pytest.mark.parametrize("argv", [

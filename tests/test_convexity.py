@@ -35,6 +35,7 @@ from fracon import (
     certify_gsc,
     check_eta_necessary,
     check_symmetry,
+    cli,
     convexity,
     defect,
     estimate_eta_sup,
@@ -156,7 +157,7 @@ def test_certify_square_is_clean():
     assert rep.status == "NoViolationFound"
     assert rep.witness is None
     assert rep.min_defect >= -1e-9
-    assert rep.a == -1.0 and rep.b == 1.0
+    assert rep.grid.interval == (-1.0, 1.0)
     assert rep.evaluations > 20**3
 
 
@@ -199,13 +200,13 @@ def test_certify_deterministic():
     r1 = certify_gsc(f, eta, 0.5, _CTX1, grid_n=16, refine_depth=2)
     r2 = certify_gsc(f, eta, 0.5, _CTX1, grid_n=16, refine_depth=2)
     assert r1 == r2
-    assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
+    assert cli._json_text(r1, "\n") == cli._json_text(r2, "\n")
 
 
 def test_certify_report_dict_shape():
     rep = certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1,
                       grid_n=16, refine_depth=1)
-    d = rep.to_dict()
+    d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"status", "witness", "min_defect", "tol_violation", "max_abs_f",
                       "grid", "evaluations", "necessary"}
     assert d["grid"] == {"grid_n": 16, "refine_depth": 1, "interval": [0.0, 1.0]}
@@ -319,7 +320,7 @@ def test_certify_report_independent_of_slab_size(monkeypatch, text, eta, c, alph
     default = certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3)
     assert default.status == status
     monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 20 * 20)
-    assert certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3).to_dict() == default.to_dict()
+    assert certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3) == default
 
 
 @pytest.mark.parametrize("slab_cells", [1, 5 * 17 * 17, 1 << 16])
@@ -582,7 +583,7 @@ def test_certify_stops_refining_a_collapsed_box(monkeypatch, text, alpha):
             [v.hex() for v in (w.x, w.y, w.t, w.lhs, w.rhs, w.defect)]) == witness
     assert len(calls) == runs < 41
     assert rep.evaluations == grid**3 + (runs - 1) * 13**3
-    assert rep.refine_depth == 40
+    assert rep.grid.refine_depth == 40
 
 
 _DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)

@@ -54,10 +54,10 @@ def test_output_matches_frozen_file(capsys, name):
 
 def test_output_does_not_depend_on_cache_state():
     """The benchmark's quadrature and sweep cases (seed 1) print the same
-    bytes whether fracon's caches (the parser tree, the quadrature meshes
-    and Gauss--Legendre rules) are warm or cleared before every case, and
-    the bytes they printed when these digests were frozen, so a change that
-    moves any bit of hh, fejer, integrate, diff or sweep output fails here.
+    bytes whether fracon's caches (the parser tree and the quadrature
+    meshes) are warm or cleared before every case, and the bytes they
+    printed when these digests were frozen, so a change that moves any bit
+    of hh, fejer, integrate, diff or sweep output fails here.
     Refresh with ``python3 tools/output_digest.py --workload quadrature
     --workload sweep --seeds 1``."""
     argv = [sys.executable, str(_DIGEST), "--workload", "quadrature", "--workload", "sweep",

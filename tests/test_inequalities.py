@@ -29,6 +29,7 @@ from fracon import (
     SymmetryError,
     WeightSpec,
     certify_gsc,
+    cli,
     estimate_eta_sup,
     fejer_terms,
     gamma,
@@ -89,8 +90,8 @@ def test_chain_constants_satisfy_gamma_identities(alpha):
     """A Gamma(1+3al) = Gamma(1+2al) and B Gamma(1+2al) = Gamma(1+al)."""
     ctx = AlphaContext(alpha=alpha)
     rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, ctx)
-    assert abs(rep.A_const * gamma(1 + 3 * alpha) - gamma(1 + 2 * alpha)) <= 1e-12
-    assert abs(rep.B_const * gamma(1 + 2 * alpha) - gamma(1 + alpha)) <= 1e-12
+    assert abs(rep.A * gamma(1 + 3 * alpha) - gamma(1 + 2 * alpha)) <= 1e-12
+    assert abs(rep.B * gamma(1 + 2 * alpha) - gamma(1 + alpha)) <= 1e-12
 
 
 def test_constant_function_collapses_at_unit_order():
@@ -173,7 +174,7 @@ def test_chain_validates_interval_and_modulus():
 
 def test_report_dict_shape():
     rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    d = rep.to_dict()
+    d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"alpha", "interval", "c", "backend", "m_eta", "m_eta_source",
                       "integral", "eta_ab", "eta_ba", "A", "B", "T1", "T2", "T3", "T4",
                       "A1", "A2", "link_tol", "links", "all_hold"}
@@ -185,7 +186,7 @@ def test_chain_deterministic():
     f = _f("x^(2a)", 0.0, 1.0)
     r1 = hh_terms(f, _DIFF, 0.5, 0.0, 1.0, _CTX1)
     r2 = hh_terms(f, _DIFF, 0.5, 0.0, 1.0, _CTX1)
-    assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
+    assert cli._json_text(r1, "\n") == cli._json_text(r2, "\n")
 
 
 # ----------------------------------------------------------- certified links
@@ -306,7 +307,7 @@ def test_weighted_chain_rejects_asymmetric_weight():
 def test_weighted_report_dict_shape():
     rep = fejer_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, _w("1", 0.0, 1.0),
                       0.0, 1.0, _CTX1)
-    d = rep.to_dict()
+    d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"alpha", "interval", "c", "m0", "m1", "m2", "m3",
                       "L_eta", "R_eta", "F1", "F2", "F3", "link_tol", "links",
                       "all_hold"}
