@@ -351,8 +351,9 @@ def rl_integrate(
     return QuadResult(value / scale, evals, levels, converged, error / scale)
 
 
-def _table_integral(gp: GPoly, span: float, alpha: float) -> float:
+def _table_integral(gp: GPoly, span: float) -> float:
     """Exact integral of a GPoly about the left endpoint over span > 0."""
+    alpha = gp.alpha
     total = 0.0
     for k, c in gp.terms:
         total += c * gamma(1.0 + k * alpha) / gamma(1.0 + (k + 1) * alpha) * span ** ((k + 1) * alpha)
@@ -389,15 +390,16 @@ def lf_integral(
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
         gp = f.gpoly(a, ctx)
-        return _finite(sign * _table_integral(gp, b - a, ctx.alpha))
+        return _finite(sign * _table_integral(gp, b - a))
     res = rl_integrate(
         lambda xs: f.evaluate_many(xs, ctx), a, b, ctx.alpha, points=f.singular_points()
     )
     return _finite(sign * res.value)
 
 
-def _term_rule(gp: GPoly, x0: float, alpha: float) -> float:
+def _term_rule(gp: GPoly, x0: float) -> float:
     """Exact derivative of a GPoly about s at x0 >= s via the table rule."""
+    alpha = gp.alpha
     d = x0 - gp.s
     total = 0.0
     for k, c in gp.terms:
@@ -430,7 +432,7 @@ def lf_derivative(
 
     if mode is DerivativeMode.EXACT_MONOMIAL:
         gp = f.gpoly(s, ctx)
-        return _finite(_term_rule(gp, x0, alpha))
+        return _finite(_term_rule(gp, x0))
 
     if alpha == 1.0:
         h = 1e-6

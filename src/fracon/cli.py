@@ -12,8 +12,9 @@ axioms     arithmetic-conformance table for both carriers
 
 Configuration comes from flags, optionally layered over a JSON config
 file (``--config PATH``); explicit flags win over file values, which win
-over built-in defaults.  Invalid inputs are reported as one aggregated
-message listing every violation.
+over built-in defaults.  Invalid inputs, an unwritable ``--out`` among
+them, are reported before any work as one aggregated message listing
+every violation; a flag value argparse cannot convert is reported alone.
 
 Exit codes
 ----------
@@ -32,8 +33,8 @@ byte-identical.  JSON reports share the envelope
 written in one pass that rounds each float as it goes, byte-identical to
 ``json.dumps(indent=2)`` of the rounded envelope.  A report is written as
 its fields, in declaration order, so a report's JSON keys are its
-dataclass fields.  Each command line is parsed once, by its command's own
-parser.
+dataclass fields (an ``axioms --json`` row is an ``AxiomRow``).  Each
+command line is parsed once, by its command's own parser.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .fractal_scalar import (
     axiom_conformance,
 )
 from .inequalities import fejer_terms, hh_terms
-from .presets import resolve_eta, resolve_f, resolve_w
+from .presets import ETA_PRESETS, F_PRESETS, W_PRESETS, resolve
 
 __all__ = ["ConfigError", "main", "console_main"]
 
@@ -168,35 +169,30 @@ def _emit_report(command: str, config_echo: dict, results, notes: list[str],
 
 # ------------------------------------------------------------ config merge
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Layer a JSON config file, keyed by option dest, under explicit flags (flags win)."""
+def _merge_config(args: argparse.Namespace, defaults: dict) -> None:
+    """Fill each option its flag left unset from the JSON config file, keyed
+    by option dest, and then from ``defaults`` (a file ``null`` falls through)."""
+    data = {}
     path = getattr(args, "config", None)
-    if path is None:
-        return
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
-    allowed = set(vars(args)) - {"cmd", "func", "config"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"config file {path!r} has unknown keys for '{args.cmd}': "
-            + ", ".join(unknown)
-        )
-    for key, value in data.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _apply_defaults(args: argparse.Namespace, defaults: dict) -> None:
-    for key, value in defaults.items():
+    if path is not None:
+        try:
+            raw = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path!r} must hold a JSON object")
+        allowed = set(vars(args)) - {"cmd", "func", "config"}
+        unknown = sorted(set(data) - allowed)
+        if unknown:
+            raise ConfigError(
+                f"config file {path!r} has unknown keys for '{args.cmd}': "
+                + ", ".join(unknown)
+            )
+    for key, value in [*data.items(), *defaults.items()]:
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -277,6 +273,18 @@ def _non_strings(args: argparse.Namespace, *names: str) -> list[str]:
             if (v := getattr(args, n, None)) is not None and not isinstance(v, str)]
 
 
+def _out_problems(args: argparse.Namespace) -> list[str]:
+    """Problem lines for an ``--out`` that is not a string or cannot be created."""
+    out = args.out
+    if not out or not isinstance(out, str):
+        return _non_strings(args, "out")
+    if Path(out).is_dir():
+        return [f"cannot write output file {out!r}: it is a directory"]
+    if not Path(out).parent.is_dir():
+        return [f"cannot write output file {out!r}: its parent is not a directory"]
+    return []
+
+
 def _missing_flags(args: argparse.Namespace, *names: str) -> list[str]:
     """Problem lines for required flags that are still unset after layering."""
     return [f"--{n} is required" for n in names if getattr(args, n) is None]
@@ -301,7 +309,8 @@ class RunConfig:
     def from_args(
         cls, args: argparse.Namespace, pre: Sequence[str] = ()
     ) -> "RunConfig":
-        problems = [*pre, *_non_strings(args, "f", "eta", "w", "meta", "out")]
+        problems = [*pre, *_non_strings(args, "f", "eta", "w", "meta"),
+                    *_out_problems(args)]
         alpha = _collect(problems, _check_alpha, args.alpha)
         c = _collect(problems, _as_float, "--c", args.c)
         if c is not None and not c >= 0.0:
@@ -334,8 +343,8 @@ class RunConfig:
 
 def _make_specs(cfg: RunConfig, f_key: str, eta_key: str,
                 w_key: Optional[str] = None):
-    f_id, f_text = resolve_f(f_key)
-    eta_id, eta_text = resolve_eta(eta_key)
+    f_id, f_text = resolve(F_PRESETS, f_key)
+    eta_id, eta_text = resolve(ETA_PRESETS, eta_key)
     f = FunctionSpec.from_text(f_text, domain=(cfg.a, cfg.b), params=cfg.params)
     eta = EtaSpec.from_text(eta_text, params=cfg.params)
     echo = {
@@ -344,8 +353,8 @@ def _make_specs(cfg: RunConfig, f_key: str, eta_key: str,
     }
     if w_key is None:
         return f, eta, echo
-    w_id, w_text = resolve_w(w_key)
-    w = WeightSpec.from_text(w_text, domain=(cfg.a, cfg.b), params=cfg.params)
+    w_id, w_text = resolve(W_PRESETS, w_key)
+    w = WeightSpec.from_text(w_text, params=cfg.params)
     echo["w"] = {"id": w_id, "text": w_text}
     return f, eta, w, echo
 
@@ -354,8 +363,7 @@ def _make_specs(cfg: RunConfig, f_key: str, eta_key: str,
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "grid": 50, "refine": 3})
+    _merge_config(args, {"c": 0.0, "interval": "0,1", "grid": 50, "refine": 3})
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, echo = _make_specs(cfg, args.f, args.eta)
     report = certify_gsc(f, eta, cfg.c, cfg.ctx, cfg.grid, cfg.refine)
@@ -378,8 +386,7 @@ def _link_notes(report) -> list[str]:
 
 
 def _cmd_hh(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "backend": "rl"})
+    _merge_config(args, {"c": 0.0, "interval": "0,1", "backend": "rl"})
     pre = _missing_flags(args, "f", "eta")
     if args.backend not in ("exact", "rl", None):
         pre.append(f"--backend must be exact|rl, got {args.backend!r}")
@@ -403,8 +410,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
 
 
 def _cmd_fejer(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    _apply_defaults(args, {"c": 0.0, "interval": "0,1", "w": "one"})
+    _merge_config(args, {"c": 0.0, "interval": "0,1", "w": "one"})
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, w, echo = _make_specs(cfg, args.f, args.eta, args.w)
     report = fejer_terms(f, eta, cfg.c, w, cfg.a, cfg.b, cfg.ctx)
@@ -434,10 +440,9 @@ def _split_list(value, kind: str, default: tuple, conv=str) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    _apply_defaults(args, {"interval": "0,1", "grid": 24, "refine": 2,
-                           "budget": _SWEEP_BUDGET})
-    problems = _non_strings(args, "out")
+    _merge_config(args, {"interval": "0,1", "grid": 24, "refine": 2,
+                         "budget": _SWEEP_BUDGET})
+    problems = _out_problems(args)
     alphas = _collect(problems, _split_list, args.alphas, "alphas", _SWEEP_ALPHAS, float,
                       default=())
     cs = _collect(problems, _split_list, args.cs, "cs", _SWEEP_CS, float, default=())
@@ -464,10 +469,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bound = {"c": 0.0, "lo": a, "hi": b}
     f_specs, eta_specs = {}, {}
     for key in fs:
-        f_id, f_text = resolve_f(key)
+        f_id, f_text = resolve(F_PRESETS, key)
         f_specs[key] = f_id, FunctionSpec.from_text(f_text, domain=(a, b), params=bound)
     for key in etas:
-        eta_id, eta_text = resolve_eta(key)
+        eta_id, eta_text = resolve(ETA_PRESETS, key)
         eta_specs[key] = eta_id, EtaSpec.from_text(eta_text, params=bound)
 
     buf = io.StringIO()
@@ -526,9 +531,8 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
     lo, hi = min(a, b), max(a, b)
-    _, f_text = resolve_f(args.f)
-    f = FunctionSpec.from_text(f_text, domain=(lo, hi) if lo < hi else None,
-                               params={"lo": lo, "hi": hi})
+    _, f_text = resolve(F_PRESETS, args.f)
+    f = FunctionSpec.from_text(f_text, params={"lo": lo, "hi": hi})
     backend = NUMERIC if args.backend == "rl" else EXACT
     try:
         value = lf_integral(f, a, b, ctx, backend)
@@ -552,7 +556,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
-    _, f_text = resolve_f(args.f)
+    _, f_text = resolve(F_PRESETS, args.f)
     f = FunctionSpec.from_text(f_text)
     mode = DerivativeMode("exact" if args.mode == "auto" else args.mode)
     try:
@@ -572,65 +576,41 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     problems: list[str] = []
-    if args.alpha is not None:
-        alphas = (_collect(problems, _check_alpha, args.alpha),)
-    else:
-        alphas = _SWEEP_ALPHAS
+    alphas = (_SWEEP_ALPHAS if args.alpha is None
+              else (_collect(problems, _check_alpha, args.alpha),))
     if args.triples < 1:
         problems.append(f"--triples must be >= 1, got {args.triples!r}")
     elif args.triples > _MAX_TRIPLES:
         problems.append(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
     if args.seed < 0:
         problems.append(f"--seed must be >= 0, got {args.seed!r}")
+    problems += _out_problems(args)
     if problems:
         raise ConfigError("; ".join(problems))
 
     blocks = []
     for alpha in alphas:
         rows = axiom_conformance(alpha, triples=args.triples, seed=args.seed)
-        blocks.append((alpha, rows))
+        blocks.append({"alpha": alpha, "rows": rows,
+                       "iso_pass": sum(r.iso == "PASS" for r in rows),
+                       "magnitude_pass": sum(r.magnitude == "PASS" for r in rows)})
 
     if args.json:
-        results = {
-            "blocks": [
-                {
-                    "alpha": alpha,
-                    "rows": [
-                        {
-                            "index": r.index,
-                            "title": r.title,
-                            "iso": "PASS" if r.iso_ok else "DIVERGES",
-                            "iso_err": r.iso_err,
-                            "magnitude": "PASS" if r.mag_ok else "DIVERGES",
-                            "magnitude_err": r.mag_err,
-                            "note": r.note,
-                        }
-                        for r in rows
-                    ],
-                    "iso_pass": sum(r.iso_ok for r in rows),
-                    "magnitude_pass": sum(r.mag_ok for r in rows),
-                }
-                for alpha, rows in blocks
-            ]
-        }
         echo = {"alpha": args.alpha, "triples": args.triples, "seed": args.seed}
-        _emit_report("axioms", echo, results, [], args.out)
+        _emit_report("axioms", echo, {"blocks": blocks}, [], args.out)
         return 0
 
     lines = []
-    for alpha, rows in blocks:
-        lines.append(f"alpha={_fmt(alpha)}  triples={args.triples}  seed={args.seed}")
+    for block in blocks:
+        rows = block["rows"]
+        lines.append(f"alpha={_fmt(block['alpha'])}  triples={args.triples}  seed={args.seed}")
         for r in rows:
-            iso = "PASS" if r.iso_ok else "DIVERGES"
-            mag = "PASS" if r.mag_ok else "DIVERGES"
-            line = f"  {r.index}  {r.title:<44s} iso={iso:<8s} magnitude={mag}"
-            if r.note and not r.mag_ok:
+            line = f"  {r.index}  {r.title:<44s} iso={r.iso:<8s} magnitude={r.magnitude}"
+            if r.note:
                 line += f"  ({r.note})"
             lines.append(line)
-        lines.append(
-            f"summary: iso={sum(r.iso_ok for r in rows)}/{len(rows)} "
-            f"magnitude={sum(r.mag_ok for r in rows)}/{len(rows)}"
-        )
+        lines.append(f"summary: iso={block['iso_pass']}/{len(rows)} "
+                     f"magnitude={block['magnitude_pass']}/{len(rows)}")
         lines.append("")
     _emit_text("\n".join(lines), args.out)
     return 0

@@ -75,18 +75,22 @@ class AlphaContext:
 
 @dataclass(frozen=True)
 class AxiomRow:
-    """Conformance result for one arithmetic property under both semantics.
-
-    ``iso_*`` is the base-value reading, ``mag_*`` the magnitude reading.
-    """
+    """Conformance of one arithmetic property under both semantics, and a
+    row of ``axioms --json``.  ``iso*`` is the base-value reading,
+    ``magnitude*`` the magnitude reading; a verdict is "PASS" or "DIVERGES",
+    and ``note`` is set only when the magnitude reading diverges."""
 
     index: int
     title: str
-    iso_ok: bool
+    iso: str
     iso_err: float
-    mag_ok: bool
-    mag_err: float
+    magnitude: str
+    magnitude_err: float
     note: str = ""
+
+
+def _verdict(err: float) -> str:
+    return "PASS" if err <= 1e-12 else "DIVERGES"
 
 
 def _rel_err(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:
@@ -129,9 +133,8 @@ def axiom_conformance(
         iso_err = check(a, b, c, lambda x: x)  # base-value semantics
         mag_err = check(a, b, c, mag)  # magnitude semantics
         note = note_mag if mag_err > 1e-12 else ""
-        rows.append(
-            AxiomRow(index, title, iso_err <= 1e-12, iso_err, mag_err <= 1e-12, mag_err, note)
-        )
+        rows.append(AxiomRow(index, title, _verdict(iso_err), iso_err,
+                             _verdict(mag_err), mag_err, note))
 
     def chk_closure(a, b, c, rep):
         s = rep(a) + rep(b)

@@ -347,7 +347,7 @@ def hh_fejer_consistency(
     al = ctx.alpha
     g1 = gamma(1.0 + al)
     span = b - a
-    w1 = WeightSpec.from_text("1", domain=(a, b))
+    w1 = WeightSpec.from_text("1")
     hh = hh_terms(f, eta, c, a, b, ctx)
     fj = fejer_terms(f, eta, c, w1, a, b, ctx)
     k = g1 / span**al

@@ -13,9 +13,7 @@ __all__ = [
     "ETA_PRESETS",
     "F_PRESETS",
     "W_PRESETS",
-    "resolve_eta",
-    "resolve_f",
-    "resolve_w",
+    "resolve",
 ]
 
 #: eta maps (two-argument expressions in u, v).
@@ -39,23 +37,9 @@ W_PRESETS: dict[str, str] = {
 }
 
 
-def _resolve(table: dict[str, str], key: str) -> tuple[str, str]:
-    """Return (id, expression_text); unregistered keys are custom text."""
+def resolve(table: dict[str, str], key: str) -> tuple[str, str]:
+    """Return (id, expression_text) for ``key`` in one of the tables above;
+    an unregistered key is custom expression text."""
     if key in table:
         return key, table[key]
     return "custom", key
-
-
-def resolve_eta(key: str) -> tuple[str, str]:
-    """Resolve an eta preset id (or raw two-variable expression text)."""
-    return _resolve(ETA_PRESETS, key)
-
-
-def resolve_f(key: str) -> tuple[str, str]:
-    """Resolve a function preset id (or raw expression text)."""
-    return _resolve(F_PRESETS, key)
-
-
-def resolve_w(key: str) -> tuple[str, str]:
-    """Resolve a weight preset id (or raw expression text)."""
-    return _resolve(W_PRESETS, key)

@@ -70,7 +70,7 @@ def test_criterion_01_axiom_conformance(capsys):
             rows = axiom_conformance(alpha, triples=1000, seed=2718)
             assert len(rows) == 7
             for row in rows:
-                assert row.iso_ok, (alpha, row.index, row.iso_err)
+                assert row.iso == "PASS", (alpha, row.index, row.iso_err)
                 assert row.iso_err <= 1e-12
         assert main(["axioms"]) == 0
         out = capsys.readouterr().out

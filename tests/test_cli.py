@@ -692,19 +692,49 @@ def test_sweep_out_flag_writes_csv(capsys, tmp_path):
     assert len(lines) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["hh", "--f", "square", "--eta", "difference", "--alpha", "0.5"],
-    ["sweep", "--alphas", "0.5", "--cs", "0", "--etas", "difference", "--fs", "square"],
-], ids=["hh", "sweep"])
-def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
-    """An --out path that cannot be written is one config error, not a traceback."""
-    target = tmp_path / "missing" / "x.out"
-    code, out, err = run(capsys, [*argv, "--out", str(target)])
+_COMPUTES = [
+    (["hh", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["hh_terms"]),
+    (["sweep", "--alphas", "0.5", "--cs", "0", "--etas", "difference", "--fs", "square"],
+     ["hh_terms", "certify_gsc"]),
+    (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["certify_gsc"]),
+    (["fejer", "--f", "square", "--eta", "difference", "--alpha", "0.5"], ["fejer_terms"]),
+    (["axioms", "--alpha", "0.5"], ["axiom_conformance"]),
+]
+_COMPUTE_IDS = ["hh", "sweep", "certify", "fejer", "axioms"]
+
+
+@pytest.mark.parametrize(("argv", "computes"), _COMPUTES, ids=_COMPUTE_IDS)
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, monkeypatch, argv, computes):
+    """An --out in a directory that does not exist, or naming a directory,
+    is one config error found before any work, not a traceback."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran with an unwritable out")
+
+    for name in computes:
+        monkeypatch.setattr(cli, name, no_work)
+    for target in (tmp_path / "missing" / "x.out", tmp_path):
+        code, out, err = run(capsys, [*argv, "--out", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fracon: error: cannot write output file {str(target)!r}: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_write_failure_is_one_error_line(capsys, tmp_path, monkeypatch):
+    """A write that fails after the up-front check (permissions, a full
+    disk) is still one config error, not a traceback."""
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(cli.Path, "write_text", refuse)
+    target = tmp_path / "x.out"
+    code, out, err = run(capsys, ["axioms", "--alpha", "0.5", "--triples", "8",
+                                  "--out", str(target)])
     assert code == 1
     assert out == ""
     assert err.startswith(f"fracon: error: cannot write output file {str(target)!r}: ")
     assert err.count("\n") == 1
-    assert not target.exists()
 
 
 def test_unknown_subcommand_exit_one(capsys):

@@ -201,7 +201,7 @@ def _parsed(parse, argv):
     """``vars`` of the parsed, config-merged namespace, or the error text."""
     try:
         args = parse(argv)
-        cli._merge_config(args)
+        cli._merge_config(args, {})
     except ConfigError as exc:
         return "error", str(exc)
     return "ok", vars(args)

@@ -34,6 +34,7 @@ _CASES = {
     "integrate.txt": (["integrate", "x^(a)", "0", "1", "--alpha", "0.5"], 0),
     "diff.txt": (["diff", "x^(2a)", "--at", "3", "--alpha", "1.0"], 0),
     "axioms.txt": (["axioms", "--alpha", "0.5"], 0),
+    "axioms.json": (["axioms", "--json"], 0),
     "hh_kinked.json": (["hh", "--f", "abs(x - 0.3)^(a)", "--eta", "difference",
                         "--alpha", "0.3"], 0),
     "fejer_kinked.json": (["fejer", "--f", "abs(x - 0.7)^(a)", "--eta", "example23",
