@@ -439,6 +439,16 @@ def _split_list(value, kind: str, default: tuple, conv=str) -> tuple:
         raise ConfigError(f"--{kind} has a non-numeric entry in {value!r}") from None
 
 
+def _write_csv_row(buf: io.StringIO, row: list[str]) -> None:
+    """Append one CSV row to ``buf``.
+
+    A writer per row: CPython's csv writer keeps the 128 KiB record buffer
+    it allocates for its first row, which a sweep-long writer would hold
+    through every row's certify lattice.
+    """
+    csv.writer(buf, lineterminator="\n").writerow(row)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _merge_config(args, {"interval": "0,1", "grid": 24, "refine": 2,
                          "budget": _SWEEP_BUDGET})
@@ -476,8 +486,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         eta_specs[key] = eta_id, EtaSpec.from_text(eta_text, params=bound)
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER.split(","))
+    _write_csv_row(buf, _SWEEP_HEADER.split(","))
     any_error = False
     for alpha in alphas:
         ctx = AlphaContext(alpha=alpha)
@@ -497,10 +506,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             ZeroDivisionError, FloatingPointError, ValueError) as exc:
                         any_error = True
                         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-                        writer.writerow(head + [""] * 10 + ["ERROR", message])
+                        _write_csv_row(buf, head + [""] * 10 + ["ERROR", message])
                         continue
                     links = ["HOLDS" if l.holds else "FAILS" for l in hh.links]
-                    writer.writerow(
+                    _write_csv_row(
+                        buf,
                         head
                         + [_fmt(t) for t in (hh.T1, hh.T2, hh.T3, hh.T4, hh.A1, hh.A2)]
                         + links

@@ -375,34 +375,40 @@ def _fmt_exp(exp: Union[ExpLiteral, ExpAlpha]) -> str:
 
 def pretty(node: ExprAst) -> str:
     """Canonical text form; re-parses to an equal tree (pos ignored)."""
+    return _pretty(node, 0)
 
-    def go(n: ExprAst, prec: int) -> str:
-        if isinstance(n, Num):
-            s = _fmt_float(n.value)
-            return f"({s})" if n.value < 0 and prec >= 3 else s
-        if isinstance(n, Name):
-            return n.name
-        if isinstance(n, Abs):
-            return f"abs({go(n.child, 0)})"
-        if isinstance(n, Neg):
-            inner = go(n.child, 2)
-            s = f"-{inner}"
-            return f"({s})" if prec >= 2 else s
-        if isinstance(n, Pow):
-            base = go(n.base, 3)
-            if isinstance(n.base, (Bin, Neg, Pow)):
-                base = f"({go(n.base, 0)})"
-            return f"{base}^({_fmt_exp(n.exp)})"
-        if isinstance(n, Bin):
-            my = 1 if n.op in "+-" else 2
-            left = go(n.left, my)
-            right = go(n.right, my + 1)
-            sep = f" {n.op} " if my == 1 else n.op
-            s = f"{left}{sep}{right}"
-            return f"({s})" if prec > my else s
-        raise TypeError(f"not an expression node: {n!r}")
 
-    return go(node, 0)
+def _pretty(n: ExprAst, prec: int) -> str:
+    """``n`` as text inside an operator of precedence ``prec``.
+
+    This recursion, and the other ones of this module, are module-level
+    functions: a closure that calls itself is a reference cycle, which
+    lives until the cyclic garbage collector runs.
+    """
+    if isinstance(n, Num):
+        s = _fmt_float(n.value)
+        return f"({s})" if n.value < 0 and prec >= 3 else s
+    if isinstance(n, Name):
+        return n.name
+    if isinstance(n, Abs):
+        return f"abs({_pretty(n.child, 0)})"
+    if isinstance(n, Neg):
+        inner = _pretty(n.child, 2)
+        s = f"-{inner}"
+        return f"({s})" if prec >= 2 else s
+    if isinstance(n, Pow):
+        base = _pretty(n.base, 3)
+        if isinstance(n.base, (Bin, Neg, Pow)):
+            base = f"({_pretty(n.base, 0)})"
+        return f"{base}^({_fmt_exp(n.exp)})"
+    if isinstance(n, Bin):
+        my = 1 if n.op in "+-" else 2
+        left = _pretty(n.left, my)
+        right = _pretty(n.right, my + 1)
+        sep = f" {n.op} " if my == 1 else n.op
+        s = f"{left}{sep}{right}"
+        return f"({s})" if prec > my else s
+    raise TypeError(f"not an expression node: {n!r}")
 
 
 # --- evaluation -----------------------------------------------------------
@@ -412,65 +418,129 @@ def _is_near_int(v: float) -> bool:
     return abs(v - round(v)) <= 1e-9
 
 
-def _pow_alpha(base, k: float, alpha: float):
-    """base^(k*alpha) in magnitude semantics (sign rules in module doc)."""
-    mag = np.abs(base) ** (k * alpha)
-    if _is_near_int(k) and int(round(k)) % 2 == 0:
+def _pow_alpha(base, k: float, alpha: float, owned: bool = False):
+    """base^(k*alpha) in magnitude semantics (sign rules in module doc).
+
+    |base| is taken once and raised with ``**=``, which keeps the fast
+    paths of numpy's ``**`` (0.5 -> sqrt, 2 -> square).  An ``owned`` base
+    (see :func:`_owned`) receives |base| or sign(base), so the result costs
+    one array less.  Scalars give the numpy scalars ``np.abs(base) ** p``
+    gives.
+    """
+    signed = not (_is_near_int(k) and int(round(k)) % 2 == 0)
+    mag = np.abs(base, out=base) if owned and not signed else np.abs(base)
+    mag **= k * alpha
+    if not signed:
         return mag
-    return np.sign(base) * mag
+    sign = np.sign(base, out=base) if owned else np.sign(base)
+    sign *= mag
+    return sign
 
 
-def _pow_literal(base, r: float, pos: int):
+def _pow_literal(base, r: float, pos: int, owned: bool = False):
+    """base^(r): the real power for integer r, else sign(base)*|base|**r.
+
+    Zero to a negative power is an :class:`EvalError`, raised before any
+    array is written.  An ``owned`` base receives the result.
+    """
     if _is_near_int(r):
         n = int(round(r))
         if n < 0 and np.any(np.asarray(base) == 0.0):
             raise EvalError(f"zero raised to negative power at offset {pos}", pos)
+        if owned:
+            base **= n
+            return base
         return np.asarray(base, dtype=float) ** n
     if r < 0 and np.any(np.asarray(base) == 0.0):
         raise EvalError(f"zero raised to negative power at offset {pos}", pos)
-    return np.sign(base) * np.abs(base) ** r
+    return _pow_alpha(base, r, 1.0, owned)  # r is not an integer: sign(base)*|base|**r
+
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_F64 = np.dtype(np.float64)
+
+
+def _owned(n: ExprAst, value) -> bool:
+    """Whether ``value``, the value of node ``n``, may be written in place.
+
+    Every operator returns a new array for array operands, so the value of
+    a non-leaf node is an array that only its parent holds; leaves hand
+    back inputs (env arrays) and are never written.
+    """
+    return (type(value) is np.ndarray and value.dtype is _F64
+            and type(n) is not Name and type(n) is not Num)
+
+
+def _fits(target: np.ndarray, other) -> bool:
+    """Whether ``target op other`` has the target's shape and dtype."""
+    if isinstance(other, float):
+        return True
+    return type(other) is np.ndarray and other.dtype is _F64 and other.shape == target.shape
 
 
 def _eval(n: ExprAst, env, params, alpha: float):
     """Recursive worker of ``evaluate_raw``.
 
+    An operator writes its result with ``out=`` into an array one of its
+    operand nodes made (see :func:`_owned`) when that array already has the
+    result's shape and dtype, so a walk holds a few arrays at a time
+    instead of one per node.  The ufuncs and their operand order are those
+    of the plain operators, so the values are the same bit for bit.
+    Broadcast shapes, scalars and leaves take the allocating operators.
+
     A module-level function rather than a closure: a closure that calls
     itself is a reference cycle, and the cycle would keep ``env`` (and so
     every input array) alive until the cyclic garbage collector runs.
     """
-    if isinstance(n, Num):
-        return n.value
-    if isinstance(n, Name):
+    kind = type(n)
+    if kind is Name:
         if n.name in env:
             return env[n.name]
         if n.name in params:
             return float(params[n.name])
         raise EvalError(f"unbound name {n.name!r} at offset {n.pos}", n.pos)
-    if isinstance(n, Neg):
-        return -_eval(n.child, env, params, alpha)
-    if isinstance(n, Abs):
-        return np.abs(_eval(n.child, env, params, alpha))
-    if isinstance(n, Pow):
-        base = _eval(n.base, env, params, alpha)
-        if isinstance(n.exp, ExpAlpha):
-            p = n.exp.k * alpha
-            if isinstance(n.base, Abs) and p > 0.0:
-                # base >= +0, so sign(base) is 0 or 1 and 0**p == 0.
-                return base**p
-            return _pow_alpha(base, n.exp.k, alpha)
-        return _pow_literal(base, n.exp.value, n.pos)
-    if isinstance(n, Bin):
+    if kind is Num:
+        return n.value
+    if kind is Bin:
         lhs = _eval(n.left, env, params, alpha)
         rhs = _eval(n.right, env, params, alpha)
+        if n.op == "/" and np.any(np.asarray(rhs) == 0.0):
+            raise EvalError(f"division by zero at offset {n.pos}", n.pos)
+        if type(lhs) is np.ndarray or type(rhs) is np.ndarray:
+            if _owned(n.left, lhs) and _fits(lhs, rhs):
+                return _UFUNCS[n.op](lhs, rhs, out=lhs)
+            if _owned(n.right, rhs) and _fits(rhs, lhs):
+                return _UFUNCS[n.op](lhs, rhs, out=rhs)
         if n.op == "+":
             return lhs + rhs
         if n.op == "-":
             return lhs - rhs
         if n.op == "*":
             return lhs * rhs
-        if np.any(np.asarray(rhs) == 0.0):
-            raise EvalError(f"division by zero at offset {n.pos}", n.pos)
         return lhs / rhs
+    if kind is Pow:
+        base = _eval(n.base, env, params, alpha)
+        owned = _owned(n.base, base)
+        if type(n.exp) is ExpAlpha:
+            p = n.exp.k * alpha
+            if type(n.base) is Abs and p > 0.0:
+                # base >= +0, so sign(base) is 0 or 1 and 0**p == 0.
+                if owned:
+                    base **= p
+                    return base
+                return base**p
+            return _pow_alpha(base, n.exp.k, alpha, owned)
+        return _pow_literal(base, n.exp.value, n.pos, owned)
+    if kind is Abs:
+        child = _eval(n.child, env, params, alpha)
+        if _owned(n.child, child):
+            return np.abs(child, out=child)
+        return np.abs(child)
+    if kind is Neg:
+        child = _eval(n.child, env, params, alpha)
+        if _owned(n.child, child):
+            return np.negative(child, out=child)
+        return -child
     raise TypeError(f"not an expression node: {n!r}")
 
 
@@ -480,7 +550,11 @@ def evaluate_raw(
     ctx: AlphaContext,
     params: Optional[Mapping[str, float]] = None,
 ):
-    """Evaluate to a float or ndarray (broadcasting over array inputs)."""
+    """Evaluate to a float or ndarray (broadcasting over array inputs).
+
+    An array result is a new array, except for a bare variable, whose value
+    is its input.
+    """
     out = _eval(node, env, params or {}, ctx.alpha)
     if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else math.isfinite(out)):
         raise EvalError("non-finite value in evaluation")
@@ -636,136 +710,164 @@ def normalize(
     non-monomial bases...).  The result agrees with the source expression
     for x >= s.
     """
-    alpha = ctx.alpha
-    params = params or {}
-
-    def const_of(p: dict[int, float]) -> Optional[float]:
-        if not p:
-            return 0.0
-        if set(p) == {0}:
-            return p[0]
-        return None
-
-    def monomial_pow(n: Pow) -> Optional[dict[int, float]]:
-        """Power of a pure linear base u*(x - s): valid for any alpha."""
-        uw = _affine(n.base, params)
-        if uw is None:
-            return None
-        u, w = uw
-        if u == 0.0:
-            return None  # constant bases are handled by the callers
-        resid = u * s + w  # the base value at x = s
-        if abs(resid) > 1e-14 * max(1.0, abs(u * s), abs(w)):
-            return None
-        if isinstance(n.exp, ExpAlpha):
-            k = n.exp.k
-            if not _is_near_int(k):
-                return None
-            coeff = float(_pow_alpha(u, k, alpha))
-            return {int(round(k)): coeff}
-        r = n.exp.value
-        i = r / alpha
-        if r < 0 or not _is_near_int(i):
-            return None
-        coeff = float(_pow_literal(u, r, n.pos))
-        return {int(round(i)): coeff}
-
-    def go(n: ExprAst) -> dict[int, float]:
-        if isinstance(n, Num):
-            return {0: n.value}
-        if isinstance(n, Name):
-            if n.name in params:
-                return {0: float(params[n.name])}
-            if n.name != "x":
-                raise NotPolynomial(f"name {n.name!r} is not a bound constant")
-            # the variable x itself: x = s + |x-s|**(m*alpha) for x >= s
-            m = 1.0 / alpha
-            if not _is_near_int(m):
-                raise NotPolynomial(
-                    f"bare variable needs 1/alpha integral (alpha={alpha!r})"
-                )
-            out = {int(round(m)): 1.0}
-            if s != 0.0:
-                out[0] = s
-            return out
-        if isinstance(n, Neg):
-            return {k: -c for k, c in go(n.child).items()}
-        if isinstance(n, Abs):
-            p = go(n.child)
-            cv = const_of(p)
-            if cv is not None:
-                return {0: abs(cv)}
-            if len(p) == 1:
-                ((k, c),) = p.items()
-                return {k: abs(c)}
-            raise NotPolynomial("abs of a non-monomial has no polynomial form")
-        if isinstance(n, Bin):
-            p = go(n.left)
-            q = go(n.right)
-            if n.op == "+":
-                for k, c in q.items():
-                    p[k] = p.get(k, 0.0) + c
-                return p
-            if n.op == "-":
-                for k, c in q.items():
-                    p[k] = p.get(k, 0.0) - c
-                return p
-            if n.op == "*":
-                return _pmul(p, q)
-            d = const_of(q)
-            if d is None:
-                raise NotPolynomial("division by a non-constant")
-            if d == 0.0:
-                raise NotPolynomial("division by zero constant")
-            return {k: c / d for k, c in p.items()}
-        if isinstance(n, Pow):
-            mono = monomial_pow(n)
-            if mono is not None:
-                return mono
-            p = go(n.base)
-            cv = const_of(p)
-            if isinstance(n.exp, ExpLiteral):
-                r = n.exp.value
-                if cv is not None:
-                    return {0: float(_pow_literal(cv, r, n.pos))}
-                if _is_near_int(r) and r >= 0:
-                    return _ppow(p, int(round(r)))
-                raise NotPolynomial("fractional or negative literal power of a non-constant")
-            k = n.exp.k
-            if cv is not None:
-                return {0: float(_pow_alpha(cv, k, alpha))}
-            if _is_near_int(k):
-                ki = int(round(k))
-                deg = k * alpha
-                if _is_near_int(deg) and (ki - int(round(deg))) % 2 == 0:
-                    return _ppow(p, int(round(deg)))
-            if len(p) == 1:
-                ((j, u),) = p.items()
-                i = j * k * alpha
-                if _is_near_int(i):
-                    coeff = float(_pow_alpha(u, k, alpha))
-                    return {int(round(i)): coeff}
-            raise NotPolynomial(
-                "alpha-power applies only to constants and (scaled) monomials"
-            )
-        raise TypeError(f"not an expression node: {n!r}")
-
-    raw = go(node)
+    raw = _gpoly_terms(node, s, ctx.alpha, params or {})
     terms = tuple(sorted((k, c) for k, c in raw.items() if c != 0.0))
     for k, _ in terms:
         if k < 0:
             raise NotPolynomial("negative generalized degree")
-    return GPoly(float(s), alpha, terms)
+    return GPoly(float(s), ctx.alpha, terms)
+
+
+def _const_of(p: dict[int, float]) -> Optional[float]:
+    """The value of a constant term dict, or None if p has other terms."""
+    if not p:
+        return 0.0
+    if set(p) == {0}:
+        return p[0]
+    return None
+
+
+def _monomial_pow(
+    n: Pow, s: float, alpha: float, params: Mapping[str, float]
+) -> Optional[dict[int, float]]:
+    """Power of a pure linear base u*(x - s): valid for any alpha."""
+    uw = _affine(n.base, params)
+    if uw is None:
+        return None
+    u, w = uw
+    if u == 0.0:
+        return None  # constant bases are handled by the callers
+    resid = u * s + w  # the base value at x = s
+    if abs(resid) > 1e-14 * max(1.0, abs(u * s), abs(w)):
+        return None
+    if isinstance(n.exp, ExpAlpha):
+        k = n.exp.k
+        if not _is_near_int(k):
+            return None
+        coeff = float(_pow_alpha(u, k, alpha))
+        return {int(round(k)): coeff}
+    r = n.exp.value
+    i = r / alpha
+    if r < 0 or not _is_near_int(i):
+        return None
+    coeff = float(_pow_literal(u, r, n.pos))
+    return {int(round(i)): coeff}
+
+
+def _gpoly_terms(
+    n: ExprAst, s: float, alpha: float, params: Mapping[str, float]
+) -> dict[int, float]:
+    """Recursive worker of :func:`normalize`: {k: c_k} of n about s."""
+    if isinstance(n, Num):
+        return {0: n.value}
+    if isinstance(n, Name):
+        if n.name in params:
+            return {0: float(params[n.name])}
+        if n.name != "x":
+            raise NotPolynomial(f"name {n.name!r} is not a bound constant")
+        # the variable x itself: x = s + |x-s|**(m*alpha) for x >= s
+        m = 1.0 / alpha
+        if not _is_near_int(m):
+            raise NotPolynomial(
+                f"bare variable needs 1/alpha integral (alpha={alpha!r})"
+            )
+        out = {int(round(m)): 1.0}
+        if s != 0.0:
+            out[0] = s
+        return out
+    if isinstance(n, Neg):
+        return {k: -c for k, c in _gpoly_terms(n.child, s, alpha, params).items()}
+    if isinstance(n, Abs):
+        p = _gpoly_terms(n.child, s, alpha, params)
+        cv = _const_of(p)
+        if cv is not None:
+            return {0: abs(cv)}
+        if len(p) == 1:
+            ((k, c),) = p.items()
+            return {k: abs(c)}
+        raise NotPolynomial("abs of a non-monomial has no polynomial form")
+    if isinstance(n, Bin):
+        p = _gpoly_terms(n.left, s, alpha, params)
+        q = _gpoly_terms(n.right, s, alpha, params)
+        if n.op == "+":
+            for k, c in q.items():
+                p[k] = p.get(k, 0.0) + c
+            return p
+        if n.op == "-":
+            for k, c in q.items():
+                p[k] = p.get(k, 0.0) - c
+            return p
+        if n.op == "*":
+            return _pmul(p, q)
+        d = _const_of(q)
+        if d is None:
+            raise NotPolynomial("division by a non-constant")
+        if d == 0.0:
+            raise NotPolynomial("division by zero constant")
+        return {k: c / d for k, c in p.items()}
+    if isinstance(n, Pow):
+        mono = _monomial_pow(n, s, alpha, params)
+        if mono is not None:
+            return mono
+        p = _gpoly_terms(n.base, s, alpha, params)
+        cv = _const_of(p)
+        if isinstance(n.exp, ExpLiteral):
+            r = n.exp.value
+            if cv is not None:
+                return {0: float(_pow_literal(cv, r, n.pos))}
+            if _is_near_int(r) and r >= 0:
+                return _ppow(p, int(round(r)))
+            raise NotPolynomial("fractional or negative literal power of a non-constant")
+        k = n.exp.k
+        if cv is not None:
+            return {0: float(_pow_alpha(cv, k, alpha))}
+        if _is_near_int(k):
+            ki = int(round(k))
+            deg = k * alpha
+            if _is_near_int(deg) and (ki - int(round(deg))) % 2 == 0:
+                return _ppow(p, int(round(deg)))
+        if len(p) == 1:
+            ((j, u),) = p.items()
+            i = j * k * alpha
+            if _is_near_int(i):
+                coeff = float(_pow_alpha(u, k, alpha))
+                return {int(round(i)): coeff}
+        raise NotPolynomial(
+            "alpha-power applies only to constants and (scaled) monomials"
+        )
+    raise TypeError(f"not an expression node: {n!r}")
 
 
 # --- bound specs ----------------------------------------------------------
 
 
-def _as_env_shape(out, shape: tuple[int, ...]) -> np.ndarray:
+def _owned_result(node: ExprAst, out, shape: tuple[int, ...]) -> np.ndarray:
+    """``out`` as a float array of ``shape`` that the caller owns.
+
+    A walk's array result is new unless ``node`` is a bare variable, whose
+    value is the input itself: only that one is copied.
+    """
     arr = np.asarray(out, dtype=float)
     if arr.shape != shape:
-        arr = np.broadcast_to(arr, shape).copy()
-    return arr
+        return np.broadcast_to(arr, shape).copy()
+    return arr.copy() if isinstance(node, Name) else arr
+
+
+def _add_kinks(n: ExprAst, params: Mapping[str, float], found: set[float]) -> None:
+    """Add to ``found`` the kinks of n (see ``FunctionSpec.singular_points``)."""
+    if isinstance(n, (Abs, Pow)):
+        arg = n.child if isinstance(n, Abs) else n.base
+        if not (isinstance(n, Pow) and isinstance(n.exp, ExpLiteral)
+                and _is_near_int(n.exp.value)):
+            uw = _affine(arg, params)
+            if uw is not None and uw[0] != 0.0:
+                found.add(-uw[1] / uw[0])
+        _add_kinks(arg, params, found)
+    elif isinstance(n, Neg):
+        _add_kinks(n.child, params, found)
+    elif isinstance(n, Bin):
+        _add_kinks(n.left, params, found)
+        _add_kinks(n.right, params, found)
 
 
 @dataclass(frozen=True)
@@ -796,8 +898,10 @@ class FunctionSpec:
         return float(evaluate_raw(self.ast, {"x": float(x)}, ctx, self._params()))
 
     def evaluate_many(self, xs: np.ndarray, ctx: AlphaContext) -> np.ndarray:
+        """f at every point of ``xs``, as a new array of xs's shape."""
         xs = np.asarray(xs, dtype=float)
-        return _as_env_shape(evaluate_raw(self.ast, {"x": xs}, ctx, self._params()), xs.shape)
+        out = evaluate_raw(self.ast, {"x": xs}, ctx, self._params())
+        return _owned_result(self.ast, out, xs.shape)
 
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
         return normalize(self.ast, s, ctx, self._params())
@@ -809,25 +913,8 @@ class FunctionSpec:
         alpha-multiple or non-integer powers; arguments that are not affine
         in x contribute nothing.
         """
-        params = self._params()
         found: set[float] = set()
-
-        def walk(n: ExprAst) -> None:
-            if isinstance(n, (Abs, Pow)):
-                arg = n.child if isinstance(n, Abs) else n.base
-                if not (isinstance(n, Pow) and isinstance(n.exp, ExpLiteral)
-                        and _is_near_int(n.exp.value)):
-                    uw = _affine(arg, params)
-                    if uw is not None and uw[0] != 0.0:
-                        found.add(-uw[1] / uw[0])
-                walk(arg)
-            elif isinstance(n, Neg):
-                walk(n.child)
-            elif isinstance(n, Bin):
-                walk(n.left)
-                walk(n.right)
-
-        walk(self.ast)
+        _add_kinks(self.ast, self._params(), found)
         return tuple(sorted(found))
 
 
@@ -859,7 +946,8 @@ class EtaSpec:
         return float(evaluate_raw(self.ast, env, ctx, self._params()))
 
     def evaluate_many(self, us, vs, ctx: AlphaContext) -> np.ndarray:
+        """eta at every broadcast pair of ``us`` and ``vs``, as a new array."""
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
         out = evaluate_raw(self.ast, {"u": us, "v": vs}, ctx, self._params())
-        return _as_env_shape(out, np.broadcast_shapes(us.shape, vs.shape))
+        return _owned_result(self.ast, out, np.broadcast_shapes(us.shape, vs.shape))

@@ -265,9 +265,11 @@ def fejer_terms(
     m3 = span ** (3 * al) * q01(lambda ts: ts**al * (1.0 - ts) ** al * wx(ts))
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
-        fxs = f.evaluate_many(xs, ctx)
-        frev = f.evaluate_many(a + b - xs, ctx)
-        return eta.evaluate_many(frev, fxs, ctx) * w.evaluate_many(xs, ctx)
+        """eta(f(a+b-x), f(x)) * w(x).  The f samples are freed when eta
+        returns, and w is multiplied into eta's array, which it owns."""
+        values = eta.evaluate_many(f.evaluate_many(a + b - xs, ctx), f.evaluate_many(xs, ctx), ctx)
+        values *= w.evaluate_many(xs, ctx)
+        return values
 
     mirrored = tuple(a + b - p for p in f_pts)
     L = rl_integrate(eta_integrand, a, b, al, points=f_pts + mirrored + w_pts).value / 2**al

@@ -41,6 +41,12 @@ _CASES = {
                            "--w", "parabolic", "--alpha", "0.5"], 0),
     "diff_kinked.txt": (["diff", "abs(x - 0.3)^(a)", "--at", "0.4", "--from", "0",
                          "--alpha", "0.3", "--mode", "fd"], 0),
+    # A bare eta variable: L's integrand multiplies w into eta's array,
+    # which must be a copy of f's samples, not the quadrature mesh.
+    "fejer_bare_u.json": (["fejer", "--f", "x", "--eta", "u", "--w", "one",
+                           "--alpha", "0.5"], 0),
+    "fejer_bare_v.json": (["fejer", "--f", "x", "--eta", "v", "--w", "one",
+                           "--alpha", "0.5"], 0),
 }
 
 

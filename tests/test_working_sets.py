@@ -1,0 +1,71 @@
+"""Traced peaks of warm calls whose working set grows with the sample count.
+
+Each bound sits between what the code allocates and what one more array of
+the same size (or a kept buffer) would add, so a change that holds an extra
+array through the call fails here.  Every call runs once untraced first,
+so caches (the quadrature meshes, lazy imports) are already built.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import tracemalloc
+
+from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, lf_integral
+from fracon.calculus import NUMERIC
+from fracon.cli import main
+from fracon.inequalities import fejer_terms
+from fracon.presets import ETA_PRESETS, W_PRESETS
+
+
+def _warm_peak(call) -> int:
+    """Traced peak bytes of ``call()`` above the level it starts at."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
+    """L's integrand runs on 3,984 samples here, the largest mesh of the
+    call.  Evaluated in place, with f's two sample arrays freed when eta
+    returns, the call peaks near 142 KB, under six such arrays; with an
+    array per operator it peaked near 260 KB."""
+    bound = {"lo": 0.0, "hi": 1.0}
+    f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
+    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    ctx = AlphaContext(alpha=0.9)
+    peak = _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx))
+    assert peak < 6 * 3984 * 8
+
+
+def test_capped_singular_integral_stays_under_16_mib():
+    """abs(x - 0.3)^(-0.9) at alpha 1 never converges: the quadrature
+    refines up to its evaluation cap.  In place, the evaluation of f keeps
+    about 12.7 MiB at the peak; an array per operator took 19 MiB."""
+    f = FunctionSpec.from_text("abs(x - 0.3)^(-0.9)")
+    ctx = AlphaContext(alpha=1.0)
+    assert _warm_peak(lambda: lf_integral(f, 0.0, 1.0, ctx, NUMERIC)) < 16 * 2**20
+
+
+def test_one_row_sweep_keeps_no_csv_buffer_through_certify():
+    """A csv writer kept for the whole sweep holds its 128 KiB record buffer
+    through every row's certify lattice (0.49 MiB in all); a writer per row
+    frees it first (0.36 MiB)."""
+    argv = ["sweep", "--alphas", "0.5", "--cs", "1", "--etas", "example23", "--fs", "square"]
+
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    assert _warm_peak(sweep) < 0.45 * 2**20
