@@ -99,7 +99,8 @@ class DerivativeMode(enum.Enum):
 
 
 class IntegrationError(RuntimeError):
-    """Numeric integration failure (non-finite integrand sample)."""
+    """Numeric integration failure: a non-finite integrand sample, or an
+    integral that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,11 @@ _PANELS = 32
 _POINTS = 8
 _RTOL = 1e-9
 _MAX_EVALS = 2**20
+
+# The reported error is at least _ROUND_FLOOR times the sum of the panels'
+# |values|, the rounding that summing them may carry (QUADPACK's
+# max(50 eps resabs, abserr)).
+_ROUND_FLOOR = 50.0 * math.ulp(1.0)
 
 # Depth of the geometric subdivision of the two end panels.  2**-46 of a
 # panel is comfortably below any tolerance in play while staying far from
@@ -253,7 +259,9 @@ class QuadResult:
     """Adaptive quadrature outcome with its effort diagnostics.
 
     ``error`` is the sum of the accepted and the live panel error
-    estimates, in the units of ``value``.
+    estimates, in the units of ``value``, and at least 50 eps times the
+    sum of the panels' |values|: below that, rounding the sum alone can
+    make the error.
     """
 
     value: float
@@ -290,8 +298,11 @@ def rl_integrate(
     bisected, and the others are accepted.  The loop stops unconverged when
     the next pass would exceed ``_MAX_EVALS`` cumulative samples, or
     when rounding leaves the total over the tolerance with no panel over
-    its share.  Requires a < b (callers handle orientation and the empty
-    interval).
+    its share; it is returned as it is, ``converged`` False.  The returned
+    ``error`` is floored at 50 eps times the sum of the |values| of the
+    panels summed into ``value`` (divided by Gamma(1+order) as ``value``
+    is), after the convergence test, which reads the estimates alone.
+    Requires a < b (callers handle orientation and the empty interval).
 
     The first pass's mesh comes from ``_mesh``, an LRU cache keyed on the
     bytes of (a, b, order, the sorted distinct kinks inside (a, b)), so the
@@ -321,7 +332,7 @@ def rl_integrate(
     vals = _panel_values(fn, xs, half)
     coarse, vals = vals[:n], vals[n:]
     evals, levels = 3 * n * _POINTS, 1
-    done_value = done_err = 0.0  # sums over the accepted panels
+    done_value = done_err = done_abs = 0.0  # sums over the accepted panels
     converged = False
     while True:
         # The halves are interleaved: on the first pass they are the
@@ -343,12 +354,28 @@ def rl_integrate(
         left, right, coarse = hl[live], hr[live], vals[live]
         if evals + 2 * left.size * _POINTS > _MAX_EVALS:
             break
+        # Only past the break: there vals still holds these halves, and the
+        # floor below sums all of vals.
+        done_abs += float(np.abs(vals[~live]).sum())
         hl, hr = _halves(left, right)
         vals = _panel_values(fn, *_abscissae(hl, hr, a, b, order))
         evals += 2 * left.size * _POINTS
         levels += 1
     scale = gamma(1.0 + order)
+    # Floored only now: the convergence test reads the estimates alone.
+    error = max(error, _ROUND_FLOOR * (done_abs + float(np.abs(vals).sum())))
     return QuadResult(value / scale, evals, levels, converged, error / scale)
+
+
+def _converged_value(res: QuadResult, name: str, a: float, b: float, order: float) -> float:
+    """``res.value``; a result that did not converge raises IntegrationError
+    naming the integral, its interval, its order and its error estimate."""
+    if not res.converged:
+        raise IntegrationError(
+            f"{name} over [{a!r}, {b!r}] at order {order!r} did not converge "
+            f"(error estimate {res.error:.3e})"
+        )
+    return res.value
 
 
 def _table_integral(gp: GPoly, span: float) -> float:
@@ -379,8 +406,9 @@ def lf_integral(
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
     The exact route needs f in generalized-polynomial form about the lower
     endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise); the
-    numeric route splits the integral at f's singular points.  A
-    non-finite result (an overflow) raises ValueError.
+    numeric route splits the integral at f's singular points, and an
+    integral that does not converge raises IntegrationError.  A non-finite
+    result (an overflow) raises ValueError.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -394,7 +422,7 @@ def lf_integral(
     res = rl_integrate(
         lambda xs: f.evaluate_many(xs, ctx), a, b, ctx.alpha, points=f.singular_points()
     )
-    return _finite(sign * res.value)
+    return _finite(sign * _converged_value(res, f"the integral of {f.text}", a, b, ctx.alpha))
 
 
 def _term_rule(gp: GPoly, x0: float) -> float:
@@ -422,7 +450,8 @@ def lf_derivative(
     ``s`` is the expansion/base point and x0 must satisfy x0 >= s.  The
     exact mode applies the conjugate monomial rule to the generalized-
     polynomial form; the finite-difference mode is described in the module
-    docstring.  A non-finite result (an overflow) raises ValueError.
+    docstring; an integral of G that does not converge raises
+    IntegrationError.  A non-finite result (an overflow) raises ValueError.
     """
     alpha = ctx.alpha
     x0 = float(x0)
@@ -450,9 +479,10 @@ def lf_derivative(
     kinks = f.singular_points()
 
     def G(x: float) -> float:
-        return rl_integrate(
+        res = rl_integrate(
             lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, points=kinks, rtol=1e-11
-        ).value
+        )
+        return _converged_value(res, f"the fd derivative's integral of {f.text} - f(s)", s, x, beta)
 
     delta = 1e-3 * (x0 - s)
     return _finite((G(x0 + delta) - G(x0 - delta)) / (2.0 * delta))

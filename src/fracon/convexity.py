@@ -102,7 +102,9 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
 # (defects, scratch) hold at most this many cells (256 KiB each) unless one
 # plane alone is larger; then they grow with grid**2, like the other four
 # arrays live in the slab loop: the table of f, eta, the distances and the
-# f(y) tile.
+# f(y) tile.  A slab's ufunc calls run in runs of one plane, whatever the
+# slab size; planes shorter than numpy's ufunc buffer (up to grid 90) are
+# kept out of that buffer by cutting it to one plane, not by this size.
 _SLAB_CELLS = 1 << 15
 
 # Largest accepted grid_n: 1e9 lattice cells.  The lattice is streamed, but
@@ -156,10 +158,13 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
     f at the float mixture fl(t x) + fl((1 - t) y).  Each plane's first
     minimum (or NaN) comes from one argmin, and the planes' minima are
     ranked NaN first, then by value, (x, y) index and t, so ties keep the
-    first index whatever the slab size.  A non-finite f on the table, a
-    NaN anywhere or a -inf defect raises EvalError.  A +inf defect (an
-    overflowed right side) is no violation; the t = 0 plane is exactly 0,
-    so no main lattice is +inf throughout.  Floating-point warnings are
+    first index whatever the slab size.  Where a plane is shorter than
+    numpy's ufunc buffer, each slab's right side is built with the buffer
+    cut to one plane (see below), and the caller's size is restored
+    before the f(mixture) subtract and on return.  A non-finite f on the
+    table, a NaN anywhere or a -inf defect raises EvalError.  A +inf
+    defect (an overflowed right side) is no violation; the t = 0 plane is
+    exactly 0, so no main lattice is +inf throughout.  Floating-point warnings are
     silenced here; non-finite values are errors instead.
     """
     n = len(xs)
@@ -183,24 +188,39 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         fy = fx[None, :].repeat(n, axis=0)
         step = table.itemsize
         best = (True, math.inf, n * n, n)  # (not NaN, defect, i n + j, k)
-        for k0 in range(0, n, planes):
-            k1 = min(n, k0 + planes)
-            d, tmp = d_buf[: k1 - k0], tmp_buf[: k1 - k0]
-            np.multiply(ta[k0:k1, None, None], e, out=d)
-            np.add(fy, d, out=d)
-            if strong:
-                np.multiply(corr[k0:k1, None, None], dist, out=tmp)
-                np.subtract(d, tmp, out=d)
-            for plane, k in zip(d, range(k0, k1)):
-                strides = (k * step, (n - 1 - k) * step)
-                np.subtract(plane, np.ndarray((n, n), table.dtype, table, 0, strides), out=plane)
-            rows = d.reshape(k1 - k0, n * n)
-            at = rows.argmin(axis=1)
-            lows = rows[np.arange(k1 - k0), at]
-            for k, flat, low in zip(range(k0, k1), at.tolist(), lows.tolist()):
-                key = (low == low, low if low == low else 0.0, flat, k)
-                if key < best:
-                    best = key
+        # The slab's operands coalesce to runs of one plane.  A plane shorter
+        # than numpy's ufunc buffer makes the iterator copy the operands
+        # through that buffer (the t-factor product ran up to 4x slower and
+        # allocated 64 KiB per operand); a buffer no longer than a plane
+        # leaves them unbuffered.  The strided f(mixture) gather stays at the
+        # caller's size, where its buffered copy is the faster one.
+        bufsize = np.getbufsize()
+        lean = n * n // 16 * 16 if n * n < bufsize else 0  # a multiple of 16
+        try:
+            for k0 in range(0, n, planes):
+                k1 = min(n, k0 + planes)
+                d, tmp = d_buf[: k1 - k0], tmp_buf[: k1 - k0]
+                if lean:
+                    np.setbufsize(lean)
+                np.multiply(ta[k0:k1, None, None], e, out=d)
+                np.add(fy, d, out=d)
+                if strong:
+                    np.multiply(corr[k0:k1, None, None], dist, out=tmp)
+                    np.subtract(d, tmp, out=d)
+                if lean:
+                    np.setbufsize(bufsize)
+                for plane, k in zip(d, range(k0, k1)):
+                    strides = (k * step, (n - 1 - k) * step)
+                    np.subtract(plane, np.ndarray((n, n), table.dtype, table, 0, strides), out=plane)
+                rows = d.reshape(k1 - k0, n * n)
+                for p, flat in enumerate(rows.argmin(axis=1).tolist()):
+                    low = float(rows[p, flat])
+                    key = (low == low, low if low == low else 0.0, flat, k0 + p)
+                    if key < best:
+                        best = key
+        finally:
+            # numpy before 2.0 keeps the size process-wide, not in errstate.
+            np.setbufsize(bufsize)
     ok, low, flat, k = best
     i, j = divmod(flat, n)
     return (i, j, k), _finite_min(low if ok else math.nan, xs[i], xs[j], ts[k]), max_abs_f
@@ -309,10 +329,15 @@ def certify_gsc(
     a plane is larger) with a running minimum, so memory is bounded: the
     slab loop holds six arrays of about ``grid_n``**2 floats (the table,
     eta, the distances, the f(y) tile and two slab buffers), never a
-    ``grid_n``**3 tensor.  A refinement box, whose mixtures lie on no such
-    grid, is one 13**3 tensor at float mixtures, with f evaluated once per
-    box.  The violation threshold scales with the sampled magnitude of f
-    over the mixtures: tol = 1e-9 * (1 + max |f|).  Reductions run through
+    ``grid_n``**3 tensor.  Where a plane is shorter than numpy's ufunc
+    buffer (``np.getbufsize()``, 8,192 elements by default), the slab's
+    broadcast products and sums run with the buffer cut to one plane, so
+    numpy does not copy their operands through it; the caller's buffer size
+    is restored on return, also when the search raises.  A refinement box,
+    whose mixtures lie on no such grid, is one 13**3 tensor at float
+    mixtures, with f evaluated once per box.  The violation threshold
+    scales with the sampled magnitude of f over the mixtures:
+    tol = 1e-9 * (1 + max |f|).  Reductions run through
     the same lattice: endpoints of the t-grid cover the necessary
     conditions' t = 1 instances, so an eta failing them is also caught as a
     plain counterexample.  Deterministic: ties resolve to the first lattice

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import IntegralBackend, NUMERIC, lf_integral, rl_integrate
+from .calculus import IntegralBackend, NUMERIC, _converged_value, lf_integral, rl_integrate
 from .convexity import check_symmetry, estimate_eta_sup
 from .expr import EtaSpec, FunctionSpec, WeightSpec
 from .fractal_scalar import AlphaContext, gamma
@@ -237,7 +237,9 @@ def fejer_terms(
     Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled at
     1001 points by ``check_symmetry``); violations raise
     :class:`~fracon.convexity.SymmetryError`.  All integrals run on the
-    numeric route (weights make the exact table inapplicable in general).
+    numeric route (weights make the exact table inapplicable in general);
+    one that does not converge raises
+    :class:`~fracon.calculus.IntegrationError` naming its term.
     """
     a, b = _check_chain_inputs(a, b, c)
     check_symmetry(w, a, b, ctx)
@@ -254,15 +256,16 @@ def fejer_terms(
     def wx(ts: np.ndarray) -> np.ndarray:
         return w.evaluate_many(a + ts * span, ctx)
 
-    def q01(fn, points=t_pts) -> float:
-        return rl_integrate(fn, 0.0, 1.0, al, points=points).value
+    def integral(name, fn, lo=0.0, hi=1.0, points=t_pts) -> float:
+        res = rl_integrate(fn, lo, hi, al, points=points)
+        return _converged_value(res, f"Fejer term {name}'s integral", lo, hi, al)
 
-    m0 = span**al * q01(wx)
-    m1 = span ** (3 * al) * q01(
-        lambda ts: np.abs(1.0 - 2.0 * ts) ** (2 * al) * wx(ts), t_pts + (0.5,)
+    m0 = span**al * integral("m0", wx)
+    m1 = span ** (3 * al) * integral(
+        "m1", lambda ts: np.abs(1.0 - 2.0 * ts) ** (2 * al) * wx(ts), points=t_pts + (0.5,)
     )
-    m2 = span ** (2 * al) * q01(lambda ts: ts**al * wx(ts))
-    m3 = span ** (3 * al) * q01(lambda ts: ts**al * (1.0 - ts) ** al * wx(ts))
+    m2 = span ** (2 * al) * integral("m2", lambda ts: ts**al * wx(ts))
+    m3 = span ** (3 * al) * integral("m3", lambda ts: ts**al * (1.0 - ts) ** al * wx(ts))
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
         """eta(f(a+b-x), f(x)) * w(x).  The f samples are freed when eta
@@ -272,11 +275,11 @@ def fejer_terms(
         return values
 
     mirrored = tuple(a + b - p for p in f_pts)
-    L = rl_integrate(eta_integrand, a, b, al, points=f_pts + mirrored + w_pts).value / 2**al
-    F2 = rl_integrate(
-        lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b, al,
-        points=f_pts + w_pts,
-    ).value
+    L = integral("L_eta", eta_integrand, a, b, f_pts + mirrored + w_pts) / 2**al
+    F2 = integral(
+        "F2", lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b,
+        f_pts + w_pts,
+    )
     R = (e_ab + e_ba) / (2**al * span**al) * m2
 
     F1 = fm * m0 - L + ca / 4**al * m1

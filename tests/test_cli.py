@@ -90,6 +90,57 @@ def test_overflowed_result_exit_three(capsys, argv, message):
     assert err == f"fracon: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("text", "alpha", "error"),
+    [
+        ("abs(x - 0.3)^(-0.9)", "1", "5.572e-02"),
+        ("1/(x - 0.5)^(2)", "0.5", "5.615e+13"),
+        ("abs(x*x - 0.49)^(-0.5)", "0.3", "2.288e-06"),
+        ("abs(x*x - 0.49)^(-0.9)", "1", "6.985e-01"),
+    ],
+    ids=["kink-pole", "double-pole", "quadratic-kink-0.3", "quadratic-kink-1"],
+)
+def test_integrate_that_does_not_converge_exit_three(capsys, text, alpha, error):
+    """Each of these stops at the evaluation cap unconverged; it used to
+    print a value (17.7433098828402 for a true 18.5152924568503, and
+    97734758288167.2 for a divergent integral) and exit 0."""
+    code, out, err = run(capsys, ["integrate", text, "0", "1", "--alpha", alpha,
+                                  "--backend", "rl"])
+    assert code == 3
+    assert out == ""
+    assert err == (f"fracon: IntegrationError: the integral of {text} over [0.0, 1.0] "
+                   f"at order {float(alpha)!r} did not converge (error estimate {error})\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "integral"),
+    [
+        (["fejer", "--f", "abs(x - 0.3)^(-0.9)", "--eta", "difference", "--w", "one",
+          "--alpha", "1"], "Fejer term L_eta's integral over [0.0, 1.0] at order 1.0"),
+        (["diff", "abs(x - 0.3)^(-0.9)", "--at", "0.5", "--alpha", "0.5", "--mode", "fd"],
+         "the fd derivative's integral of abs(x - 0.3)^(-0.9) - f(s) over [0.0, 0.5005] "
+         "at order 0.5"),
+    ],
+    ids=["fejer", "diff"],
+)
+def test_chain_and_derivative_integrals_that_do_not_converge_exit_three(capsys, argv,
+                                                                         integral):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"fracon: IntegrationError: {integral} did not converge ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_row_whose_integral_does_not_converge_is_an_error_row(capsys):
+    code, out, _ = run(capsys, ["sweep", "--alphas", "1", "--cs", "0", "--etas", "difference",
+                                "--fs", "abs(x - 0.3)^(-0.9)"])
+    assert code == 3
+    row = out.splitlines()[1]
+    assert row.startswith("1,0,difference,custom,0,1,,,,,,,,,,,ERROR,")
+    assert "IntegrationError: the integral of abs(x - 0.3)^(-0.9) over [0.0, 1.0]" in row
+
+
 # ----------------------------------------------------------------------- diff
 
 

@@ -13,6 +13,8 @@ from that display form, never from the library's own internals.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import re
@@ -440,6 +442,97 @@ def test_lattice_min_matches_table_reference(n, text, eta, alpha, c, interval, s
     want = _table_reference(f, eta, c, ctx, xs, ts)
     assert got[0] == want[0]
     assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
+
+
+@contextlib.contextmanager
+def _ufunc_buffer(size):
+    """numpy's ufunc buffer at ``size`` elements (None: as it is) in the block."""
+    old = np.getbufsize() if size is None else np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+_BUFFERS = pytest.mark.parametrize("bufsize", [None, 16, 2**16],
+                                   ids=["default", "buf16", "buf65536"])
+
+
+def _kink_lattice(n):
+    f, eta = _f("abs(x - 0.3)^(a)", -0.7, 1.3), EtaSpec.from_text("2^a*u + v")
+    return f, eta, AlphaContext(alpha=0.5), np.linspace(-0.7, 1.3, n), np.linspace(0.0, 1.0, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _kink_reference(n, c):
+    f, eta, ctx, xs, ts = _kink_lattice(n)
+    return _table_reference(f, eta, c, ctx, xs, ts)
+
+
+@_BUFFERS
+@pytest.mark.parametrize("c", [0.0, 2.0], ids=["no-strong", "strong"])
+def test_lattice_min_matches_whole_tensor_at_every_grid_and_buffer(bufsize, c):
+    """Grids 8 to 100 hold t-planes shorter than numpy's ufunc buffer (up
+    to grid 90 at its default 8,192 cells, every grid at 65,536) and planes
+    that fill it (grids 91 on by default, every grid at 16).  Whether or
+    not the slab cuts the buffer to one plane, the kernel returns the
+    whole-tensor index, minimum and max |f| bit for bit, and leaves the
+    caller's buffer size as it found it."""
+    for n in range(8, 101):
+        f, eta, ctx, xs, ts = _kink_lattice(n)
+        with _ufunc_buffer(bufsize):
+            size = np.getbufsize()
+            got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
+            assert np.getbufsize() == size
+        want = _kink_reference(n, c)
+        assert got[0] == want[0], n
+        assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex()), n
+
+
+@_BUFFERS
+@pytest.mark.parametrize(("text", "grid"), [("x^(2a)", 24), ("x^(2a)", 150), ("-1.5e308*x", 8)],
+                         ids=["grid24", "grid150", "raising"])
+def test_certify_leaves_numpy_buffer_and_error_state_alone(bufsize, text, grid):
+    """The slab loop sets numpy's buffer size only while it runs, and
+    restores it even when certification raises (here the -inf defect of
+    -1.5e308*x); the caller's error state survives too."""
+    f, eta = _f(text, 0.0, 1.0), EtaSpec.from_text("u")
+    ctx = AlphaContext(alpha=0.5)
+    with _ufunc_buffer(bufsize), np.errstate(under="raise"):
+        before = np.getbufsize(), np.geterr()
+        if text.startswith("-"):
+            with pytest.raises(EvalError, match="^non-finite defect -inf"):
+                certify_gsc(f, eta, 0.0, ctx, grid_n=grid, refine_depth=0)
+        else:
+            certify_gsc(f, eta, 1.0, ctx, grid_n=grid, refine_depth=2)
+        assert (np.getbufsize(), np.geterr()) == before
+
+
+def test_lattice_min_restores_buffer_size_when_the_slab_loop_raises(monkeypatch):
+    """Before numpy 2.0 the buffer size lives outside ``np.errstate``, so
+    only the kernel's own ``finally`` restores it when the loop is cut
+    short.  Simulated here: an errstate that saves nothing, and an
+    interrupt in the first slab, while the buffer is cut to one plane."""
+
+    class NumpyBefore2:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def errstate(**kwargs):
+            return contextlib.nullcontext()
+
+        @staticmethod
+        def add(*args, **kwargs):
+            raise KeyboardInterrupt
+
+    f, eta, ctx, xs, ts = _kink_lattice(24)
+    monkeypatch.setattr(convexity, "np", NumpyBefore2())
+    with _ufunc_buffer(None):
+        size = np.getbufsize()
+        with pytest.raises(KeyboardInterrupt):
+            convexity._lattice_min(f, eta, 0.0, ctx, xs, ts)
+        assert np.getbufsize() == size
 
 
 @pytest.mark.parametrize("text", ["abs(x - 0.3)^(a)", "x^(a) - 2*x^(3a)", "-abs(x + 0.1)^(2a)"])

@@ -12,8 +12,7 @@ import contextlib
 import io
 import tracemalloc
 
-from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, lf_integral
-from fracon.calculus import NUMERIC
+from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, certify_gsc, rl_integrate
 from fracon.cli import main
 from fracon.inequalities import fejer_terms
 from fracon.presets import ETA_PRESETS, W_PRESETS
@@ -51,11 +50,30 @@ def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
 
 def test_capped_singular_integral_stays_under_16_mib():
     """abs(x - 0.3)^(-0.9) at alpha 1 never converges: the quadrature
-    refines up to its evaluation cap.  In place, the evaluation of f keeps
-    about 12.7 MiB at the peak; an array per operator took 19 MiB."""
+    refines up to its evaluation cap (and lf_integral raises on the
+    result).  In place, the evaluation of f keeps about 12.7 MiB at the
+    peak; an array per operator took 19 MiB."""
     f = FunctionSpec.from_text("abs(x - 0.3)^(-0.9)")
     ctx = AlphaContext(alpha=1.0)
-    assert _warm_peak(lambda: lf_integral(f, 0.0, 1.0, ctx, NUMERIC)) < 16 * 2**20
+
+    def integrate():
+        res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 1.0,
+                           points=f.singular_points())
+        assert not res.converged
+
+    assert _warm_peak(integrate) < 16 * 2**20
+
+
+def test_small_grid_certify_copies_through_no_ufunc_buffer():
+    """At grid 24 a t-plane (576 cells) is shorter than numpy's 8,192-cell
+    ufunc buffer.  With the default buffer, the slab's broadcast products
+    copy their operands through buffers of up to 64 KiB each, and the call
+    peaked near 0.357 MiB; with the buffer cut to one plane it peaks near
+    0.238 MiB."""
+    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"])
+    ctx = AlphaContext(alpha=0.5)
+    assert _warm_peak(lambda: certify_gsc(f, eta, 1.0, ctx, 24, 2)) < 0.28 * 2**20
 
 
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():
