@@ -65,6 +65,7 @@ import enum
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -154,6 +155,17 @@ _MESH_SAMPLES = 4096
 _NODES, _WEIGHTS = leggauss(_POINTS)
 
 
+def _local_refs() -> int:
+    """``sys.getrefcount`` of an array that one local name alone holds."""
+    arr = np.empty(0)
+    return sys.getrefcount(arr)
+
+
+# 2 on CPython up to 3.13; an interpreter that counts fewer references
+# counts fewer here too, so a kept array never reads as unshared.
+_SOLE_REFS = _local_refs()
+
+
 def _graded_breakpoints(V: float) -> np.ndarray:
     """Uniform breakpoints on [0, V] with dyadically graded end panels."""
     base = np.linspace(0.0, V, _PANELS + 1)
@@ -198,10 +210,16 @@ def _abscissae(
     the panels' half-widths: one row of ``_POINTS`` nodes per panel."""
     half = 0.5 * (right - left)
     mid = 0.5 * (left + right)
-    v = mid[:, None] + _NODES[None, :] * half[:, None]
+    # mid + nodes * half, raised and mapped to x, all in one array.
+    v = _NODES * half[:, None]
+    v += mid[:, None]
+    v **= 1.0 / order
+    np.subtract(b, v, out=v)
     # np.clip(x, a, b) bit for bit: on a tie (+0.0 against -0.0)
     # np.maximum and np.minimum return their second operand, x.
-    return np.minimum(b, np.maximum(a, b - v ** (1.0 / order))), half
+    np.maximum(a, v, out=v)
+    np.minimum(b, v, out=v)
+    return v, half
 
 
 class _Mesh(NamedTuple):
@@ -245,13 +263,20 @@ def _panel_values(
     fn: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, half: np.ndarray
 ) -> np.ndarray:
     """Gauss--Legendre value of fn over each panel, from its row of nodes
-    ``xs`` in x and its half-width in v."""
+    ``xs`` in x and its half-width in v.
+
+    The samples are weighted in fn's own array when nothing else holds it
+    (the test numpy uses to elide a temporary), and in a copy otherwise."""
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
     if not np.isfinite(vals).all():
         raise IntegrationError("non-finite integrand sample")
-    return (vals * _WEIGHTS).sum(axis=1) * half
+    if vals.flags.writeable and vals.base is None and sys.getrefcount(vals) <= _SOLE_REFS:
+        vals *= _WEIGHTS
+    else:
+        vals = vals * _WEIGHTS
+    return vals.sum(axis=1) * half
 
 
 @dataclass(frozen=True)
@@ -312,6 +337,10 @@ def rl_integrate(
     at most ``_MESH_SAMPLES`` samples (under 3.5 MiB); a larger first pass
     (three distinct kinks or more) is built on every call.  ``_MAX_EVALS``
     is checked on every call, cached or not.
+
+    When rl_integrate holds the only reference to the array fn returns,
+    it weights the samples in that array; an array that fn or its caller
+    keeps, and a view, are never written.
     """
     a, b, order = float(a), float(b), float(order)
     if not b > a:

@@ -98,13 +98,14 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
 
 
 # Lattice cells per slab in _lattice_min.  A slab is as many whole t-planes
-# (grid**2 cells each) as fit, and at least one, so its two float64 buffers
-# (defects, scratch) hold at most this many cells (256 KiB each) unless one
-# plane alone is larger; then they grow with grid**2, like the other four
-# arrays live in the slab loop: the table of f, eta, the distances and the
-# f(y) tile.  A slab's ufunc calls run in runs of one plane, whatever the
-# slab size; planes shorter than numpy's ufunc buffer (up to grid 90) are
-# kept out of that buffer by cutting it to one plane, not by this size.
+# (grid**2 cells each) as fit, and at least one, so its float64 buffers
+# (defects, and scratch for a strong term) hold at most this many cells
+# (256 KiB each) unless one plane alone is larger; then they grow with
+# grid**2, like the other four arrays live in the slab loop: the table of
+# f, eta, the distances and the f(y) tile.  A slab's ufunc calls run in
+# runs of one plane, whatever the slab size; planes shorter than numpy's
+# ufunc buffer (up to grid 90) are kept out of that buffer by cutting it to
+# one plane, not by this size.
 _SLAB_CELLS = 1 << 15
 
 # Largest accepted grid_n: 1e9 lattice cells.  The lattice is streamed, but
@@ -182,7 +183,10 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         # so it is skipped; an infinite distance keeps it, as 0 * inf is NaN.
         strong = corr.any() or np.signbit(corr).any() or not np.isfinite(dist).all()
         planes = min(n, max(1, _SLAB_CELLS // (n * n)))
-        d_buf, tmp_buf = np.empty((2, planes, n, n))
+        # One block; the strong term's scratch slab only when that term
+        # runs (otherwise tmp_buf is d_buf, and unused).
+        bufs = np.empty((2 if strong else 1, planes, n, n))
+        d_buf, tmp_buf = bufs[0], bufs[-1]
         # f(y) as whole (x, y) rows: a ufunc that broadcasts an operand along
         # the innermost axis runs slower than one over contiguous rows.
         fy = fx[None, :].repeat(n, axis=0)
@@ -328,7 +332,8 @@ def certify_gsc(
     is walked in slabs of whole t-planes (about 32k cells, or one plane when
     a plane is larger) with a running minimum, so memory is bounded: the
     slab loop holds six arrays of about ``grid_n``**2 floats (the table,
-    eta, the distances, the f(y) tile and two slab buffers), never a
+    eta, the distances, the f(y) tile and two slab buffers, one when c is
+    0 and the strong term is skipped), never a
     ``grid_n``**3 tensor.  Where a plane is shorter than numpy's ufunc
     buffer (``np.getbufsize()``, 8,192 elements by default), the slab's
     broadcast products and sums run with the buffer cut to one plane, so

@@ -422,19 +422,35 @@ def _pow_alpha(base, k: float, alpha: float, owned: bool = False):
     """base^(k*alpha) in magnitude semantics (sign rules in module doc).
 
     |base| is taken once and raised with ``**=``, which keeps the fast
-    paths of numpy's ``**`` (0.5 -> sqrt, 2 -> square).  An ``owned`` base
-    (see :func:`_owned`) receives |base| or sign(base), so the result costs
-    one array less.  Scalars give the numpy scalars ``np.abs(base) ** p``
-    gives.
+    paths of numpy's ``**`` (0.5 -> sqrt, 2 -> square).  The result is one
+    array, |base| raised in place: an ``owned`` base (see :func:`_owned`)
+    receives it, and any other base costs one new array.  An odd or
+    non-integer k negates the entries whose base is below zero through a
+    boolean mask, and gives each entry the bits of sign(base) * |base|**p:
+    -0.0 gives +0.0 (sign(-0.0) is +0.0), and a zero to a negative power
+    gives NaN (0 * inf).  A NaN base gives a NaN; the product left its sign
+    bit to numpy's multiply loop.  Scalars, 0-d arrays (whose np.abs is a
+    scalar) and p == 0 (where a NaN base gives NaN, while NaN**0 is 1) take
+    that product itself, and scalars give the numpy scalars it gives.
     """
-    signed = not (_is_near_int(k) and int(round(k)) % 2 == 0)
-    mag = np.abs(base, out=base) if owned and not signed else np.abs(base)
-    mag **= k * alpha
-    if not signed:
+    p = k * alpha
+    if _is_near_int(k) and int(round(k)) % 2 == 0:
+        mag = np.abs(base, out=base) if owned else np.abs(base)
+        mag **= p
         return mag
-    sign = np.sign(base, out=base) if owned else np.sign(base)
-    sign *= mag
-    return sign
+    if type(base) is not np.ndarray or base.ndim == 0 or p == 0.0:
+        mag = np.abs(base) ** p
+        sign = np.sign(base, out=base) if owned else np.sign(base)
+        sign *= mag
+        return sign
+    neg = base < 0.0
+    zero = base == 0.0 if p < 0.0 else None
+    mag = np.abs(base, out=base) if owned else np.abs(base)
+    mag **= p
+    np.negative(mag, out=mag, where=neg)
+    if zero is not None:
+        np.multiply(mag, 0.0, out=mag, where=zero)  # |0|**p is inf
+    return mag
 
 
 def _pow_literal(base, r: float, pos: int, owned: bool = False):

@@ -260,12 +260,37 @@ def fejer_terms(
         res = rl_integrate(fn, lo, hi, al, points=points)
         return _converged_value(res, f"Fejer term {name}'s integral", lo, hi, al)
 
+    # The moment integrands evaluate w first and multiply their other
+    # factor into w's array, which w's evaluation made; a product rounds
+    # the same in either operand order.
+    def m1_integrand(ts: np.ndarray) -> np.ndarray:
+        """|1 - 2t|**(2 al) * w, the power built in one array."""
+        wt = wx(ts)
+        s = 2.0 * ts
+        np.subtract(1.0, s, out=s)
+        np.abs(s, out=s)
+        s **= 2 * al
+        wt *= s
+        return wt
+
+    def m2_integrand(ts: np.ndarray) -> np.ndarray:
+        wt = wx(ts)
+        wt *= ts**al
+        return wt
+
+    def m3_integrand(ts: np.ndarray) -> np.ndarray:
+        """(t**al * (1 - t)**al) * w, the t-factor formed first as before."""
+        wt = wx(ts)
+        tf = 1.0 - ts
+        tf **= al
+        np.multiply(ts**al, tf, out=tf)
+        wt *= tf
+        return wt
+
     m0 = span**al * integral("m0", wx)
-    m1 = span ** (3 * al) * integral(
-        "m1", lambda ts: np.abs(1.0 - 2.0 * ts) ** (2 * al) * wx(ts), points=t_pts + (0.5,)
-    )
-    m2 = span ** (2 * al) * integral("m2", lambda ts: ts**al * wx(ts))
-    m3 = span ** (3 * al) * integral("m3", lambda ts: ts**al * (1.0 - ts) ** al * wx(ts))
+    m1 = span ** (3 * al) * integral("m1", m1_integrand, points=t_pts + (0.5,))
+    m2 = span ** (2 * al) * integral("m2", m2_integrand)
+    m3 = span ** (3 * al) * integral("m3", m3_integrand)
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
         """eta(f(a+b-x), f(x)) * w(x).  The f samples are freed when eta
@@ -276,10 +301,13 @@ def fejer_terms(
 
     mirrored = tuple(a + b - p for p in f_pts)
     L = integral("L_eta", eta_integrand, a, b, f_pts + mirrored + w_pts) / 2**al
-    F2 = integral(
-        "F2", lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx), a, b,
-        f_pts + w_pts,
-    )
+
+    def f2_integrand(xs: np.ndarray) -> np.ndarray:
+        values = f.evaluate_many(xs, ctx)
+        values *= w.evaluate_many(xs, ctx)
+        return values
+
+    F2 = integral("F2", f2_integrand, a, b, f_pts + w_pts)
     R = (e_ab + e_ba) / (2**al * span**al) * m2
 
     F1 = fm * m0 - L + ca / 4**al * m1

@@ -545,6 +545,82 @@ def test_clip_order_keeps_signed_zero_ties():
         assert got.tobytes() == np.clip(xs, lo, hi).tobytes()
 
 
+def _abscissae_by_operators(left, right, a, b, order):
+    """The nodes of ``calculus._abscissae``, one allocating operator at a time."""
+    half = 0.5 * (right - left)
+    mid = 0.5 * (left + right)
+    v = mid[:, None] + calculus._NODES[None, :] * half[:, None]
+    return np.minimum(b, np.maximum(a, b - v ** (1.0 / order))), half
+
+
+@pytest.mark.parametrize(("a", "b", "order"), [
+    (0.0, 1.0, 0.3), (-0.0, 1.0, 0.5), (-1.0, -0.0, 0.9), (-1.0, 0.0, 1.0),
+    (2.0, 2.5, 0.3), (-1e-300, 0.0, 0.5), (0.0, 1e-300, 0.9),
+])
+def test_abscissae_in_one_array_equal_the_operators(a, b, order):
+    """The graded panels, their halves, and extra panels: an empty one at
+    v = 0, whose nodes are b itself, a narrow one whose nodes round onto b,
+    and ones reaching past V, whose nodes fall below a and are clipped to
+    it.  Every node and half-width has the same bits."""
+    V = (b - a) ** order
+    bpts = calculus._graded_breakpoints(V)
+    left, right = bpts[:-1], bpts[1:]
+    hl, hr = calculus._halves(left, right)
+    left = np.concatenate((left, hl, [0.0, 0.0, V * (1 - 1e-6), V]))
+    right = np.concatenate((right, hr, [0.0, V * 1e-300, V * (1 + 1e-6), V * (1 + 1e-3)]))
+    xs, half = calculus._abscissae(left, right, a, b, order)
+    want_xs, want_half = _abscissae_by_operators(left, right, a, b, order)
+    assert xs.tobytes() == want_xs.tobytes()
+    assert half.tobytes() == want_half.tobytes()
+    assert (xs == a).any() and (xs == b).any()
+
+
+def _smooth(xs):
+    return np.abs(xs - 0.3) ** 0.25 + xs * xs
+
+
+def test_rl_integrate_never_writes_an_array_fn_keeps():
+    """rl_integrate weighs the samples in fn's array only when it holds the
+    only reference: an array fn also keeps, or hands back as a view of one
+    it keeps, is left as fn made it, and the result is the one of fresh
+    arrays.  The integrand needs several passes (no kink given)."""
+    made = []
+
+    def keeping(xs):
+        vals = _smooth(xs)
+        made.append((xs.copy(), vals))
+        return vals
+
+    def viewing(xs):
+        whole = np.concatenate((_smooth(xs), _smooth(xs)))
+        made.append((xs.copy(), whole[: len(xs)]))
+        return whole[: len(xs)]
+
+    fresh = rl_integrate(_smooth, 0.0, 1.0, 0.5)
+    assert fresh.levels > 2
+    for fn in (keeping, viewing):
+        made.clear()
+        assert rl_integrate(fn, 0.0, 1.0, 0.5) == fresh
+        assert len(made) == fresh.levels
+        for xs, vals in made:
+            assert vals.tobytes() == _smooth(xs).tobytes()
+
+
+def test_rl_integrate_never_writes_the_nodes_fn_hands_back():
+    """``lambda xs: xs`` hands rl_integrate its own node arrays: read-only
+    on the first pass, and held by _panel_values on the later ones."""
+    nodes = []
+
+    def identity(xs):
+        nodes.append((xs, xs.copy()))
+        return xs
+
+    res = rl_integrate(identity, 0.0, 1.0, 0.3)
+    assert res == rl_integrate(lambda xs: xs.copy(), 0.0, 1.0, 0.3)
+    for xs, before in nodes:
+        assert xs.tobytes() == before.tobytes()
+
+
 def _rl_hex(text, alpha):
     ctx = AlphaContext(alpha=alpha)
     f = FunctionSpec.from_text(text, domain=(0.0, 1.0))

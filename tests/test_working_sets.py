@@ -37,8 +37,9 @@ def _warm_peak(call) -> int:
 def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
     """L's integrand runs on 3,984 samples here, the largest mesh of the
     call.  Evaluated in place, with f's two sample arrays freed when eta
-    returns, the call peaks near 142 KB, under six such arrays; with an
-    array per operator it peaked near 260 KB."""
+    returns, the call peaked near 142 KB, under six such arrays (106 KB
+    now, see the next test); with an array per operator it peaked near
+    260 KB."""
     bound = {"lo": 0.0, "hi": 1.0}
     f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
     eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
@@ -48,11 +49,26 @@ def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
     assert peak < 6 * 3984 * 8
 
 
+def test_fejer_holds_under_four_arrays_of_its_eta_mesh():
+    """The same call as above.  The moment integrands multiply their
+    t-factors into w's array, a signed alpha-power holds one array, and
+    rl_integrate weighs the samples in fn's array: the call peaks near
+    106 KB, where it read 141 KB with an array per factor."""
+    bound = {"lo": 0.0, "hi": 1.0}
+    f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
+    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    ctx = AlphaContext(alpha=0.9)
+    peak = _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx))
+    assert peak < 4 * 3984 * 8
+
+
 def test_capped_singular_integral_stays_under_16_mib():
     """abs(x - 0.3)^(-0.9) at alpha 1 never converges: the quadrature
     refines up to its evaluation cap (and lf_integral raises on the
-    result).  In place, the evaluation of f keeps about 12.7 MiB at the
-    peak; an array per operator took 19 MiB."""
+    result).  In place, the evaluation of f kept about 12.7 MiB at the
+    peak (9.85 MiB now, see the 11 MiB bound below); an array per operator
+    took 19 MiB."""
     f = FunctionSpec.from_text("abs(x - 0.3)^(-0.9)")
     ctx = AlphaContext(alpha=1.0)
 
@@ -62,6 +78,22 @@ def test_capped_singular_integral_stays_under_16_mib():
         assert not res.converged
 
     assert _warm_peak(integrate) < 16 * 2**20
+
+
+def test_capped_singular_integral_stays_under_11_mib():
+    """The call above again.  Its fractional power of abs(...) holds one
+    array, and the samples are weighed in f's array, so the peak is near
+    9.85 MiB (two node-sized arrays and masks), where it was 12.74 MiB with
+    three node-sized arrays."""
+    f = FunctionSpec.from_text("abs(x - 0.3)^(-0.9)")
+    ctx = AlphaContext(alpha=1.0)
+
+    def integrate():
+        res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 1.0,
+                           points=f.singular_points())
+        assert not res.converged
+
+    assert _warm_peak(integrate) < 11 * 2**20
 
 
 def test_small_grid_certify_copies_through_no_ufunc_buffer():
@@ -74,6 +106,16 @@ def test_small_grid_certify_copies_through_no_ufunc_buffer():
     eta = EtaSpec.from_text(ETA_PRESETS["example23"])
     ctx = AlphaContext(alpha=0.5)
     assert _warm_peak(lambda: certify_gsc(f, eta, 1.0, ctx, 24, 2)) < 0.28 * 2**20
+
+
+def test_small_grid_certify_without_strong_term_holds_one_slab_buffer():
+    """At c = 0 the strong term is skipped, and so is its scratch slab: the
+    grid-24 call peaks near 0.132 MiB, where it read 0.237 MiB with the
+    unused buffer allocated."""
+    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"])
+    ctx = AlphaContext(alpha=0.5)
+    assert _warm_peak(lambda: certify_gsc(f, eta, 0.0, ctx, 24, 2)) < 0.17 * 2**20
 
 
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():
