@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .expr import FunctionSpec, GPoly
 from .fractal_scalar import AlphaContext, gamma
@@ -151,8 +150,17 @@ _KINK_DEPTH = 10
 _MESH_CACHE = 80
 _MESH_SAMPLES = 4096
 
-# The _POINTS-point Gauss--Legendre rule on [-1, 1].
-_NODES, _WEIGHTS = leggauss(_POINTS)
+# The _POINTS-point Gauss--Legendre rule on [-1, 1]: the nodes and weights
+# of numpy's ``leggauss(8)``, bit for bit (a test compares them), written
+# out so that importing fracon does not import ``numpy.polynomial``.
+_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 def _local_refs() -> int:

@@ -122,6 +122,30 @@ _MAX_GRID = 1000
 _MAX_REFINE = 40
 
 
+def _linspace(lo, hi, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for n >= 2, bit for bit, without its helpers.
+
+    The same float64 steps in the same order: delta = hi - lo, then y = 0,
+    1, ..., n - 1 times delta / (n - 1), or, where that step underflows to
+    0, divided by n - 1 and then times delta; then lo is added and the last
+    point set to hi.  delta is a float64 ufunc subtract, so an overflowing
+    span warns as linspace's does.  ``np.linspace`` spends most of a small
+    grid's time in Python (argument conversion, dtype and shape handling),
+    and certify and the eta checks sample several small grids per call.
+    """
+    delta = np.subtract(hi, lo, dtype=float)
+    y = np.arange(n, dtype=float)
+    step = delta / (n - 1)
+    if step == 0:
+        y /= n - 1
+        y *= delta
+    else:
+        y *= step
+    y += lo
+    y[-1] = hi
+    return y
+
+
 def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
     """The factors of the defect's right side: eta(f(x), f(y)) and
     |x - y|**(2 al) over (x, y), t**al and c**al t**al (1 - t)**al over t."""
@@ -170,7 +194,7 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
     """
     n = len(xs)
     with np.errstate(all="ignore"):
-        mixtures = np.linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
+        mixtures = _linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
         mixtures[:: n - 1] = xs
         table = f.evaluate_many(mixtures, ctx)
         # Free the mixtures and |table| before the slab buffers exist, so
@@ -234,7 +258,8 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     """Minimum defect over a refinement box, evaluated as one (x, y, t) tensor.
 
     The box's mixtures lie on no 1-D grid, so f is evaluated at the float
-    mixtures fl(t x) + fl((1 - t) y), in one call together with xs and ys.
+    mixtures fl(t x) + fl((1 - t) y), in one call together with xs and ys:
+    all three are written into the one array f is evaluated on.
     The defect is built in place in the operation order of
     ``fy + t**al eta - strong - f(mixture)``.  Returns as ``_lattice_min``
     does, with max |f| over the mixtures; ties keep the first index.  A
@@ -243,8 +268,12 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     """
     nx, ny, nt = len(xs), len(ys), len(ts)
     with np.errstate(all="ignore"):
-        mix = ts * xs[:, None, None] + (1.0 - ts) * ys[:, None]
-        values = f.evaluate_many(np.concatenate((xs, ys, mix.ravel())), ctx)
+        points = np.empty(nx + ny + nx * ny * nt)
+        points[:nx] = xs
+        points[nx : nx + ny] = ys
+        mix = points[nx + ny :].reshape(nx, ny, nt)
+        np.add(ts * xs[:, None, None], (1.0 - ts) * ys[:, None], out=mix)
+        values = f.evaluate_many(points, ctx)
         fx, fy = values[:nx], values[nx : nx + ny]
         fmix = values[nx + ny :].reshape(mix.shape)
         e, ta, corr, dist = _right_side(eta, c, ctx, fx, fy, xs, ys, ts)
@@ -253,7 +282,7 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
         np.multiply(corr, dist[:, :, None], out=mix)
         np.subtract(d, mix, out=d)
         np.subtract(d, fmix, out=d)
-    i, jk = divmod(int(np.argmin(d)), ny * nt)
+    i, jk = divmod(int(d.argmin()), ny * nt)
     j, k = divmod(jk, nt)
     low = _finite_min(float(d[i, j, k]), xs[i], ys[j], ts[k])
     return (i, j, k), low, float(np.abs(fmix).max())
@@ -367,8 +396,8 @@ def certify_gsc(
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
     a, b = _domain_of(f)
-    xs = np.linspace(a, b, grid_n)
-    ts = np.linspace(0.0, 1.0, grid_n)
+    xs = _linspace(a, b, grid_n)
+    ts = _linspace(0.0, 1.0, grid_n)
 
     necessary = check_eta_necessary(f, eta, ctx, grid_n)
 
@@ -387,9 +416,9 @@ def certify_gsc(
         wx = dx / 3 ** (level - 1)
         wt = dt / 3 ** (level - 1)
         cx, cy, ct = best
-        lx = np.linspace(max(a, cx - wx), min(b, cx + wx), 13)
-        ly = np.linspace(max(a, cy - wx), min(b, cy + wx), 13)
-        lt = np.linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
+        lx = _linspace(max(a, cx - wx), min(b, cx + wx), 13)
+        ly = _linspace(max(a, cy - wx), min(b, cy + wx), 13)
+        lt = _linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
         if lx[0] == lx[-1] and ly[0] == ly[-1] and lt[0] == lt[-1]:
             break  # the box is the best cell alone, here and at every later level
         (i, j, k), box_min, mf = _box_min(f, eta, c, ctx, lx, ly, lt)
@@ -434,29 +463,31 @@ def check_eta_necessary(
     Both are necessary for membership (take x = y, and t = 1), so a failure
     here short-circuits certification into a counterexample.  Margins are
     reported with their witnesses; the tolerance is 1e-12 on the sampled
-    magnitude scale.
+    magnitude scale.  ``grid_n`` must lie in [8, 1000], as for
+    ``certify_gsc``: the pair check holds ``grid_n``**2 floats.
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
+    if grid_n > _MAX_GRID:
+        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
     a, b = _domain_of(f)
-    xs = np.linspace(a, b, grid_n)
+    xs = _linspace(a, b, grid_n)
     fx = f.evaluate_many(xs, ctx)
 
     diag = eta.evaluate_many(fx, fx, ctx)
-    scale = 1.0 + float(np.max(np.abs(diag)))
+    scale = 1.0 + float(np.abs(diag).max())
     tol = 1e-12 * scale
-    i = int(np.argmin(diag))
+    i = int(diag.argmin())
     diag_min = float(diag[i])
     diag_ok = diag_min >= -tol
     diag_witness = None if diag_ok else float(xs[i])
 
     pair = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
     diff = fx[:, None] - fx[None, :]
-    margins = pair - diff
-    scale2 = 1.0 + max(float(np.max(np.abs(pair))), float(np.max(np.abs(diff))))
+    scale2 = 1.0 + max(float(np.abs(pair).max()), float(np.abs(diff).max()))
     tol2 = 1e-12 * scale2
-    flat = int(np.argmin(margins))
-    i, j = np.unravel_index(flat, margins.shape)
+    margins = np.subtract(pair, diff, out=diff)
+    i, j = divmod(int(margins.argmin()), grid_n)
     upper_min = float(margins[i, j])
     upper_ok = upper_min >= -tol2
     upper_witness = None if upper_ok else (float(xs[i]), float(xs[j]))
@@ -484,18 +515,18 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    xs = np.linspace(a, b, 1001)
+    xs = _linspace(a, b, 1001)
     wx = w.evaluate_many(xs, ctx)
     asym = np.abs(wx - w.evaluate_many(a + b - xs, ctx))
-    i = int(np.argmax(asym))
-    scale = 1.0 + float(np.max(np.abs(wx)))
+    i = int(asym.argmax())
+    scale = 1.0 + float(np.abs(wx).max())
     tol = 1e-10 * scale
     if not float(asym[i]) <= tol:
         raise SymmetryError(
             f"weight is not symmetric about the midpoint: max asymmetry "
             f"{float(asym[i]):.3e} at x={float(xs[i])!r} (tol {tol:.3e})"
         )
-    j = int(np.argmin(wx))
+    j = int(wx.argmin())
     if not float(wx[j]) >= -1e-12 * scale:
         raise SymmetryError(
             f"weight takes negative values: min {float(wx[j]):.3e} at x={float(xs[j])!r}"
@@ -534,23 +565,23 @@ def estimate_eta_sup(f: FunctionSpec, eta: EtaSpec, ctx: AlphaContext, a: float,
       unless all samples of f are bitwise equal, which makes every pair
       bitwise equal.
     """
-    xs = np.linspace(float(a), float(b), 512)
+    xs = _linspace(float(a), float(b), 512)
     fx = f.evaluate_many(xs, ctx)
     if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
         lo, hi = _signed_extremes(fx)
         ends = np.array([lo, hi])
         corners = eta.evaluate_many(ends[:, None], ends[None, :], ctx)
-        top = float(np.max(corners))
+        top = float(corners.max())
         same = lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi)
         if top != 0.0 or same or np.signbit(corners[corners == 0.0]).all():
             return top
     pair = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
-    return float(np.max(pair))
+    return float(pair.max())
 
 
 def _signed_extremes(fx: np.ndarray) -> tuple[float, float]:
     """Min and max of fx in the order that puts -0.0 below +0.0."""
-    lo, hi = float(np.min(fx)), float(np.max(fx))
+    lo, hi = float(fx.min()), float(fx.max())
     if lo == 0.0 or hi == 0.0:
         signs = np.signbit(fx[fx == 0.0])
         if lo == 0.0:
@@ -595,13 +626,13 @@ def minimum_condition_check(
     al = ctx.alpha
     a, b = _domain_of(f)
     n = 200
-    xs = np.linspace(a, b, n)
+    xs = _linspace(a, b, n)
     fx = f.evaluate_many(xs, ctx)
     i = int(np.argmin(fx))
     x_star, f_star = float(xs[i]), float(fx[i])
     w = (b - a) / (n - 1)
     for level in range(3):
-        lx = np.linspace(max(a, x_star - w), min(b, x_star + w), 13)
+        lx = _linspace(max(a, x_star - w), min(b, x_star + w), 13)
         lf = f.evaluate_many(lx, ctx)
         j = int(np.argmin(lf))
         if float(lf[j]) < f_star:

@@ -865,7 +865,9 @@ def _owned_result(node: ExprAst, out, shape: tuple[int, ...]) -> np.ndarray:
     """
     arr = np.asarray(out, dtype=float)
     if arr.shape != shape:
-        return np.broadcast_to(arr, shape).copy()
+        full = np.empty(shape)
+        np.copyto(full, arr)
+        return full
     return arr.copy() if isinstance(node, Name) else arr
 
 
@@ -907,20 +909,22 @@ class FunctionSpec:
         dom = (float(domain[0]), float(domain[1])) if domain is not None else None
         return cls(text=text, ast=ast, domain=dom, params=items)
 
-    def _params(self) -> dict[str, float]:
-        return dict(self.params)
+    def __post_init__(self) -> None:
+        # The evaluators read params as a dict; it is built once, here, and
+        # never mutated.
+        object.__setattr__(self, "_params", dict(self.params))
 
     def evaluate(self, x: float, ctx: AlphaContext) -> float:
-        return float(evaluate_raw(self.ast, {"x": float(x)}, ctx, self._params()))
+        return float(evaluate_raw(self.ast, {"x": float(x)}, ctx, self._params))
 
     def evaluate_many(self, xs: np.ndarray, ctx: AlphaContext) -> np.ndarray:
         """f at every point of ``xs``, as a new array of xs's shape."""
         xs = np.asarray(xs, dtype=float)
-        out = evaluate_raw(self.ast, {"x": xs}, ctx, self._params())
+        out = evaluate_raw(self.ast, {"x": xs}, ctx, self._params)
         return _owned_result(self.ast, out, xs.shape)
 
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
-        return normalize(self.ast, s, ctx, self._params())
+        return normalize(self.ast, s, ctx, self._params)
 
     def singular_points(self) -> tuple[float, ...]:
         """Abscissae where f may have a kink, sorted.
@@ -930,7 +934,7 @@ class FunctionSpec:
         in x contribute nothing.
         """
         found: set[float] = set()
-        _add_kinks(self.ast, self._params(), found)
+        _add_kinks(self.ast, self._params, found)
         return tuple(sorted(found))
 
 
@@ -954,16 +958,18 @@ class EtaSpec:
         ast = parse(text, arity=2, constants=[k for k, _ in items])
         return cls(text=text, ast=ast, params=items)
 
-    def _params(self) -> dict[str, float]:
-        return dict(self.params)
+    def __post_init__(self) -> None:
+        # The evaluators read params as a dict; it is built once, here, and
+        # never mutated.
+        object.__setattr__(self, "_params", dict(self.params))
 
     def evaluate(self, u: float, v: float, ctx: AlphaContext) -> float:
         env = {"u": float(u), "v": float(v)}
-        return float(evaluate_raw(self.ast, env, ctx, self._params()))
+        return float(evaluate_raw(self.ast, env, ctx, self._params))
 
     def evaluate_many(self, us, vs, ctx: AlphaContext) -> np.ndarray:
         """eta at every broadcast pair of ``us`` and ``vs``, as a new array."""
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        out = evaluate_raw(self.ast, {"u": us, "v": vs}, ctx, self._params())
-        return _owned_result(self.ast, out, np.broadcast_shapes(us.shape, vs.shape))
+        out = evaluate_raw(self.ast, {"u": us, "v": vs}, ctx, self._params)
+        return _owned_result(self.ast, out, np.broadcast(us, vs).shape)

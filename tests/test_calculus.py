@@ -527,6 +527,15 @@ def test_exact_backend_requires_polynomial_form():
         lf_integral(f, 0.0, 1.0, ctx, EXACT)
 
 
+def test_gauss_legendre_rule_is_numpys_leggauss_bit_for_bit():
+    """The frozen 8-point rule is numpy's leggauss(8), node for node and
+    weight for weight, down to the last bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(calculus._POINTS)
+    assert calculus._POINTS == 8
+    assert [v.hex() for v in calculus._NODES.tolist()] == [v.hex() for v in nodes.tolist()]
+    assert [v.hex() for v in calculus._WEIGHTS.tolist()] == [v.hex() for v in weights.tolist()]
+
+
 def test_graded_breakpoints_are_cached_read_only():
     """One array per mesh key, shared between rl_integrate calls, so callers cannot write it."""
     pts = calculus._mesh(struct.pack("3d", 0.0, 1.0, 1.0)).left

@@ -20,6 +20,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1002,3 +1003,102 @@ def test_sampling_checks_reject_tiny_grid():
     eta = EtaSpec.from_text("u - v")
     with pytest.raises(ValueError, match="grid_n"):
         check_eta_necessary(f, eta, _CTX1, grid_n=3)
+
+
+def test_eta_necessary_rejects_a_grid_over_the_cap_before_sampling():
+    """grid_n above certify_gsc's cap is refused with certify_gsc's error,
+    before f is read: a spec with no domain would raise about that first."""
+    f = FunctionSpec.from_text("x^(2a)")
+    eta = EtaSpec.from_text("u - v")
+    with pytest.raises(ValueError, match=r"^grid_n must be <= 1000, got 1001$"):
+        check_eta_necessary(f, eta, _CTX1, grid_n=1001)
+    with pytest.raises(ValueError, match=r"^grid_n must be <= 1000, got 1001$"):
+        certify_gsc(_f("x^(2a)", 0.0, 1.0), eta, 0.0, _CTX1, grid_n=1001)
+    assert check_eta_necessary(_f("x^(2a)", 0.0, 1.0), eta, _CTX1, grid_n=1000).ok
+
+
+# ------------------------------------------------------------- sampling grids
+
+
+def _linspace_runs(lo, hi, n):
+    """(dtype, shape, bytes, warnings) of np.linspace and of convexity._linspace."""
+    runs = []
+    for space in (np.linspace, convexity._linspace):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            y = space(lo, hi, n)
+        runs.append((y.dtype, y.shape, y.tobytes(), [(w.category, str(w.message)) for w in caught]))
+    return runs
+
+
+_TINY = 5e-324
+_ENDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, _TINY, -_TINY, 3 * _TINY, 1e-310, 2.2250738585072014e-308,
+     1.0, -1e200, 1e200, -1e308, 1e308, -1.7976931348623157e308])
+# 13 is a refinement box's side; 24, 50 and 150 grids' mixture tables hold
+# (n - 1)**2 + 1 points, and grid 1000's 998,002.
+_SIZES = st.sampled_from([2, 13, 24, 200, 512, 1001, 23**2 + 1, 49**2 + 1, 149**2 + 1, 999**2 + 1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lo=_ENDS, hi=_ENDS, n=_SIZES)
+@example(lo=-0.0, hi=0.0, n=13)
+@example(lo=0.0, hi=-0.0, n=2)
+@example(lo=-0.0, hi=-0.0, n=24)
+@example(lo=0.3, hi=0.3, n=13)  # lo == hi: a collapsed box side
+@example(lo=0.0, hi=_TINY, n=1001)  # the step underflows to 0
+@example(lo=-_TINY, hi=3 * _TINY, n=13)
+@example(lo=1e-310, hi=1e-310 + 4 * _TINY, n=512)
+@example(lo=-1e200, hi=1e200, n=24)
+@example(lo=-1e308, hi=1e308, n=13)  # the span overflows to inf
+@example(lo=1e308, hi=-1.7976931348623157e308, n=23**2 + 1)
+@example(lo=0, hi=2**60 + 1, n=13)  # integer ends are subtracted as floats
+def test_linspace_equals_numpy_bit_for_bit(lo, hi, n):
+    """Same bits, dtype, shape and warnings as np.linspace, signed zeros,
+    underflowing steps and overflowing spans included."""
+    ref, got = _linspace_runs(lo, hi, n)
+    assert got == ref
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=st.sampled_from([8, 9, 24, 50]), center=st.floats(0.0, 1.0),
+       level=st.integers(1, 40))
+def test_linspace_equals_numpy_on_refinement_boxes(grid, center, level):
+    """The sides of a refinement box on [0, 1], down to level 40, where
+    they have collapsed to one or a few floats."""
+    w = (1.0 / (grid - 1)) / 3 ** (level - 1)
+    ref, got = _linspace_runs(max(0.0, center - w), min(1.0, center + w), 13)
+    assert got == ref
+
+
+@pytest.mark.parametrize(("text", "alpha"), sorted(_COLLAPSED))
+def test_linspace_equals_numpy_on_the_collapsed_boxes(monkeypatch, text, alpha):
+    """Every grid the collapsed-box certifications sample is np.linspace's."""
+    calls = []
+    space = convexity._linspace
+
+    def recording(lo, hi, n):
+        calls.append((lo, hi, n))
+        return space(lo, hi, n)
+
+    monkeypatch.setattr(convexity, "_linspace", recording)
+    grid = 9 if "abs" in text else 8
+    certify_gsc(_f(text, 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0,
+                AlphaContext(alpha=alpha), grid_n=grid, refine_depth=40)
+    # xs, ts, eta's grid and the table, then the sides of the boxes that ran
+    # and of the collapsed one that stopped the refinement
+    assert len(calls) == 4 + 3 * _COLLAPSED[text, alpha][0]
+    monkeypatch.undo()
+    for lo, hi, n in calls:
+        ref, got = _linspace_runs(lo, hi, n)
+        assert got == ref
+
+
+def test_linspace_overflow_raises_as_numpy_under_warnings_as_errors():
+    """A span that overflows raises the same RuntimeWarning as np.linspace
+    where warnings are errors, as they are in this suite."""
+    for space in (np.linspace, convexity._linspace):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="^overflow encountered in subtract$"):
+                space(-1e308, 1e308, 13)

@@ -1,0 +1,111 @@
+"""Time a benchmark workload's command lines in two checkouts, in one process.
+
+Usage (from the root of a checkout):
+
+    python3 tools/cases_ab.py ../parent                      # parent against this checkout
+    python3 tools/cases_ab.py ../parent . --workload sweep --seeds 1,2 --rounds 30
+
+Each checkout's ``src/fracon`` is imported under its own package name
+(``fracon_a`` for the first path, ``fracon_b`` for the second), as
+``tools/kernel_ab.py`` does, so both run in the same interpreter, on the
+same allocator and at the same moment.  The case list is the one this
+checkout's ``perfbench/cases.py`` builds for the workload and seeds, and
+every case runs through each side's ``cli.main`` with its output captured.
+
+One untimed pass per side warms both and records each case's argv, exit
+code (or raised exception), stdout and stderr.  Then every round shuffles
+the case list and runs each case on both sides back to back, the side that
+goes first drawn per case, and adds each call's time to its side.  The
+draws come from a fixed seed, so every run uses the same orders.
+
+Printed: for each side, its median ms per case over the rounds and the
+number of rounds it was the faster in; then the median of the per-round
+ratios B/A and whether the two sides' outputs are equal.  The exit code
+is 1 when they differ.
+
+This adds to perfbench pairs (alternating ``perfbench/run.py`` runs in
+the two checkouts) and never replaces them: it compares warm calls in one
+process, while the benchmark also pays for start-up and measures each
+checkout in its own process, where the machine's load can differ between
+the two runs of a pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib
+import io
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from kernel_ab import _load
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cli_main(root: Path, name: str):
+    """The ``cli.main`` of checkout ``root``'s fracon, imported as ``name``."""
+    return importlib.import_module(f"{_load(root, name).__name__}.cli").main
+
+
+def _run(main, argv) -> tuple[float, tuple]:
+    """Seconds one case takes, and its (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # a raising case is part of the output
+            code = f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+    return elapsed, (code, out.getvalue(), err.getvalue())
+
+
+def main(argv: list[str] | None = None) -> int:
+    sys.dont_write_bytecode = True  # leave no caches in either checkout
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from cases import WORKLOADS, build
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="checkout A (the baseline)")
+    parser.add_argument("b", type=Path, nargs="?", default=Path("."),
+                        help="checkout B (default: the current directory)")
+    parser.add_argument("--workload", choices=WORKLOADS, default="sweep")
+    parser.add_argument("--seeds", default="1,2", help="comma-separated case seeds")
+    parser.add_argument("--rounds", type=int, default=30)
+    args = parser.parse_args(argv)
+
+    cases = [case.argv for seed in args.seeds.split(",") for case in build(args.workload, int(seed))]
+    sides = (_cli_main(args.a.resolve(), "fracon_a"), _cli_main(args.b.resolve(), "fracon_b"))
+    print(f"A {args.a.resolve()}\nB {args.b.resolve()}")
+    outputs = [[_run(side, argv)[1] for argv in cases] for side in sides]
+    rng = random.Random(0)
+    per_case = ([], [])
+    for _ in range(args.rounds):
+        order = list(range(len(cases)))
+        rng.shuffle(order)
+        totals = [0.0, 0.0]
+        gc.collect()
+        for c in order:
+            for s in ((0, 1) if rng.random() < 0.5 else (1, 0)):
+                totals[s] += _run(sides[s], cases[c])[0]
+        for s in (0, 1):
+            per_case[s].append(totals[s] / len(cases))
+    ratios = [b / a for a, b in zip(*per_case)]
+    print(f"{args.workload}: {len(cases)} cases, seeds {args.seeds}, {args.rounds} rounds")
+    for s, label in enumerate("AB"):
+        wins = sum(t < u for t, u in zip(per_case[s], per_case[1 - s]))
+        print(f"{label} {statistics.median(per_case[s]) * 1e3:9.3f} ms/case  "
+              f"faster in {wins}/{args.rounds} rounds")
+    same = outputs[0] == outputs[1]
+    print(f"median B/A {statistics.median(ratios):.3f}  outputs {'equal' if same else 'DIFFER'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
