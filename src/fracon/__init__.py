@@ -26,7 +26,6 @@ from .convexity import (
     ConvexityReport,
     Counterexample,
     LatticeGrid,
-    MinimumConditionReport,
     NecessaryReport,
     SymmetryError,
     certify_gsc,
@@ -34,7 +33,6 @@ from .convexity import (
     check_symmetry,
     defect,
     estimate_eta_sup,
-    minimum_condition_check,
 )
 from .expr import (
     EtaSpec,
@@ -57,13 +55,10 @@ from .fractal_scalar import (
     gamma,
 )
 from .inequalities import (
-    ConsistencyCheck,
-    ConsistencyReport,
     FejerReport,
     HHReport,
     LinkStatus,
     fejer_terms,
-    hh_fejer_consistency,
     hh_terms,
 )
 
@@ -73,8 +68,6 @@ __all__ = [
     "AlphaContext",
     "AxiomRow",
     "BackendKind",
-    "ConsistencyCheck",
-    "ConsistencyReport",
     "ConvexityReport",
     "Counterexample",
     "DerivativeMode",
@@ -90,7 +83,6 @@ __all__ = [
     "IntegrationError",
     "LatticeGrid",
     "LinkStatus",
-    "MinimumConditionReport",
     "NUMERIC",
     "NecessaryReport",
     "NotPolynomial",
@@ -107,11 +99,9 @@ __all__ = [
     "evaluate",
     "fejer_terms",
     "gamma",
-    "hh_fejer_consistency",
     "hh_terms",
     "lf_derivative",
     "lf_integral",
-    "minimum_condition_check",
     "normalize",
     "parse",
     "pretty",

@@ -274,7 +274,11 @@ def _panel_values(
     ``xs`` in x and its half-width in v.
 
     The samples are weighted in fn's own array when nothing else holds it
-    (the test numpy uses to elide a temporary), and in a copy otherwise."""
+    (the test numpy uses to elide a temporary), and in a copy otherwise.
+    That saves one panel-sized copy per call: without the test, the largest
+    traced peak of an hh case (quadrature workload, seed 1) rose from 64.8
+    to 92.8 KB, and a capped singular integral no longer fits its 11 MiB
+    bound."""
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)

@@ -345,7 +345,7 @@ def _make_specs(cfg: RunConfig, f_key: str, eta_key: str,
                 w_key: Optional[str] = None):
     f_id, f_text = resolve(F_PRESETS, f_key)
     eta_id, eta_text = resolve(ETA_PRESETS, eta_key)
-    f = FunctionSpec.from_text(f_text, domain=(cfg.a, cfg.b), params=cfg.params)
+    f = FunctionSpec.from_text(f_text, params=cfg.params)
     eta = EtaSpec.from_text(eta_text, params=cfg.params)
     echo = {
         "f": {"id": f_id, "text": f_text},
@@ -366,7 +366,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     _merge_config(args, {"c": 0.0, "interval": "0,1", "grid": 50, "refine": 3})
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, echo = _make_specs(cfg, args.f, args.eta)
-    report = certify_gsc(f, eta, cfg.c, cfg.ctx, cfg.grid, cfg.refine)
+    report = certify_gsc(f, eta, cfg.c, cfg.a, cfg.b, cfg.ctx, cfg.grid, cfg.refine)
     notes = []
     if not report.necessary.ok:
         notes.append("necessary-condition screen failed; see results.necessary")
@@ -480,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     f_specs, eta_specs = {}, {}
     for key in fs:
         f_id, f_text = resolve(F_PRESETS, key)
-        f_specs[key] = f_id, FunctionSpec.from_text(f_text, domain=(a, b), params=bound)
+        f_specs[key] = f_id, FunctionSpec.from_text(f_text, params=bound)
     for key in etas:
         eta_id, eta_text = resolve(ETA_PRESETS, key)
         eta_specs[key] = eta_id, EtaSpec.from_text(eta_text, params=bound)
@@ -501,7 +501,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     head = [_fmt(alpha), _fmt(c), eta_id, f_id, _fmt(a), _fmt(b)]
                     try:
                         hh = hh_terms(f, eta, c, a, b, ctx, backend=NUMERIC)
-                        cert = certify_gsc(f, eta, c, ctx, grid, refine)
+                        cert = certify_gsc(f, eta, c, a, b, ctx, grid, refine)
                     except (EvalError, IntegrationError, OverflowError,
                             ZeroDivisionError, FloatingPointError, ValueError) as exc:
                         any_error = True

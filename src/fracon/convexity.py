@@ -29,16 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import DerivativeMode, lf_derivative
-from .expr import (
-    EtaSpec,
-    EvalError,
-    FunctionSpec,
-    NotPolynomial,
-    WeightSpec,
-    _monotone_dirs,
-)
-from .fractal_scalar import AlphaContext, gamma
+from .expr import EtaSpec, EvalError, FunctionSpec, WeightSpec, _monotone_dirs
+from .fractal_scalar import AlphaContext
 
 __all__ = [
     "Counterexample",
@@ -46,13 +38,11 @@ __all__ = [
     "LatticeGrid",
     "NecessaryReport",
     "SymmetryError",
-    "MinimumConditionReport",
     "defect",
     "certify_gsc",
     "check_eta_necessary",
     "check_symmetry",
     "estimate_eta_sup",
-    "minimum_condition_check",
 ]
 
 
@@ -60,12 +50,11 @@ class SymmetryError(ValueError):
     """Weight precondition violated (asymmetric or negative)."""
 
 
-def _domain_of(f: FunctionSpec) -> tuple[float, float]:
-    if f.domain is None:
-        raise ValueError("function has no domain interval attached")
-    a, b = f.domain
+def _check_interval(a: float, b: float) -> tuple[float, float]:
+    """[a, b] as floats; a >= b, or a NaN end, is a ValueError."""
+    a, b = float(a), float(b)
     if not a < b:
-        raise ValueError(f"degenerate domain [{a!r}, {b!r}]")
+        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
     return a, b
 
 
@@ -120,6 +109,14 @@ _MAX_GRID = 1000
 # where all three sides do).  From level 648 on, 3**(level - 1) no longer
 # converts to a float at all.
 _MAX_REFINE = 40
+
+
+def _check_grid(grid_n: int) -> None:
+    """A ValueError unless 8 <= grid_n <= _MAX_GRID."""
+    if grid_n < 8:
+        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
+    if grid_n > _MAX_GRID:
+        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
 
 
 def _linspace(lo, hi, n: int) -> np.ndarray:
@@ -221,7 +218,10 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         # through that buffer (the t-factor product ran up to 4x slower and
         # allocated 64 KiB per operand); a buffer no longer than a plane
         # leaves them unbuffered.  The strided f(mixture) gather stays at the
-        # caller's size, where its buffered copy is the faster one.
+        # caller's size, where its buffered copy is the faster one.  In the
+        # workloads this buys memory: with lean = 0 the sweep workload's traced
+        # peak (seed 1, tools/case_peaks.py) rose from 0.2551 to 0.3735 MiB,
+        # while its time moved within the noise.
         bufsize = np.getbufsize()
         lean = n * n // 16 * 16 if n * n < bufsize else 0  # a multiple of 16
         try:
@@ -345,17 +345,19 @@ def certify_gsc(
     f: FunctionSpec,
     eta: EtaSpec,
     c: float,
+    a: float,
+    b: float,
     ctx: AlphaContext,
     grid_n: int = 50,
     refine_depth: int = 3,
 ) -> ConvexityReport:
-    """Search the (x, y, t) lattice for membership violations.
+    """Search the (x, y, t) lattice over [a, b] for membership violations.
 
     Evaluates the defect on a ``grid_n``**3 lattice over
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
-    level (clipped to bounds); ``grid_n`` must lie in [8, 1000] and
-    ``refine_depth`` in [0, 40].  The lattice's mixtures t*x + (1-t)*y are
+    level (clipped to bounds); ``grid_n`` must lie in [8, 1000],
+    ``refine_depth`` in [0, 40] and a below b.  The lattice's mixtures t*x + (1-t)*y are
     the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
     evaluated once on that table and read back plane by plane.  The lattice
     is walked in slabs of whole t-planes (about 32k cells, or one plane when
@@ -385,21 +387,18 @@ def certify_gsc(
     defect, a box whose every defect is +inf, or a non-finite f at a
     mixture raises EvalError.
     """
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
-    if grid_n > _MAX_GRID:
-        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
+    _check_grid(grid_n)
     if refine_depth < 0:
         raise ValueError(f"refine_depth must be >= 0, got {refine_depth!r}")
     if refine_depth > _MAX_REFINE:
         raise ValueError(f"refine_depth must be <= {_MAX_REFINE}, got {refine_depth!r}")
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
-    a, b = _domain_of(f)
+    a, b = _check_interval(a, b)
     xs = _linspace(a, b, grid_n)
     ts = _linspace(0.0, 1.0, grid_n)
 
-    necessary = check_eta_necessary(f, eta, ctx, grid_n)
+    necessary = check_eta_necessary(f, eta, a, b, ctx, grid_n)
 
     (i, j, k), min_defect, max_abs_f = _lattice_min(f, eta, c, ctx, xs, ts)
     evaluations = grid_n**3
@@ -456,21 +455,20 @@ def certify_gsc(
 
 
 def check_eta_necessary(
-    f: FunctionSpec, eta: EtaSpec, ctx: AlphaContext, grid_n: int = 200
+    f: FunctionSpec, eta: EtaSpec, a: float, b: float, ctx: AlphaContext, grid_n: int = 200
 ) -> NecessaryReport:
-    """Check 0 <= eta(p, p) and p - q <= eta(p, q) over the sampled image.
+    """Check 0 <= eta(p, p) and p - q <= eta(p, q) over the image of [a, b].
 
-    Both are necessary for membership (take x = y, and t = 1), so a failure
-    here short-circuits certification into a counterexample.  Margins are
-    reported with their witnesses; the tolerance is 1e-12 on the sampled
-    magnitude scale.  ``grid_n`` must lie in [8, 1000], as for
-    ``certify_gsc``: the pair check holds ``grid_n``**2 floats.
+    The image is f at ``grid_n`` evenly spaced points of [a, b].  Both
+    conditions are necessary for membership (take x = y, and t = 1), so a
+    failure here short-circuits certification into a counterexample.
+    Margins are reported with their witnesses; the tolerance is 1e-12 on
+    the sampled magnitude scale.  ``grid_n`` must lie in [8, 1000], as for
+    ``certify_gsc`` (the pair check holds ``grid_n``**2 floats), and a < b;
+    either is checked before f is read.
     """
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
-    if grid_n > _MAX_GRID:
-        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
-    a, b = _domain_of(f)
+    _check_grid(grid_n)
+    a, b = _check_interval(a, b)
     xs = _linspace(a, b, grid_n)
     fx = f.evaluate_many(xs, ctx)
 
@@ -512,9 +510,7 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
     since Fejer weights must be both.  Symmetry is checked first; a NaN
     sample fails both checks.
     """
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    a, b = _check_interval(a, b)
     xs = _linspace(a, b, 1001)
     wx = w.evaluate_many(xs, ctx)
     asym = np.abs(wx - w.evaluate_many(a + b - xs, ctx))
@@ -533,8 +529,10 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
         )
 
 
-def estimate_eta_sup(f: FunctionSpec, eta: EtaSpec, ctx: AlphaContext, a: float, b: float) -> float:
-    """Max of eta over sampled pairs of the f-image on [a, b].
+def estimate_eta_sup(
+    f: FunctionSpec, eta: EtaSpec, a: float, b: float, ctx: AlphaContext
+) -> float:
+    """Max of eta over sampled pairs of the f-image on [a, b]; needs a < b.
 
     This is the sampled bound M on eta values (an alpha-type magnitude);
     the chain terms use it directly as M / 2**al and M * B.  A sampled sup
@@ -565,7 +563,8 @@ def estimate_eta_sup(f: FunctionSpec, eta: EtaSpec, ctx: AlphaContext, a: float,
       unless all samples of f are bitwise equal, which makes every pair
       bitwise equal.
     """
-    xs = _linspace(float(a), float(b), 512)
+    a, b = _check_interval(a, b)
+    xs = _linspace(a, b, 512)
     fx = f.evaluate_many(xs, ctx)
     if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
         lo, hi = _signed_extremes(fx)
@@ -589,81 +588,3 @@ def _signed_extremes(fx: np.ndarray) -> tuple[float, float]:
         if hi == 0.0:
             hi = 0.0 if not signs.all() else -0.0
     return lo, hi
-
-
-@dataclass(frozen=True)
-class MinimumConditionReport:
-    """Sampled check of the fractional minimum-point property.
-
-    At a sampled minimizer x* of f, for every grid y with
-    f^(al)(x*) * (y - x*)**al / Gamma(1 + al) >= 0 (the stationarity
-    antecedent), membership requires
-    eta(f(y), f(x*)) >= c**al * |y - x*|**(2 al).
-    """
-
-    x_star: float
-    f_star: float
-    derivative: float
-    derivative_mode: str
-    antecedent_count: int
-    checked: int
-    violations: tuple[tuple[float, float], ...]  # (y, consequent margin)
-    tol_antecedent: float
-    tol_consequent: float
-
-
-def minimum_condition_check(
-    f: FunctionSpec, eta: EtaSpec, c: float, ctx: AlphaContext
-) -> MinimumConditionReport:
-    """Locate the sampled minimizer of f and test the minimum property.
-
-    The minimizer search is the 1-D analogue of the certification lattice
-    (argmin over 200 grid points plus three 13-point refinement rounds shrinking 3x).  The
-    derivative at x* uses the exact rule when f normalizes about the left
-    endpoint and the finite-difference mode otherwise.  The consequent is
-    allowed to fail by at most 1e-9 before a violation is recorded.
-    """
-    al = ctx.alpha
-    a, b = _domain_of(f)
-    n = 200
-    xs = _linspace(a, b, n)
-    fx = f.evaluate_many(xs, ctx)
-    i = int(np.argmin(fx))
-    x_star, f_star = float(xs[i]), float(fx[i])
-    w = (b - a) / (n - 1)
-    for level in range(3):
-        lx = _linspace(max(a, x_star - w), min(b, x_star + w), 13)
-        lf = f.evaluate_many(lx, ctx)
-        j = int(np.argmin(lf))
-        if float(lf[j]) < f_star:
-            x_star, f_star = float(lx[j]), float(lf[j])
-        w /= 3.0
-    try:
-        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.EXACT_MONOMIAL, s=a)
-        mode = "exact"
-    except NotPolynomial:
-        deriv = lf_derivative(f, x_star, ctx, DerivativeMode.FINITE_DIFFERENCE, s=a)
-        mode = "fd"
-
-    dy = xs - x_star
-    emb = np.sign(dy) * np.abs(dy) ** al
-    ante = deriv * emb / gamma(1.0 + al)
-    tol_a = 1e-12 * (1.0 + float(np.max(np.abs(ante))))
-    active = ante >= -tol_a
-
-    fy = fx
-    cons = eta.evaluate_many(fy, np.full_like(fy, f_star), ctx) - c**al * np.abs(dy) ** (2.0 * al)
-    tol_c = 1e-9
-    bad = active & (cons < -tol_c)
-    violations = tuple((float(xs[k]), float(cons[k])) for k in np.nonzero(bad)[0])
-    return MinimumConditionReport(
-        x_star=x_star,
-        f_star=f_star,
-        derivative=deriv,
-        derivative_mode=mode,
-        antecedent_count=int(np.count_nonzero(active)),
-        checked=n,
-        violations=violations,
-        tol_antecedent=tol_a,
-        tol_consequent=tol_c,
-    )

@@ -890,24 +890,19 @@ def _add_kinks(n: ExprAst, params: Mapping[str, float], found: set[float]) -> No
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A parsed arity-1 expression with its domain and bound constants."""
+    """A parsed arity-1 expression with its bound constants."""
 
     text: str
     ast: ExprAst = field(compare=False)
-    domain: Optional[tuple[float, float]] = None
     params: tuple[tuple[str, float], ...] = ()
 
     @classmethod
     def from_text(
-        cls,
-        text: str,
-        domain: Optional[tuple[float, float]] = None,
-        params: Optional[Mapping[str, float]] = None,
+        cls, text: str, params: Optional[Mapping[str, float]] = None
     ) -> "FunctionSpec":
         items = tuple(sorted((params or {}).items()))
         ast = parse(text, arity=1, constants=[k for k, _ in items])
-        dom = (float(domain[0]), float(domain[1])) if domain is not None else None
-        return cls(text=text, ast=ast, domain=dom, params=items)
+        return cls(text=text, ast=ast, params=items)
 
     def __post_init__(self) -> None:
         # The evaluators read params as a dict; it is built once, here, and

@@ -36,8 +36,8 @@ the kernel realization):
     F3 = (f(a)+f(b))/2**al * m0 + R - c**al * m3,
     R  = (eta(f(a),f(b)) + eta(f(b),f(a))) / (2**al span**al) * m2.
 
-With w = 1 the Fejer chain recomposes the Hermite--Hadamard one; the
-consistency checker asserts those identities numerically.
+With w = 1 the Fejer chain recomposes the Hermite--Hadamard one; the test
+suite asserts those identities numerically (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import IntegralBackend, NUMERIC, _converged_value, lf_integral, rl_integrate
-from .convexity import check_symmetry, estimate_eta_sup
+from .convexity import _check_interval, check_symmetry, estimate_eta_sup
 from .expr import EtaSpec, FunctionSpec, WeightSpec
 from .fractal_scalar import AlphaContext, gamma
 
@@ -56,11 +56,8 @@ __all__ = [
     "LinkStatus",
     "HHReport",
     "FejerReport",
-    "ConsistencyCheck",
-    "ConsistencyReport",
     "hh_terms",
     "fejer_terms",
-    "hh_fejer_consistency",
 ]
 
 _LINK_RTOL = 1e-9
@@ -88,9 +85,7 @@ def _links(names_values: list[tuple[str, float, float]]) -> tuple[float, tuple[L
 
 def _check_chain_inputs(a: float, b: float, c: float) -> tuple[float, float]:
     """[a, b] as floats; a >= b or c < 0 (or NaN) is a ValueError."""
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    a, b = _check_interval(a, b)
     if not c >= 0.0:
         raise ValueError(f"c must be >= 0, got {c!r}")
     return a, b
@@ -159,7 +154,7 @@ def hh_terms(
 
     fa, fb, fm, e_ab, e_ba = _endpoint_values(f, eta, a, b, ctx)
     if m_eta is None:
-        M = estimate_eta_sup(f, eta, ctx, a=a, b=b)
+        M = estimate_eta_sup(f, eta, a, b, ctx)
         source = "estimated"
     else:
         M = float(m_eta)
@@ -331,71 +326,3 @@ def fejer_terms(
         links=links,
         all_hold=all(link.holds for link in links),
     )
-
-
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    """One recomposition identity: lhs == rhs (eq) or lhs <= rhs (le)."""
-
-    name: str
-    kind: str  # "eq" | "le"
-    lhs: float
-    rhs: float
-    tol: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """w = 1 recomposition of the Fejer chain into the plain chain."""
-
-    checks: tuple[ConsistencyCheck, ...]
-    hh: HHReport
-    fejer: FejerReport
-
-    @property
-    def ok(self) -> bool:
-        return all(ch.ok for ch in self.checks)
-
-
-def hh_fejer_consistency(
-    f: FunctionSpec,
-    eta: EtaSpec,
-    c: float,
-    a: float,
-    b: float,
-    ctx: AlphaContext,
-) -> ConsistencyReport:
-    """Check that the w = 1 Fejer chain recomposes the plain chain.
-
-    (i)  F2 * Gamma(1+al)/span**al equals T2's integral part,
-    (ii) R * Gamma(1+al)/span**al equals the eta-average term of T3,
-    (iii) L * Gamma(1+al)/span**al <= M / 2**al (+_LINK_RTOL): the
-          weighted midpoint correction never exceeds the sampled eta bound.
-
-    Both sides run on the numeric route so (i) compares identical
-    quadrature paths.
-    """
-    a, b = float(a), float(b)
-    al = ctx.alpha
-    g1 = gamma(1.0 + al)
-    span = b - a
-    w1 = WeightSpec.from_text("1")
-    hh = hh_terms(f, eta, c, a, b, ctx)
-    fj = fejer_terms(f, eta, c, w1, a, b, ctx)
-    k = g1 / span**al
-
-    lhs1, rhs1 = fj.F2 * k, k * hh.integral
-    tol1 = _link_tol(rhs1)
-    lhs2 = fj.R_eta * k
-    rhs2 = g1 * (hh.eta_ab + hh.eta_ba) / 2**al * hh.B
-    tol2 = _link_tol(rhs2)
-    lhs3, rhs3 = fj.L_eta * k, hh.m_eta / 2**al
-    tol3 = _LINK_RTOL
-
-    checks = (
-        ConsistencyCheck("F2 recomposes the mean integral", "eq", lhs1, rhs1, tol1, abs(lhs1 - rhs1) <= tol1),
-        ConsistencyCheck("R recomposes the eta-average term", "eq", lhs2, rhs2, tol2, abs(lhs2 - rhs2) <= tol2),
-        ConsistencyCheck("L bounded by the eta sup", "le", lhs3, rhs3, tol3, lhs3 <= rhs3 + tol3),
-    )
-    return ConsistencyReport(checks=checks, hh=hh, fejer=fj)

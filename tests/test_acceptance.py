@@ -32,14 +32,13 @@ from fracon import (
     certify_gsc,
     defect,
     gamma,
-    hh_fejer_consistency,
     hh_terms,
     lf_derivative,
     lf_integral,
-    minimum_condition_check,
 )
 from fracon.cli import main
 from fracon.presets import ETA_PRESETS, F_PRESETS
+from paper_checks import minimum_condition, unit_weight_recomposition
 
 RESULTS: list[tuple[int, str, float, str]] = []
 
@@ -85,8 +84,7 @@ def test_criterion_02_integrator_monomial_oracle():
                 ctx = AlphaContext(alpha=alpha)
                 for k in range(4):
                     text = "1" if k == 0 else f"(x - lo)^({k}a)"
-                    f = FunctionSpec.from_text(text, domain=(a, b),
-                                               params={"lo": a, "hi": b})
+                    f = FunctionSpec.from_text(text, params={"lo": a, "hi": b})
                     ref = (gamma(1 + k * alpha) / gamma(1 + (k + 1) * alpha)
                            * (b - a) ** ((k + 1) * alpha))
                     numeric = lf_integral(f, a, b, ctx, NUMERIC)
@@ -102,7 +100,7 @@ def test_criterion_03_derivative_crosscheck():
         for alpha in _ALPHAS:
             ctx = AlphaContext(alpha=alpha)
             for k in (1, 2, 3):
-                f = FunctionSpec.from_text(f"x^({k}a)", domain=(0.0, 2.5))
+                f = FunctionSpec.from_text(f"x^({k}a)")
                 for x0 in points:
                     ref = (gamma(1 + k * alpha) / gamma(1 + (k - 1) * alpha)
                            * x0 ** ((k - 1) * alpha))
@@ -128,7 +126,7 @@ def test_criterion_04_classical_sandwich():
     with criterion(4, "classical sandwich for x^2, x^4, |x|", 1.0):
         ctx = AlphaContext(alpha=1.0)
         for text, (a, b), fm, mean, ends in _CLASSICAL_SUITE:
-            f = FunctionSpec.from_text(text, domain=(a, b))
+            f = FunctionSpec.from_text(text)
             rep = hh_terms(f, _DIFF, 0.0, a, b, ctx)
             assert f.evaluate((a + b) / 2.0, ctx) == pytest.approx(fm, abs=1e-9)
             assert rep.T2 == pytest.approx(mean, abs=1e-9), (text, a, b)
@@ -143,9 +141,8 @@ def test_criterion_05_certified_membership_suite():
         eta = EtaSpec.from_text("2^a*u + v")
         for alpha in (0.5, 1.0):
             for c in (0.5, 1.0, 2.0):
-                f = FunctionSpec.from_text("x^(2a) + c^(a)*x^(2a)",
-                                           domain=(0.0, 2.0), params={"c": c})
-                rep = certify_gsc(f, eta, c, AlphaContext(alpha=alpha),
+                f = FunctionSpec.from_text("x^(2a) + c^(a)*x^(2a)", params={"c": c})
+                rep = certify_gsc(f, eta, c, 0.0, 2.0, AlphaContext(alpha=alpha),
                                   grid_n=50, refine_depth=3)
                 assert rep.status == "NoViolationFound", (alpha, c)
                 assert rep.min_defect >= -1e-9, (alpha, c, rep.min_defect)
@@ -155,8 +152,8 @@ def test_criterion_06_counterexample_detection():
     """-x^2 with c=1 is caught; hand defect at (0,1,1/2) is -1/2."""
     with criterion(6, "concave counterexample with validated witness", 5.0):
         ctx = AlphaContext(alpha=1.0)
-        f = FunctionSpec.from_text("-x^(2a)", domain=(0.0, 1.0))
-        rep = certify_gsc(f, _DIFF, 1.0, ctx, grid_n=50, refine_depth=3)
+        f = FunctionSpec.from_text("-x^(2a)")
+        rep = certify_gsc(f, _DIFF, 1.0, 0.0, 1.0, ctx, grid_n=50, refine_depth=3)
         assert rep.status == "Violated"
         w = rep.witness
         assert w is not None
@@ -167,16 +164,16 @@ def test_criterion_06_counterexample_detection():
 def test_criterion_07_minimum_condition():
     """x^2, al=1, c=1 on [0,2]: antecedent never pairs with a failed consequent."""
     with criterion(7, "minimum-point condition on a 200-point grid", 1.0):
-        f = FunctionSpec.from_text("x^2", domain=(0.0, 2.0))
-        rep = minimum_condition_check(f, _DIFF, 1.0, AlphaContext(alpha=1.0))
-        assert rep.checked == 200
-        assert rep.violations == ()
+        f = FunctionSpec.from_text("x^2")
+        rep = minimum_condition(f, _DIFF, 1.0, 0.0, 2.0, AlphaContext(alpha=1.0))
+        assert rep["checked"] == 200
+        assert rep["violations"] == ()
         # The equality case: at the sampled minimizer x*=0 the consequent
         # margin eta(f(y), f(0)) - c (y-0)^2 = y^2 - y^2 is identically zero,
         # so the theorem holds with nothing to spare.
-        assert rep.x_star == 0.0
-        assert rep.f_star == 0.0
-        assert rep.antecedent_count == 200
+        assert rep["x_star"] == 0.0
+        assert rep["f_star"] == 0.0
+        assert rep["antecedent_count"] == 200
 
 
 def test_criterion_08_weighted_chain_consistency():
@@ -186,13 +183,12 @@ def test_criterion_08_weighted_chain_consistency():
         cases.append(("x^(2a)", (0.0, 1.0), 0.5))
         for text, (a, b), alpha in cases:
             ctx = AlphaContext(alpha=alpha)
-            f = FunctionSpec.from_text(text, domain=(a, b))
-            rep = hh_fejer_consistency(f, _DIFF, 0.0, a, b, ctx)
-            eq1, eq2, le3 = rep.checks
-            assert abs(eq1.lhs - eq1.rhs) <= 1e-9 * (1.0 + abs(eq1.rhs)), (text, a, b)
-            assert abs(eq2.lhs - eq2.rhs) <= 1e-9 * (1.0 + abs(eq2.rhs)), (text, a, b)
-            assert le3.lhs <= le3.rhs + 1e-9, (text, a, b)
-            assert rep.ok
+            f = FunctionSpec.from_text(text)
+            _, _, sides = unit_weight_recomposition(f, _DIFF, 0.0, a, b, ctx)
+            (lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3) = sides
+            assert abs(lhs1 - rhs1) <= 1e-9 * (1.0 + abs(rhs1)), (text, a, b)
+            assert abs(lhs2 - rhs2) <= 1e-9 * (1.0 + abs(rhs2)), (text, a, b)
+            assert lhs3 <= rhs3 + 1e-9, (text, a, b)
 
 
 def test_criterion_09_sweep_determinism(tmp_path):
@@ -237,7 +233,7 @@ def test_criterion_10_honest_gap_reporting(capsys):
         for row in fractional:
             assert row["status"] in ("NoViolationFound", "Violated")
             ctx = AlphaContext(alpha=float(row["alpha"]))
-            f = FunctionSpec.from_text(F_PRESETS[row["f_id"]], domain=(0.0, 1.0))
+            f = FunctionSpec.from_text(F_PRESETS[row["f_id"]])
             eta = EtaSpec.from_text(ETA_PRESETS[row["eta_id"]])
             rep = hh_terms(f, eta, float(row["c"]), 0.0, 1.0, ctx)
             for cell, link in zip(

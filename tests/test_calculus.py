@@ -77,8 +77,7 @@ def _monomial_text(k: int) -> str:
 
 
 def _monomial_spec(k: int, a: float, b: float) -> FunctionSpec:
-    return FunctionSpec.from_text(_monomial_text(k), domain=(a, b),
-                                  params={"lo": a, "hi": b})
+    return FunctionSpec.from_text(_monomial_text(k), params={"lo": a, "hi": b})
 
 
 def _closed_form(k: int, alpha: float, span: float) -> float:
@@ -115,7 +114,7 @@ def test_frozen_quadrature_oracles():
 def test_sqrt_pi_over_two_value():
     """0I1 x^(a) at alpha=1/2 is Gamma(3/2) = sqrt(pi)/2."""
     ctx = AlphaContext(alpha=0.5)
-    f = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(a)")
     ref = 0.8862269254527580136490837416705725913988  # mpmath, 40 digits
     for backend in (EXACT, NUMERIC):
         assert abs(lf_integral(f, 0.0, 1.0, ctx, backend) - ref) <= 1e-9
@@ -123,7 +122,7 @@ def test_sqrt_pi_over_two_value():
 
 def test_classical_third():
     ctx = AlphaContext(alpha=1.0)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     assert abs(lf_integral(f, 0.0, 1.0, ctx, EXACT) - 1.0 / 3.0) <= 1e-14
     assert abs(lf_integral(f, 0.0, 1.0, ctx, NUMERIC) - 1.0 / 3.0) <= 1e-12
 
@@ -134,7 +133,7 @@ def test_product_integrand_frozen_values():
     At al = 1 the expression collapses to the ordinary polynomial x - x^2,
     so the exact route must succeed there and reproduce 1/6.
     """
-    f = FunctionSpec.from_text("x^(a)*(1 - x)^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(a)*(1 - x)^(a)")
     for alpha, ref in _FROZEN_PRODUCT.items():
         ctx = AlphaContext(alpha=alpha)
         if alpha < 1.0:
@@ -152,7 +151,7 @@ def test_product_integrand_frozen_values():
 def test_kink_integrand_exact_at_unit_order():
     """|x| on [-1,1] at alpha=1: panel edge sits on the kink, value 1."""
     ctx = AlphaContext(alpha=1.0)
-    f = FunctionSpec.from_text("abs(x)", domain=(-1.0, 1.0))
+    f = FunctionSpec.from_text("abs(x)")
     assert abs(lf_integral(f, -1.0, 1.0, ctx, NUMERIC) - 1.0) <= 1e-12
 
 
@@ -165,7 +164,7 @@ def test_kinked_integrand_meets_rtol(s, alpha):
     until two global sums agreed reported convergence 4e-9 away.
     """
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                        points=f.singular_points())
     ref = _FROZEN_KINK[s, alpha]
@@ -180,7 +179,7 @@ def test_kinked_integrand_converges_in_one_level(s, alpha):
     pass, to 1e-12 of the mpmath value, and the reported error covers the
     true one."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                        points=f.singular_points())
     ref = _FROZEN_KINK[s, alpha]
@@ -198,7 +197,7 @@ def test_fd_derivative_splits_at_kink():
     central difference to come this close.
     """
     ctx = AlphaContext(alpha=0.3)
-    f = FunctionSpec.from_text("abs(x - 0.3)^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("abs(x - 0.3)^(a)")
     ref = -0.053480157377824188334
     got = lf_derivative(f, 0.4, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=0.0)
     assert abs(got - ref) <= 5e-6 * (1.0 + abs(ref))
@@ -209,14 +208,14 @@ def test_fd_derivative_splits_at_kink():
 
 def test_empty_interval_is_zero():
     ctx = AlphaContext(alpha=0.5)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     assert lf_integral(f, 0.7, 0.7, ctx, NUMERIC) == 0.0
     assert lf_integral(f, 0.7, 0.7, ctx, EXACT) == 0.0
 
 
 def test_integral_derivative_and_evaluate_return_plain_floats():
     """Every route yields a Python float, not a wrapper or a numpy scalar."""
-    f = FunctionSpec.from_text("x^(2a) + 1", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a) + 1")
     ctx = AlphaContext(alpha=0.5)
     fd = DerivativeMode.FINITE_DIFFERENCE
     values = [
@@ -234,7 +233,7 @@ def test_integral_derivative_and_evaluate_return_plain_floats():
 
 def test_orientation_negates():
     ctx = AlphaContext(alpha=0.7)
-    f = FunctionSpec.from_text("x^(2a) + 1", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a) + 1")
     fwd = lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
     rev = lf_integral(f, 1.0, 0.0, ctx, NUMERIC)
     assert rev == -fwd
@@ -244,7 +243,7 @@ def test_orientation_negates():
 def test_constant_rule(alpha):
     """a_I_b K = K (b-a)^alpha / Gamma(1+alpha)."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text("2.5", domain=(0.5, 2.0))
+    f = FunctionSpec.from_text("2.5")
     ref = 2.5 * 1.5**alpha / gamma(1 + alpha)
     for backend in (EXACT, NUMERIC):
         got = lf_integral(f, 0.5, 2.0, ctx, backend)
@@ -266,7 +265,7 @@ def test_constant_rule(alpha):
 def test_changed_variable_route_agrees(alpha, text, rtol):
     """(b-a)^alpha-scaled pullback to [0, 1] equals the direct evaluation."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(text, domain=(0.0, 1.5))
+    f = FunctionSpec.from_text(text)
     direct = lf_integral(f, 0.0, 1.5, ctx, NUMERIC)
     pulled = rl_integrate(lambda ts: f.evaluate_many(1.5 * ts, ctx), 0.0, 1.0, alpha)
     changed = 1.5**alpha * pulled.value
@@ -283,10 +282,9 @@ def test_linearity(p, q, alpha):
     """Integration is linear over the generalized monomials."""
     ctx = AlphaContext(alpha=alpha)
     p, q = round(p, 3), round(q, 3)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
-    g = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
-    combo = FunctionSpec.from_text(f"{p:.3f}*x^(2a) + {q:.3f}*x^(a)",
-                                   domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
+    g = FunctionSpec.from_text("x^(a)")
+    combo = FunctionSpec.from_text(f"{p:.3f}*x^(2a) + {q:.3f}*x^(a)")
     lhs = lf_integral(combo, 0.0, 1.0, ctx, NUMERIC)
     rhs = (p * lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
            + q * lf_integral(g, 0.0, 1.0, ctx, NUMERIC))
@@ -297,8 +295,8 @@ def test_linearity(p, q, alpha):
 def test_monotonicity(alpha):
     """x^(2a) <= x^(a) pointwise on [0,1] implies ordered integrals."""
     ctx = AlphaContext(alpha=alpha)
-    lo = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
-    hi = FunctionSpec.from_text("x^(a)", domain=(0.0, 1.0))
+    lo = FunctionSpec.from_text("x^(2a)")
+    hi = FunctionSpec.from_text("x^(a)")
     xs = np.linspace(0.0, 1.0, 1000)
     assert np.all(lo.evaluate_many(xs, ctx) <= hi.evaluate_many(xs, ctx) + 1e-15)
     assert (lf_integral(lo, 0.0, 1.0, ctx, NUMERIC)
@@ -378,7 +376,7 @@ def _route_deviation(f, a, b, ctx) -> float:
 
 def test_crosscheck_constant_tight():
     ctx = AlphaContext(alpha=0.4)
-    f = FunctionSpec.from_text("1", domain=(0.0, 2.0))
+    f = FunctionSpec.from_text("1")
     assert _route_deviation(f, 0.0, 2.0, ctx) <= 1e-12
 
 
@@ -388,7 +386,7 @@ def test_crosscheck_constant_tight():
 )
 def test_crosscheck_monomials(text, interval, alpha):
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(text, domain=interval)
+    f = FunctionSpec.from_text(text)
     assert _route_deviation(f, interval[0], interval[1], ctx) <= 1e-6
 
 
@@ -425,7 +423,7 @@ def test_rl_integrate_error_is_floored_at_the_rounding_of_its_sum(alpha):
     covers the true one, and the value is the same."""
     ref, value_hex = _FROZEN_SQUARE[alpha]
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha)
     assert (res.value.hex(), res.levels, res.converged) == (value_hex, 1, True)
     true_error = abs(Decimal(res.value) - Decimal(ref))
@@ -440,7 +438,7 @@ def test_rl_integrate_error_is_within_the_tolerance_when_converged(text, alpha):
     error * Gamma(1+alpha) <= rtol * (1 + |value| * Gamma(1+alpha)) bounds
     it by rtol * (1 + |value|) / Gamma(1+alpha)."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(text)
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                        points=f.singular_points())
     assert res.converged
@@ -461,7 +459,7 @@ def test_rl_integrate_respects_the_evaluation_cap(max_evals, monkeypatch):
     pass), and every cap here cuts it short.
     """
     ctx = AlphaContext(alpha=0.3)
-    f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("abs(x - 0.5)^(a)")
     monkeypatch.setattr(calculus, "_MAX_EVALS", max_evals)
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3, points=())
     assert res.evals <= max_evals
@@ -522,7 +520,7 @@ def test_rl_integrate_stops_when_no_panel_fails(monkeypatch):
 
 def test_exact_backend_requires_polynomial_form():
     ctx = AlphaContext(alpha=0.5)
-    f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("abs(x - 0.5)^(a)")
     with pytest.raises(NotPolynomial):
         lf_integral(f, 0.0, 1.0, ctx, EXACT)
 
@@ -632,7 +630,7 @@ def test_rl_integrate_never_writes_the_nodes_fn_hands_back():
 
 def _rl_hex(text, alpha):
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(text)
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                        points=f.singular_points())
     return res.value.hex()
@@ -669,9 +667,8 @@ def test_reversed_integral_and_fd_derivative_are_pinned_bitwise():
 
 def test_fejer_moments_are_pinned_bitwise():
     ctx = AlphaContext(alpha=0.5)
-    w = WeightSpec.from_text(W_PRESETS["parabolic"], domain=(0.0, 1.0),
-                             params={"lo": 0.0, "hi": 1.0})
-    rep = fejer_terms(FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0)),
+    w = WeightSpec.from_text(W_PRESETS["parabolic"], params={"lo": 0.0, "hi": 1.0})
+    rep = fejer_terms(FunctionSpec.from_text("x^(2a)"),
                       EtaSpec.from_text(ETA_PRESETS["difference"]), 0.0, w, 0.0, 1.0, ctx)
     assert [m.hex() for m in (rep.m0, rep.m1, rep.m2, rep.m3)] == [
         "0x1.812746b0379e7p-2", "0x1.73efe24506fdcp-3",
@@ -703,7 +700,7 @@ def test_mesh_cache_warm_matches_cold_on_the_kinked_set():
     calls = []
     for s, alpha in sorted(_FROZEN_KINK):
         ctx = AlphaContext(alpha=alpha)
-        f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+        f = FunctionSpec.from_text(f"abs(x - {s})^(a)")
         calls.append((lambda xs, f=f, ctx=ctx: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                       f.singular_points()))
     cold, warm = _cold_then_warm(calls)

@@ -116,22 +116,21 @@ def test_writer_rejects_types_json_has_no_form_for():
         cli._json_text({"a": [{1.0}]}, "\n")
 
 
-def _spec(text: str, a: float = 0.0, b: float = 1.0) -> FunctionSpec:
-    return FunctionSpec.from_text(text, domain=(a, b))
+def _spec(text: str) -> FunctionSpec:
+    return FunctionSpec.from_text(text)
 
 
 _CTX = AlphaContext(alpha=0.5)
 _DIFF = EtaSpec.from_text("u - v")
 _REPORTS = {
     "hh": lambda: hh_terms(_spec("abs(x - 0.3)^(a)"), _DIFF, 1.0, 0.0, 1.0, _CTX),
-    "fejer": lambda: fejer_terms(_spec("x^(2a)"), _DIFF, 0.0,
-                                 WeightSpec.from_text("x*(1 - x)", domain=(0.0, 1.0)),
+    "fejer": lambda: fejer_terms(_spec("x^(2a)"), _DIFF, 0.0, WeightSpec.from_text("x*(1 - x)"),
                                  0.0, 1.0, _CTX),
-    "certify": lambda: certify_gsc(_spec("x^(2a)"), _DIFF, 0.0, _CTX, 16, 1),
-    "certify-violated": lambda: certify_gsc(_spec("-x^(2a)"), _DIFF, 1.0, _CTX, 16, 1),
+    "certify": lambda: certify_gsc(_spec("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX, 16, 1),
+    "certify-violated": lambda: certify_gsc(_spec("-x^(2a)"), _DIFF, 1.0, 0.0, 1.0, _CTX, 16, 1),
     # Both necessary conditions fail, so both of their witnesses are set.
-    "certify-necessary": lambda: certify_gsc(_spec("1", 0.2, 1.3), EtaSpec.from_text("-1"),
-                                             0.0, _CTX, 16, 1),
+    "certify-necessary": lambda: certify_gsc(_spec("1"), EtaSpec.from_text("-1"),
+                                             0.0, 0.2, 1.3, _CTX, 16, 1),
 }
 
 

@@ -42,15 +42,17 @@ from fracon import (
     convexity,
     defect,
     estimate_eta_sup,
-    minimum_condition_check,
+    fejer_terms,
+    hh_terms,
 )
 from fracon.expr import _monotone_dirs
+from paper_checks import minimum_condition
 
 _CTX1 = AlphaContext(alpha=1.0)
 
 
-def _f(text: str, lo: float, hi: float, **params: float) -> FunctionSpec:
-    return FunctionSpec.from_text(text, domain=(lo, hi), params=params or None)
+def _f(text: str, **params: float) -> FunctionSpec:
+    return FunctionSpec.from_text(text, params=params or None)
 
 
 # ------------------------------------------------------------- defect values
@@ -61,25 +63,25 @@ def test_defect_hand_value_square():
 
     lhs = f(1/2) = 1/4; rhs = f(1) + (1/2)(f(0) - f(1)) = 1 - 1/2 = 1/2.
     """
-    d = defect(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1, 0.0, 1.0, 0.5)
+    d = defect(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, _CTX1, 0.0, 1.0, 0.5)
     assert d == pytest.approx(0.25, abs=1e-15)
 
 
 def test_defect_hand_value_concave_strong():
     """-x^2, c=1, eta=u-v at (0,1,1/2): rhs = -3/4, lhs = -1/4, defect -1/2."""
-    d = defect(_f("-x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.0, 1.0, 0.5)
+    d = defect(_f("-x^(2a)"), EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.0, 1.0, 0.5)
     assert d == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_defect_zero_at_t_zero():
     """t=0 picks the y endpoint exactly: lhs = f(y) = rhs."""
-    d = defect(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.3, 0.9, 0.0)
+    d = defect(_f("x^(2a)"), EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.3, 0.9, 0.0)
     assert d == 0.0
 
 
 def test_defect_coincident_points():
     """x == y: distance term drops and defect = t^al eta(f(x), f(x))."""
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     assert defect(f, EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.4, 0.4, 0.7) == 0.0
     ctx = AlphaContext(alpha=0.5)
     eta = EtaSpec.from_text("2^a*u + v")
@@ -98,7 +100,7 @@ def test_defect_coincident_points():
 )
 def test_defect_matches_classical_strong_form_at_unit_order(x, y, t, c):
     """al=1, eta=u-v: defect is the classical strongly-convex defect."""
-    f = _f("x^(2a)", 0.0, 2.0)
+    f = _f("x^(2a)")
     fx, fy = x * x, y * y
     mix = t * x + (1.0 - t) * y
     expected = fy + t * (fx - fy) - c * t * (1.0 - t) * (x - y) ** 2 - mix * mix
@@ -116,7 +118,7 @@ def test_defect_matches_classical_strong_form_at_unit_order(x, y, t, c):
 def test_defect_matches_eta_form_without_strong_term(alpha, x, y, t):
     """c=0: defect reduces to fy + t^al eta(fx, fy) - f(mixture)."""
     ctx = AlphaContext(alpha=alpha)
-    f = _f("x^(2a)", 0.0, 2.0)
+    f = _f("x^(2a)")
     fx = f.evaluate(x, ctx)
     fy = f.evaluate(y, ctx)
     fz = f.evaluate(t * x + (1.0 - t) * y, ctx)
@@ -136,7 +138,7 @@ def test_defect_matches_eta_form_without_strong_term(alpha, x, y, t):
 def test_defect_matches_display_form(alpha, x, y, t, c):
     """Full display form with eta(u,v) = 2^al u + v, recomputed inline."""
     ctx = AlphaContext(alpha=alpha)
-    f = _f("x^(2a)", 0.0, 2.0)
+    f = _f("x^(2a)")
     fx = f.evaluate(x, ctx)
     fy = f.evaluate(y, ctx)
     fz = f.evaluate(t * x + (1.0 - t) * y, ctx)
@@ -155,7 +157,7 @@ def test_defect_matches_display_form(alpha, x, y, t, c):
 
 
 def test_certify_square_is_clean():
-    rep = certify_gsc(_f("x^(2a)", -1.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1,
+    rep = certify_gsc(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, -1.0, 1.0, _CTX1,
                       grid_n=20, refine_depth=2)
     assert rep.status == "NoViolationFound"
     assert rep.witness is None
@@ -166,9 +168,9 @@ def test_certify_square_is_clean():
 
 def test_certify_concave_finds_witness():
     """-x^2 with c=1 violates; the canonical witness is (0, 1, 1/2)."""
-    f = _f("-x^(2a)", 0.0, 1.0)
+    f = _f("-x^(2a)")
     eta = EtaSpec.from_text("u - v")
-    rep = certify_gsc(f, eta, 1.0, _CTX1, grid_n=20, refine_depth=2)
+    rep = certify_gsc(f, eta, 1.0, 0.0, 1.0, _CTX1, grid_n=20, refine_depth=2)
     assert rep.status == "Violated"
     w = rep.witness
     assert isinstance(w, Counterexample)
@@ -183,31 +185,31 @@ def test_certify_concave_finds_witness():
 def test_certify_parameterized_instance():
     """x^(2a) + c^a x^(2a) with eta = 2^a u + v stays violation-free."""
     ctx = AlphaContext(alpha=0.5)
-    f = _f("x^(2a) + c^(a)*x^(2a)", 0.0, 2.0, c=1.0)
-    rep = certify_gsc(f, EtaSpec.from_text("2^a*u + v"), 1.0, ctx, grid_n=24, refine_depth=2)
+    f = _f("x^(2a) + c^(a)*x^(2a)", c=1.0)
+    rep = certify_gsc(f, EtaSpec.from_text("2^a*u + v"), 1.0, 0.0, 2.0, ctx, grid_n=24, refine_depth=2)
     assert rep.status == "NoViolationFound"
     assert rep.min_defect >= -1e-9
 
 
 def test_certify_pointwise_dominating_eta_stays_clean():
     """If eta2 >= eta pointwise, membership w.r.t. eta implies it w.r.t. eta2."""
-    rep = certify_gsc(_f("x^(2a)", -1.0, 1.0), EtaSpec.from_text("u - v + 1"), 0.0, _CTX1,
+    rep = certify_gsc(_f("x^(2a)"), EtaSpec.from_text("u - v + 1"), 0.0, -1.0, 1.0, _CTX1,
                       grid_n=16, refine_depth=2)
     assert rep.status == "NoViolationFound"
     assert rep.min_defect >= -1e-9
 
 
 def test_certify_deterministic():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     eta = EtaSpec.from_text("u - v")
-    r1 = certify_gsc(f, eta, 0.5, _CTX1, grid_n=16, refine_depth=2)
-    r2 = certify_gsc(f, eta, 0.5, _CTX1, grid_n=16, refine_depth=2)
+    r1 = certify_gsc(f, eta, 0.5, 0.0, 1.0, _CTX1, grid_n=16, refine_depth=2)
+    r2 = certify_gsc(f, eta, 0.5, 0.0, 1.0, _CTX1, grid_n=16, refine_depth=2)
     assert r1 == r2
     assert cli._json_text(r1, "\n") == cli._json_text(r2, "\n")
 
 
 def test_certify_report_dict_shape():
-    rep = certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1,
+    rep = certify_gsc(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0, _CTX1,
                       grid_n=16, refine_depth=1)
     d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"status", "witness", "min_defect", "tol_violation", "max_abs_f",
@@ -222,10 +224,10 @@ def test_certify_non_finite_defect_raises(monkeypatch, rows):
     naming the first NaN cell, whatever the slab size."""
     if rows is not None:
         monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
-    f = FunctionSpec.from_text("1", domain=(-1e200, 1e200))
+    f = FunctionSpec.from_text("1")
     eta = EtaSpec.from_text("u - v")
     with pytest.raises(EvalError) as info:
-        certify_gsc(f, eta, 1.0, _CTX1, grid_n=8, refine_depth=0)
+        certify_gsc(f, eta, 1.0, -1e200, 1e200, _CTX1, grid_n=8, refine_depth=0)
     # The first cell of the lattice: x = a, y = a + (b - a) / 7, t = 0.
     assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
                                f"y={-1e200 + 2e200 / 7!r}, t=0.0")
@@ -237,9 +239,9 @@ def test_certify_zero_strong_term_keeps_nan_defect(monkeypatch, rows):
     [-1e200, 1e200] the overflowing |x - y|^(2a) raises as it does at c = 1."""
     if rows is not None:
         monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
-    f = FunctionSpec.from_text("1", domain=(-1e200, 1e200))
+    f = FunctionSpec.from_text("1")
     with pytest.raises(EvalError) as info:
-        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=8, refine_depth=0)
+        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, -1e200, 1e200, _CTX1, grid_n=8, refine_depth=0)
     assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
                                f"y={-1e200 + 2e200 / 7!r}, t=0.0")
 
@@ -251,29 +253,29 @@ def test_certify_overflowing_mixture_raises(monkeypatch, rows):
     98^200 overflows."""
     if rows is not None:
         monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
-    f = _f("(x - 0.5)^(-200)", 0.0, 1.0)
+    f = _f("(x - 0.5)^(-200)")
     assert np.isfinite(f.evaluate_many(np.linspace(0.0, 1.0, 8), _CTX1)).all()
     with pytest.raises(EvalError, match="^non-finite value in evaluation$"):
-        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=8, refine_depth=0)
+        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0, _CTX1, grid_n=8, refine_depth=0)
 
 
 def test_certify_rejects_refine_past_cap():
     """3**(level - 1) stops converting to float at level 648; the cap comes first.
     At alpha 0.5 the minimizer sits at x = 0, where the box never collapses,
     so all 40 levels run."""
-    f, eta = _f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v")
+    f, eta = _f("x^(2a)"), EtaSpec.from_text("u - v")
     for depth in (convexity._MAX_REFINE + 1, 648):
         with pytest.raises(ValueError,
                            match=f"refine_depth must be <= {convexity._MAX_REFINE}, got {depth}"):
-            certify_gsc(f, eta, 0.0, _CTX1, grid_n=8, refine_depth=depth)
-    rep = certify_gsc(f, eta, 0.0, AlphaContext(alpha=0.5), grid_n=8,
+            certify_gsc(f, eta, 0.0, 0.0, 1.0, _CTX1, grid_n=8, refine_depth=depth)
+    rep = certify_gsc(f, eta, 0.0, 0.0, 1.0, AlphaContext(alpha=0.5), grid_n=8,
                       refine_depth=convexity._MAX_REFINE)
     assert rep.evaluations == 8**3 + convexity._MAX_REFINE * 13**3
 
 
 def test_certify_rejects_tiny_grid():
     with pytest.raises(ValueError, match="grid_n"):
-        certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=7)
+        certify_gsc(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0, _CTX1, grid_n=7)
 
 
 def test_certify_rejects_grid_over_cap_before_sampling(monkeypatch):
@@ -284,14 +286,30 @@ def test_certify_rejects_grid_over_cap_before_sampling(monkeypatch):
     monkeypatch.setattr(convexity, "check_eta_necessary", no_sampling)
     cap = convexity._MAX_GRID
     with pytest.raises(ValueError, match=f"grid_n must be <= {cap}, got {cap + 1}"):
-        certify_gsc(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0, _CTX1,
+        certify_gsc(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0, _CTX1,
                     grid_n=cap + 1)
 
 
-def test_certify_requires_domain():
-    f = FunctionSpec.from_text("x^(2a)")
-    with pytest.raises(ValueError):
-        certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, _CTX1, grid_n=16)
+_INTERVAL_CALLS = {
+    "certify_gsc": lambda f, eta, w, a, b: certify_gsc(f, eta, 0.0, a, b, _CTX1, grid_n=8),
+    "check_eta_necessary": lambda f, eta, w, a, b: check_eta_necessary(f, eta, a, b, _CTX1),
+    "estimate_eta_sup": lambda f, eta, w, a, b: estimate_eta_sup(f, eta, a, b, _CTX1),
+    "check_symmetry": lambda f, eta, w, a, b: check_symmetry(w, a, b, _CTX1),
+    "hh_terms": lambda f, eta, w, a, b: hh_terms(f, eta, 0.0, a, b, _CTX1),
+    "fejer_terms": lambda f, eta, w, a, b: fejer_terms(f, eta, 0.0, w, a, b, _CTX1),
+}
+
+
+@pytest.mark.parametrize(("a", "b"), [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)],
+                         ids=["a>b", "a==b", "nan-a", "nan-b"])
+@pytest.mark.parametrize("name", list(_INTERVAL_CALLS))
+def test_interval_functions_share_one_interval_check(name, a, b):
+    """Every function that samples or integrates over [a, b] refuses an
+    empty, reversed or NaN interval with the same message."""
+    call = _INTERVAL_CALLS[name]
+    want = f"^{re.escape(f'need a < b, got [{a!r}, {b!r}]')}$"
+    with pytest.raises(ValueError, match=want):
+        call(_f("x^(2a)"), EtaSpec.from_text("u - v"), WeightSpec.from_text("1"), a, b)
 
 
 # ------------------------------------------------------------ lattice kernels
@@ -317,13 +335,13 @@ _SLAB_CASES = [
 def test_certify_report_independent_of_slab_size(monkeypatch, text, eta, c, alpha, status,
                                                  rows):
     """Slabs of 1 or 3 t-planes (3 leaves a short last slab) change nothing."""
-    f = _f(text, 0.0, 1.0)
+    f = _f(text)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
-    default = certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3)
+    default = certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid_n=20, refine_depth=3)
     assert default.status == status
     monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 20 * 20)
-    assert certify_gsc(f, eta, c, ctx, grid_n=20, refine_depth=3) == default
+    assert certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid_n=20, refine_depth=3) == default
 
 
 @pytest.mark.parametrize("slab_cells", [1, 5 * 17 * 17, 1 << 16])
@@ -331,7 +349,7 @@ def test_certify_tie_keeps_first_lattice_index(monkeypatch, slab_cells):
     """f = 1, eta = -1, c = 0: the defect is -t^al, so every (x, y) ties at
     t = 1 and the witness is the first of them, x = y = a."""
     monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
-    rep = certify_gsc(_f("1", 0.2, 1.3), EtaSpec.from_text("-1"), 0.0,
+    rep = certify_gsc(_f("1"), EtaSpec.from_text("-1"), 0.0, 0.2, 1.3,
                       AlphaContext(alpha=0.5), grid_n=17, refine_depth=2)
     assert rep.status == "Violated"
     assert (rep.witness.x, rep.witness.y, rep.witness.t) == (0.2, 0.2, 1.0)
@@ -398,7 +416,7 @@ def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, stat
     |f|: the main lattice in slabs of 1 or 3 t-planes or the default, and an
     off-centre refinement box clipped at x = 0 (so xs differs from ys),
     which reads no slab size at all."""
-    f = _f(text, 0.0, 1.0)
+    f = _f(text)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     xs = ts = np.linspace(0.0, 1.0, 20)
@@ -434,7 +452,7 @@ def test_lattice_min_matches_table_reference(n, text, eta, alpha, c, interval, s
     """On random grids and intervals (a < 0 < b among them) the main-lattice
     kernel returns the whole-tensor index, minimum and max |f| over the same
     mixture table bit for bit, whatever the slab size."""
-    f, eta = _f(text, *interval), EtaSpec.from_text(eta)
+    f, eta = _f(text), EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     xs, ts = np.linspace(*interval, n), np.linspace(0.0, 1.0, n)
     with pytest.MonkeyPatch.context() as mp:
@@ -460,7 +478,7 @@ _BUFFERS = pytest.mark.parametrize("bufsize", [None, 16, 2**16],
 
 
 def _kink_lattice(n):
-    f, eta = _f("abs(x - 0.3)^(a)", -0.7, 1.3), EtaSpec.from_text("2^a*u + v")
+    f, eta = _f("abs(x - 0.3)^(a)"), EtaSpec.from_text("2^a*u + v")
     return f, eta, AlphaContext(alpha=0.5), np.linspace(-0.7, 1.3, n), np.linspace(0.0, 1.0, n)
 
 
@@ -497,15 +515,15 @@ def test_certify_leaves_numpy_buffer_and_error_state_alone(bufsize, text, grid):
     """The slab loop sets numpy's buffer size only while it runs, and
     restores it even when certification raises (here the -inf defect of
     -1.5e308*x); the caller's error state survives too."""
-    f, eta = _f(text, 0.0, 1.0), EtaSpec.from_text("u")
+    f, eta = _f(text), EtaSpec.from_text("u")
     ctx = AlphaContext(alpha=0.5)
     with _ufunc_buffer(bufsize), np.errstate(under="raise"):
         before = np.getbufsize(), np.geterr()
         if text.startswith("-"):
             with pytest.raises(EvalError, match="^non-finite defect -inf"):
-                certify_gsc(f, eta, 0.0, ctx, grid_n=grid, refine_depth=0)
+                certify_gsc(f, eta, 0.0, 0.0, 1.0, ctx, grid_n=grid, refine_depth=0)
         else:
-            certify_gsc(f, eta, 1.0, ctx, grid_n=grid, refine_depth=2)
+            certify_gsc(f, eta, 1.0, 0.0, 1.0, ctx, grid_n=grid, refine_depth=2)
         assert (np.getbufsize(), np.geterr()) == before
 
 
@@ -551,7 +569,7 @@ def test_lattice_min_t0_plane_is_exactly_zero(monkeypatch, text, n):
         tables.append(xs)
         return original(self, xs, ctx)
 
-    f, eta = _f(text, -0.7, 1.3), EtaSpec.from_text("u - v + 1e6")
+    f, eta = _f(text), EtaSpec.from_text("u - v + 1e6")
     xs, ts = np.linspace(-0.7, 1.3, n), np.linspace(0.0, 1.0, n)
     monkeypatch.setattr(FunctionSpec, "evaluate_many", recording)
     (i, j, k), low, _ = convexity._lattice_min(f, eta, 1.0, AlphaContext(alpha=0.4), xs, ts)
@@ -568,7 +586,7 @@ def test_every_table_point_is_a_lattice_mixture(n):
     i, j = np.ogrid[:n, :n]
     assert np.array_equal(np.unique(i + (n - 2) * j), np.arange((n - 1) ** 2 + 1))
     # |f| peaks at 0.3, which is a lattice point of [0, 1] only at grid 151.
-    f, eta = _f("1 - abs(x - 0.3)^(a)", 0.0, 1.0), EtaSpec.from_text("u - v")
+    f, eta = _f("1 - abs(x - 0.3)^(a)"), EtaSpec.from_text("u - v")
     xs, ts = np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n)
     ctx = AlphaContext(alpha=0.5)
     got = convexity._lattice_min(f, eta, 0.0, ctx, xs, ts)[2]
@@ -584,7 +602,7 @@ def test_lattice_min_inf_defect_is_no_violation_unless_it_is_the_minimum():
     """f = 1.5e308, eta = u: at t = 1 the right side f(y) + eta overflows to
     +inf, which is no violation; a box of +inf cells only has no finite
     minimum, and raises at its first cell."""
-    f, eta = _f("1.5e308", 0.0, 1.0), EtaSpec.from_text("u")
+    f, eta = _f("1.5e308"), EtaSpec.from_text("u")
     xs = np.array([0.0, 0.5])
     got = convexity._box_min(f, eta, 0.0, _CTX1, xs, xs, np.array([0.0, 1.0]))
     assert got == ((0, 0, 0), 0.0, 1.5e308)
@@ -597,7 +615,7 @@ def test_box_min_inf_cell_before_or_after_the_finite_one(xs, want):
     """f = 1.5e308*x, eta = u at y = t = 1: the x = 0 cell is 1.5e308 and
     the x = 1 cell +inf, in either order; only a box that is +inf
     throughout raises."""
-    got = convexity._box_min(_f("1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+    got = convexity._box_min(_f("1.5e308*x"), EtaSpec.from_text("u"), 0.0, _CTX1,
                              np.array(xs), np.array([1.0]), np.array([1.0]))
     assert got == (want, 1.5e308, 1.5e308)
 
@@ -613,7 +631,7 @@ def test_lattice_min_inf_cells_do_not_depend_on_slab_size(monkeypatch, slab_cell
     minimum is the t = 0 plane's exact 0 at the first cell."""
     if slab_cells is not None:
         monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
-    f, eta = _f("1.5e308*x", *xs), EtaSpec.from_text("u")
+    f, eta = _f("1.5e308*x"), EtaSpec.from_text("u")
     lattice, ts = np.linspace(*xs, 8), np.linspace(0.0, 1.0, 8)
     assert np.isposinf(_table_defects(f, eta, 0.0, _CTX1, lattice, ts)[0]).any()
     assert convexity._lattice_min(f, eta, 0.0, _CTX1, lattice, ts) == want
@@ -631,7 +649,7 @@ def test_lattice_min_minus_inf_defect_raises(monkeypatch, slab_cells):
     xs, ts = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8)
     want = f"non-finite defect -inf at x={float(xs[2])!r}, y=1.0, t={float(ts[5])!r}"
     with pytest.raises(EvalError, match=f"^{re.escape(want)}$"):
-        convexity._lattice_min(_f("-1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+        convexity._lattice_min(_f("-1.5e308*x"), EtaSpec.from_text("u"), 0.0, _CTX1,
                                xs, ts)
 
 
@@ -639,7 +657,7 @@ def test_box_min_minus_inf_defect_raises():
     """f = -1.5e308*x, eta = u at y = t = 1: the x = 1 cell is -inf, which
     raises after a finite x = 0 cell."""
     with pytest.raises(EvalError, match=r"^non-finite defect -inf at x=1\.0, y=1\.0, t=1\.0$"):
-        convexity._box_min(_f("-1.5e308*x", 0.0, 1.0), EtaSpec.from_text("u"), 0.0, _CTX1,
+        convexity._box_min(_f("-1.5e308*x"), EtaSpec.from_text("u"), 0.0, _CTX1,
                            np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]))
 
 
@@ -668,7 +686,7 @@ def test_certify_stops_refining_a_collapsed_box(monkeypatch, text, alpha):
 
         monkeypatch.setattr(convexity, name, counting)
     grid = 9 if "abs" in text else 8
-    rep = certify_gsc(_f(text, 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0,
+    rep = certify_gsc(_f(text), EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0,
                       AlphaContext(alpha=alpha), grid_n=grid, refine_depth=40)
     runs, min_defect, max_abs_f, witness = _COLLAPSED[text, alpha]
     assert (rep.min_defect.hex(), rep.max_abs_f.hex()) == (min_defect, max_abs_f)
@@ -704,7 +722,7 @@ def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts):
     zeros of both signs among them.  The box kernel, which takes any xs, ys
     and ts, returns the whole tensor's index, minimum and max |f| bit for
     bit."""
-    f, eta = _f(text, -1.0, 1.0), EtaSpec.from_text(eta)
+    f, eta = _f(text), EtaSpec.from_text(eta)
     xs, ys, ts = np.array(xs), np.array(ys), np.array(ts)
     got = convexity._box_min(f, eta, c, _CTX1, xs, ys, ts)
     want = _box_reference(f, eta, c, _CTX1, xs, ys, ts)
@@ -734,7 +752,7 @@ def test_box_min_matches_separate_evaluations(text, eta, alpha, c, centers, widt
     slice, the bits of three separate ``evaluate_many`` calls; and the box
     kernel, which builds its defect in place from that one call, returns
     the whole-tensor reference's index, minimum and max |f| bit for bit."""
-    f, eta = _f(text, -1.0, 1.0), EtaSpec.from_text(eta)
+    f, eta = _f(text), EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     (cx, cy, ct), (wx, wt) = centers, widths
     xs = np.linspace(max(-1.0, cx - wx), min(1.0, cx + wx), 13)
@@ -752,7 +770,7 @@ def test_box_min_matches_separate_evaluations(text, eta, alpha, c, centers, widt
 
 def _certify_peak(grid_n: int) -> int:
     """Traced peak bytes of one certify of x^(2a) on [0, 1] at alpha 0.5."""
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     eta = EtaSpec.from_text("u - v")
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -760,7 +778,7 @@ def _certify_peak(grid_n: int) -> int:
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        certify_gsc(f, eta, 1.0, AlphaContext(alpha=0.5), grid_n=grid_n, refine_depth=3)
+        certify_gsc(f, eta, 1.0, 0.0, 1.0, AlphaContext(alpha=0.5), grid_n=grid_n, refine_depth=3)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -794,14 +812,14 @@ def test_certify_working_set_is_six_grid_squared_arrays():
 
 
 def test_necessary_passes_for_difference():
-    rep = check_eta_necessary(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("u - v"), _CTX1)
+    rep = check_eta_necessary(_f("x^(2a)"), EtaSpec.from_text("u - v"), 0.0, 1.0, _CTX1)
     assert rep.diag_ok and rep.upper_ok
     assert rep.diag_witness is None and rep.upper_witness is None
 
 
 def test_necessary_fails_for_negative_constant():
     """eta = -1 breaks eta(w, w) >= 0 on the diagonal."""
-    rep = check_eta_necessary(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("-1"), _CTX1)
+    rep = check_eta_necessary(_f("x^(2a)"), EtaSpec.from_text("-1"), 0.0, 1.0, _CTX1)
     assert not rep.diag_ok
     assert rep.diag_min == -1.0
     assert rep.diag_witness is not None
@@ -812,7 +830,7 @@ def test_necessary_fails_for_negative_constant():
 def test_necessary_passes_for_additive_eta_on_nonnegative_f(alpha):
     """eta(u,v) = 2^al u + v dominates u - v whenever f >= 0."""
     ctx = AlphaContext(alpha=alpha)
-    rep = check_eta_necessary(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("2^a*u + v"), ctx)
+    rep = check_eta_necessary(_f("x^(2a)"), EtaSpec.from_text("2^a*u + v"), 0.0, 1.0, ctx)
     assert rep.diag_ok and rep.upper_ok
 
 
@@ -828,22 +846,21 @@ def _asymmetries(w, ctx):
 
 
 def test_symmetry_constant_weight():
-    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    w = WeightSpec.from_text("1")
     assert check_symmetry(w, 0.0, 1.0, _CTX1) is None
     assert np.max(_asymmetries(w, _CTX1)) == 0.0
 
 
 def test_symmetry_parabolic_weight():
     ctx = AlphaContext(alpha=0.5)
-    w = WeightSpec.from_text("(x - lo)^(a)*(hi - x)^(a)", domain=(0.0, 1.0),
-                             params={"lo": 0.0, "hi": 1.0})
+    w = WeightSpec.from_text("(x - lo)^(a)*(hi - x)^(a)", params={"lo": 0.0, "hi": 1.0})
     assert check_symmetry(w, 0.0, 1.0, ctx) is None
     assert np.max(_asymmetries(w, ctx)) <= 1e-12
 
 
 def test_symmetry_detects_skew():
     """w(x) = x on [0,1]: w(0) = 0 vs w(1) = 1 gives asymmetry 1 at x=0."""
-    w = WeightSpec.from_text("x^(a)", domain=(0.0, 1.0))
+    w = WeightSpec.from_text("x^(a)")
     asym = _asymmetries(w, _CTX1)
     assert np.max(asym) == pytest.approx(1.0, abs=1e-12)
     assert _SYMMETRY_XS[np.argmax(asym)] == pytest.approx(0.0, abs=1e-12)
@@ -855,7 +872,7 @@ def test_symmetry_detects_skew():
 
 def test_symmetry_detects_negative_weight():
     """w = -1 is symmetric, so the negativity check is the one that fails."""
-    w = WeightSpec.from_text("-1", domain=(0.0, 1.0))
+    w = WeightSpec.from_text("-1")
     assert np.min(w.evaluate_many(_SYMMETRY_XS, _CTX1)) == -1.0
     with pytest.raises(SymmetryError,
                        match=re.escape("weight takes negative values: min -1.000e+00 at x=0.0")):
@@ -866,10 +883,10 @@ def test_symmetry_detects_negative_weight():
 
 
 def test_eta_sup_examples():
-    fsq = _f("x^(2a)", 0.0, 1.0)
+    fsq = _f("x^(2a)")
 
     def sup(eta):
-        return estimate_eta_sup(fsq, EtaSpec.from_text(eta), _CTX1, 0.0, 1.0)
+        return estimate_eta_sup(fsq, EtaSpec.from_text(eta), 0.0, 1.0, _CTX1)
 
     assert sup("u - v") == pytest.approx(1.0, abs=1e-12)
     assert sup("0") == 0.0
@@ -879,8 +896,8 @@ def test_eta_sup_examples():
 
 
 def test_eta_sup_interval_override():
-    fsq = _f("x^(2a)", 0.0, 1.0)
-    got = estimate_eta_sup(fsq, EtaSpec.from_text("u - v"), _CTX1, a=0.0, b=2.0)
+    fsq = _f("x^(2a)")
+    got = estimate_eta_sup(fsq, EtaSpec.from_text("u - v"), 0.0, 2.0, _CTX1)
     assert got == pytest.approx(4.0, abs=1e-12)
 
 
@@ -963,7 +980,7 @@ def test_eta_sup_corners_match_full_matrix_bitwise(eta_dirs, fx, alpha):
         except EvalError:
             want = None
         try:
-            got = estimate_eta_sup(_Samples(fx), eta, ctx, a=0.0, b=1.0)
+            got = estimate_eta_sup(_Samples(fx), eta, 0.0, 1.0, ctx)
         except EvalError:
             got = None
     assert _bits(got) == _bits(want)
@@ -974,47 +991,47 @@ def test_eta_sup_corners_match_full_matrix_bitwise(eta_dirs, fx, alpha):
 
 def test_minimum_condition_square():
     """x^2 on [0,2], c=1: x* = 0 and no (antecedent, consequent) violation."""
-    rep = minimum_condition_check(_f("x^(2a)", 0.0, 2.0), EtaSpec.from_text("u - v"), 1.0, _CTX1)
-    assert rep.x_star == 0.0
-    assert rep.f_star == 0.0
-    assert rep.derivative == 0.0
-    assert rep.derivative_mode == "exact"
-    assert rep.checked == 200
-    assert rep.violations == ()
+    rep = minimum_condition(_f("x^(2a)"), EtaSpec.from_text("u - v"), 1.0, 0.0, 2.0, _CTX1)
+    assert rep["x_star"] == 0.0
+    assert rep["f_star"] == 0.0
+    assert rep["derivative"] == 0.0
+    assert rep["derivative_mode"] == "exact"
+    assert rep["checked"] == 200
+    assert rep["violations"] == ()
 
 
 def test_minimum_condition_shifted():
-    rep = minimum_condition_check(_f("x^(2a) + 1", 0.0, 2.0), EtaSpec.from_text("u - v"), 1.0, _CTX1)
-    assert rep.f_star == 1.0
-    assert rep.violations == ()
+    rep = minimum_condition(_f("x^(2a) + 1"), EtaSpec.from_text("u - v"), 1.0, 0.0, 2.0, _CTX1)
+    assert rep["f_star"] == 1.0
+    assert rep["violations"] == ()
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])
 def test_minimum_condition_fractional_order(c):
     ctx = AlphaContext(alpha=0.5)
-    rep = minimum_condition_check(_f("x^(2a)", 0.0, 2.0), EtaSpec.from_text("u - v"), c, ctx)
-    assert rep.x_star == 0.0
-    assert rep.violations == ()
-    assert rep.checked == 200
+    rep = minimum_condition(_f("x^(2a)"), EtaSpec.from_text("u - v"), c, 0.0, 2.0, ctx)
+    assert rep["x_star"] == 0.0
+    assert rep["violations"] == ()
+    assert rep["checked"] == 200
 
 
 def test_sampling_checks_reject_tiny_grid():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     eta = EtaSpec.from_text("u - v")
     with pytest.raises(ValueError, match="grid_n"):
-        check_eta_necessary(f, eta, _CTX1, grid_n=3)
+        check_eta_necessary(f, eta, 0.0, 1.0, _CTX1, grid_n=3)
 
 
 def test_eta_necessary_rejects_a_grid_over_the_cap_before_sampling():
     """grid_n above certify_gsc's cap is refused with certify_gsc's error,
-    before f is read: a spec with no domain would raise about that first."""
+    before f is read: a reversed interval would raise about that first."""
     f = FunctionSpec.from_text("x^(2a)")
     eta = EtaSpec.from_text("u - v")
     with pytest.raises(ValueError, match=r"^grid_n must be <= 1000, got 1001$"):
-        check_eta_necessary(f, eta, _CTX1, grid_n=1001)
+        check_eta_necessary(f, eta, 1.0, 0.0, _CTX1, grid_n=1001)
     with pytest.raises(ValueError, match=r"^grid_n must be <= 1000, got 1001$"):
-        certify_gsc(_f("x^(2a)", 0.0, 1.0), eta, 0.0, _CTX1, grid_n=1001)
-    assert check_eta_necessary(_f("x^(2a)", 0.0, 1.0), eta, _CTX1, grid_n=1000).ok
+        certify_gsc(_f("x^(2a)"), eta, 0.0, 0.0, 1.0, _CTX1, grid_n=1001)
+    assert check_eta_necessary(_f("x^(2a)"), eta, 0.0, 1.0, _CTX1, grid_n=1000).ok
 
 
 # ------------------------------------------------------------- sampling grids
@@ -1083,7 +1100,7 @@ def test_linspace_equals_numpy_on_the_collapsed_boxes(monkeypatch, text, alpha):
 
     monkeypatch.setattr(convexity, "_linspace", recording)
     grid = 9 if "abs" in text else 8
-    certify_gsc(_f(text, 0.0, 1.0), EtaSpec.from_text("u - v"), 0.0,
+    certify_gsc(_f(text), EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0,
                 AlphaContext(alpha=alpha), grid_n=grid, refine_depth=40)
     # xs, ts, eta's grid and the table, then the sides of the boxes that ran
     # and of the collapsed one that stopped the refinement

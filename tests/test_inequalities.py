@@ -33,20 +33,20 @@ from fracon import (
     estimate_eta_sup,
     fejer_terms,
     gamma,
-    hh_fejer_consistency,
     hh_terms,
 )
+from paper_checks import unit_weight_recomposition
 
 _CTX1 = AlphaContext(alpha=1.0)
 _ALPHAS = (0.3, 0.5, 0.9, 1.0)
 
 
-def _f(text: str, a_: float, b_: float, **params: float) -> FunctionSpec:
-    return FunctionSpec.from_text(text, domain=(a_, b_), params=params or None)
+def _f(text: str, **params: float) -> FunctionSpec:
+    return FunctionSpec.from_text(text, params=params or None)
 
 
-def _w(text: str, a_: float, b_: float, **params: float) -> WeightSpec:
-    return WeightSpec.from_text(text, domain=(a_, b_), params=params or None)
+def _w(text: str, **params: float) -> WeightSpec:
+    return WeightSpec.from_text(text, params=params or None)
 
 
 _DIFF = EtaSpec.from_text("u - v")
@@ -60,7 +60,7 @@ def test_classical_square_chain():
 
     f(1/2) - 1/2 = -1/4  <=  mean = 1/3  <=  (f(0)+f(1))/2 = 1/2  <=  1.
     """
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
     assert rep.T1 == pytest.approx(-0.25, abs=1e-12)
     assert rep.T2 == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.T3 == pytest.approx(0.5, abs=1e-12)
@@ -77,7 +77,7 @@ def test_classical_square_chain():
 
 def test_classical_square_chain_with_strong_term():
     """Same setup with c=1: T2 = 1/3 - A/4 = 1/4, T3 = 1/2 - (B-A) = 1/3."""
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 1.0, 0.0, 1.0, _CTX1)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 1.0, 0.0, 1.0, _CTX1)
     assert rep.T1 == pytest.approx(-0.25, abs=1e-12)
     assert rep.T2 == pytest.approx(0.25, abs=1e-12)
     assert rep.T3 == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -89,14 +89,14 @@ def test_classical_square_chain_with_strong_term():
 def test_chain_constants_satisfy_gamma_identities(alpha):
     """A Gamma(1+3al) = Gamma(1+2al) and B Gamma(1+2al) = Gamma(1+al)."""
     ctx = AlphaContext(alpha=alpha)
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, ctx)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, ctx)
     assert abs(rep.A * gamma(1 + 3 * alpha) - gamma(1 + 2 * alpha)) <= 1e-12
     assert abs(rep.B * gamma(1 + 2 * alpha) - gamma(1 + alpha)) <= 1e-12
 
 
 def test_constant_function_collapses_at_unit_order():
     """f = 2, eta = 0, c = 0, al = 1: every term equals 2."""
-    rep = hh_terms(_f("2", 0.0, 1.0), EtaSpec.from_text("0"), 0.0, 0.0, 1.0, _CTX1)
+    rep = hh_terms(_f("2"), EtaSpec.from_text("0"), 0.0, 0.0, 1.0, _CTX1)
     for term in (rep.T1, rep.T2, rep.T3, rep.T4, rep.A1, rep.A2):
         assert term == pytest.approx(2.0, abs=1e-12)
     assert rep.all_hold
@@ -112,7 +112,7 @@ def test_constant_function_fractional_order():
     about the fractional endpoint term, not an artifact.
     """
     ctx = AlphaContext(alpha=0.7)
-    rep = hh_terms(_f("2", 0.0, 1.0), EtaSpec.from_text("0"), 0.0, 0.0, 1.0, ctx)
+    rep = hh_terms(_f("2"), EtaSpec.from_text("0"), 0.0, 0.0, 1.0, ctx)
     assert rep.T1 == pytest.approx(2.0, abs=1e-12)
     assert rep.T2 == pytest.approx(2.0, abs=1e-12)
     expected_ends = 2.0 * 2.0 ** (1.0 - 0.7)
@@ -123,8 +123,8 @@ def test_constant_function_fractional_order():
 
 def test_vertical_shift_moves_every_term_at_unit_order():
     """al=1, c=0, eta=u-v: replacing f by f+3 shifts each term by exactly 3."""
-    base = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    lift = hh_terms(_f("x^(2a) + 3", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    base = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    lift = hh_terms(_f("x^(2a) + 3"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
     for lo, hi in ((base.T1, lift.T1), (base.T2, lift.T2), (base.T3, lift.T3),
                    (base.T4, lift.T4), (base.A1, lift.A1), (base.A2, lift.A2)):
         assert hi - lo == pytest.approx(3.0, abs=1e-12)
@@ -133,7 +133,7 @@ def test_vertical_shift_moves_every_term_at_unit_order():
 
 def test_supplied_eta_bound_drives_top_term():
     """With m_eta supplied, T4 = ends + g1 (S B - 0) grows linearly in S."""
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1, m_eta=10.0)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1, m_eta=10.0)
     assert rep.m_eta == 10.0
     assert rep.m_eta_source == "supplied"
     assert rep.T4 == pytest.approx(0.5 + 10.0 * 0.5, abs=1e-12)
@@ -147,25 +147,25 @@ def test_supplied_eta_bound_drives_top_term():
 def test_one_sided_terms_average_to_endpoint_term(alpha):
     """c=0: (A1 + A2)/2^al equals T3 identically in al."""
     ctx = AlphaContext(alpha=alpha)
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, ctx)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, ctx)
     scale = max(abs(rep.A1), abs(rep.A2), abs(rep.T3), 1.0)
     assert abs((rep.A1 + rep.A2) / 2.0**alpha - rep.T3) <= 1e-12 * scale
 
 
 def test_estimated_bound_matches_standalone_estimator():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     rep = hh_terms(f, _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    assert rep.m_eta == estimate_eta_sup(f, _DIFF, _CTX1, a=0.0, b=1.0)
+    assert rep.m_eta == estimate_eta_sup(f, _DIFF, 0.0, 1.0, _CTX1)
 
 
 def test_exact_backend_integral():
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1, backend=EXACT)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1, backend=EXACT)
     assert rep.backend == "exact"
     assert rep.integral == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_chain_validates_interval_and_modulus():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     with pytest.raises(ValueError, match="a < b"):
         hh_terms(f, _DIFF, 0.0, 1.0, 0.0, _CTX1)
     with pytest.raises(ValueError, match="c must be >= 0"):
@@ -173,7 +173,7 @@ def test_chain_validates_interval_and_modulus():
 
 
 def test_report_dict_shape():
-    rep = hh_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
     d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"alpha", "interval", "c", "backend", "m_eta", "m_eta_source",
                       "integral", "eta_ab", "eta_ba", "A", "B", "T1", "T2", "T3", "T4",
@@ -183,7 +183,7 @@ def test_report_dict_shape():
 
 
 def test_chain_deterministic():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     r1 = hh_terms(f, _DIFF, 0.5, 0.0, 1.0, _CTX1)
     r2 = hh_terms(f, _DIFF, 0.5, 0.0, 1.0, _CTX1)
     assert cli._json_text(r1, "\n") == cli._json_text(r2, "\n")
@@ -198,8 +198,8 @@ def test_chain_deterministic():
 )
 def test_certified_members_satisfy_the_chain_classically(text, c):
     """al=1: whenever certification is clean, every link holds."""
-    f = _f(text, 0.0, 1.0)
-    cert = certify_gsc(f, _DIFF, c, _CTX1, grid_n=16, refine_depth=2)
+    f = _f(text)
+    cert = certify_gsc(f, _DIFF, c, 0.0, 1.0, _CTX1, grid_n=16, refine_depth=2)
     assert cert.status == "NoViolationFound"
     rep = hh_terms(f, _DIFF, c, 0.0, 1.0, _CTX1)
     assert rep.all_hold
@@ -207,7 +207,7 @@ def test_certified_members_satisfy_the_chain_classically(text, c):
 
 def test_non_member_is_caught_not_assumed():
     """A constant is not strongly convex (c=1): certification must say so."""
-    cert = certify_gsc(_f("1", 0.0, 1.0), _DIFF, 1.0, _CTX1, grid_n=16, refine_depth=2)
+    cert = certify_gsc(_f("1"), _DIFF, 1.0, 0.0, 1.0, _CTX1, grid_n=16, refine_depth=2)
     assert cert.status == "Violated"
 
 
@@ -216,8 +216,8 @@ def test_non_member_is_caught_not_assumed():
 
 def test_weighted_chain_unit_weight_classical():
     """w = 1, al = 1 reduces to the plain chain: (1/4, 1/3, 1/2)."""
-    f = _f("x^(2a)", 0.0, 1.0)
-    rep = fejer_terms(f, _DIFF, 0.0, _w("1", 0.0, 1.0), 0.0, 1.0, _CTX1)
+    f = _f("x^(2a)")
+    rep = fejer_terms(f, _DIFF, 0.0, _w("1"), 0.0, 1.0, _CTX1)
     assert rep.F1 == pytest.approx(0.25, abs=1e-12)
     assert rep.F2 == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.F3 == pytest.approx(0.5, abs=1e-12)
@@ -239,7 +239,7 @@ def test_unit_weight_moment_closed_forms(alpha):
     ctx = AlphaContext(alpha=alpha)
     a, b = 0.5, 2.0
     span = b - a
-    rep = fejer_terms(_f("x^(2a)", a, b), _DIFF, 0.0, _w("1", a, b), a, b, ctx)
+    rep = fejer_terms(_f("x^(2a)"), _DIFF, 0.0, _w("1"), a, b, ctx)
     g1 = gamma(1 + alpha)
     assert rep.m0 == pytest.approx(span**alpha / g1, rel=1e-9)
     assert rep.m2 == pytest.approx(span ** (2 * alpha) * g1 / gamma(1 + 2 * alpha), rel=1e-9)
@@ -247,8 +247,7 @@ def test_unit_weight_moment_closed_forms(alpha):
 
 def test_unit_weight_cross_moment_frozen_value():
     """m3 at al = 1/2 on [0,1] equals the frozen product-integrand value."""
-    rep = fejer_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, _w("1", 0.0, 1.0),
-                      0.0, 1.0, AlphaContext(alpha=0.5))
+    rep = fejer_terms(_f("x^(2a)"), _DIFF, 0.0, _w("1"), 0.0, 1.0, AlphaContext(alpha=0.5))
     assert rep.m3 == pytest.approx(0.3761263890318375246321, rel=1e-8)
 
 
@@ -260,8 +259,8 @@ def test_kinked_weighted_terms_frozen_values():
     within the quadrature rtol (1e-9), which needs every split.
     """
     ctx = AlphaContext(alpha=0.3)
-    rep = fejer_terms(_f("abs(x - 0.3)^(a)", 0.0, 1.0), EtaSpec.from_text("2^a*u + v"),
-                      0.0, _w("1", 0.0, 1.0), 0.0, 1.0, ctx)
+    rep = fejer_terms(_f("abs(x - 0.3)^(a)"), EtaSpec.from_text("2^a*u + v"),
+                      0.0, _w("1"), 0.0, 1.0, ctx)
     for got, ref in ((rep.F2, 0.8705209376278973070186),
                      (rep.L_eta, 1.414778251852724863962),
                      (rep.m1, 0.8779364448827291835579)):
@@ -270,8 +269,8 @@ def test_kinked_weighted_terms_frozen_values():
 
 def test_parabolic_weight_classical_values():
     """w = x(1-x) on [0,1], al=1: F2 = 1/4 - 1/5, F1 = f(1/2) m0 = 1/24."""
-    f = _f("x^(2a)", 0.0, 1.0)
-    w = _w("(x - lo)^(a)*(hi - x)^(a)", 0.0, 1.0, lo=0.0, hi=1.0)
+    f = _f("x^(2a)")
+    w = _w("(x - lo)^(a)*(hi - x)^(a)", lo=0.0, hi=1.0)
     rep = fejer_terms(f, _DIFF, 0.0, w, 0.0, 1.0, _CTX1)
     assert rep.m0 == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert rep.F1 == pytest.approx(0.25 / 6.0, abs=1e-12)
@@ -285,8 +284,8 @@ def test_parabolic_weight_classical_values():
 def test_weighted_terms_recompose_from_moments(alpha, c):
     """F1 and F3 are exactly their display forms in the stored moments."""
     ctx = AlphaContext(alpha=alpha)
-    f = _f("x^(2a)", 0.0, 1.0)
-    rep = fejer_terms(f, _DIFF, c, _w("1", 0.0, 1.0), 0.0, 1.0, ctx)
+    f = _f("x^(2a)")
+    rep = fejer_terms(f, _DIFF, c, _w("1"), 0.0, 1.0, ctx)
     fm = f.evaluate(0.5, ctx)
     fa, fb = f.evaluate(0.0, ctx), f.evaluate(1.0, ctx)
     rec1 = fm * rep.m0 - rep.L_eta + c**alpha / 4.0**alpha * rep.m1
@@ -297,16 +296,15 @@ def test_weighted_terms_recompose_from_moments(alpha, c):
 
 
 def test_weighted_chain_rejects_asymmetric_weight():
-    f = _f("x^(2a)", 0.0, 1.0)
+    f = _f("x^(2a)")
     with pytest.raises(SymmetryError, match="not symmetric"):
-        fejer_terms(f, _DIFF, 0.0, _w("x^(a)", 0.0, 1.0), 0.0, 1.0, _CTX1)
+        fejer_terms(f, _DIFF, 0.0, _w("x^(a)"), 0.0, 1.0, _CTX1)
     with pytest.raises(SymmetryError, match="negative"):
-        fejer_terms(f, _DIFF, 0.0, _w("-1", 0.0, 1.0), 0.0, 1.0, _CTX1)
+        fejer_terms(f, _DIFF, 0.0, _w("-1"), 0.0, 1.0, _CTX1)
 
 
 def test_weighted_report_dict_shape():
-    rep = fejer_terms(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, _w("1", 0.0, 1.0),
-                      0.0, 1.0, _CTX1)
+    rep = fejer_terms(_f("x^(2a)"), _DIFF, 0.0, _w("1"), 0.0, 1.0, _CTX1)
     d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"alpha", "interval", "c", "m0", "m1", "m2", "m3",
                       "L_eta", "R_eta", "F1", "F2", "F3", "link_tol", "links",
@@ -328,33 +326,17 @@ def test_weighted_report_dict_shape():
 def test_unit_weight_consistency(text, lo, hi, alpha):
     """With w = 1 the weighted terms must recompose the plain ones."""
     ctx = AlphaContext(alpha=alpha)
-    rep = hh_fejer_consistency(_f(text, lo, hi), _DIFF, 0.0, lo, hi, ctx)
-    assert rep.ok
-    names = [c.name for c in rep.checks]
-    assert names == [
-        "F2 recomposes the mean integral",
-        "R recomposes the eta-average term",
-        "L bounded by the eta sup",
-    ]
-    eq1, eq2, le3 = rep.checks
-    assert eq1.kind == "eq" and eq2.kind == "eq" and le3.kind == "le"
-    assert abs(eq1.lhs - eq1.rhs) <= eq1.tol
-    assert abs(eq2.lhs - eq2.rhs) <= eq2.tol
-    assert le3.lhs <= le3.rhs + le3.tol
+    unit_weight_recomposition(_f(text), _DIFF, 0.0, lo, hi, ctx)
 
 
 def test_consistency_degenerate_eta():
     """eta = 0 zeroes L, R, and the sup bound; all checks stay exact."""
-    rep = hh_fejer_consistency(_f("x^(2a)", 0.0, 1.0), EtaSpec.from_text("0"),
-                               0.0, 0.0, 1.0, _CTX1)
-    assert rep.ok
-    _, eq2, le3 = rep.checks
-    assert eq2.lhs == 0.0 and eq2.rhs == 0.0
-    assert le3.lhs == 0.0 and le3.rhs == 0.0
+    _, _, (_, eq2, le3) = unit_weight_recomposition(_f("x^(2a)"), EtaSpec.from_text("0"),
+                                                    0.0, 0.0, 1.0, _CTX1)
+    assert eq2 == (0.0, 0.0)
+    assert le3 == (0.0, 0.0)
 
 
 def test_consistency_carries_both_reports():
-    rep = hh_fejer_consistency(_f("x^(2a)", 0.0, 1.0), _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    assert rep.hh.alpha == 1.0
-    assert rep.fejer.alpha == 1.0
-    assert rep.fejer.F2 == rep.hh.integral
+    hh, fejer, _ = unit_weight_recomposition(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    assert fejer.F2 == hh.integral

@@ -17,7 +17,7 @@ from fracon.presets import ETA_PRESETS, F_PRESETS
 def test_rl_integrate_smooth_work(alpha):
     """124 graded panels x 8 points, halved once: 992 + 1984 evaluations."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha)
     assert (res.evals, res.levels, res.converged) == (2976, 1, True)
 
@@ -31,7 +31,7 @@ def test_rl_integrate_kinked_work():
     and hit the cap.
     """
     ctx = AlphaContext(alpha=0.3)
-    f = FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("abs(x - 0.5)^(a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, 0.3,
                        points=f.singular_points())
     assert (res.evals, res.levels, res.converged) == (3480, 1, True)
@@ -44,7 +44,7 @@ def test_rl_integrate_kinked_set_work(s, alpha):
     """Every abs(x - s)^(a) of the frozen kinked set, at the default rtol,
     takes the one 145-panel first pass."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(f"abs(x - {s})^(a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(f"abs(x - {s})^(a)")
     res = rl_integrate(lambda xs: f.evaluate_many(xs, ctx), 0.0, 1.0, alpha,
                        points=f.singular_points())
     assert (res.evals, res.levels, res.converged) == (3480, 1, True)
@@ -57,7 +57,7 @@ def test_rl_integrate_kinked_set_work(s, alpha):
 def test_rl_integrate_calls_fn_once_per_level(text, alpha, levels):
     """The first pass evaluates the panels and their halves in one call."""
     ctx = AlphaContext(alpha=alpha)
-    f = FunctionSpec.from_text(text, domain=(0.0, 1.0))
+    f = FunctionSpec.from_text(text)
     sizes = []
 
     def fn(xs):
@@ -72,8 +72,8 @@ def test_rl_integrate_calls_fn_once_per_level(text, alpha, levels):
 @pytest.mark.parametrize(("grid", "refine", "cells"), ((20, 2, 12394), (16, 0, 4096)))
 def test_certify_lattice_cells(grid, refine, cells):
     """grid**3 lattice cells plus one 13**3 box per refinement level."""
-    f = FunctionSpec.from_text("x^(2a)", domain=(-1.0, 1.0))
-    rep = certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, AlphaContext(alpha=1.0),
+    f = FunctionSpec.from_text("x^(2a)")
+    rep = certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, -1.0, 1.0, AlphaContext(alpha=1.0),
                       grid_n=grid, refine_depth=refine)
     assert rep.status == "NoViolationFound"
     assert rep.evaluations == grid**3 + refine * 13**3 == cells
@@ -95,8 +95,8 @@ def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine
         return out
 
     monkeypatch.setattr(FunctionSpec, "evaluate_many", recording)
-    rep = certify_gsc(FunctionSpec.from_text("x^(2a)", domain=(-1.0, 1.0)),
-                      EtaSpec.from_text("u - v"), 0.0, AlphaContext(alpha=0.5),
+    rep = certify_gsc(FunctionSpec.from_text("x^(2a)"),
+                      EtaSpec.from_text("u - v"), 0.0, -1.0, 1.0, AlphaContext(alpha=0.5),
                       grid_n=grid, refine_depth=refine)
     assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13 + 13 + 13**3]
     assert rep.evaluations == grid**3 + refine * 13**3
@@ -148,8 +148,8 @@ def test_eta_sup_work(monkeypatch, eta, f, points):
         return out
 
     monkeypatch.setattr(EtaSpec, "evaluate_many", recording)
-    estimate_eta_sup(FunctionSpec.from_text(f, domain=(0.0, 1.0)), EtaSpec.from_text(eta),
-                     AlphaContext(alpha=0.5), 0.0, 1.0)
+    estimate_eta_sup(FunctionSpec.from_text(f), EtaSpec.from_text(eta),
+                     0.0, 1.0, AlphaContext(alpha=0.5))
     assert seen == points
 
 
@@ -158,9 +158,9 @@ def test_fejer_terms_builds_two_meshes_and_reuses_them():
     weight, five share the smooth [0, 1] mesh and m1 adds the kink at 1/2:
     two meshes built, four reuses."""
     ctx = AlphaContext(alpha=0.5)
-    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    w = WeightSpec.from_text("1")
     calculus._mesh.cache_clear()
-    fejer_terms(FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0)),
+    fejer_terms(FunctionSpec.from_text("x^(2a)"),
                 EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
     info = calculus._mesh.cache_info()
     assert (info.misses, info.hits) == (2, 4)
@@ -173,9 +173,9 @@ def test_fejer_terms_repeated_kink_shares_one_mesh():
     built (the smooth [0, 1] one and the one kinked at 1/2), one fewer
     than when the repeated kink made a key of its own."""
     ctx = AlphaContext(alpha=0.3)
-    w = WeightSpec.from_text("1", domain=(0.0, 1.0))
+    w = WeightSpec.from_text("1")
     calculus._mesh.cache_clear()
-    fejer_terms(FunctionSpec.from_text("abs(x - 0.5)^(a)", domain=(0.0, 1.0)),
+    fejer_terms(FunctionSpec.from_text("abs(x - 0.5)^(a)"),
                 EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
     info = calculus._mesh.cache_info()
     assert (info.misses, info.hits) == (2, 4)

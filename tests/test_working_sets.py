@@ -102,20 +102,20 @@ def test_small_grid_certify_copies_through_no_ufunc_buffer():
     copy their operands through buffers of up to 64 KiB each, and the call
     peaked near 0.357 MiB; with the buffer cut to one plane it peaks near
     0.238 MiB."""
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     eta = EtaSpec.from_text(ETA_PRESETS["example23"])
     ctx = AlphaContext(alpha=0.5)
-    assert _warm_peak(lambda: certify_gsc(f, eta, 1.0, ctx, 24, 2)) < 0.28 * 2**20
+    assert _warm_peak(lambda: certify_gsc(f, eta, 1.0, 0.0, 1.0, ctx, 24, 2)) < 0.28 * 2**20
 
 
 def test_small_grid_certify_without_strong_term_holds_one_slab_buffer():
     """At c = 0 the strong term is skipped, and so is its scratch slab: the
     grid-24 call peaks near 0.132 MiB, where it read 0.237 MiB with the
     unused buffer allocated."""
-    f = FunctionSpec.from_text("x^(2a)", domain=(0.0, 1.0))
+    f = FunctionSpec.from_text("x^(2a)")
     eta = EtaSpec.from_text(ETA_PRESETS["example23"])
     ctx = AlphaContext(alpha=0.5)
-    assert _warm_peak(lambda: certify_gsc(f, eta, 0.0, ctx, 24, 2)) < 0.17 * 2**20
+    assert _warm_peak(lambda: certify_gsc(f, eta, 0.0, 0.0, 1.0, ctx, 24, 2)) < 0.17 * 2**20
 
 
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():

@@ -6,9 +6,8 @@ Usage (from the root of a checkout):
     python3 tools/cases_ab.py ../parent . --workload sweep --seeds 1,2 --rounds 30
 
 Each checkout's ``src/fracon`` is imported under its own package name
-(``fracon_a`` for the first path, ``fracon_b`` for the second), as
-``tools/kernel_ab.py`` does, so both run in the same interpreter, on the
-same allocator and at the same moment.  The case list is the one this
+(``fracon_a`` for the first path, ``fracon_b`` for the second), so both
+run in the same interpreter, on the same allocator and at the same moment.  The case list is the one this
 checkout's ``perfbench/cases.py`` builds for the workload and seeds, and
 every case runs through each side's ``cli.main`` with its output captured.
 
@@ -36,6 +35,7 @@ import argparse
 import contextlib
 import gc
 import importlib
+import importlib.util
 import io
 import random
 import statistics
@@ -43,14 +43,21 @@ import sys
 import time
 from pathlib import Path
 
-from kernel_ab import _load
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cli_main(root: Path, name: str):
     """The ``cli.main`` of checkout ``root``'s fracon, imported as ``name``."""
-    return importlib.import_module(f"{_load(root, name).__name__}.cli").main
+    init = root / "src" / "fracon" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no fracon package at {init}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli").main
 
 
 def _run(main, argv) -> tuple[float, tuple]:
