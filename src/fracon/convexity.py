@@ -86,20 +86,10 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     return lhs, rhs
 
 
-# Lattice cells per slab in _lattice_min.  A slab is as many whole t-planes
-# (grid**2 cells each) as fit, and at least one, so its float64 buffers
-# (defects, and scratch for a strong term) hold at most this many cells
-# (256 KiB each) unless one plane alone is larger; then they grow with
-# grid**2, like the other four arrays live in the slab loop: the table of
-# f, eta, the distances and the f(y) tile.  A slab's ufunc calls run in
-# runs of one plane, whatever the slab size; planes shorter than numpy's
-# ufunc buffer (up to grid 90) are kept out of that buffer by cutting it to
-# one plane, not by this size.
-_SLAB_CELLS = 1 << 15
-
-# Largest accepted grid_n: 1e9 lattice cells.  The lattice is streamed, but
-# its six grid**2 arrays (the (grid - 1)**2 + 1 table of f, eta, the
-# distances, the f(y) tile and the two slab buffers) are not.
+# Largest accepted grid_n: 1e9 lattice cells.  The lattice is walked one
+# t-plane at a time, but its six grid**2 arrays (the (grid - 1)**2 + 1 table
+# of f, eta, the distances, the f(y) tile, the defect plane and the strong
+# term's scratch plane) are not.
 _MAX_GRID = 1000
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
@@ -174,28 +164,29 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
     Returns ``((i, j, k), min defect, max |f| over the table)``, where
     (i, j, k) is the first lattice index (C order) holding the minimum;
     every table point is a mixture (plane k = 1 alone covers every m).
-    The lattice is walked in slabs of ``max(1, _SLAB_CELLS // n**2)``
-    whole t-planes laid out (t, x, y); the right side keeps the operation
-    order of a whole-lattice evaluation, so only f(mixture) differs from
-    f at the float mixture fl(t x) + fl((1 - t) y).  Each plane's first
-    minimum (or NaN) comes from one argmin, and the planes' minima are
-    ranked NaN first, then by value, (x, y) index and t, so ties keep the
-    first index whatever the slab size.  Where a plane is shorter than
-    numpy's ufunc buffer, each slab's right side is built with the buffer
-    cut to one plane (see below), and the caller's size is restored
-    before the f(mixture) subtract and on return.  A non-finite f on the
-    table, a NaN anywhere or a -inf defect raises EvalError.  A +inf
-    defect (an overflowed right side) is no violation; the t = 0 plane is
-    exactly 0, so no main lattice is +inf throughout.  Floating-point warnings are
-    silenced here; non-finite values are errors instead.
+    The lattice is walked one t-plane at a time, in one (x, y) defect plane
+    (and one scratch plane for a strong term) that every plane reuses; the
+    right side keeps the operation order of a whole-lattice evaluation, so
+    only f(mixture) differs from f at the float mixture
+    fl(t x) + fl((1 - t) y).  Each plane's first minimum (or NaN) comes
+    from one argmin, and the planes' minima are ranked NaN first, then by
+    value, (x, y) index and t, so ties keep the first index.  Every operand
+    but the strided f(mixture) view is a scalar or a contiguous plane, which
+    numpy's ufuncs read in place; the view alone goes through numpy's ufunc
+    buffer, at most one plane of it, at the caller's buffer size.  A
+    non-finite f on the table, a NaN anywhere or a -inf defect raises
+    EvalError.  A +inf defect (an overflowed right side) is no violation;
+    the t = 0 plane is exactly 0, so no main lattice is +inf throughout.
+    Floating-point warnings are silenced here; non-finite values are errors
+    instead.
     """
     n = len(xs)
     with np.errstate(all="ignore"):
         mixtures = _linspace(xs[0], xs[-1], (n - 1) ** 2 + 1)
         mixtures[:: n - 1] = xs
         table = f.evaluate_many(mixtures, ctx)
-        # Free the mixtures and |table| before the slab buffers exist, so
-        # the slab loop holds six grid**2 arrays.
+        # Free the mixtures and |table| before the planes exist, so the
+        # loop holds six grid**2 arrays.
         del mixtures
         max_abs_f = float(np.abs(table).max())
         fx = table[:: n - 1]
@@ -203,52 +194,31 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         # A strong term of +0.0 everywhere changes no bit when subtracted,
         # so it is skipped; an infinite distance keeps it, as 0 * inf is NaN.
         strong = corr.any() or np.signbit(corr).any() or not np.isfinite(dist).all()
-        planes = min(n, max(1, _SLAB_CELLS // (n * n)))
-        # One block; the strong term's scratch slab only when that term
-        # runs (otherwise tmp_buf is d_buf, and unused).
-        bufs = np.empty((2 if strong else 1, planes, n, n))
-        d_buf, tmp_buf = bufs[0], bufs[-1]
+        # One block; the strong term's scratch plane only when that term
+        # runs (otherwise tmp is d, and unused).
+        planes = np.empty((2 if strong else 1, n, n))
+        d, tmp = planes[0], planes[-1]
+        flat_d = d.reshape(n * n)
         # f(y) as whole (x, y) rows: a ufunc that broadcasts an operand along
         # the innermost axis runs slower than one over contiguous rows.
         fy = fx[None, :].repeat(n, axis=0)
         step = table.itemsize
         best = (True, math.inf, n * n, n)  # (not NaN, defect, i n + j, k)
-        # The slab's operands coalesce to runs of one plane.  A plane shorter
-        # than numpy's ufunc buffer makes the iterator copy the operands
-        # through that buffer (the t-factor product ran up to 4x slower and
-        # allocated 64 KiB per operand); a buffer no longer than a plane
-        # leaves them unbuffered.  The strided f(mixture) gather stays at the
-        # caller's size, where its buffered copy is the faster one.  In the
-        # workloads this buys memory: with lean = 0 the sweep workload's traced
-        # peak (seed 1, tools/case_peaks.py) rose from 0.2551 to 0.3735 MiB,
-        # while its time moved within the noise.
-        bufsize = np.getbufsize()
-        lean = n * n // 16 * 16 if n * n < bufsize else 0  # a multiple of 16
-        try:
-            for k0 in range(0, n, planes):
-                k1 = min(n, k0 + planes)
-                d, tmp = d_buf[: k1 - k0], tmp_buf[: k1 - k0]
-                if lean:
-                    np.setbufsize(lean)
-                np.multiply(ta[k0:k1, None, None], e, out=d)
-                np.add(fy, d, out=d)
-                if strong:
-                    np.multiply(corr[k0:k1, None, None], dist, out=tmp)
-                    np.subtract(d, tmp, out=d)
-                if lean:
-                    np.setbufsize(bufsize)
-                for plane, k in zip(d, range(k0, k1)):
-                    strides = (k * step, (n - 1 - k) * step)
-                    np.subtract(plane, np.ndarray((n, n), table.dtype, table, 0, strides), out=plane)
-                rows = d.reshape(k1 - k0, n * n)
-                for p, flat in enumerate(rows.argmin(axis=1).tolist()):
-                    low = float(rows[p, flat])
-                    key = (low == low, low if low == low else 0.0, flat, k0 + p)
-                    if key < best:
-                        best = key
-        finally:
-            # numpy before 2.0 keeps the size process-wide, not in errstate.
-            np.setbufsize(bufsize)
+        for k in range(n):
+            np.multiply(ta[k], e, out=d)
+            np.add(fy, d, out=d)
+            if strong:
+                np.multiply(corr[k], dist, out=tmp)
+                np.subtract(d, tmp, out=d)
+            strides = (k * step, (n - 1 - k) * step)
+            np.subtract(d, np.ndarray((n, n), table.dtype, table, 0, strides), out=d)
+            flat = int(flat_d.argmin())
+            low = float(flat_d[flat])
+            if low > best[1]:
+                continue  # loses to the best, which a tie would not
+            key = (low == low, low if low == low else 0.0, flat, k)
+            if key < best:
+                best = key
     ok, low, flat, k = best
     i, j = divmod(flat, n)
     return (i, j, k), _finite_min(low if ok else math.nan, xs[i], xs[j], ts[k]), max_abs_f
@@ -360,16 +330,14 @@ def certify_gsc(
     ``refine_depth`` in [0, 40] and a below b.  The lattice's mixtures t*x + (1-t)*y are
     the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
     evaluated once on that table and read back plane by plane.  The lattice
-    is walked in slabs of whole t-planes (about 32k cells, or one plane when
-    a plane is larger) with a running minimum, so memory is bounded: the
-    slab loop holds six arrays of about ``grid_n``**2 floats (the table,
-    eta, the distances, the f(y) tile and two slab buffers, one when c is
-    0 and the strong term is skipped), never a
-    ``grid_n``**3 tensor.  Where a plane is shorter than numpy's ufunc
-    buffer (``np.getbufsize()``, 8,192 elements by default), the slab's
-    broadcast products and sums run with the buffer cut to one plane, so
-    numpy does not copy their operands through it; the caller's buffer size
-    is restored on return, also when the search raises.  A refinement box,
+    is walked one t-plane at a time with a running minimum, so memory is
+    bounded: the loop holds six arrays of about ``grid_n``**2 floats (the
+    table, eta, the distances, the f(y) tile, the defect plane and a
+    scratch plane, which is skipped with the strong term when c is 0),
+    never a ``grid_n``**3 tensor.  Only the strided f(mixture) view goes
+    through numpy's ufunc buffer, at most one plane at a time;
+    certification leaves numpy's buffer size and error state as the caller
+    set them.  A refinement box,
     whose mixtures lie on no such grid, is one 13**3 tensor at float
     mixtures, with f evaluated once per box.  The violation threshold
     scales with the sampled magnitude of f over the mixtures:
@@ -377,7 +345,7 @@ def certify_gsc(
     the same lattice: endpoints of the t-grid cover the necessary
     conditions' t = 1 instances, so an eta failing them is also caught as a
     plain counterexample.  Deterministic: ties resolve to the first lattice
-    index in (x, y, t) order whatever the slab boundaries, and refinement
+    index in (x, y, t) order, and refinement
     accepts strict improvements only.  Refinement stops before a level whose box
     holds a single value on every axis: that box is the best cell alone,
     as is every later one, so no level from there on can improve on it,

@@ -55,6 +55,33 @@ def _f(text: str, **params: float) -> FunctionSpec:
     return FunctionSpec.from_text(text, params=params or None)
 
 
+@contextlib.contextmanager
+def _ufunc_buffer(size):
+    """numpy's ufunc buffer at ``size`` elements (None: as it is) in the block."""
+    old = np.getbufsize() if size is None else np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _cell_buffer(cells):
+    """numpy's ufunc buffer at about ``cells`` elements (None: as it is).
+
+    The lattice walk runs at the caller's buffer size, and numpy copies the
+    strided f(mixture) view through that buffer, a slab of at most that
+    many cells at a time, so a caller's size must change no result.  numpy
+    takes multiples of 16 only, so ``cells`` is rounded down to one, and 1
+    and 2 cells both give its smallest, 16.
+    """
+    return _ufunc_buffer(None if cells is None else max(16, cells // 16 * 16))
+
+
+def _plane_buffer(planes, n):
+    """numpy's ufunc buffer at ``planes`` t-planes of a grid-n lattice (None: as it is)."""
+    return _cell_buffer(None if planes is None else planes * n * n)
+
+
 # ------------------------------------------------------------- defect values
 
 
@@ -219,14 +246,13 @@ def test_certify_report_dict_shape():
 
 
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
-def test_certify_non_finite_defect_raises(monkeypatch, rows):
+def test_certify_non_finite_defect_raises(rows):
     """On [-1e200, 1e200] |x - y|^(2a) overflows: no report, an EvalError
-    naming the first NaN cell, whatever the slab size."""
-    if rows is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
+    naming the first NaN cell, whatever ufunc buffer the caller set (here
+    1 or 3 t-planes, or numpy's default)."""
     f = FunctionSpec.from_text("1")
     eta = EtaSpec.from_text("u - v")
-    with pytest.raises(EvalError) as info:
+    with _plane_buffer(rows, 8), pytest.raises(EvalError) as info:
         certify_gsc(f, eta, 1.0, -1e200, 1e200, _CTX1, grid_n=8, refine_depth=0)
     # The first cell of the lattice: x = a, y = a + (b - a) / 7, t = 0.
     assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
@@ -234,28 +260,25 @@ def test_certify_non_finite_defect_raises(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
-def test_certify_zero_strong_term_keeps_nan_defect(monkeypatch, rows):
+def test_certify_zero_strong_term_keeps_nan_defect(rows):
     """With c = 0 the strong term is zero, but 0 * inf is still NaN: on
-    [-1e200, 1e200] the overflowing |x - y|^(2a) raises as it does at c = 1."""
-    if rows is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
+    [-1e200, 1e200] the overflowing |x - y|^(2a) raises as it does at c = 1,
+    whatever ufunc buffer the caller set."""
     f = FunctionSpec.from_text("1")
-    with pytest.raises(EvalError) as info:
+    with _plane_buffer(rows, 8), pytest.raises(EvalError) as info:
         certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, -1e200, 1e200, _CTX1, grid_n=8, refine_depth=0)
     assert str(info.value) == ("non-finite defect nan at x=-1e+200, "
                                f"y={-1e200 + 2e200 / 7!r}, t=0.0")
 
 
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
-def test_certify_overflowing_mixture_raises(monkeypatch, rows):
+def test_certify_overflowing_mixture_raises(rows):
     """(x - 0.5)^(-200) is at most 14^200 on the grid-8 points of [0, 1], but
     the mixture 24/49 (x = 0, y = 4/7, t = 1/7) lies 1/98 from 0.5, and
-    98^200 overflows."""
-    if rows is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 8 * 8)
+    98^200 overflows, whatever ufunc buffer the caller set."""
     f = _f("(x - 0.5)^(-200)")
     assert np.isfinite(f.evaluate_many(np.linspace(0.0, 1.0, 8), _CTX1)).all()
-    with pytest.raises(EvalError, match="^non-finite value in evaluation$"):
+    with _plane_buffer(rows, 8), pytest.raises(EvalError, match="^non-finite value in evaluation$"):
         certify_gsc(f, EtaSpec.from_text("u - v"), 0.0, 0.0, 1.0, _CTX1, grid_n=8, refine_depth=0)
 
 
@@ -315,11 +338,11 @@ def test_interval_functions_share_one_interval_check(name, a, b):
 # ------------------------------------------------------------ lattice kernels
 #
 # The main lattice reads f from the table of its (grid - 1)**2 + 1 evenly
-# spaced mixtures and is walked in slabs of whole t-planes; a refinement
-# box is evaluated whole, at float mixtures.
+# spaced mixtures and is walked one t-plane at a time, at the caller's
+# ufunc buffer size; a refinement box is evaluated whole, at float mixtures.
 
 
-_SLAB_CASES = [
+_LATTICE_CASES = [
     ("x^(2a)", "u - v", 1.0, 1.0, "NoViolationFound"),
     ("-x^(2a)", "u - v", 1.0, 0.5, "Violated"),
     ("x^(4a)", "u - v", 1.0, 0.5, "Violated"),
@@ -330,27 +353,40 @@ _SLAB_CASES = [
 
 
 @pytest.mark.parametrize("rows", [1, 3])
-@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _SLAB_CASES,
+@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _LATTICE_CASES,
                          ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
-def test_certify_report_independent_of_slab_size(monkeypatch, text, eta, c, alpha, status,
-                                                 rows):
-    """Slabs of 1 or 3 t-planes (3 leaves a short last slab) change nothing."""
+def test_certify_report_independent_of_slab_size(text, eta, c, alpha, status, rows):
+    """The slab numpy copies a strided operand through at a time is its ufunc
+    buffer; a buffer of 1 or 3 t-planes, set by the caller, changes nothing."""
     f = _f(text)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     default = certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid_n=20, refine_depth=3)
     assert default.status == status
-    monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * 20 * 20)
-    assert certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid_n=20, refine_depth=3) == default
+    with _plane_buffer(rows, 20):
+        assert certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid_n=20, refine_depth=3) == default
 
 
-@pytest.mark.parametrize("slab_cells", [1, 5 * 17 * 17, 1 << 16])
-def test_certify_tie_keeps_first_lattice_index(monkeypatch, slab_cells):
+@pytest.mark.parametrize(("eta", "status"), [("-1e-9", "NoViolationFound"), ("-4e-9", "Violated")])
+def test_certify_violation_threshold_is_1e_9_of_the_f_scale(eta, status):
+    """f = 1, c = 0: the defect is eta t^al, least at t = 1, where it is eta
+    itself.  The threshold is 1e-9 (1 + max |f|) = 2e-9, so a minimum of
+    -0.5 of it is no violation and one of -2 of it is."""
+    rep = certify_gsc(_f("1"), EtaSpec.from_text(eta), 0.0, 0.0, 1.0, AlphaContext(alpha=0.5),
+                      grid_n=16)
+    assert rep.tol_violation == 2e-9
+    assert rep.min_defect == pytest.approx(float(eta), rel=1e-6)
+    assert rep.status == status
+
+
+@pytest.mark.parametrize("buffer_cells", [1, 5 * 17 * 17, 1 << 16])
+def test_certify_tie_keeps_first_lattice_index(buffer_cells):
     """f = 1, eta = -1, c = 0: the defect is -t^al, so every (x, y) ties at
-    t = 1 and the witness is the first of them, x = y = a."""
-    monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
-    rep = certify_gsc(_f("1"), EtaSpec.from_text("-1"), 0.0, 0.2, 1.3,
-                      AlphaContext(alpha=0.5), grid_n=17, refine_depth=2)
+    t = 1 and the witness is the first of them, x = y = a, with a ufunc
+    buffer of 16 cells, about 5 planes or the whole lattice."""
+    with _cell_buffer(buffer_cells):
+        rep = certify_gsc(_f("1"), EtaSpec.from_text("-1"), 0.0, 0.2, 1.3,
+                          AlphaContext(alpha=0.5), grid_n=17, refine_depth=2)
     assert rep.status == "Violated"
     assert (rep.witness.x, rep.witness.y, rep.witness.t) == (0.2, 0.2, 1.0)
     assert rep.witness.defect == -1.0
@@ -379,7 +415,7 @@ def _table_defects(f, eta, c, ctx, xs, ts):
 
 
 def _table_reference(f, eta, c, ctx, xs, ts):
-    """The whole-tensor evaluation that the main-lattice slabs replace."""
+    """The whole-tensor evaluation that the main lattice's plane walk replaces."""
     d, fmix = _table_defects(f, eta, c, ctx, xs, ts)
     i, j, k = np.unravel_index(int(np.argmin(d)), d.shape)
     return (int(i), int(j), int(k)), float(d[i, j, k]), float(np.max(np.abs(fmix)))
@@ -408,29 +444,28 @@ def _box_reference(f, eta, c, ctx, xs, ys, ts):
 
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
 @pytest.mark.parametrize("box", [False, True], ids=["lattice", "box"])
-@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _SLAB_CASES,
+@pytest.mark.parametrize(("text", "eta", "c", "alpha", "status"), _LATTICE_CASES,
                          ids=["square", "negsquare", "x4a", "x4a-tied", "kink", "kink-strong"])
-def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, status, box,
-                                          rows):
+def test_lattice_min_matches_whole_tensor(text, eta, c, alpha, status, box, rows):
     """Both kernels return exactly the whole-tensor index, minimum and max
-    |f|: the main lattice in slabs of 1 or 3 t-planes or the default, and an
-    off-centre refinement box clipped at x = 0 (so xs differs from ys),
-    which reads no slab size at all."""
+    |f|, with a ufunc buffer of 1 or 3 t-planes or numpy's default: the
+    main lattice, and an off-centre refinement box clipped at x = 0 (so xs
+    differs from ys)."""
     f = _f(text)
     eta = EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     xs = ts = np.linspace(0.0, 1.0, 20)
-    if rows is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", rows * len(xs) ** 2)
     if box:
         w = 1.0 / 19
         xs = np.linspace(max(0.0, 0.02 - w), min(1.0, 0.02 + w), 13)
         ys = np.linspace(max(0.0, 0.61 - w), min(1.0, 0.61 + w), 13)
         ts = np.linspace(max(0.0, 0.97 - w), min(1.0, 0.97 + w), 13)
-        got = convexity._box_min(f, eta, c, ctx, xs, ys, ts)
+        with _plane_buffer(rows, 20):
+            got = convexity._box_min(f, eta, c, ctx, xs, ys, ts)
         assert got == _box_reference(f, eta, c, ctx, xs, ys, ts)
     else:
-        got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
+        with _plane_buffer(rows, 20):
+            got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
         assert got == _table_reference(f, eta, c, ctx, xs, ts)
 
 
@@ -443,34 +478,23 @@ def test_lattice_min_matches_whole_tensor(monkeypatch, text, eta, c, alpha, stat
     c=st.sampled_from([0.0, -0.0, 2.0]),
     interval=st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (-0.7, 0.4), (0.2, 1.3), (-3.0, -1.0)])
     | st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 2.0)),
-    slab_cells=st.integers(1, 3 * 30 * 30),
+    buffer_cells=st.integers(1, 3 * 30 * 30),
 )
 # The minimum -96/49 sits at the mirror cells (7, 0, 3) and (0, 7, 4); the
-# first in (x, y, t) order is in the later plane, and here the later slab.
-@example(n=8, text="x", eta="u - v", alpha=1.0, c=2.0, interval=(-1.0, 1.0), slab_cells=1)
-def test_lattice_min_matches_table_reference(n, text, eta, alpha, c, interval, slab_cells):
+# first in (x, y, t) order is in the later plane.
+@example(n=8, text="x", eta="u - v", alpha=1.0, c=2.0, interval=(-1.0, 1.0), buffer_cells=16)
+def test_lattice_min_matches_table_reference(n, text, eta, alpha, c, interval, buffer_cells):
     """On random grids and intervals (a < 0 < b among them) the main-lattice
     kernel returns the whole-tensor index, minimum and max |f| over the same
-    mixture table bit for bit, whatever the slab size."""
+    mixture table bit for bit, whatever ufunc buffer the caller set."""
     f, eta = _f(text), EtaSpec.from_text(eta)
     ctx = AlphaContext(alpha=alpha)
     xs, ts = np.linspace(*interval, n), np.linspace(0.0, 1.0, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    with _cell_buffer(buffer_cells):
         got = convexity._lattice_min(f, eta, c, ctx, xs, ts)
     want = _table_reference(f, eta, c, ctx, xs, ts)
     assert got[0] == want[0]
     assert (got[1].hex(), got[2].hex()) == (want[1].hex(), want[2].hex())
-
-
-@contextlib.contextmanager
-def _ufunc_buffer(size):
-    """numpy's ufunc buffer at ``size`` elements (None: as it is) in the block."""
-    old = np.getbufsize() if size is None else np.setbufsize(size)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
 
 
 _BUFFERS = pytest.mark.parametrize("bufsize", [None, 16, 2**16],
@@ -493,10 +517,10 @@ def _kink_reference(n, c):
 def test_lattice_min_matches_whole_tensor_at_every_grid_and_buffer(bufsize, c):
     """Grids 8 to 100 hold t-planes shorter than numpy's ufunc buffer (up
     to grid 90 at its default 8,192 cells, every grid at 65,536) and planes
-    that fill it (grids 91 on by default, every grid at 16).  Whether or
-    not the slab cuts the buffer to one plane, the kernel returns the
-    whole-tensor index, minimum and max |f| bit for bit, and leaves the
-    caller's buffer size as it found it."""
+    that fill it (grids 91 on by default, every grid at 16).  The strided
+    f(mixture) view goes through that buffer whole or in runs; either way
+    the kernel returns the whole-tensor index, minimum and max |f| bit for
+    bit, and leaves the caller's buffer size as it found it."""
     for n in range(8, 101):
         f, eta, ctx, xs, ts = _kink_lattice(n)
         with _ufunc_buffer(bufsize):
@@ -512,9 +536,9 @@ def test_lattice_min_matches_whole_tensor_at_every_grid_and_buffer(bufsize, c):
 @pytest.mark.parametrize(("text", "grid"), [("x^(2a)", 24), ("x^(2a)", 150), ("-1.5e308*x", 8)],
                          ids=["grid24", "grid150", "raising"])
 def test_certify_leaves_numpy_buffer_and_error_state_alone(bufsize, text, grid):
-    """The slab loop sets numpy's buffer size only while it runs, and
-    restores it even when certification raises (here the -inf defect of
-    -1.5e308*x); the caller's error state survives too."""
+    """Certification never changes numpy's buffer size or error state: both
+    are as the caller set them afterwards, also when it raises (here the
+    -inf defect of -1.5e308*x)."""
     f, eta = _f(text), EtaSpec.from_text("u")
     ctx = AlphaContext(alpha=0.5)
     with _ufunc_buffer(bufsize), np.errstate(under="raise"):
@@ -525,33 +549,6 @@ def test_certify_leaves_numpy_buffer_and_error_state_alone(bufsize, text, grid):
         else:
             certify_gsc(f, eta, 1.0, 0.0, 1.0, ctx, grid_n=grid, refine_depth=2)
         assert (np.getbufsize(), np.geterr()) == before
-
-
-def test_lattice_min_restores_buffer_size_when_the_slab_loop_raises(monkeypatch):
-    """Before numpy 2.0 the buffer size lives outside ``np.errstate``, so
-    only the kernel's own ``finally`` restores it when the loop is cut
-    short.  Simulated here: an errstate that saves nothing, and an
-    interrupt in the first slab, while the buffer is cut to one plane."""
-
-    class NumpyBefore2:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def errstate(**kwargs):
-            return contextlib.nullcontext()
-
-        @staticmethod
-        def add(*args, **kwargs):
-            raise KeyboardInterrupt
-
-    f, eta, ctx, xs, ts = _kink_lattice(24)
-    monkeypatch.setattr(convexity, "np", NumpyBefore2())
-    with _ufunc_buffer(None):
-        size = np.getbufsize()
-        with pytest.raises(KeyboardInterrupt):
-            convexity._lattice_min(f, eta, 0.0, ctx, xs, ts)
-        assert np.getbufsize() == size
 
 
 @pytest.mark.parametrize("text", ["abs(x - 0.3)^(a)", "x^(a) - 2*x^(3a)", "-abs(x + 0.1)^(2a)"])
@@ -620,35 +617,32 @@ def test_box_min_inf_cell_before_or_after_the_finite_one(xs, want):
     assert got == (want, 1.5e308, 1.5e308)
 
 
-@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
+@pytest.mark.parametrize("buffer_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
 @pytest.mark.parametrize(("xs", "want"), (([0.5, 1.0], ((0, 0, 0), 0.0, 1.5e308)),
                                           ([0.9, 1.0], ((0, 0, 0), 0.0, 1.5e308))))
-def test_lattice_min_inf_cells_do_not_depend_on_slab_size(monkeypatch, slab_cells, xs, want):
+def test_lattice_min_inf_cells_do_not_depend_on_slab_size(buffer_cells, xs, want):
     """f = 1.5e308*x, eta = u, c = 0 on [a, 1] at grid 8: the right side
     f(y) + t*f(x) overflows to +inf near x = y = t = 1, and on [0.9, 1]
     every plane from t = 3/7 on is +inf throughout.  A +inf cell is no
-    violation, so in slabs of one plane or of the whole lattice the
+    violation, so with a 16-cell ufunc buffer or numpy's default the
     minimum is the t = 0 plane's exact 0 at the first cell."""
-    if slab_cells is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
     f, eta = _f("1.5e308*x"), EtaSpec.from_text("u")
     lattice, ts = np.linspace(*xs, 8), np.linspace(0.0, 1.0, 8)
     assert np.isposinf(_table_defects(f, eta, 0.0, _CTX1, lattice, ts)[0]).any()
-    assert convexity._lattice_min(f, eta, 0.0, _CTX1, lattice, ts) == want
+    with _cell_buffer(buffer_cells):
+        assert convexity._lattice_min(f, eta, 0.0, _CTX1, lattice, ts) == want
 
 
-@pytest.mark.parametrize("slab_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
-def test_lattice_min_minus_inf_defect_raises(monkeypatch, slab_cells):
+@pytest.mark.parametrize("buffer_cells", (1, 2, None), ids=["cells1", "cells2", "default"])
+def test_lattice_min_minus_inf_defect_raises(buffer_cells):
     """f = -1.5e308*x, eta = u, c = 0 on [0, 1] at grid 8: f(y) + t*f(x)
     overflows to -inf first, in (x, y, t) order, at x = 2/7, y = 1,
     t = 5/7 (1 + 10/49 times -1.5e308); at x = 1/7 even y = t = 1 stays
-    finite.  That cell is named whatever the slab size, though later
-    planes reach -inf at smaller (x, y)."""
-    if slab_cells is not None:
-        monkeypatch.setattr(convexity, "_SLAB_CELLS", slab_cells)
+    finite.  That cell is named whatever ufunc buffer the caller set, though
+    later planes reach -inf at smaller (x, y)."""
     xs, ts = np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8)
     want = f"non-finite defect -inf at x={float(xs[2])!r}, y=1.0, t={float(ts[5])!r}"
-    with pytest.raises(EvalError, match=f"^{re.escape(want)}$"):
+    with _cell_buffer(buffer_cells), pytest.raises(EvalError, match=f"^{re.escape(want)}$"):
         convexity._lattice_min(_f("-1.5e308*x"), EtaSpec.from_text("u"), 0.0, _CTX1,
                                xs, ts)
 
@@ -791,20 +785,19 @@ def test_certify_memory_is_bounded():
 
 
 def test_certify_memory_grows_with_grid_squared_past_one_plane_per_slab():
-    """At grid 300 one t-plane (90,000 cells) exceeds _SLAB_CELLS, so each
-    slab is a single plane, and the working set is a few grid**2 arrays
-    (720 KB each): the table of f, eta, the distances and the two slab
-    buffers.  A whole-lattice tensor would take 216 MB."""
-    assert 300**2 > convexity._SLAB_CELLS
+    """The lattice is walked one t-plane at a time, so at grid 300 the
+    working set is a few grid**2 arrays (720 KB each): the table of f, eta,
+    the distances and the two planes.  A whole-lattice tensor would take
+    216 MB."""
     assert _certify_peak(300) < 8 * 2**20
 
 
 def test_certify_working_set_is_six_grid_squared_arrays():
     """The mixtures are dropped once f's table is built, and max |f| is taken
-    before the slab buffers exist, so the slab loop runs with six grid**2
-    arrays live: the table, eta, the distances, the f(y) tile and the two
-    slab buffers (one plane each at grid 300).  Keeping the mixtures, or
-    taking |f| while the slab buffers exist, adds a seventh."""
+    before the planes exist, so the plane loop runs with six grid**2 arrays
+    live: the table, eta, the distances, the f(y) tile and the defect and
+    scratch planes.  Keeping the mixtures, or taking |f| while the planes
+    exist, adds a seventh."""
     assert _certify_peak(300) < 6.5 * 8 * 300**2
 
 

@@ -34,6 +34,7 @@ from fracon import (
     fejer_terms,
     gamma,
     hh_terms,
+    inequalities,
 )
 from paper_checks import unit_weight_recomposition
 
@@ -209,6 +210,46 @@ def test_non_member_is_caught_not_assumed():
     """A constant is not strongly convex (c=1): certification must say so."""
     cert = certify_gsc(_f("1"), _DIFF, 1.0, 0.0, 1.0, _CTX1, grid_n=16, refine_depth=2)
     assert cert.status == "Violated"
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+def test_member_minus_one_misses_t2_t3_by_its_closed_form(alpha):
+    """f = -1, eta = u - v, c = 0 on [0, 1]: every defect is 0, so f is a
+    member, and certify finds no violation.  But T2 = -1 while
+    T3 = -2/2^al, so the T2<=T3 gap is -(2^(1-al) - 1)."""
+    ctx = AlphaContext(alpha=alpha)
+    rep = hh_terms(_f("-1"), _DIFF, 0.0, 0.0, 1.0, ctx)
+    assert rep.links[1].name == "T2<=T3"
+    assert rep.links[1].gap == pytest.approx(-(2.0 ** (1.0 - alpha) - 1.0), rel=1e-13, abs=0)
+    assert certify_gsc(_f("-1"), _DIFF, 0.0, 0.0, 1.0, ctx).status == "NoViolationFound"
+
+
+@pytest.mark.parametrize("c", (0.0, 1.0))
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+def test_member_one_misses_t3_t4_by_its_closed_form(alpha, c):
+    """f = 1, eta = 2u - v on [0, 1]: eta(f(a), f(b)) = eta(f(b), f(a)) =
+    M = 1 and the strong terms cancel, so T4 - T3 = g1 B (M - 2/2^al)
+    = -g1^2/Gamma(1+2al) (2^(1-al) - 1), with Gamma from the standard
+    library; certify finds no violation."""
+    ctx = AlphaContext(alpha=alpha)
+    eta = EtaSpec.from_text("2*u - v")
+    rep = hh_terms(_f("1"), eta, c, 0.0, 1.0, ctx)
+    want = -math.gamma(1 + alpha) ** 2 / math.gamma(1 + 2 * alpha) * (2.0 ** (1.0 - alpha) - 1.0)
+    assert rep.links[2].name == "T3<=T4"
+    assert rep.links[2].gap == pytest.approx(want, rel=1e-13, abs=0)
+    assert certify_gsc(_f("1"), eta, c, 0.0, 1.0, ctx).status == "NoViolationFound"
+
+
+@pytest.mark.parametrize("lo", (1.0, -3.0, 2.5e6))
+def test_link_holds_within_its_tolerance_and_fails_beyond(lo):
+    """A link holds when lo <= hi + tol, tol = 1e-9 (1 + max |term|): a gap
+    of -0.5 tol holds and one of -2 tol fails."""
+    tol = 1e-9 * (1.0 + abs(lo))
+    for factor, holds in ((0.5, True), (2.0, False)):
+        got_tol, (link,) = inequalities._links([("lo<=hi", lo, lo - factor * tol)])
+        assert got_tol == pytest.approx(tol, rel=1e-8)
+        assert link.gap == pytest.approx(-factor * tol, rel=1e-6)
+        assert link.holds is holds
 
 
 # ------------------------------------------------------------ weighted chain

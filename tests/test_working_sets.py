@@ -96,26 +96,34 @@ def test_capped_singular_integral_stays_under_11_mib():
     assert _warm_peak(integrate) < 11 * 2**20
 
 
-def test_small_grid_certify_copies_through_no_ufunc_buffer():
-    """At grid 24 a t-plane (576 cells) is shorter than numpy's 8,192-cell
-    ufunc buffer.  With the default buffer, the slab's broadcast products
-    copy their operands through buffers of up to 64 KiB each, and the call
-    peaked near 0.357 MiB; with the buffer cut to one plane it peaks near
-    0.238 MiB."""
+def _certify_peak(c: float, grid: int) -> int:
     f = FunctionSpec.from_text("x^(2a)")
     eta = EtaSpec.from_text(ETA_PRESETS["example23"])
     ctx = AlphaContext(alpha=0.5)
-    assert _warm_peak(lambda: certify_gsc(f, eta, 1.0, 0.0, 1.0, ctx, 24, 2)) < 0.28 * 2**20
+    return _warm_peak(lambda: certify_gsc(f, eta, c, 0.0, 1.0, ctx, grid, 2))
 
 
-def test_small_grid_certify_without_strong_term_holds_one_slab_buffer():
-    """At c = 0 the strong term is skipped, and so is its scratch slab: the
-    grid-24 call peaks near 0.132 MiB, where it read 0.237 MiB with the
-    unused buffer allocated."""
-    f = FunctionSpec.from_text("x^(2a)")
-    eta = EtaSpec.from_text(ETA_PRESETS["example23"])
-    ctx = AlphaContext(alpha=0.5)
-    assert _warm_peak(lambda: certify_gsc(f, eta, 0.0, 0.0, 1.0, ctx, 24, 2)) < 0.17 * 2**20
+def test_small_grid_certify_walks_one_t_plane_at_a_time():
+    """At grid 24 (the sweep default) the lattice loop holds one 576-cell
+    defect plane and one scratch plane, and the call peaks near 0.091 MiB.
+    Slabs of several t-planes (about 32k cells) peaked at 0.237 MiB, and
+    with their operands copied through numpy's 64 KiB ufunc buffers at
+    0.357 MiB; one more such buffer alone would cross this bound."""
+    assert _certify_peak(1.0, 24) < 0.12 * 2**20
+
+
+def test_small_grid_certify_without_strong_term_walks_one_t_plane_at_a_time():
+    """At c = 0 the strong term and its scratch plane are skipped, and the
+    grid-24 call peaks near 0.091 MiB as at c = 1: the lattice planes are
+    smaller than what sets the peak.  With slabs it read 0.132 MiB, and
+    0.237 with the unused scratch slab allocated."""
+    assert _certify_peak(0.0, 24) < 0.12 * 2**20
+
+
+def test_default_grid_certify_walks_one_t_plane_at_a_time():
+    """At grid 50 (certify's default) the call peaks near 0.138 MiB with
+    its two 2,500-cell planes; slabs of 13 t-planes peaked at 0.596 MiB."""
+    assert _certify_peak(1.0, 50) < 0.17 * 2**20
 
 
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():

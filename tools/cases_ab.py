@@ -14,13 +14,16 @@ every case runs through each side's ``cli.main`` with its output captured.
 One untimed pass per side warms both and records each case's argv, exit
 code (or raised exception), stdout and stderr.  Then every round shuffles
 the case list and runs each case on both sides back to back, the side that
-goes first drawn per case, and adds each call's time to its side.  The
-draws come from a fixed seed, so every run uses the same orders.
+goes first drawn per case, and records each call's time for its side.
+The draws come from a fixed seed, so every run uses the same orders.
 
-Printed: for each side, its median ms per case over the rounds and the
-number of rounds it was the faster in; then the median of the per-round
-ratios B/A and whether the two sides' outputs are equal.  The exit code
-is 1 when they differ.
+Printed: one row for each statistic of a round's case times, the mean and
+the p50 and p90 (nearest rank, as ``perfbench/run.py`` takes them; the
+benchmark's claims are on these percentiles).  A row gives each side's
+median of that statistic over the rounds in ms, the median of the
+per-round ratios B/A, and the number of rounds each side was the faster
+on it.  Then whether the two sides' outputs are equal.  The exit code is 1
+when they differ.
 
 This adds to perfbench pairs (alternating ``perfbench/run.py`` runs in
 the two checkouts) and never replaces them: it compares warm calls in one
@@ -77,6 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.dont_write_bytecode = True  # leave no caches in either checkout
     sys.path.insert(0, str(ROOT / "perfbench"))
     from cases import WORKLOADS, build
+    from run import quantile
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the baseline)")
@@ -92,25 +96,31 @@ def main(argv: list[str] | None = None) -> int:
     print(f"A {args.a.resolve()}\nB {args.b.resolve()}")
     outputs = [[_run(side, argv)[1] for argv in cases] for side in sides]
     rng = random.Random(0)
-    per_case = ([], [])
+    rounds = ([], [])  # each side's case times, one list per round
     for _ in range(args.rounds):
         order = list(range(len(cases)))
         rng.shuffle(order)
-        totals = [0.0, 0.0]
+        times = ([], [])
         gc.collect()
         for c in order:
             for s in ((0, 1) if rng.random() < 0.5 else (1, 0)):
-                totals[s] += _run(sides[s], cases[c])[0]
+                times[s].append(_run(sides[s], cases[c])[0])
         for s in (0, 1):
-            per_case[s].append(totals[s] / len(cases))
-    ratios = [b / a for a, b in zip(*per_case)]
+            rounds[s].append(times[s])
     print(f"{args.workload}: {len(cases)} cases, seeds {args.seeds}, {args.rounds} rounds")
-    for s, label in enumerate("AB"):
-        wins = sum(t < u for t, u in zip(per_case[s], per_case[1 - s]))
-        print(f"{label} {statistics.median(per_case[s]) * 1e3:9.3f} ms/case  "
-              f"faster in {wins}/{args.rounds} rounds")
+    print("ms/case      A          B      B/A   A faster  B faster")
+    stats = {"mean": statistics.fmean,
+             "p50": lambda t: quantile(t, 0.5),
+             "p90": lambda t: quantile(t, 0.9)}
+    for name, stat in stats.items():
+        a, b = ([stat(t) for t in rounds[s]] for s in (0, 1))
+        ratio = statistics.median(v / u for u, v in zip(a, b))
+        wins_a = sum(u < v for u, v in zip(a, b))
+        wins_b = sum(v < u for u, v in zip(a, b))
+        print(f"{name:5} {statistics.median(a) * 1e3:9.3f}  {statistics.median(b) * 1e3:9.3f}  "
+              f"{ratio:6.3f}  {wins_a:4}/{args.rounds:<4} {wins_b:4}/{args.rounds}")
     same = outputs[0] == outputs[1]
-    print(f"median B/A {statistics.median(ratios):.3f}  outputs {'equal' if same else 'DIFFER'}")
+    print(f"outputs {'equal' if same else 'DIFFER'}")
     return 0 if same else 1
 
 
