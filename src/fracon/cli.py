@@ -40,7 +40,6 @@ command line is parsed once, by its command's own parser.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -439,14 +438,25 @@ def _split_list(value, kind: str, default: tuple, conv=str) -> tuple:
         raise ConfigError(f"--{kind} has a non-numeric entry in {value!r}") from None
 
 
-def _write_csv_row(buf: io.StringIO, row: list[str]) -> None:
-    """Append one CSV row to ``buf``.
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    A writer per row: CPython's csv writer keeps the 128 KiB record buffer
-    it allocates for its first row, which a sweep-long writer would hold
-    through every row's certify lattice.
+
+def _write_csv_row(buf: io.StringIO, row: list[str]) -> None:
+    """Append one CSV row of one or more str fields to ``buf``.
+
+    The bytes are those of ``csv.writer(buf, lineterminator="\\n")``,
+    which the tests keep as the reference: a field holding ``,``, ``"``
+    or a newline is quoted with its quotes doubled (a lone ``\\r`` is
+    not), and a row of one empty field is ``""``.  The row is joined here
+    because CPython's writer allocates a 128 KiB record buffer for its
+    first row and keeps it: a writer per row allocates more than a grid-24
+    certify holds, so it would set the sweep's memory peak, and one writer
+    for the whole sweep would hold that buffer through every row.
     """
-    csv.writer(buf, lineterminator="\n").writerow(row)
+    buf.write((",".join(map(_csv_field, row)) or '""') + "\n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -230,11 +230,18 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     The box's mixtures lie on no 1-D grid, so f is evaluated at the float
     mixtures fl(t x) + fl((1 - t) y), in one call together with xs and ys:
     all three are written into the one array f is evaluated on.
-    The defect is built in place in the operation order of
-    ``fy + t**al eta - strong - f(mixture)``.  Returns as ``_lattice_min``
-    does, with max |f| over the mixtures; ties keep the first index.  A
-    non-finite f at a box point, a NaN or -inf defect, or a box whose every
-    defect is +inf raises EvalError.
+    The defect is then built in that array's mixture block, in the
+    operation order of ``fy + t**al eta - strong - f(mixture)``.  numpy
+    copies each broadcast operand of a ufunc through a box-sized buffer,
+    so each ufunc here takes at most one: ``np.copyto``, which needs no
+    buffer, spreads x, eta and the distances along t, and the in-place
+    ops then broadcast one small operand each (the t-vector, f(y) or the
+    mixtures' (1 - t) y term).  A 13**3 box so holds three box-sized
+    arrays (the points, f's values and the strong term) and one ufunc
+    buffer.  Returns as ``_lattice_min`` does, with max |f| over the
+    mixtures; ties keep the first index.  A non-finite f at a box point, a
+    NaN or -inf defect, or a box whose every defect is +inf raises
+    EvalError.
     """
     nx, ny, nt = len(xs), len(ys), len(ts)
     with np.errstate(all="ignore"):
@@ -242,15 +249,24 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
         points[:nx] = xs
         points[nx : nx + ny] = ys
         mix = points[nx + ny :].reshape(nx, ny, nt)
-        np.add(ts * xs[:, None, None], (1.0 - ts) * ys[:, None], out=mix)
+        np.copyto(mix, xs[:, None, None])
+        np.multiply(mix, ts, out=mix)
+        np.add(mix, (1.0 - ts) * ys[:, None], out=mix)
         values = f.evaluate_many(points, ctx)
         fx, fy = values[:nx], values[nx : nx + ny]
         fmix = values[nx + ny :].reshape(mix.shape)
         e, ta, corr, dist = _right_side(eta, c, ctx, fx, fy, xs, ys, ts)
-        d = np.multiply(ta, e[:, :, None])
-        np.add(fy[:, None], d, out=d)
-        np.multiply(corr, dist[:, :, None], out=mix)
-        np.subtract(d, mix, out=d)
+        # f is read from ``values`` from here on, so the mixture block
+        # becomes the defect.
+        d = mix
+        np.copyto(d, e[:, :, None])
+        np.multiply(d, ta, out=d)
+        np.add(d, fy[:, None], out=d)
+        strong = np.empty_like(d)
+        np.copyto(strong, dist[:, :, None])
+        np.multiply(strong, corr, out=strong)
+        np.subtract(d, strong, out=d)
+        del strong  # before |f(mixture)| below takes a box-sized array
         np.subtract(d, fmix, out=d)
     i, jk = divmod(int(d.argmin()), ny * nt)
     j, k = divmod(jk, nt)

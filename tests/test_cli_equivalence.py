@@ -7,12 +7,15 @@ top level first and then hands on the rest.  ``cli._json_text`` writes a
 report in one pass; ``_norm`` below, with ``json.dumps(indent=2,
 allow_nan=False)``, is the two-pass writer it stands in for, kept here as
 the reference.  The reference writes a dataclass as
-``dataclasses.asdict`` does.
+``dataclasses.asdict`` does.  ``cli._write_csv_row`` joins a sweep row
+itself; ``csv.writer(buf, lineterminator="\\n")`` is the reference.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -31,6 +34,7 @@ from fracon import (
     hh_terms,
 )
 from fracon.cli import ConfigError, main
+from fracon.presets import F_PRESETS
 
 # ------------------------------------------------------------------ writer
 
@@ -161,6 +165,55 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == stdout.encode("utf-8")
     assert stdout == _reference(json.loads(stdout)) + "\n"
+
+
+# ---------------------------------------------------------------- csv rows
+
+
+def _csv_reference(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+_csv_fields = st.lists(
+    st.sampled_from([",", '"', "\n", "\r", " ", "\t", "", "x", "1.5", "é", "ünïcødé ✓ 𝔸"]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_csv_fields, min_size=1, max_size=18))
+@example([""])
+@example(["", ""])
+@example(["\r"])
+@example(['"', ",", "\n", "\r\n", ' "a, b" '])
+def test_csv_row_matches_csv_writer(row):
+    buf = io.StringIO()
+    cli._write_csv_row(buf, row)
+    assert buf.getvalue() == _csv_reference([row])
+
+
+def test_sweep_error_row_is_written_as_csv_writer_writes_it(capsys, monkeypatch):
+    """An ERROR row's message may hold commas and quotes; the sweep's bytes
+    are csv.writer's for the rows they parse back to."""
+    certify = cli.certify_gsc
+
+    def failing_for_negsquare(f, *args):
+        if f.text == F_PRESETS["negsquare"]:
+            raise ValueError('bad "f", see "g",\nthen stop')
+        return certify(f, *args)
+
+    monkeypatch.setattr(cli, "certify_gsc", failing_for_negsquare)
+    code = main(["sweep", "--alphas", "0.5", "--cs", "0,1", "--etas", "difference",
+                 "--fs", "square,negsquare", "--grid", "8", "--refine", "1"])
+    out = capsys.readouterr().out
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 5
+    assert [row[16] == "ERROR" for row in rows[1:]] == [False, True, False, True]
+    assert rows[2][17] == 'ValueError: bad "f", see "g", then stop'
+    assert out == _csv_reference(rows)
 
 
 # ---------------------------------------------------------------- dispatch

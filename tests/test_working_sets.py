@@ -14,6 +14,7 @@ import tracemalloc
 
 from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, certify_gsc, rl_integrate
 from fracon.cli import main
+from fracon.convexity import _box_min, _linspace
 from fracon.inequalities import fejer_terms
 from fracon.presets import ETA_PRESETS, W_PRESETS
 
@@ -105,7 +106,8 @@ def _certify_peak(c: float, grid: int) -> int:
 
 def test_small_grid_certify_walks_one_t_plane_at_a_time():
     """At grid 24 (the sweep default) the lattice loop holds one 576-cell
-    defect plane and one scratch plane, and the call peaks near 0.091 MiB.
+    defect plane and one scratch plane, and the call peaks near 0.074 MiB,
+    in a refinement box (0.091 MiB when the box held a fourth array).
     Slabs of several t-planes (about 32k cells) peaked at 0.237 MiB, and
     with their operands copied through numpy's 64 KiB ufunc buffers at
     0.357 MiB; one more such buffer alone would cross this bound."""
@@ -114,9 +116,9 @@ def test_small_grid_certify_walks_one_t_plane_at_a_time():
 
 def test_small_grid_certify_without_strong_term_walks_one_t_plane_at_a_time():
     """At c = 0 the strong term and its scratch plane are skipped, and the
-    grid-24 call peaks near 0.091 MiB as at c = 1: the lattice planes are
-    smaller than what sets the peak.  With slabs it read 0.132 MiB, and
-    0.237 with the unused scratch slab allocated."""
+    grid-24 call peaks near 0.074 MiB as at c = 1: the lattice planes are
+    smaller than the refinement box, which sets the peak.  With slabs it
+    read 0.132 MiB, and 0.237 with the unused scratch slab allocated."""
     assert _certify_peak(0.0, 24) < 0.12 * 2**20
 
 
@@ -126,14 +128,29 @@ def test_default_grid_certify_walks_one_t_plane_at_a_time():
     assert _certify_peak(1.0, 50) < 0.17 * 2**20
 
 
+def test_refinement_box_builds_its_defect_in_the_mixture_block():
+    """A 13**3 box holds three box-sized arrays (17,576 B each: the points
+    f is evaluated on, whose mixture block becomes the defect, f's values
+    and the strong term) and one numpy ufunc buffer, and peaks near
+    76,320 B.  With a fresh defect array and two broadcast operands per
+    ufunc it held four and two, 93,992 B."""
+    f = FunctionSpec.from_text("x^(2a)")
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"])
+    ctx = AlphaContext(alpha=0.5)
+    lx, ly, lt = _linspace(0.1, 0.3, 13), _linspace(0.4, 0.6, 13), _linspace(0.2, 0.4, 13)
+    assert _warm_peak(lambda: _box_min(f, eta, 1.0, ctx, lx, ly, lt)) < 0.08 * 2**20
+
+
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():
-    """A csv writer kept for the whole sweep holds its 128 KiB record buffer
-    through every row's certify lattice (0.49 MiB in all); a writer per row
-    frees it first (0.36 MiB)."""
+    """The rows are joined without CPython's csv writer, whose 128 KiB
+    record buffer (allocated for a writer's first row) set the call's peak
+    at 142,080 B with a writer per row; certify's refinement boxes set it
+    now, near 86,774 B.  One more box-sized array (17,576 B) would cross
+    the bound."""
     argv = ["sweep", "--alphas", "0.5", "--cs", "1", "--etas", "example23", "--fs", "square"]
 
     def sweep():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
-    assert _warm_peak(sweep) < 0.45 * 2**20
+    assert _warm_peak(sweep) < 0.095 * 2**20
