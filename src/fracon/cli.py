@@ -61,12 +61,8 @@ from .calculus import (
     lf_integral,
 )
 from .convexity import _MAX_GRID, _MAX_REFINE, SymmetryError, certify_gsc
-from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError, WeightSpec
-from .fractal_scalar import (
-    AlphaContext,
-    GammaDomainError,
-    axiom_conformance,
-)
+from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError
+from .fractal_scalar import AlphaContext, axiom_conformance
 from .inequalities import fejer_terms, hh_terms
 from .presets import ETA_PRESETS, F_PRESETS, W_PRESETS, resolve
 
@@ -80,6 +76,7 @@ _SWEEP_ALPHAS = (0.3, 0.5, 0.9, 1.0)
 _SWEEP_CS = (0.0, 1.0)
 _SWEEP_ETAS = ("difference", "example23")
 _SWEEP_FS = ("square", "negsquare", "const")
+# Most rows a sweep may produce: its CSV text is built in memory.
 _SWEEP_BUDGET = 100_000
 # Largest accepted axioms --triples: the conformance table holds about 88 B
 # per triple for each alpha (8.4 MiB traced peak at 10**5), so ~88 MB here.
@@ -88,6 +85,11 @@ _MAX_TRIPLES = 1_000_000
 
 class ConfigError(Exception):
     """Invalid command-line or config-file input (maps to exit code 1)."""
+
+
+# Failures of a run on valid input: exit code 3, or a sweep's ERROR row.
+_RUNTIME_ERRORS = (EvalError, IntegrationError, OverflowError, ZeroDivisionError,
+                   FloatingPointError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,22 +342,22 @@ class RunConfig:
         }
 
 
+def _spec(presets: dict[str, str], kind, key: str, params=None):
+    """The preset id of ``key`` ("custom" for expression text) and its parsed
+    ``kind`` spec (a FunctionSpec or an EtaSpec)."""
+    key_id, text = resolve(presets, key)
+    return key_id, kind.from_text(text, params=params)
+
+
 def _make_specs(cfg: RunConfig, f_key: str, eta_key: str,
                 w_key: Optional[str] = None):
-    f_id, f_text = resolve(F_PRESETS, f_key)
-    eta_id, eta_text = resolve(ETA_PRESETS, eta_key)
-    f = FunctionSpec.from_text(f_text, params=cfg.params)
-    eta = EtaSpec.from_text(eta_text, params=cfg.params)
-    echo = {
-        "f": {"id": f_id, "text": f_text},
-        "eta": {"id": eta_id, "text": eta_text},
-    }
-    if w_key is None:
-        return f, eta, echo
-    w_id, w_text = resolve(W_PRESETS, w_key)
-    w = WeightSpec.from_text(w_text, params=cfg.params)
-    echo["w"] = {"id": w_id, "text": w_text}
-    return f, eta, w, echo
+    """The specs of f, eta and (when ``w_key`` is given) w, then their echo."""
+    specs = {"f": _spec(F_PRESETS, FunctionSpec, f_key, cfg.params),
+             "eta": _spec(ETA_PRESETS, EtaSpec, eta_key, cfg.params)}
+    if w_key is not None:
+        specs["w"] = _spec(W_PRESETS, FunctionSpec, w_key, cfg.params)
+    echo = {name: {"id": key_id, "text": spec.text} for name, (key_id, spec) in specs.items()}
+    return (*(spec for _, spec in specs.values()), echo)
 
 
 # ----------------------------------------------------------------- certify
@@ -460,8 +462,7 @@ def _write_csv_row(buf: io.StringIO, row: list[str]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args, {"interval": "0,1", "grid": 24, "refine": 2,
-                         "budget": _SWEEP_BUDGET})
+    _merge_config(args, {"interval": "0,1", "grid": 24, "refine": 2})
     problems = _out_problems(args)
     alphas = _collect(problems, _split_list, args.alphas, "alphas", _SWEEP_ALPHAS, float,
                       default=())
@@ -471,7 +472,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cs = tuple(_collect(problems, _as_float, "--cs", c) for c in cs)
     a, b = _collect(problems, _parse_interval, args.interval, default=(0.0, 0.0))
     grid, refine = _lattice_size(args, problems)
-    budget = _collect(problems, _as_int, "budget", args.budget)
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             problems.append(f"sweep alpha must be in (0, 1], got {alpha!r}")
@@ -479,21 +479,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if c is not None and not c >= 0.0:
             problems.append(f"sweep c must be >= 0, got {c!r}")
     rows = len(alphas) * len(cs) * len(etas) * len(fs)
-    if budget is not None and rows > budget:
+    if rows > _SWEEP_BUDGET:
         problems.append(f"sweep would produce {rows} rows, over the budget "
-                        f"of {budget}")
+                        f"of {_SWEEP_BUDGET}")
     if problems:
         raise ConfigError("; ".join(problems))
     # Parse every expression once up front: malformed text is a config
     # problem (exit 1), not a per-row runtime failure.  Rows rebind c.
     bound = {"c": 0.0, "lo": a, "hi": b}
-    f_specs, eta_specs = {}, {}
-    for key in fs:
-        f_id, f_text = resolve(F_PRESETS, key)
-        f_specs[key] = f_id, FunctionSpec.from_text(f_text, params=bound)
-    for key in etas:
-        eta_id, eta_text = resolve(ETA_PRESETS, key)
-        eta_specs[key] = eta_id, EtaSpec.from_text(eta_text, params=bound)
+    f_specs = {key: _spec(F_PRESETS, FunctionSpec, key, bound) for key in fs}
+    eta_specs = {key: _spec(ETA_PRESETS, EtaSpec, key, bound) for key in etas}
 
     buf = io.StringIO()
     _write_csv_row(buf, _SWEEP_HEADER.split(","))
@@ -512,8 +507,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     try:
                         hh = hh_terms(f, eta, c, a, b, ctx, backend=NUMERIC)
                         cert = certify_gsc(f, eta, c, a, b, ctx, grid, refine)
-                    except (EvalError, IntegrationError, OverflowError,
-                            ZeroDivisionError, FloatingPointError, ValueError) as exc:
+                    except _RUNTIME_ERRORS as exc:
                         any_error = True
                         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
                         _write_csv_row(buf, head + [""] * 10 + ["ERROR", message])
@@ -542,6 +536,19 @@ def _check_alpha(value) -> float:
     return alpha
 
 
+def _exact_first(choice: str, exact, numeric, run):
+    """``(route, run(route))``: the ``exact`` route for choice "exact" or
+    "auto", else ``numeric``; "auto" falls back to ``numeric`` on input
+    with no generalized-polynomial form."""
+    route = exact if choice in ("exact", "auto") else numeric
+    try:
+        return route, run(route)
+    except NotPolynomial:
+        if choice != "auto":
+            raise
+    return numeric, run(numeric)
+
+
 def _cmd_integrate(args: argparse.Namespace) -> int:
     problems: list[str] = []
     alpha = _collect(problems, _check_alpha, args.alpha)
@@ -550,19 +557,10 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
-    lo, hi = min(a, b), max(a, b)
-    _, f_text = resolve(F_PRESETS, args.f)
-    f = FunctionSpec.from_text(f_text, params={"lo": lo, "hi": hi})
-    backend = NUMERIC if args.backend == "rl" else EXACT
-    try:
-        value = lf_integral(f, a, b, ctx, backend)
-    except NotPolynomial:
-        if args.backend == "exact":
-            raise
-        backend = NUMERIC
-        value = lf_integral(f, a, b, ctx, backend)
-    sys.stdout.write(_fmt(value) + "\n")
-    sys.stdout.write(f"backend: {backend.kind.value}\n")
+    _, f = _spec(F_PRESETS, FunctionSpec, args.f, {"lo": min(a, b), "hi": max(a, b)})
+    backend, value = _exact_first(args.backend, EXACT, NUMERIC,
+                                  lambda route: lf_integral(f, a, b, ctx, route))
+    sys.stdout.write(f"{_fmt(value)}\nbackend: {backend.kind.value}\n")
     return 0
 
 
@@ -576,18 +574,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
-    _, f_text = resolve(F_PRESETS, args.f)
-    f = FunctionSpec.from_text(f_text)
-    mode = DerivativeMode("exact" if args.mode == "auto" else args.mode)
-    try:
-        value = lf_derivative(f, at, ctx, mode=mode, s=base)
-    except NotPolynomial:
-        if args.mode == "exact":
-            raise
-        mode = DerivativeMode.FINITE_DIFFERENCE
-        value = lf_derivative(f, at, ctx, mode=mode, s=base)
-    sys.stdout.write(_fmt(value) + "\n")
-    sys.stdout.write(f"mode: {mode.value}\n")
+    _, f = _spec(F_PRESETS, FunctionSpec, args.f)
+    mode, value = _exact_first(args.mode, DerivativeMode.EXACT_MONOMIAL,
+                               DerivativeMode.FINITE_DIFFERENCE,
+                               lambda route: lf_derivative(f, at, ctx, mode=route, s=base))
+    sys.stdout.write(f"{_fmt(value)}\nmode: {mode.value}\n")
     return 0
 
 
@@ -709,8 +700,6 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--interval", default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--refine", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"maximum row count (default {_SWEEP_BUDGET})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -774,8 +763,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, NotPolynomial, SymmetryError) as exc:
         print(f"fracon: error: {exc}", file=sys.stderr)
         return 1
-    except (EvalError, IntegrationError, GammaDomainError, OverflowError,
-            ZeroDivisionError, FloatingPointError, ValueError) as exc:
+    except _RUNTIME_ERRORS as exc:
         print(f"fracon: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -50,11 +50,14 @@ class SymmetryError(ValueError):
     """Weight precondition violated (asymmetric or negative)."""
 
 
-def _check_interval(a: float, b: float) -> tuple[float, float]:
-    """[a, b] as floats; a >= b, or a NaN end, is a ValueError."""
+def _check_interval(a: float, b: float, c: float = 0.0) -> tuple[float, float]:
+    """[a, b] as floats; a >= b (or a NaN end), then c < 0 (or NaN), is a
+    ValueError."""
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+    if not c >= 0.0:
+        raise ValueError(f"c must be >= 0, got {c!r}")
     return a, b
 
 
@@ -101,12 +104,12 @@ _MAX_GRID = 1000
 _MAX_REFINE = 40
 
 
-def _check_grid(grid_n: int) -> None:
-    """A ValueError unless 8 <= grid_n <= _MAX_GRID."""
-    if grid_n < 8:
-        raise ValueError(f"grid_n must be >= 8, got {grid_n!r}")
-    if grid_n > _MAX_GRID:
-        raise ValueError(f"grid_n must be <= {_MAX_GRID}, got {grid_n!r}")
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """A ValueError naming ``name`` unless lo <= value <= hi."""
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value!r}")
 
 
 def _linspace(lo, hi, n: int) -> np.ndarray:
@@ -131,6 +134,14 @@ def _linspace(lo, hi, n: int) -> np.ndarray:
     y += lo
     y[-1] = hi
     return y
+
+
+def _sample(f, a: float, b: float, ctx: AlphaContext, n: int):
+    """(a, b) as floats (a < b, else a ValueError), n evenly spaced points xs
+    of [a, b], and f's values there."""
+    a, b = _check_interval(a, b)
+    xs = _linspace(a, b, n)
+    return a, b, xs, f.evaluate_many(xs, ctx)
 
 
 def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
@@ -343,7 +354,8 @@ def certify_gsc(
     [a, b] x [a, b] x [0, 1], then refines ``refine_depth`` times around
     the current minimizer with a 13-point-per-axis box that shrinks 3x per
     level (clipped to bounds); ``grid_n`` must lie in [8, 1000],
-    ``refine_depth`` in [0, 40] and a below b.  The lattice's mixtures t*x + (1-t)*y are
+    ``refine_depth`` in [0, 40], a below b and c >= 0, checked in that
+    order.  The lattice's mixtures t*x + (1-t)*y are
     the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
     evaluated once on that table and read back plane by plane.  The lattice
     is walked one t-plane at a time with a running minimum, so memory is
@@ -371,14 +383,9 @@ def certify_gsc(
     defect, a box whose every defect is +inf, or a non-finite f at a
     mixture raises EvalError.
     """
-    _check_grid(grid_n)
-    if refine_depth < 0:
-        raise ValueError(f"refine_depth must be >= 0, got {refine_depth!r}")
-    if refine_depth > _MAX_REFINE:
-        raise ValueError(f"refine_depth must be <= {_MAX_REFINE}, got {refine_depth!r}")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
-    a, b = _check_interval(a, b)
+    _check_range("grid_n", grid_n, 8, _MAX_GRID)
+    _check_range("refine_depth", refine_depth, 0, _MAX_REFINE)
+    a, b = _check_interval(a, b, c)
     xs = _linspace(a, b, grid_n)
     ts = _linspace(0.0, 1.0, grid_n)
 
@@ -451,10 +458,8 @@ def check_eta_necessary(
     ``certify_gsc`` (the pair check holds ``grid_n``**2 floats), and a < b;
     either is checked before f is read.
     """
-    _check_grid(grid_n)
-    a, b = _check_interval(a, b)
-    xs = _linspace(a, b, grid_n)
-    fx = f.evaluate_many(xs, ctx)
+    _check_range("grid_n", grid_n, 8, _MAX_GRID)
+    a, b, xs, fx = _sample(f, a, b, ctx, grid_n)
 
     diag = eta.evaluate_many(fx, fx, ctx)
     scale = 1.0 + float(np.abs(diag).max())
@@ -494,9 +499,7 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
     since Fejer weights must be both.  Symmetry is checked first; a NaN
     sample fails both checks.
     """
-    a, b = _check_interval(a, b)
-    xs = _linspace(a, b, 1001)
-    wx = w.evaluate_many(xs, ctx)
+    a, b, xs, wx = _sample(w, a, b, ctx, 1001)
     asym = np.abs(wx - w.evaluate_many(a + b - xs, ctx))
     i = int(asym.argmax())
     scale = 1.0 + float(np.abs(wx).max())
@@ -547,9 +550,7 @@ def estimate_eta_sup(
       unless all samples of f are bitwise equal, which makes every pair
       bitwise equal.
     """
-    a, b = _check_interval(a, b)
-    xs = _linspace(a, b, 512)
-    fx = f.evaluate_many(xs, ctx)
+    a, b, xs, fx = _sample(f, a, b, ctx, 512)
     if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
         lo, hi = _signed_extremes(fx)
         ends = np.array([lo, hi])

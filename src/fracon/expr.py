@@ -14,7 +14,8 @@ The letter ``a`` denotes the fractal order alpha and is only meaningful in
 an exponent; ``k*a`` (also written ``ka``) is the alpha-multiple exponent.
 Arity-1 expressions may reference ``x``; arity-2 expressions ``u`` and
 ``v``.  Any other name must be supplied as a bound constant, otherwise
-parsing fails.  All parse errors carry the offending offset.
+parsing fails.  An expression may nest at most ``_MAX_DEPTH`` (64) levels
+deep.  All parse errors carry the offending offset.
 
 Evaluation uses magnitude semantics for alpha-powers:
 
@@ -201,6 +202,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # --- parser ---------------------------------------------------------------
 
+# Deepest accepted nesting: open parentheses and abs groups while parsing,
+# and levels of the finished tree, where n chained binary operators or unary
+# minuses nest n deep.  At the cap the parser (six frames a group) and each
+# tree walk (repr and == included) need about 400 frames, two fifths of
+# Python's default limit.  Each group ``pretty`` writes encloses a tree
+# level of its own, so its text nests no deeper than its tree.
+_MAX_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, text: str, variables: frozenset[str], constants: frozenset[str]):
@@ -209,6 +218,7 @@ class _Parser:
         self.i = 0
         self.variables = variables
         self.constants = constants
+        self.open = 0  # groups the parser is inside
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -228,12 +238,31 @@ class _Parser:
             return
         self.fail(f"expected {op!r}", off)
 
+    def group(self, offset: int) -> ExprAst:
+        """The expression in the group opened at ``offset``, and its ')'."""
+        self.open += 1
+        if self.open > _MAX_DEPTH:
+            self.fail(f"nesting deeper than {_MAX_DEPTH} levels", offset)
+        node = self.expr()
+        self.expect_op(")")
+        self.open -= 1
+        return node
+
     def parse(self) -> ExprAst:
         node = self.expr()
         kind, tok, off = self.peek()
         if kind != "end":
             self.fail(f"unexpected {tok!r}", off)
-        return node
+        # Each node has a token of its own, so only a longer text can nest too
+        # deep; its tree is walked one level at a time, without recursion.
+        level = [node] if len(self.toks) > _MAX_DEPTH else []
+        for _ in range(_MAX_DEPTH):
+            level = [c for n in level for c in
+                     ((n.left, n.right) if type(n) is Bin else (n.base,) if type(n) is Pow
+                      else (n.child,) if type(n) is Neg or type(n) is Abs else ())]
+            if not level:
+                return node
+        self.fail(f"nesting deeper than {_MAX_DEPTH} levels", level[0].pos)
 
     def expr(self) -> ExprAst:
         node = self.term()
@@ -256,11 +285,13 @@ class _Parser:
                 return node
 
     def factor(self) -> ExprAst:
-        kind, tok, off = self.peek()
-        if kind == "op" and tok == "-":
-            self.next()
-            return Neg(self.factor(), off)
-        return self.power()
+        signs = []  # a loop, not a recursion: "----x" costs no stack
+        while self.peek()[1] == "-":  # only an operator token reads "-"
+            signs.append(self.next()[2])
+        node = self.power()
+        while signs:
+            node = Neg(node, signs.pop())
+        return node
 
     def power(self) -> ExprAst:
         node = self.atom()
@@ -326,15 +357,11 @@ class _Parser:
         if kind == "num":
             return Num(float(tok), off)
         if kind == "op" and tok == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(off)
         if kind == "ident":
             if tok == "abs":
                 self.expect_op("(")
-                node = self.expr()
-                self.expect_op(")")
-                return Abs(node, off)
+                return Abs(self.group(off), off)
             if tok == "a":
                 self.fail("the order symbol 'a' is only valid in an exponent", off)
             if tok in self.variables or tok in self.constants:
@@ -889,25 +916,30 @@ def _add_kinks(n: ExprAst, params: Mapping[str, float], found: set[float]) -> No
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
-    """A parsed arity-1 expression with its bound constants."""
+class _Spec:
+    """A parsed expression in the variables of ``arity`` (see :func:`parse`)
+    with its bound constants."""
 
     text: str
     ast: ExprAst = field(compare=False)
     params: tuple[tuple[str, float], ...] = ()
+    arity = 1
 
     @classmethod
-    def from_text(
-        cls, text: str, params: Optional[Mapping[str, float]] = None
-    ) -> "FunctionSpec":
+    def from_text(cls, text: str, params: Optional[Mapping[str, float]] = None):
         items = tuple(sorted((params or {}).items()))
-        ast = parse(text, arity=1, constants=[k for k, _ in items])
+        ast = parse(text, arity=cls.arity, constants=[k for k, _ in items])
         return cls(text=text, ast=ast, params=items)
 
     def __post_init__(self) -> None:
         # The evaluators read params as a dict; it is built once, here, and
         # never mutated.
         object.__setattr__(self, "_params", dict(self.params))
+
+
+@dataclass(frozen=True)
+class FunctionSpec(_Spec):
+    """A parsed arity-1 expression f(x) with its bound constants."""
 
     def evaluate(self, x: float, ctx: AlphaContext) -> float:
         return float(evaluate_raw(self.ast, {"x": float(x)}, ctx, self._params))
@@ -933,30 +965,15 @@ class FunctionSpec:
         return tuple(sorted(found))
 
 
-class WeightSpec(FunctionSpec):
-    """Arity-1 weight function; same mechanics as FunctionSpec."""
+# A Fejer weight w(x) is an arity-1 expression like f.
+WeightSpec = FunctionSpec
 
 
 @dataclass(frozen=True)
-class EtaSpec:
-    """A parsed arity-2 expression eta(u, v) with bound constants."""
+class EtaSpec(_Spec):
+    """A parsed arity-2 expression eta(u, v) with its bound constants."""
 
-    text: str
-    ast: ExprAst = field(compare=False)
-    params: tuple[tuple[str, float], ...] = ()
-
-    @classmethod
-    def from_text(
-        cls, text: str, params: Optional[Mapping[str, float]] = None
-    ) -> "EtaSpec":
-        items = tuple(sorted((params or {}).items()))
-        ast = parse(text, arity=2, constants=[k for k, _ in items])
-        return cls(text=text, ast=ast, params=items)
-
-    def __post_init__(self) -> None:
-        # The evaluators read params as a dict; it is built once, here, and
-        # never mutated.
-        object.__setattr__(self, "_params", dict(self.params))
+    arity = 2
 
     def evaluate(self, u: float, v: float, ctx: AlphaContext) -> float:
         env = {"u": float(u), "v": float(v)}

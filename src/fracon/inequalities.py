@@ -83,14 +83,6 @@ def _links(names_values: list[tuple[str, float, float]]) -> tuple[float, tuple[L
     return tol, tuple(LinkStatus(name, lo <= hi + tol, hi - lo) for name, lo, hi in names_values)
 
 
-def _check_chain_inputs(a: float, b: float, c: float) -> tuple[float, float]:
-    """[a, b] as floats; a >= b or c < 0 (or NaN) is a ValueError."""
-    a, b = _check_interval(a, b)
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
-    return a, b
-
-
 def _endpoint_values(
     f: FunctionSpec, eta: EtaSpec, a: float, b: float, ctx: AlphaContext
 ) -> tuple[float, float, float, float, float]:
@@ -144,7 +136,7 @@ def hh_terms(
     supplied it is the sup of eta over f-image pairs on a 512-point grid of
     [a, b].  Links hold up to 1e-9 relative to the term scale.
     """
-    a, b = _check_chain_inputs(a, b, c)
+    a, b = _check_interval(a, b, c)
     al = ctx.alpha
     g1 = gamma(1.0 + al)
     A = gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)
@@ -236,7 +228,7 @@ def fejer_terms(
     one that does not converge raises
     :class:`~fracon.calculus.IntegrationError` naming its term.
     """
-    a, b = _check_chain_inputs(a, b, c)
+    a, b = _check_interval(a, b, c)
     check_symmetry(w, a, b, ctx)
 
     al = ctx.alpha

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from fracon import cli
+from fracon import cli, expr
 from fracon.cli import main
 
 
@@ -415,10 +415,53 @@ def test_sweep_error_rows_exit_three(capsys):
     assert row[6:16] == [""] * 10
 
 
-def test_sweep_budget_exit_one(capsys):
-    code, _, err = run(capsys, ["sweep", "--budget", "3"])
-    assert code == 1
-    assert err == "fracon: error: sweep would produce 48 rows, over the budget of 3\n"
+def test_sweep_budget_exit_one(capsys, monkeypatch):
+    """A sweep over the fixed row cap fails before any row runs, and no flag
+    lifts the cap."""
+    def no_row(*args, **kwargs):
+        raise AssertionError("a sweep over the cap ran a row")
+
+    monkeypatch.setattr(cli, "hh_terms", no_row)
+    monkeypatch.setattr(cli, "certify_gsc", no_row)
+    # 8334 alphas times the 12 default (c, eta, f) rows is 100,008 rows.
+    alphas = ",".join(["0.5"] * 8334)
+    code, out, err = run(capsys, ["sweep", "--alphas", alphas])
+    assert (code, out) == (1, "")
+    assert err == ("fracon: error: sweep would produce 100008 rows, over the budget "
+                   f"of {cli._SWEEP_BUDGET}\n")
+    code, out, err = run(capsys, ["sweep", "--budget", "5"])
+    assert (code, out) == (1, "")
+    assert err == "fracon: error: unrecognized arguments: --budget 5\n"
+
+
+_DEEP = "(" * 300 + "x" + ")" * 300
+_LONG_SUM = " + ".join(["x"] * 2000)
+
+
+def _deep_argvs(f: str) -> list[list[str]]:
+    eta = f.replace("x", "u")
+    return [
+        ["integrate", f, "0", "1", "--alpha", "0.5"],
+        ["diff", f, "--at", "0.5", "--alpha", "0.5"],
+        ["hh", "--f", f, "--eta", "difference", "--alpha", "0.5"],
+        ["hh", "--f", "square", "--eta", eta, "--alpha", "0.5"],
+        ["fejer", "--f", "square", "--eta", "difference", "--w", f, "--alpha", "0.5"],
+        ["certify", "--f", f, "--eta", "difference", "--alpha", "0.5"],
+        ["sweep", "--fs", f],
+        ["sweep", "--etas", eta],
+    ]
+
+
+@pytest.mark.parametrize("argv", [*_deep_argvs(_DEEP), *_deep_argvs(_LONG_SUM)],
+                         ids=lambda argv: " ".join(a[:20] for a in argv))
+def test_too_deep_an_expression_is_one_error_line(capsys, argv):
+    """A 300-deep group or a 2000-term sum is exit 1 with one error line,
+    not a RecursionError traceback from the parser or an expression walk."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("fracon: error: syntax error at offset ")
+    assert err.endswith(f": nesting deeper than {expr._MAX_DEPTH} levels\n")
+    assert err.count("\n") == 1
 
 
 def test_sweep_bad_expression_fails_before_any_row(capsys):
@@ -602,10 +645,9 @@ def test_non_finite_and_boolean_numbers_exit_one(capsys, tmp_path, argv, config)
         (["hh", *_SQUARE, "--alpha", "2", "--m-eta", "nan", "--c", "inf"], None,
          ["--m-eta must be finite, got nan", "--alpha must be in (0, 1], got 2.0",
           "--c must be finite, got inf"]),
-        (["sweep", "--cs", "inf,-1"], '{"budget": "x", "refine": "z"}',
+        (["sweep", "--cs", "inf,-1"], '{"refine": "z"}',
          ["--cs must be finite, got inf", "sweep c must be >= 0, got -1.0",
-          "--refine must be an integer, got 'z'",
-          "--budget must be an integer, got 'x'"]),
+          "--refine must be an integer, got 'z'"]),
         (["sweep", "--alphas", "x", "--grid", "3"], None,
          ["--alphas has a non-numeric entry in 'x'", "--grid must be >= 8, got 3"]),
         (["axioms", "--alpha", "2", "--seed", "-1"], None,

@@ -227,7 +227,7 @@ _ARGVS = [
      "--m-eta", "2"],
     ["fejer", "--f", "square", "--eta", "difference", "--w", "parabolic", "--alpha", "0.5",
      "--interval", "0,2", "--meta", "tag", "--out", "r.json"],
-    ["sweep", "--alphas", "0.5,1", "--cs", "0", "--budget", "4"],
+    ["sweep", "--alphas", "0.5,1", "--cs", "0", "--grid", "16"],
     ["integrate", "x^(a)", "0", "1", "--alpha", "0.5", "--backend", "rl"],
     ["diff", "x^(2a)", "--at", "3", "--from", "1", "--mode", "fd"],
     ["axioms", "--alpha", "0.5", "--triples", "10", "--json"],

@@ -21,6 +21,7 @@ from fracon import (
     parse,
     pretty,
 )
+from fracon import expr as expr_module
 from fracon.expr import (Abs, ExpAlpha, Name, Pow, _eval, _monotone_dirs, _pow_alpha,
                          evaluate_raw)
 
@@ -59,6 +60,61 @@ def test_arity_enforcement():
         parse("u + v", arity=1)
     with pytest.raises(ParseError):
         parse("x", arity=2)
+
+
+_CAP = expr_module._MAX_DEPTH
+
+
+def _nested(kind: str, depth: int) -> str:
+    """An arity-1 text that nests ``depth`` levels deep in one way."""
+    if kind == "parens":
+        return "(" * depth + "x" + ")" * depth
+    if kind == "abs":
+        return "abs(" * (depth - 1) + "x" + ")" * (depth - 1)
+    if kind == "minus":
+        return "-" * (depth - 1) + "x"
+    return "+".join(["x"] * depth)  # a chain of depth - 1 operators
+
+
+_NESTINGS = ("parens", "abs", "minus", "sum")
+
+
+@pytest.mark.parametrize("kind", _NESTINGS)
+def test_nesting_past_the_cap_is_a_parse_error_with_its_offset(kind):
+    parse(_nested(kind, _CAP))
+    text = _nested(kind, _CAP + 1)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    offset = err.value.offset
+    assert 0 <= offset < len(text)
+    assert str(err.value) == f"syntax error at offset {offset}: nesting deeper than {_CAP} levels"
+
+
+def _with_frames_used(frames: int, fn):
+    """``fn()`` called below ``frames`` extra stack frames."""
+    return fn() if frames == 0 else _with_frames_used(frames - 1, fn)
+
+
+@pytest.mark.parametrize("kind", _NESTINGS)
+def test_every_walk_of_the_deepest_text_fits_beside_a_deep_caller(kind):
+    """Parsing, evaluating, normalizing, printing, comparing and the kink and
+    monotonicity walks all run at the cap with 300 frames already in use."""
+    text = _nested(kind, _CAP)
+
+    def walks():
+        f = FunctionSpec.from_text(text)
+        f.evaluate_many(np.linspace(0.0, 1.0, 5), _CTX05)
+        f.singular_points()
+        try:
+            f.gpoly(0.0, _CTX05)
+        except NotPolynomial:
+            pass
+        eta = EtaSpec.from_text(text.replace("x", "u"))
+        _monotone_dirs(eta.ast, {}, 0.5)
+        assert parse(pretty(f.ast)) == f.ast
+        repr(f)
+
+    _with_frames_used(300, walks)
 
 
 def test_declared_constants_parse():

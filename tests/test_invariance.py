@@ -16,6 +16,12 @@ scales by s**al when t does by s):
    T1-T4, A1, A2, L, R and F1-F3 by lam and leave m0-m3 unchanged.
 4. Vertical shift, for eta = u - v: f + kap moves T1, T2, A1 and A2 by
    kap, and T3 and T4 by 2**(1 - al) kap; at al = 1 that is kap too.
+5. Reflection: f(a + b - x) on [a, b] swaps f(a) and f(b), so it leaves T3
+   unchanged, swaps A1 and A2, and leaves T1 and T4 unchanged up to the
+   rounding of the sampled eta bound M (the reflected grid is the same
+   points, each rounded once).  T2 changes, because the kernel of a_I_b is
+   one-sided: that difference is the orientation step of the chain's
+   derivation, and the test prints it without asserting it.
 
 No term is compared with a frozen value: each law compares two runs of
 the library.  A term agrees with its law to 1e-9 of the larger report's
@@ -156,6 +162,22 @@ def _hh(terms):
 
 def _shift(case, c, alpha, kap):
     return _hh(case.terms("x", case.lo, case.hi, c, alpha, wrap="{f} + kap", kap=kap))
+
+
+_REFLECTED = {"T1": "T1", "T3": "T3", "T4": "T4", "A1": "A2", "A2": "A1"}
+
+
+def _reflect(case, c, alpha):
+    return _hh(case.terms("(lo + hi - x)", case.lo, case.hi, c, alpha))
+
+
+@_SETTINGS
+@given(case=_inputs(), c=_C, alpha=_ALPHA)
+def test_reflection_keeps_the_ends_and_swaps_a1_and_a2(case, c, alpha):
+    base, moved = _hh(case.base(c, alpha)), _reflect(case, c, alpha)
+    _assert_law({k: base[k] for k in _REFLECTED}, moved,
+                lambda name, v: base[_REFLECTED[name]])
+    print(f"reflection moves T2 by {moved['T2'] - base['T2']!r} (orientation step)")
 
 
 @_SETTINGS

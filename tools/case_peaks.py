@@ -12,7 +12,9 @@ meshes, lazy imports) are warm, as they are when the benchmark takes its
 peak pass after timing.  Then each case runs once more through
 ``fracon.cli.main``, with fracon imported from this checkout's ``src``,
 under ``tracemalloc``: its peak is the traced peak above the level the
-case starts at, after a ``gc.collect()``.
+case starts at, after a ``gc.collect()``.  Cases run through
+``perfbench/run.py``'s ``run_case``, as the benchmark's own peak pass
+runs them, so the captured output counts as it does there.
 
 Printed: the top cases by peak (``--all`` prints every case in run
 order), then the max and the median peak of each command, then the
@@ -36,25 +38,14 @@ benchmark's figure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
-import io
 import statistics
 import sys
 import tracemalloc
 
-# fracon.cli.main and the case builder, from this checkout only.
-from output_digest import _import
-
-
-def _run(main, argv) -> None:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            main(list(argv))
-        except Exception:  # a raising case still has a peak
-            pass
-
+# perfbench/run.py's loader and case runner, and the case builder.
+from output_digest import WORKLOADS, build, import_program, run_case
 
 STAGES = ("hh_terms", "certify_gsc", "fejer_terms", "_write_csv_row", "_emit_text")
 
@@ -101,7 +92,7 @@ def case_peaks(main, cases, stages: StagePeaks | None = None) -> list[tuple[int,
     """Each case's traced peak in bytes above its starting level, warm,
     with the stage that set it ("" without ``stages``)."""
     for case in cases:
-        _run(main, case.argv)
+        run_case(main, case.argv)
     peaks = []
     tracemalloc.start()
     try:
@@ -110,11 +101,11 @@ def case_peaks(main, cases, stages: StagePeaks | None = None) -> list[tuple[int,
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             if stages is None:
-                _run(main, case.argv)
+                run_case(main, case.argv)
                 peak, stage = tracemalloc.get_traced_memory()[1], ""
             else:
                 stages.start()
-                _run(main, case.argv)
+                run_case(main, case.argv)
                 peak, stage = stages.finish()
             peaks.append((peak - before, stage))
     finally:
@@ -123,9 +114,9 @@ def case_peaks(main, cases, stages: StagePeaks | None = None) -> list[tuple[int,
 
 
 def main(argv=None) -> int:
-    cli_main, workloads, build = _import()
+    cli_main = import_program().cli.main
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", choices=workloads, required=True)
+    p.add_argument("--workload", choices=WORKLOADS, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--top", type=int, default=10, help="how many of the largest cases to print")
     p.add_argument("--all", action="store_true", help="print every case, in run order")

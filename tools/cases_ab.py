@@ -9,7 +9,8 @@ Each checkout's ``src/fracon`` is imported under its own package name
 (``fracon_a`` for the first path, ``fracon_b`` for the second), so both
 run in the same interpreter, on the same allocator and at the same moment.  The case list is the one this
 checkout's ``perfbench/cases.py`` builds for the workload and seeds, and
-every case runs through each side's ``cli.main`` with its output captured.
+every case runs through each side's ``cli.main`` with its output captured,
+by ``perfbench/run.py``'s ``run_case``.
 
 One untimed pass per side warms both and records each case's argv, exit
 code (or raised exception), stdout and stderr.  Then every round shuffles
@@ -35,15 +36,12 @@ the two runs of a pair.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import importlib
 import importlib.util
-import io
 import random
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,24 +61,11 @@ def _cli_main(root: Path, name: str):
     return importlib.import_module(f"{name}.cli").main
 
 
-def _run(main, argv) -> tuple[float, tuple]:
-    """Seconds one case takes, and its (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        start = time.perf_counter()
-        try:
-            code = main(list(argv))
-        except Exception as exc:  # a raising case is part of the output
-            code = f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-    return elapsed, (code, out.getvalue(), err.getvalue())
-
-
 def main(argv: list[str] | None = None) -> int:
     sys.dont_write_bytecode = True  # leave no caches in either checkout
     sys.path.insert(0, str(ROOT / "perfbench"))
     from cases import WORKLOADS, build
-    from run import quantile
+    from run import quantile, run_case
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the baseline)")
@@ -94,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     cases = [case.argv for seed in args.seeds.split(",") for case in build(args.workload, int(seed))]
     sides = (_cli_main(args.a.resolve(), "fracon_a"), _cli_main(args.b.resolve(), "fracon_b"))
     print(f"A {args.a.resolve()}\nB {args.b.resolve()}")
-    outputs = [[_run(side, argv)[1] for argv in cases] for side in sides]
+    outputs = [[run_case(side, argv)[0] for argv in cases] for side in sides]
     rng = random.Random(0)
     rounds = ([], [])  # each side's case times, one list per round
     for _ in range(args.rounds):
@@ -104,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         gc.collect()
         for c in order:
             for s in ((0, 1) if rng.random() < 0.5 else (1, 0)):
-                times[s].append(_run(sides[s], cases[c])[0])
+                times[s].append(run_case(sides[s], cases[c])[1])
         for s in (0, 1):
             rounds[s].append(times[s])
     print(f"{args.workload}: {len(cases)} cases, seeds {args.seeds}, {args.rounds} rounds")

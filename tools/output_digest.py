@@ -8,7 +8,8 @@ Usage (from the root of a checkout):
 
 Every case that ``perfbench/cases.py`` builds for each workload and seed
 runs once, in process, through ``fracon.cli.main``, with fracon imported
-from this checkout's ``src``.  One line per workload is printed:
+from this checkout's ``src`` by ``perfbench/run.py``'s ``import_program``
+and each case run by its ``run_case``.  One line per workload is printed:
 
     <workload> <cases> <sha256>
 
@@ -25,40 +26,21 @@ depends on what the caches hold.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-PERFBENCH = ROOT / "perfbench"
+sys.dont_write_bytecode = True  # leave no caches under perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-
-def _import():
-    """``fracon.cli.main`` and the case builder, from this checkout only."""
-    sys.dont_write_bytecode = True  # leave no caches under perfbench/
-    sys.path[:0] = [str(SRC), str(PERFBENCH)]
-    import fracon
-    import fracon.cli
-    from cases import WORKLOADS, build
-
-    where = Path(fracon.__file__).resolve()
-    if SRC.resolve() not in where.parents:
-        raise SystemExit(f"fracon imported from {where}, not from {SRC}")
-    return fracon.cli.main, WORKLOADS, build
+from cases import WORKLOADS, build  # noqa: E402
+from run import import_program, run_case  # noqa: E402
 
 
 def _record(main, argv) -> bytes:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except Exception as exc:  # a raising case is part of the output
-            code = f"raised {type(exc).__name__}: {exc}"
-    return (json.dumps([list(argv), code, out.getvalue(), err.getvalue()]) + "\n").encode()
+    (code, out, err), _ = run_case(main, argv)
+    return (json.dumps([list(argv), code, out, err]) + "\n").encode()
 
 
 def _clear_caches() -> None:
@@ -71,16 +53,16 @@ def _clear_caches() -> None:
 
 
 def main(argv=None) -> int:
-    cli_main, workloads, build = _import()
+    cli_main = import_program().cli.main
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", action="append", choices=workloads,
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="workload to digest (repeatable; default: all)")
     p.add_argument("--seeds", default="1,2,3", help="comma-separated case seeds")
     p.add_argument("--cold", action="store_true",
                    help="clear fracon's functools caches before each case")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    for workload in args.workload or workloads:
+    for workload in args.workload or WORKLOADS:
         digest, n = hashlib.sha256(), 0
         for seed in seeds:
             for case in build(workload, seed):
