@@ -408,9 +408,12 @@ def rl_integrate(
     return QuadResult(value / scale, evals, levels, converged, error / scale)
 
 
-def _converged_value(res: QuadResult, name: str, a: float, b: float, order: float) -> float:
-    """``res.value``; a result that did not converge raises IntegrationError
-    naming the integral, its interval, its order and its error estimate."""
+def _integral(name: str, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              order: float, points: Iterable[float] = (), rtol: float = _RTOL) -> float:
+    """The value of ``rl_integrate(fn, a, b, order, points, rtol)``; one
+    that did not converge raises IntegrationError naming the integral
+    (``name``), its interval, its order and its error estimate."""
+    res = rl_integrate(fn, a, b, order, points=points, rtol=rtol)
     if not res.converged:
         raise IntegrationError(
             f"{name} over [{a!r}, {b!r}] at order {order!r} did not converge "
@@ -460,10 +463,9 @@ def lf_integral(
     if backend.kind is BackendKind.EXACT_MONOMIAL:
         gp = f.gpoly(a, ctx)
         return _finite(sign * _table_integral(gp, b - a))
-    res = rl_integrate(
-        lambda xs: f.evaluate_many(xs, ctx), a, b, ctx.alpha, points=f.singular_points()
-    )
-    return _finite(sign * _converged_value(res, f"the integral of {f.text}", a, b, ctx.alpha))
+    value = _integral(f"the integral of {f.text}", lambda xs: f.evaluate_many(xs, ctx),
+                      a, b, ctx.alpha, f.singular_points())
+    return _finite(sign * value)
 
 
 def _term_rule(gp: GPoly, x0: float) -> float:
@@ -520,10 +522,8 @@ def lf_derivative(
     kinks = f.singular_points()
 
     def G(x: float) -> float:
-        res = rl_integrate(
-            lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, points=kinks, rtol=1e-11
-        )
-        return _converged_value(res, f"the fd derivative's integral of {f.text} - f(s)", s, x, beta)
+        return _integral(f"the fd derivative's integral of {f.text} - f(s)",
+                         lambda us: f.evaluate_many(us, ctx) - f_s, s, x, beta, kinks, rtol=1e-11)
 
     delta = 1e-3 * (x0 - s)
     return _finite((G(x0 + delta) - G(x0 - delta)) / (2.0 * delta))

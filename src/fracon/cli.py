@@ -60,7 +60,7 @@ from .calculus import (
     lf_derivative,
     lf_integral,
 )
-from .convexity import _MAX_GRID, _MAX_REFINE, SymmetryError, certify_gsc
+from .convexity import _GRID_RANGE, _REFINE_RANGE, SymmetryError, _check_range, certify_gsc
 from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError
 from .fractal_scalar import AlphaContext, axiom_conformance
 from .inequalities import fejer_terms, hh_terms
@@ -241,11 +241,11 @@ def _parse_interval(value) -> tuple[float, float]:
 
 
 def _collect(problems: list[str], convert, *args, default=None):
-    """``convert(*args)``; on a ConfigError, add it to ``problems`` and
-    return ``default`` so the caller can go on to find the next problem."""
+    """``convert(*args)``; on a ConfigError or ValueError, add it to
+    ``problems`` and return ``default``, so the caller goes on to the next."""
     try:
         return convert(*args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         problems.append(str(exc))
         return default
 
@@ -255,15 +255,9 @@ def _lattice_size(args: argparse.Namespace, problems: list[str]) -> tuple[int, i
     grid = _collect(problems, _as_int, "grid", args.grid)
     refine = _collect(problems, _as_int, "refine", args.refine)
     if grid is not None:
-        if grid < 8:
-            problems.append(f"--grid must be >= 8, got {grid!r}")
-        elif grid > _MAX_GRID:
-            problems.append(f"--grid must be <= {_MAX_GRID}, got {grid!r}")
+        _collect(problems, _check_range, "--grid", grid, *_GRID_RANGE)
     if refine is not None:
-        if refine < 0:
-            problems.append(f"--refine must be >= 0, got {refine!r}")
-        elif refine > _MAX_REFINE:
-            problems.append(f"--refine must be <= {_MAX_REFINE}, got {refine!r}")
+        _collect(problems, _check_range, "--refine", refine, *_REFINE_RANGE)
     return grid, refine
 
 
@@ -314,8 +308,8 @@ class RunConfig:
                     *_out_problems(args)]
         alpha = _collect(problems, _check_alpha, args.alpha)
         c = _collect(problems, _as_float, "--c", args.c)
-        if c is not None and not c >= 0.0:
-            problems.append(f"--c must be >= 0, got {c!r}")
+        if c is not None:
+            _collect(problems, _check_range, "--c", c, 0, math.inf)
         a, b = _collect(problems, _parse_interval, args.interval, default=(0.0, 0.0))
         grid, refine = _lattice_size(args, problems) if "grid" in args else (None, None)
         if problems:
@@ -476,8 +470,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not 0.0 < alpha <= 1.0:
             problems.append(f"sweep alpha must be in (0, 1], got {alpha!r}")
     for c in cs:
-        if c is not None and not c >= 0.0:
-            problems.append(f"sweep c must be >= 0, got {c!r}")
+        if c is not None:
+            _collect(problems, _check_range, "sweep c", c, 0, math.inf)
     rows = len(alphas) * len(cs) * len(etas) * len(fs)
     if rows > _SWEEP_BUDGET:
         problems.append(f"sweep would produce {rows} rows, over the budget "
@@ -589,12 +583,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     problems: list[str] = []
     alphas = (_SWEEP_ALPHAS if args.alpha is None
               else (_collect(problems, _check_alpha, args.alpha),))
-    if args.triples < 1:
-        problems.append(f"--triples must be >= 1, got {args.triples!r}")
-    elif args.triples > _MAX_TRIPLES:
-        problems.append(f"--triples must be <= {_MAX_TRIPLES}, got {args.triples!r}")
-    if args.seed < 0:
-        problems.append(f"--seed must be >= 0, got {args.seed!r}")
+    _collect(problems, _check_range, "--triples", args.triples, 1, _MAX_TRIPLES)
+    _collect(problems, _check_range, "--seed", args.seed, 0, math.inf)
     problems += _out_problems(args)
     if problems:
         raise ConfigError("; ".join(problems))

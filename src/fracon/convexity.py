@@ -56,8 +56,7 @@ def _check_interval(a: float, b: float, c: float = 0.0) -> tuple[float, float]:
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-    if not c >= 0.0:
-        raise ValueError(f"c must be >= 0, got {c!r}")
+    _check_range("c", c, 0, math.inf)
     return a, b
 
 
@@ -103,12 +102,20 @@ _MAX_GRID = 1000
 # converts to a float at all.
 _MAX_REFINE = 40
 
+# The accepted (lowest, highest) grid_n and refine_depth; the points per
+# axis of a refinement box; and certify's violation threshold: a defect
+# below -_VIOLATION_RTOL * (1 + max |f|) is a violation.
+_GRID_RANGE = (8, _MAX_GRID)
+_REFINE_RANGE = (0, _MAX_REFINE)
+_BOX = 13
+_VIOLATION_RTOL = 1e-9
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    """A ValueError naming ``name`` unless lo <= value <= hi."""
-    if value < lo:
+
+def _check_range(name: str, value: float, lo: float, hi: float) -> None:
+    """A ValueError naming ``name`` unless lo <= value <= hi (NaN is not)."""
+    if not value >= lo:
         raise ValueError(f"{name} must be >= {lo}, got {value!r}")
-    if value > hi:
+    if not value <= hi:
         raise ValueError(f"{name} must be <= {hi}, got {value!r}")
 
 
@@ -383,8 +390,8 @@ def certify_gsc(
     defect, a box whose every defect is +inf, or a non-finite f at a
     mixture raises EvalError.
     """
-    _check_range("grid_n", grid_n, 8, _MAX_GRID)
-    _check_range("refine_depth", refine_depth, 0, _MAX_REFINE)
+    _check_range("grid_n", grid_n, *_GRID_RANGE)
+    _check_range("refine_depth", refine_depth, *_REFINE_RANGE)
     a, b = _check_interval(a, b, c)
     xs = _linspace(a, b, grid_n)
     ts = _linspace(0.0, 1.0, grid_n)
@@ -395,7 +402,7 @@ def certify_gsc(
     evaluations = grid_n**3
     best = (float(xs[i]), float(xs[j]), float(ts[k]))
 
-    tol = 1e-9 * (1.0 + max_abs_f)
+    tol = _VIOLATION_RTOL * (1.0 + max_abs_f)
     # When a necessary condition already fails decisively, skip the local
     # refinement: the lattice minimum is a witness already.
     refine = refine_depth if not (not necessary.ok and min_defect < -tol) else 0
@@ -406,19 +413,19 @@ def certify_gsc(
         wx = dx / 3 ** (level - 1)
         wt = dt / 3 ** (level - 1)
         cx, cy, ct = best
-        lx = _linspace(max(a, cx - wx), min(b, cx + wx), 13)
-        ly = _linspace(max(a, cy - wx), min(b, cy + wx), 13)
-        lt = _linspace(max(0.0, ct - wt), min(1.0, ct + wt), 13)
+        lx = _linspace(max(a, cx - wx), min(b, cx + wx), _BOX)
+        ly = _linspace(max(a, cy - wx), min(b, cy + wx), _BOX)
+        lt = _linspace(max(0.0, ct - wt), min(1.0, ct + wt), _BOX)
         if lx[0] == lx[-1] and ly[0] == ly[-1] and lt[0] == lt[-1]:
             break  # the box is the best cell alone, here and at every later level
         (i, j, k), box_min, mf = _box_min(f, eta, c, ctx, lx, ly, lt)
-        evaluations += 13**3
+        evaluations += _BOX**3
         max_abs_f = max(max_abs_f, mf)
         if box_min < min_defect:
             min_defect = box_min
             best = (float(lx[i]), float(ly[j]), float(lt[k]))
 
-    tol = 1e-9 * (1.0 + max_abs_f)
+    tol = _VIOLATION_RTOL * (1.0 + max_abs_f)
     witness = None
     status = "NoViolationFound"
     if min_defect < -tol:
@@ -458,10 +465,11 @@ def check_eta_necessary(
     ``certify_gsc`` (the pair check holds ``grid_n``**2 floats), and a < b;
     either is checked before f is read.
     """
-    _check_range("grid_n", grid_n, 8, _MAX_GRID)
+    _check_range("grid_n", grid_n, *_GRID_RANGE)
     a, b, xs, fx = _sample(f, a, b, ctx, grid_n)
 
-    diag = eta.evaluate_many(fx, fx, ctx)
+    pair = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
+    diag = pair.diagonal()
     scale = 1.0 + float(np.abs(diag).max())
     tol = 1e-12 * scale
     i = int(diag.argmin())
@@ -469,7 +477,6 @@ def check_eta_necessary(
     diag_ok = diag_min >= -tol
     diag_witness = None if diag_ok else float(xs[i])
 
-    pair = eta.evaluate_many(fx[:, None], fx[None, :], ctx)
     diff = fx[:, None] - fx[None, :]
     scale2 = 1.0 + max(float(np.abs(pair).max()), float(np.abs(diff).max()))
     tol2 = 1e-12 * scale2
@@ -551,7 +558,7 @@ def estimate_eta_sup(
       bitwise equal.
     """
     a, b, xs, fx = _sample(f, a, b, ctx, 512)
-    if _monotone_dirs(eta.ast, dict(eta.params), ctx.alpha) is not None:
+    if _monotone_dirs(eta.ast, eta._params, ctx.alpha) is not None:
         lo, hi = _signed_extremes(fx)
         ends = np.array([lo, hi])
         corners = eta.evaluate_many(ends[:, None], ends[None, :], ctx)

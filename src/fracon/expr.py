@@ -211,6 +211,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _MAX_DEPTH = 64
 
 
+def _check_depth(node: ExprAst) -> None:
+    """A ParseError unless ``node``'s tree nests at most ``_MAX_DEPTH``
+    levels.  The tree is walked one level at a time, without recursion."""
+    level = [node]
+    for _ in range(_MAX_DEPTH):
+        level = [c for n in level for c in
+                 ((n.left, n.right) if type(n) is Bin else (n.base,) if type(n) is Pow
+                  else (n.child,) if type(n) is Neg or type(n) is Abs else ())]
+        if not level:
+            return
+    offset = level[0].pos
+    raise ParseError(f"syntax error at offset {offset}: nesting deeper than {_MAX_DEPTH} levels",
+                     offset)
+
+
 class _Parser:
     def __init__(self, text: str, variables: frozenset[str], constants: frozenset[str]):
         self.text = text
@@ -253,16 +268,10 @@ class _Parser:
         kind, tok, off = self.peek()
         if kind != "end":
             self.fail(f"unexpected {tok!r}", off)
-        # Each node has a token of its own, so only a longer text can nest too
-        # deep; its tree is walked one level at a time, without recursion.
-        level = [node] if len(self.toks) > _MAX_DEPTH else []
-        for _ in range(_MAX_DEPTH):
-            level = [c for n in level for c in
-                     ((n.left, n.right) if type(n) is Bin else (n.base,) if type(n) is Pow
-                      else (n.child,) if type(n) is Neg or type(n) is Abs else ())]
-            if not level:
-                return node
-        self.fail(f"nesting deeper than {_MAX_DEPTH} levels", level[0].pos)
+        # Each node has a token of its own, so only a longer text can nest too deep.
+        if len(self.toks) > _MAX_DEPTH:
+            _check_depth(node)
+        return node
 
     def expr(self) -> ExprAst:
         node = self.term()
@@ -932,6 +941,8 @@ class _Spec:
         return cls(text=text, ast=ast, params=items)
 
     def __post_init__(self) -> None:
+        # A tree built by hand is held to parse's nesting cap too.
+        _check_depth(self.ast)
         # The evaluators read params as a dict; it is built once, here, and
         # never mutated.
         object.__setattr__(self, "_params", dict(self.params))

@@ -132,9 +132,9 @@ def axiom_conformance(
     def run(index: int, title: str, check, note_mag: str = "") -> None:
         iso_err = check(a, b, c, lambda x: x)  # base-value semantics
         mag_err = check(a, b, c, mag)  # magnitude semantics
-        note = note_mag if mag_err > 1e-12 else ""
-        rows.append(AxiomRow(index, title, _verdict(iso_err), iso_err,
-                             _verdict(mag_err), mag_err, note))
+        verdict = _verdict(mag_err)
+        note = note_mag if verdict == "DIVERGES" else ""
+        rows.append(AxiomRow(index, title, _verdict(iso_err), iso_err, verdict, mag_err, note))
 
     def chk_closure(a, b, c, rep):
         s = rep(a) + rep(b)

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import IntegralBackend, NUMERIC, _converged_value, lf_integral, rl_integrate
+from .calculus import IntegralBackend, NUMERIC, _integral, lf_integral
 from .convexity import _check_interval, check_symmetry, estimate_eta_sup
 from .expr import EtaSpec, FunctionSpec, WeightSpec
 from .fractal_scalar import AlphaContext, gamma
@@ -244,8 +244,7 @@ def fejer_terms(
         return w.evaluate_many(a + ts * span, ctx)
 
     def integral(name, fn, lo=0.0, hi=1.0, points=t_pts) -> float:
-        res = rl_integrate(fn, lo, hi, al, points=points)
-        return _converged_value(res, f"Fejer term {name}'s integral", lo, hi, al)
+        return _integral(f"Fejer term {name}'s integral", fn, lo, hi, al, points)
 
     # The moment integrands evaluate w first and multiply their other
     # factor into w's array, which w's evaluation made; a product rounds

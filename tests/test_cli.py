@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from fracon import cli, expr
+from fracon import cli, convexity, expr
 from fracon.cli import main
 
 
@@ -227,10 +227,10 @@ def test_grid_cap_is_a_config_error(capsys, monkeypatch, argv, other):
         raise AssertionError("certify_gsc ran on a rejected grid")
 
     monkeypatch.setattr(cli, "certify_gsc", no_lattice)
-    code, out, err = run(capsys, [*argv, "--grid", str(cli._MAX_GRID + 1)])
+    code, out, err = run(capsys, [*argv, "--grid", str(convexity._MAX_GRID + 1)])
     assert code == 1
     assert out == ""
-    assert f"--grid must be <= {cli._MAX_GRID}, got {cli._MAX_GRID + 1}" in err
+    assert f"--grid must be <= {convexity._MAX_GRID}, got {convexity._MAX_GRID + 1}" in err
     assert other in err
     assert err.count("fracon: error:") == 1
 
@@ -248,11 +248,11 @@ def test_refine_cap_is_a_config_error(capsys, monkeypatch, argv):
         raise AssertionError("certify_gsc ran on a rejected depth")
 
     monkeypatch.setattr(cli, "certify_gsc", no_lattice)
-    for depth in (cli._MAX_REFINE + 1, 648):
+    for depth in (convexity._MAX_REFINE + 1, 648):
         code, out, err = run(capsys, [*argv, "--refine", str(depth)])
         assert code == 1
         assert out == ""
-        assert err == f"fracon: error: --refine must be <= {cli._MAX_REFINE}, got {depth}\n"
+        assert err == f"fracon: error: --refine must be <= {convexity._MAX_REFINE}, got {depth}\n"
 
 
 def test_consecutive_runs_share_no_state(capsys, tmp_path):

@@ -22,8 +22,8 @@ from fracon import (
     pretty,
 )
 from fracon import expr as expr_module
-from fracon.expr import (Abs, ExpAlpha, Name, Pow, _eval, _monotone_dirs, _pow_alpha,
-                         evaluate_raw)
+from fracon.expr import (Abs, Bin, ExpAlpha, Name, Num, Pow, _eval, _monotone_dirs,
+                         _pow_alpha, evaluate_raw)
 
 _CTX1 = AlphaContext(alpha=1.0)
 _CTX05 = AlphaContext(alpha=0.5)
@@ -115,6 +115,28 @@ def test_every_walk_of_the_deepest_text_fits_beside_a_deep_caller(kind):
         repr(f)
 
     _with_frames_used(300, walks)
+
+
+def _chain(depth: int) -> Bin:
+    """A hand-built tree 1 + 1 + ... + 1 that nests ``depth`` levels deep."""
+    tree = Num(1.0)
+    for _ in range(depth - 1):
+        tree = Bin("+", tree, Num(1.0))
+    return tree
+
+
+@pytest.mark.parametrize("depth", (_CAP + 1, 2000))
+def test_hand_built_tree_past_the_cap_is_rejected_when_its_spec_is_built(depth):
+    """The nesting cap holds for a spec built from a tree, not only for parsed
+    text: a 2000-deep chain is a ParseError here, not a RecursionError later."""
+    with pytest.raises(ParseError, match=f"nesting deeper than {_CAP} levels"):
+        FunctionSpec(text="deep", ast=_chain(depth))
+
+
+def test_hand_built_tree_at_the_cap_builds_and_evaluates():
+    f = FunctionSpec(text="deep", ast=_chain(_CAP))
+    assert f.evaluate(0.5, _CTX05) == _CAP
+    assert f.evaluate_many(np.zeros(3), _CTX05).tolist() == [_CAP] * 3
 
 
 def test_declared_constants_parse():

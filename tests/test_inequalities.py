@@ -224,6 +224,17 @@ def test_member_minus_one_misses_t2_t3_by_its_closed_form(alpha):
     assert certify_gsc(_f("-1"), _DIFF, 0.0, 0.0, 1.0, ctx).status == "NoViolationFound"
 
 
+@pytest.mark.parametrize("alpha", (0.3, 0.5))
+def test_t1_matches_its_closed_form(alpha):
+    """f = x^(2a) increases on [0.2, 1.5] and the 512-point grid holds both
+    ends, so the sampled sup of eta = u - v is M = f(1.5) - f(0.2), and
+    T1 = f(0.85) - M / 2^al, with f(x) = x**(2 al) from the standard library."""
+    ctx = AlphaContext(alpha=alpha)
+    rep = hh_terms(_f("x^(2a)"), _DIFF, 1.0, 0.2, 1.5, ctx)
+    m = 1.5 ** (2 * alpha) - 0.2 ** (2 * alpha)
+    assert rep.T1 == pytest.approx(0.85 ** (2 * alpha) - m / 2**alpha, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("c", (0.0, 1.0))
 @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
 def test_member_one_misses_t3_t4_by_its_closed_form(alpha, c):

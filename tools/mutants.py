@@ -1,4 +1,4 @@
-"""Run the test suite against one-token mutants of fracon's chain formulas.
+"""Run the test suite against one-token mutants of fracon's formulas and rules.
 
 Usage (from the root of a checkout):
 
@@ -8,7 +8,7 @@ Usage (from the root of a checkout):
 
 Each mutant replaces one exact text, which occurs exactly once in
 ``src/fracon``, by another: a span power, a power of two, an endpoint, a
-moment or a tolerance.  The checkout (without ``.git`` and caches) is
+moment, a tolerance, an input bound or the refinement box's size.  The checkout (without ``.git`` and caches) is
 copied to a temporary directory once.  The suite first runs there
 unmutated, and must pass; then each mutant is written into the copy, the
 suite runs as
@@ -67,11 +67,15 @@ MUTANTS = (
     Mutant("A2-end", "A2 = fa + e_ba", "A2 = fb + e_ba"),
     Mutant("F3-m3", "R - ca * m3", "R - ca * m2"),
     Mutant("link-rtol", "_LINK_RTOL = 1e-9", "_LINK_RTOL = 1e-7"),
-    Mutant("certify-tol", "tol = 1e-9 * (1.0 + max_abs_f)\n    witness = None",
-           "tol = 1e-7 * (1.0 + max_abs_f)\n    witness = None"),
+    Mutant("certify-tol", "_VIOLATION_RTOL = 1e-9", "_VIOLATION_RTOL = 1e-7"),
     Mutant("M-grid", "_sample(f, a, b, ctx, 512)", "_sample(f, a, b, ctx, 500)"),
     Mutant("kink-depth", "_KINK_DEPTH = 10", "_KINK_DEPTH = 7"),
     Mutant("rl-rtol", "\n_RTOL = 1e-9", "\n_RTOL = 1e-7"),
+    Mutant("grid-lo", "_GRID_RANGE = (8,", "_GRID_RANGE = (9,"),
+    Mutant("refine-hi", "(0, _MAX_REFINE)", "(0, _MAX_REFINE - 1)"),
+    Mutant("c-lo", '_check_range("c", c, 0,', '_check_range("c", c, -1,'),
+    Mutant("range-ge", "not value >= lo", "not value > lo"),
+    Mutant("box-side", "_BOX = 13", "_BOX = 11"),
 )
 
 
