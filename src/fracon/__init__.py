@@ -42,7 +42,6 @@ from .expr import (
     NotPolynomial,
     ParseError,
     WeightSpec,
-    evaluate,
     normalize,
     parse,
     pretty,
@@ -96,7 +95,6 @@ __all__ = [
     "check_symmetry",
     "defect",
     "estimate_eta_sup",
-    "evaluate",
     "fejer_terms",
     "gamma",
     "hh_terms",

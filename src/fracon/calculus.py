@@ -508,17 +508,18 @@ def lf_derivative(
 
     if alpha == 1.0:
         h = 1e-6
-        return _finite(gamma(2.0) * (f.evaluate(x0 + h, ctx) - f.evaluate(x0, ctx)) / h)
+        f_h, f_0 = f.evaluate_many(np.array([x0 + h, x0]), ctx).tolist()
+        return _finite(gamma(2.0) * (f_h - f_0) / h)
 
     if x0 == s:
         # At the base point the plain alpha-quotient is the definition and
         # is exact for the leading generalized-monomial term.
         h = min(max((1e-6) ** (1.0 / alpha), 1e-12), 1e-3)
-        value = gamma(1.0 + alpha) * (f.evaluate(s + h, ctx) - f.evaluate(s, ctx)) / h**alpha
-        return _finite(value)
+        f_h, f_0 = f.evaluate_many(np.array([s + h, s]), ctx).tolist()
+        return _finite(gamma(1.0 + alpha) * (f_h - f_0) / h**alpha)
 
     beta = 1.0 - alpha
-    f_s = f.evaluate(s, ctx)
+    (f_s,) = f.evaluate_many(np.array([s]), ctx).tolist()
     kinks = f.singular_points()
 
     def G(x: float) -> float:

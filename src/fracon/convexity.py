@@ -75,17 +75,15 @@ def defect(
 
 
 def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
-    al = ctx.alpha
-    fx = f.evaluate(x, ctx)
-    fy = f.evaluate(y, ctx)
-    e = eta.evaluate(fx, fy, ctx)
-    lhs = f.evaluate(t * x + (1.0 - t) * y, ctx)
-    rhs = (
-        fy
-        + t**al * e
-        - c**al * t**al * (1.0 - t) ** al * abs(x - y) ** (2.0 * al)
-    )
-    return lhs, rhs
+    """The defect's two sides at (x, y, t) in the arithmetic of a refinement
+    box: f from one call on [x, y, t x + (1 - t) y], and the right side from
+    ``_right_side`` in ``_box_min``'s operation order, so ``rhs - lhs`` is
+    the defect of the one-cell box (x, y, t) bit for bit."""
+    points = np.array([x, y, t * x + (1.0 - t) * y])
+    values = f.evaluate_many(points, ctx)
+    e, ta, corr, dist = _right_side(eta, c, ctx, values[:1], values[1:2], points[:1],
+                                    points[1:2], np.array([t]))
+    return float(values[2]), float(e[0, 0] * ta[0] + values[1] - dist[0, 0] * corr[0])
 
 
 # Largest accepted grid_n: 1e9 lattice cells.  The lattice is walked one

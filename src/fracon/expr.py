@@ -64,7 +64,6 @@ __all__ = [
     "GPoly",
     "parse",
     "pretty",
-    "evaluate",
     "evaluate_raw",
     "normalize",
     "FunctionSpec",
@@ -604,23 +603,15 @@ def evaluate_raw(
 ):
     """Evaluate to a float or ndarray (broadcasting over array inputs).
 
-    An array result is a new array, except for a bare variable, whose value
-    is its input.
+    This is the walk behind ``FunctionSpec.evaluate_many`` and
+    ``EtaSpec.evaluate_many``, through which every value of f, eta and w
+    is computed.  An array result is a new array, except for a bare
+    variable, whose value is its input.
     """
     out = _eval(node, env, params or {}, ctx.alpha)
     if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else math.isfinite(out)):
         raise EvalError("non-finite value in evaluation")
     return out
-
-
-def evaluate(
-    node: ExprAst,
-    args: Mapping[str, float],
-    ctx: AlphaContext,
-    params: Optional[Mapping[str, float]] = None,
-) -> float:
-    """Evaluate at scalar arguments to a float."""
-    return float(evaluate_raw(node, args, ctx, params))
 
 
 def _monotone_dirs(
@@ -952,9 +943,6 @@ class _Spec:
 class FunctionSpec(_Spec):
     """A parsed arity-1 expression f(x) with its bound constants."""
 
-    def evaluate(self, x: float, ctx: AlphaContext) -> float:
-        return float(evaluate_raw(self.ast, {"x": float(x)}, ctx, self._params))
-
     def evaluate_many(self, xs: np.ndarray, ctx: AlphaContext) -> np.ndarray:
         """f at every point of ``xs``, as a new array of xs's shape."""
         xs = np.asarray(xs, dtype=float)
@@ -985,10 +973,6 @@ class EtaSpec(_Spec):
     """A parsed arity-2 expression eta(u, v) with its bound constants."""
 
     arity = 2
-
-    def evaluate(self, u: float, v: float, ctx: AlphaContext) -> float:
-        env = {"u": float(u), "v": float(v)}
-        return float(evaluate_raw(self.ast, env, ctx, self._params))
 
     def evaluate_many(self, us, vs, ctx: AlphaContext) -> np.ndarray:
         """eta at every broadcast pair of ``us`` and ``vs``, as a new array."""

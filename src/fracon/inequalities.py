@@ -86,11 +86,11 @@ def _links(names_values: list[tuple[str, float, float]]) -> tuple[float, tuple[L
 def _endpoint_values(
     f: FunctionSpec, eta: EtaSpec, a: float, b: float, ctx: AlphaContext
 ) -> tuple[float, float, float, float, float]:
-    """f(a), f(b), f((a+b)/2), eta(f(a), f(b)) and eta(f(b), f(a))."""
-    fa = f.evaluate(a, ctx)
-    fb = f.evaluate(b, ctx)
-    fm = f.evaluate((a + b) / 2.0, ctx)
-    return fa, fb, fm, eta.evaluate(fa, fb, ctx), eta.evaluate(fb, fa, ctx)
+    """f(a), f(b), f((a+b)/2), eta(f(a), f(b)) and eta(f(b), f(a)), from one
+    call of f and one of eta, in the arithmetic of the integrals."""
+    fa, fb, fm = f.evaluate_many(np.array([a, b, (a + b) / 2.0]), ctx).tolist()
+    e_ab, e_ba = eta.evaluate_many(np.array([fa, fb]), np.array([fb, fa]), ctx).tolist()
+    return fa, fb, fm, e_ab, e_ba
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,8 @@ def test_criterion_04_classical_sandwich():
         for text, (a, b), fm, mean, ends in _CLASSICAL_SUITE:
             f = FunctionSpec.from_text(text)
             rep = hh_terms(f, _DIFF, 0.0, a, b, ctx)
-            assert f.evaluate((a + b) / 2.0, ctx) == pytest.approx(fm, abs=1e-9)
+            mid = f.evaluate_many(np.array([(a + b) / 2.0]), ctx)[0]
+            assert mid == pytest.approx(fm, abs=1e-9)
             assert rep.T2 == pytest.approx(mean, abs=1e-9), (text, a, b)
             assert rep.T3 == pytest.approx(ends, abs=1e-9), (text, a, b)
             assert fm <= mean + 1e-9 <= ends + 2e-9

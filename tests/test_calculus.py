@@ -21,12 +21,10 @@ from fracon import (
     IntegrationError,
     NotPolynomial,
     WeightSpec,
-    evaluate,
     fejer_terms,
     gamma,
     lf_derivative,
     lf_integral,
-    parse,
     rl_integrate,
 )
 from fracon import calculus
@@ -213,7 +211,7 @@ def test_empty_interval_is_zero():
     assert lf_integral(f, 0.7, 0.7, ctx, EXACT) == 0.0
 
 
-def test_integral_derivative_and_evaluate_return_plain_floats():
+def test_integral_and_derivative_return_plain_floats():
     """Every route yields a Python float, not a wrapper or a numpy scalar."""
     f = FunctionSpec.from_text("x^(2a) + 1")
     ctx = AlphaContext(alpha=0.5)
@@ -226,7 +224,6 @@ def test_integral_derivative_and_evaluate_return_plain_floats():
         lf_derivative(f, 0.5, ctx, mode=fd, s=0.0),
         lf_derivative(f, 0.5, AlphaContext(alpha=1.0), mode=fd, s=0.0),
         lf_derivative(f, 0.0, ctx, mode=fd, s=0.0),
-        evaluate(parse("x^(a)", arity=1), {"x": 4.0}, ctx),
     ]
     assert [type(v) for v in values] == [float] * len(values)
 

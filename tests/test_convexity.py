@@ -112,7 +112,7 @@ def test_defect_coincident_points():
     assert defect(f, EtaSpec.from_text("u - v"), 1.0, _CTX1, 0.4, 0.4, 0.7) == 0.0
     ctx = AlphaContext(alpha=0.5)
     eta = EtaSpec.from_text("2^a*u + v")
-    fx = f.evaluate(0.4, ctx)
+    (fx,) = f.evaluate_many(np.array([0.4]), ctx).tolist()
     expected = 0.7**0.5 * (2.0**0.5 * fx + fx)
     got = defect(f, eta, 1.0, ctx, 0.4, 0.4, 0.7)
     assert got == pytest.approx(expected, rel=1e-13)
@@ -146,9 +146,7 @@ def test_defect_matches_eta_form_without_strong_term(alpha, x, y, t):
     """c=0: defect reduces to fy + t^al eta(fx, fy) - f(mixture)."""
     ctx = AlphaContext(alpha=alpha)
     f = _f("x^(2a)")
-    fx = f.evaluate(x, ctx)
-    fy = f.evaluate(y, ctx)
-    fz = f.evaluate(t * x + (1.0 - t) * y, ctx)
+    fx, fy, fz = f.evaluate_many(np.array([x, y, t * x + (1.0 - t) * y]), ctx).tolist()
     expected = fy + t**alpha * (fx - fy) - fz
     got = defect(f, EtaSpec.from_text("u - v"), 0.0, ctx, x, y, t)
     assert got == pytest.approx(expected, abs=1e-12 * (1.0 + abs(expected)))
@@ -166,9 +164,7 @@ def test_defect_matches_display_form(alpha, x, y, t, c):
     """Full display form with eta(u,v) = 2^al u + v, recomputed inline."""
     ctx = AlphaContext(alpha=alpha)
     f = _f("x^(2a)")
-    fx = f.evaluate(x, ctx)
-    fy = f.evaluate(y, ctx)
-    fz = f.evaluate(t * x + (1.0 - t) * y, ctx)
+    fx, fy, fz = f.evaluate_many(np.array([x, y, t * x + (1.0 - t) * y]), ctx).tolist()
     e = 2.0**alpha * fx + fy
     expected = (
         fy
@@ -178,6 +174,25 @@ def test_defect_matches_display_form(alpha, x, y, t, c):
     )
     got = defect(f, EtaSpec.from_text("2^a*u + v"), c, ctx, x, y, t)
     assert got == pytest.approx(expected, abs=1e-12 * (1.0 + abs(expected)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.sampled_from(("x^(2a)", "-x^(2a)", "abs(x - 0.3)^(a)", "x^(3a)")),
+    eta_text=st.sampled_from(("u - v", "2^a*u + v")),
+    alpha=st.sampled_from((0.3, 0.5, 0.9, 1.0)),
+    x=st.floats(-1.0, 1.0),
+    y=st.floats(-1.0, 1.0),
+    t=st.floats(0.0, 1.0),
+    c=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+)
+def test_defect_is_the_one_cell_box_bitwise(text, eta_text, alpha, x, y, t, c):
+    """A witness is re-evaluated in its refinement box's arithmetic: the
+    defect at (x, y, t) is, bit for bit, the minimum of the box ([x], [y], [t])."""
+    f, eta, ctx = _f(text), EtaSpec.from_text(eta_text), AlphaContext(alpha=alpha)
+    one = np.array([x]), np.array([y]), np.array([t])
+    _, low, _ = convexity._box_min(f, eta, c, ctx, *one)
+    assert defect(f, eta, c, ctx, x, y, t).hex() == low.hex()
 
 
 # ------------------------------------------------------------- certification

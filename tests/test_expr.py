@@ -16,7 +16,6 @@ from fracon import (
     FunctionSpec,
     NotPolynomial,
     ParseError,
-    evaluate,
     normalize,
     parse,
     pretty,
@@ -24,9 +23,15 @@ from fracon import (
 from fracon import expr as expr_module
 from fracon.expr import (Abs, Bin, ExpAlpha, Name, Num, Pow, _eval, _monotone_dirs,
                          _pow_alpha, evaluate_raw)
+from fracon.presets import F_PRESETS
 
 _CTX1 = AlphaContext(alpha=1.0)
 _CTX05 = AlphaContext(alpha=0.5)
+
+
+def _at(node, ctx, **point):
+    """The value of ``node`` at one point, from ``evaluate_raw`` on one-point arrays."""
+    return float(evaluate_raw(node, {k: np.array([v]) for k, v in point.items()}, ctx)[0])
 
 
 # ------------------------------------------------------------------ parsing
@@ -135,7 +140,7 @@ def test_hand_built_tree_past_the_cap_is_rejected_when_its_spec_is_built(depth):
 
 def test_hand_built_tree_at_the_cap_builds_and_evaluates():
     f = FunctionSpec(text="deep", ast=_chain(_CAP))
-    assert f.evaluate(0.5, _CTX05) == _CAP
+    assert f.evaluate_many(np.array([0.5]), _CTX05).tolist() == [_CAP]
     assert f.evaluate_many(np.zeros(3), _CTX05).tolist() == [_CAP] * 3
 
 
@@ -183,29 +188,29 @@ def test_parse_deterministic():
 
 
 def test_eval_examples():
-    assert evaluate(parse("x^(2a)", arity=1), {"x": 3.0}, _CTX1) == 9.0
-    assert evaluate(parse("x^(2a)", arity=1), {"x": 2.0}, _CTX05) == 2.0
-    assert evaluate(parse("2^a*u+v", arity=2), {"u": 1.0, "v": 1.0}, _CTX1) == 3.0
+    assert _at(parse("x^(2a)", arity=1), _CTX1, x=3.0) == 9.0
+    assert _at(parse("x^(2a)", arity=1), _CTX05, x=2.0) == 2.0
+    assert _at(parse("2^a*u+v", arity=2), _CTX1, u=1.0, v=1.0) == 3.0
 
 
 def test_eval_sign_convention():
     """Odd alpha-powers keep sign, even powers drop it."""
     ast = parse("x^(a)", arity=1)
-    assert evaluate(ast, {"x": -4.0}, _CTX05) == -2.0
+    assert _at(ast, _CTX05, x=-4.0) == -2.0
     ast2 = parse("x^(2a)", arity=1)
-    assert evaluate(ast2, {"x": -2.0}, _CTX05) == 2.0
+    assert _at(ast2, _CTX05, x=-2.0) == 2.0
 
 
 def test_eval_division_by_zero():
     ast = parse("1/x", arity=1)
     with pytest.raises(EvalError):
-        evaluate(ast, {"x": 0.0}, _CTX1)
+        _at(ast, _CTX1, x=0.0)
 
 
 def test_eval_zero_to_negative_power():
     ast = parse("x^(-1)", arity=1)
     with pytest.raises(EvalError):
-        evaluate(ast, {"x": 0.0}, _CTX1)
+        _at(ast, _CTX1, x=0.0)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
@@ -242,12 +247,25 @@ def test_abs_alpha_power_matches_magnitude_rule_bitwise(xs, k, alpha):
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_function_spec_vectorized_matches_scalar():
-    f = FunctionSpec.from_text("x^(2a) - x^(a)/2")
-    xs = np.linspace(0.0, 2.0, 17)
-    many = f.evaluate_many(xs, _CTX05)
-    sing = np.array([f.evaluate(float(x), _CTX05) for x in xs])
-    assert np.array_equal(many, sing)
+_LINE = np.linspace(-1.0, 1.0, 2001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.sampled_from((*F_PRESETS.values(), "abs(x - 0.3)^(a)", "abs(x - 0.5)^(a)",
+                          "abs(x - 0.7)^(a)")),
+    alpha=st.sampled_from((0.3, 0.5, 0.9, 1.0)),
+    idx=st.lists(st.integers(0, len(_LINE) - 1), min_size=3, max_size=3),
+)
+def test_evaluate_many_value_does_not_depend_on_array_length(text, alpha, idx):
+    """A point's value is one arithmetic's: f on a 1- or 3-point array gives,
+    bit for bit, the value of the same points inside a 2001-point array."""
+    f = FunctionSpec.from_text(text)
+    ctx = AlphaContext(alpha=alpha)
+    line = f.evaluate_many(_LINE, ctx)
+    for pick in (idx[:1], idx):
+        got = f.evaluate_many(_LINE[pick], ctx)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in line[pick].tolist()]
 
 
 @pytest.mark.parametrize("text", ["x^(2a) + 1", "abs(x - 0.3)^(a)*x/2"])
@@ -339,7 +357,7 @@ def test_normalize_eval_agreement(text, alpha):
     ast = parse(text, arity=1)
     gp = normalize(ast, 0.0, ctx)
     xs = np.linspace(0.0, 2.0, 100)
-    ast_vals = np.array([evaluate(ast, {"x": float(x)}, ctx) for x in xs])
+    ast_vals = evaluate_raw(ast, {"x": xs}, ctx)
     gp_vals = gp.evaluate(xs)
     assert np.all(np.abs(gp_vals - ast_vals) <= 1e-10 * (1.0 + np.abs(ast_vals)))
 
@@ -359,7 +377,7 @@ def test_gpoly_matches_ast_pointwise(x, alpha):
     ctx = AlphaContext(alpha=alpha)
     ast = parse("x^(2a) - x^(a)/3 + 2", arity=1)
     gp = normalize(ast, 0.0, ctx)
-    ast_val = evaluate(ast, {"x": x}, ctx)
+    ast_val = _at(ast, ctx, x=x)
     gp_val = float(gp.evaluate(np.array([x]))[0])
     assert abs(gp_val - ast_val) <= 1e-10 * (1.0 + abs(ast_val))
 

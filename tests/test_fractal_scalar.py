@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracon import AlphaContext, axiom_conformance, evaluate, parse
+from fracon import AlphaContext, axiom_conformance, parse
+from fracon.expr import evaluate_raw
 
 _ALPHAS = (0.3, 0.5, 0.9, 1.0)
 _POWER = parse("x^(a)")
@@ -15,7 +17,7 @@ _POWER = parse("x^(a)")
 
 def magnitude(a: float, ctx: AlphaContext) -> float:
     """The magnitude sign(a)*|a|**alpha, as the expression layer evaluates it."""
-    return evaluate(_POWER, {"x": a}, ctx)
+    return float(evaluate_raw(_POWER, {"x": np.array([a])}, ctx)[0])
 
 
 def test_embed_examples():

@@ -72,7 +72,7 @@ def test_output_does_not_depend_on_cache_state():
     warm = subprocess.run(argv, capture_output=True, text=True, check=True)
     cold = subprocess.run([*argv, "--cold"], capture_output=True, text=True, check=True)
     assert warm.stdout == (
-        "quadrature 144 907e412a0d7579125832b15dcde330396288bc6eddd0cfdb4c4a57484120901c\n"
+        "quadrature 144 3b84b1503b7fb5bdf970d47f99b762f5c765cca1d59c8b9593bdd0aac66319d8\n"
         "sweep 8 0bd4395e5db7a80b80d1dab90b74b8f6ac94f853c452b6e4d643bb1dde06d333\n"
     )
     assert cold.stdout == warm.stdout
@@ -86,4 +86,4 @@ def test_lattice_output_digest_is_frozen():
     ``python3 tools/output_digest.py --workload lattice --seeds 1``."""
     argv = [sys.executable, str(_DIGEST), "--workload", "lattice", "--seeds", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-    assert out == "lattice 48 175a548500ef0adbbf2785fe552d0ff33cdc87f078f4e2717d2aea14553c7098\n"
+    assert out == "lattice 48 69a5a48eb3b8e2f436f8e30b76a79402f2aa8598f21ecdf87c1479b3dc798817\n"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fracon import (
@@ -338,8 +339,7 @@ def test_weighted_terms_recompose_from_moments(alpha, c):
     ctx = AlphaContext(alpha=alpha)
     f = _f("x^(2a)")
     rep = fejer_terms(f, _DIFF, c, _w("1"), 0.0, 1.0, ctx)
-    fm = f.evaluate(0.5, ctx)
-    fa, fb = f.evaluate(0.0, ctx), f.evaluate(1.0, ctx)
+    fm, fa, fb = f.evaluate_many(np.array([0.5, 0.0, 1.0]), ctx).tolist()
     rec1 = fm * rep.m0 - rep.L_eta + c**alpha / 4.0**alpha * rep.m1
     rec3 = (fa + fb) / 2.0**alpha * rep.m0 + rep.R_eta - c**alpha * rep.m3
     scale = 1.0 + max(abs(rep.F1), abs(rep.F3))

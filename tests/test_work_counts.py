@@ -85,7 +85,10 @@ def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine
     spaced points of one table, so f is evaluated there once each: after
     the grid points of the eta screen, one table call, then per refinement
     level one call over the box's 13 x points, 13 y points and 13**3
-    mixtures.  The report's ``evaluations`` still counts lattice cells."""
+    mixtures.  This f is no member at alpha 0.5 (where f(x) < f(y), t**0.5 > t
+    puts the right side below f's chord), so the report is Violated, and its witness is re-evaluated in one more call, on its
+    x, y and mixture.  The report's ``evaluations`` still counts lattice
+    cells."""
     sizes = []
     original = FunctionSpec.evaluate_many
 
@@ -98,7 +101,8 @@ def test_certify_evaluates_f_once_per_distinct_mixture(monkeypatch, grid, refine
     rep = certify_gsc(FunctionSpec.from_text("x^(2a)"),
                       EtaSpec.from_text("u - v"), 0.0, -1.0, 1.0, AlphaContext(alpha=0.5),
                       grid_n=grid, refine_depth=refine)
-    assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13 + 13 + 13**3]
+    assert rep.status == "Violated"
+    assert sizes == [grid, (grid - 1) ** 2 + 1] + refine * [13 + 13 + 13**3] + [3]
     assert rep.evaluations == grid**3 + refine * 13**3
 
 

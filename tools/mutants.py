@@ -8,8 +8,9 @@ Usage (from the root of a checkout):
 
 Each mutant replaces one exact text, which occurs exactly once in
 ``src/fracon``, by another: a span power, a power of two, an endpoint, a
-moment, a tolerance, an input bound or the refinement box's size.  The checkout (without ``.git`` and caches) is
-copied to a temporary directory once.  The suite first runs there
+moment, a tolerance, an input bound, the refinement box's size, the order
+of the eta pair at the ends or the witness's mixture.  The checkout
+(without ``.git`` and caches) is copied to a temporary directory once.  The suite first runs there
 unmutated, and must pass; then each mutant is written into the copy, the
 suite runs as
 
@@ -76,6 +77,9 @@ MUTANTS = (
     Mutant("c-lo", '_check_range("c", c, 0,', '_check_range("c", c, -1,'),
     Mutant("range-ge", "not value >= lo", "not value > lo"),
     Mutant("box-side", "_BOX = 13", "_BOX = 11"),
+    Mutant("eta-pair", "np.array([fa, fb]), np.array([fb, fa])",
+           "np.array([fb, fa]), np.array([fa, fb])"),
+    Mutant("defect-mix", "t * x + (1.0 - t) * y", "t * y + (1.0 - t) * x"),
 )
 
 
