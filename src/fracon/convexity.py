@@ -83,13 +83,16 @@ def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     values = f.evaluate_many(points, ctx)
     e, ta, corr, dist = _right_side(eta, c, ctx, values[:1], values[1:2], points[:1],
                                     points[1:2], np.array([t]))
-    return float(values[2]), float(e[0, 0] * ta[0] + values[1] - dist[0, 0] * corr[0])
+    rhs = e[0, 0] * ta[0] + values[1]
+    if dist is not None:
+        rhs = rhs - dist[0, 0] * corr[0]
+    return float(values[2]), float(rhs)
 
 
 # Largest accepted grid_n: 1e9 lattice cells.  The lattice is walked one
-# t-plane at a time, but its six grid**2 arrays (the (grid - 1)**2 + 1 table
-# of f, eta, the distances, the f(y) tile, the defect plane and the strong
-# term's scratch plane) are not.
+# t-plane at a time, but its grid**2 arrays are not: at c = 0 four (the
+# (grid - 1)**2 + 1 table of f, eta, the f(y) tile and the defect plane),
+# at c > 0 six (those, the distances and the strong term's scratch plane).
 _MAX_GRID = 1000
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
@@ -150,14 +153,27 @@ def _sample(f, a: float, b: float, ctx: AlphaContext, n: int):
 
 
 def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
-    """The factors of the defect's right side: eta(f(x), f(y)) and
-    |x - y|**(2 al) over (x, y), t**al and c**al t**al (1 - t)**al over t."""
+    """The factors of the defect's right side: eta(f(x), f(y)) over (x, y)
+    and t**al over t, then the strong term's c**al t**al (1 - t)**al over t
+    and |x - y|**(2 al) over (x, y), or None and None where that term is
+    skipped.
+
+    A strong term of +0.0 everywhere changes no bit when subtracted, so it
+    is skipped and the (x, y) distances are never built.  It runs when
+    ``corr`` holds anything but +0.0 (a -0.0 turns a -0.0 defect into
+    +0.0), or when some distance is not finite, as 0 * inf is NaN.
+    Rounding is monotone, so the largest |x - y| is at a corner of the
+    grid: |max x - min y| or |max y - min x|.
+    """
     al = ctx.alpha
     e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
     ta = ts**al
     corr = c**al * ta * (1.0 - ts) ** al
-    dist = np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
-    return e, ta, corr, dist
+    if not np.count_nonzero(corr.view(np.int64)):  # +0.0 alone has no bit set
+        far = np.abs(np.array([xs.max() - ys.min(), ys.max() - xs.min()])) ** (2.0 * al)
+        if math.isfinite(far.max()):
+            return e, ta, None, None
+    return e, ta, corr, np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
 
 
 def _finite_min(low: float, x, y, t) -> float:
@@ -181,15 +197,19 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
     (i, j, k) is the first lattice index (C order) holding the minimum;
     every table point is a mixture (plane k = 1 alone covers every m).
     The lattice is walked one t-plane at a time, in one (x, y) defect plane
-    (and one scratch plane for a strong term) that every plane reuses; the
-    right side keeps the operation order of a whole-lattice evaluation, so
-    only f(mixture) differs from f at the float mixture
-    fl(t x) + fl((1 - t) y).  Each plane's first minimum (or NaN) comes
-    from one argmin, and the planes' minima are ranked NaN first, then by
-    value, (x, y) index and t, so ties keep the first index.  Every operand
-    but the strided f(mixture) view is a scalar or a contiguous plane, which
-    numpy's ufuncs read in place; the view alone goes through numpy's ufunc
-    buffer, at most one plane of it, at the caller's buffer size.  A
+    that every plane reuses; the right side keeps the operation order of a
+    whole-lattice evaluation, so only f(mixture) differs from f at the
+    float mixture fl(t x) + fl((1 - t) y).  Each plane's first minimum (or
+    NaN) comes from one argmin, and the planes' minima are ranked NaN
+    first, then by value, (x, y) index and t, so ties keep the first index.
+    Every operand but the strided f(mixture) view is a scalar or a
+    contiguous plane, which numpy's ufuncs read in place.  Where
+    ``_right_side`` skips the strong term (c = 0), the loop holds four
+    grid**2 arrays: the table, eta, the f(y) tile and the defect plane, and
+    the view goes through numpy's ufunc buffer, at most one plane of it, at
+    the caller's buffer size.  Where the term runs, it holds the distances
+    and a scratch plane too, and the view is copied into the scratch plane
+    and subtracted from there, so no ufunc buffer is held.  A
     non-finite f on the table, a NaN anywhere or a -inf defect raises
     EvalError.  A +inf defect (an overflowed right side) is no violation;
     the t = 0 plane is exactly 0, so no main lattice is +inf throughout.
@@ -202,17 +222,14 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         mixtures[:: n - 1] = xs
         table = f.evaluate_many(mixtures, ctx)
         # Free the mixtures and |table| before the planes exist, so the
-        # loop holds six grid**2 arrays.
+        # loop holds no grid**2 array beyond the four or six above.
         del mixtures
         max_abs_f = float(np.abs(table).max())
         fx = table[:: n - 1]
         e, ta, corr, dist = _right_side(eta, c, ctx, fx, fx, xs, xs, ts)
-        # A strong term of +0.0 everywhere changes no bit when subtracted,
-        # so it is skipped; an infinite distance keeps it, as 0 * inf is NaN.
-        strong = corr.any() or np.signbit(corr).any() or not np.isfinite(dist).all()
-        # One block; the strong term's scratch plane only when that term
-        # runs (otherwise tmp is d, and unused).
-        planes = np.empty((2 if strong else 1, n, n))
+        # One block; the scratch plane only when the strong term runs
+        # (otherwise tmp is d, and unused).
+        planes = np.empty((1 if dist is None else 2, n, n))
         d, tmp = planes[0], planes[-1]
         flat_d = d.reshape(n * n)
         # f(y) as whole (x, y) rows: a ufunc that broadcasts an operand along
@@ -223,11 +240,17 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         for k in range(n):
             np.multiply(ta[k], e, out=d)
             np.add(fy, d, out=d)
-            if strong:
+            strides = (k * step, (n - 1 - k) * step)
+            fmix = np.ndarray((n, n), table.dtype, table, 0, strides)
+            if dist is None:
+                np.subtract(d, fmix, out=d)
+            else:
                 np.multiply(corr[k], dist, out=tmp)
                 np.subtract(d, tmp, out=d)
-            strides = (k * step, (n - 1 - k) * step)
-            np.subtract(d, np.ndarray((n, n), table.dtype, table, 0, strides), out=d)
+                # A copy takes no ufunc buffer; a ufunc reading the strided
+                # view takes one.
+                np.copyto(tmp, fmix)
+                np.subtract(d, tmp, out=d)
             flat = int(flat_d.argmin())
             low = float(flat_d[flat])
             if low > best[1]:
@@ -252,9 +275,10 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     so each ufunc here takes at most one: ``np.copyto``, which needs no
     buffer, spreads x, eta and the distances along t, and the in-place
     ops then broadcast one small operand each (the t-vector, f(y) or the
-    mixtures' (1 - t) y term).  A 13**3 box so holds three box-sized
-    arrays (the points, f's values and the strong term) and one ufunc
-    buffer.  Returns as ``_lattice_min`` does, with max |f| over the
+    mixtures' (1 - t) y term).  A 13**3 box so holds two box-sized arrays
+    (the points and f's values) and one ufunc buffer where ``_right_side``
+    skips the strong term (c = 0), and a third, the strong term, where it
+    runs.  Returns as ``_lattice_min`` does, with max |f| over the
     mixtures; ties keep the first index.  A non-finite f at a box point, a
     NaN or -inf defect, or a box whose every defect is +inf raises
     EvalError.
@@ -278,11 +302,12 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
         np.copyto(d, e[:, :, None])
         np.multiply(d, ta, out=d)
         np.add(d, fy[:, None], out=d)
-        strong = np.empty_like(d)
-        np.copyto(strong, dist[:, :, None])
-        np.multiply(strong, corr, out=strong)
-        np.subtract(d, strong, out=d)
-        del strong  # before |f(mixture)| below takes a box-sized array
+        if dist is not None:
+            strong = np.empty_like(d)
+            np.copyto(strong, dist[:, :, None])
+            np.multiply(strong, corr, out=strong)
+            np.subtract(d, strong, out=d)
+            del strong  # before |f(mixture)| below takes a box-sized array
         np.subtract(d, fmix, out=d)
     i, jk = divmod(int(d.argmin()), ny * nt)
     j, k = divmod(jk, nt)
@@ -364,15 +389,17 @@ def certify_gsc(
     the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
     evaluated once on that table and read back plane by plane.  The lattice
     is walked one t-plane at a time with a running minimum, so memory is
-    bounded: the loop holds six arrays of about ``grid_n``**2 floats (the
-    table, eta, the distances, the f(y) tile, the defect plane and a
-    scratch plane, which is skipped with the strong term when c is 0),
-    never a ``grid_n``**3 tensor.  Only the strided f(mixture) view goes
-    through numpy's ufunc buffer, at most one plane at a time;
-    certification leaves numpy's buffer size and error state as the caller
-    set them.  A refinement box,
-    whose mixtures lie on no such grid, is one 13**3 tensor at float
-    mixtures, with f evaluated once per box.  The violation threshold
+    bounded, never a ``grid_n``**3 tensor.  At c = 0, where the strong term
+    is +0.0 and skipped (unless some |x - y|**(2*al) overflows), the loop
+    holds four arrays of about ``grid_n``**2 floats: the table, eta, the
+    f(y) tile and the defect plane, and the strided f(mixture) view goes
+    through numpy's ufunc buffer, at most one plane at a time.  At c > 0
+    it holds six: those, the distances and a scratch plane, into which the
+    view is copied, so no ufunc buffer is held.  Certification leaves
+    numpy's buffer size and error state as the caller set them.  A
+    refinement box, whose mixtures lie on no such grid, is one 13**3
+    tensor at float mixtures, with f evaluated once per box; it holds two
+    box-sized arrays at c = 0 and three at c > 0.  The violation threshold
     scales with the sampled magnitude of f over the mixtures:
     tol = 1e-9 * (1 + max |f|).  Reductions run through
     the same lattice: endpoints of the t-grid cover the necessary

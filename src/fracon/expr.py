@@ -884,6 +884,13 @@ def _gpoly_terms(
 # --- bound specs ----------------------------------------------------------
 
 
+def _one_d(xs: np.ndarray) -> np.ndarray:
+    """xs, or a 0-d xs as one element: numpy computes on a 0-d array with
+    its scalar arithmetic (libm ``pow``), which can differ in the last bit
+    from the array loops that give every other value."""
+    return xs.reshape(1) if xs.ndim == 0 else xs
+
+
 def _owned_result(node: ExprAst, out, shape: tuple[int, ...]) -> np.ndarray:
     """``out`` as a float array of ``shape`` that the caller owns.
 
@@ -946,7 +953,7 @@ class FunctionSpec(_Spec):
     def evaluate_many(self, xs: np.ndarray, ctx: AlphaContext) -> np.ndarray:
         """f at every point of ``xs``, as a new array of xs's shape."""
         xs = np.asarray(xs, dtype=float)
-        out = evaluate_raw(self.ast, {"x": xs}, ctx, self._params)
+        out = evaluate_raw(self.ast, {"x": _one_d(xs)}, ctx, self._params)
         return _owned_result(self.ast, out, xs.shape)
 
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
@@ -978,5 +985,5 @@ class EtaSpec(_Spec):
         """eta at every broadcast pair of ``us`` and ``vs``, as a new array."""
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        out = evaluate_raw(self.ast, {"u": us, "v": vs}, ctx, self._params)
+        out = evaluate_raw(self.ast, {"u": _one_d(us), "v": _one_d(vs)}, ctx, self._params)
         return _owned_result(self.ast, out, np.broadcast(us, vs).shape)

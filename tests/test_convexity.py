@@ -286,6 +286,32 @@ def test_certify_zero_strong_term_keeps_nan_defect(rows):
                                f"y={-1e200 + 2e200 / 7!r}, t=0.0")
 
 
+def test_zero_strong_term_keeps_nan_coordinates():
+    """On [-1e308, 1e308] the span overflows (with linspace's warnings), so
+    the lattice axes hold NaN; a constant f is finite there, and the NaN
+    distances keep the c = 0 strong term, whose NaN the defect carries."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EvalError, match="^non-finite defect nan at x=nan, y=nan, t=0.0$"):
+        certify_gsc(_f("1"), EtaSpec.from_text("u - v"), 0.0, -1e308, 1e308, _CTX1,
+                    grid_n=8, refine_depth=0)
+
+
+@pytest.mark.parametrize("x_below_y", [True, False])
+def test_zero_strong_term_box_keeps_nan_defect(x_below_y):
+    """A c = 0 refinement box skips its +0.0 strong term only while every
+    |x - y|^(2a) is finite.  Here the x and y sides meet at 0 and reach
+    out to -1e200 and 1e200, so one corner distance is 0 and the other
+    overflows, whichever side is below: 0 * inf is NaN, and the box raises
+    as the lattice does."""
+    low, high = np.linspace(-1e200, 0.0, 13), np.linspace(0.0, 1e200, 13)
+    xs, ys = (low, high) if x_below_y else (high, low)
+    ts = np.linspace(0.25, 0.75, 13)
+    with pytest.raises(EvalError) as info:
+        convexity._box_min(_f("x"), EtaSpec.from_text("u - v"), 0.0, _CTX1, xs, ys, ts)
+    assert str(info.value) == (f"non-finite defect nan at x={float(xs[0])!r}, "
+                               f"y={float(ys[0])!r}, t=0.25")
+
+
 @pytest.mark.parametrize("rows", [1, 3, None], ids=["rows1", "rows3", "default"])
 def test_certify_overflowing_mixture_raises(rows):
     """(x - 0.5)^(-200) is at most 14^200 on the grid-8 points of [0, 1], but

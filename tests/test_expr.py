@@ -268,6 +268,31 @@ def test_evaluate_many_value_does_not_depend_on_array_length(text, alpha, idx):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in line[pick].tolist()]
 
 
+_UNIT = np.linspace(0.0, 1.0, 2001)
+
+
+def test_zero_d_inputs_take_the_array_arithmetic():
+    """A 0-d input is evaluated as one element of an array: numpy computes
+    on 0-d arrays with its scalar ``power`` (libm), which on an AVX-512
+    host differs in the last bit from the array loop at 95 of these 2001
+    points for x^(2a) at alpha 0.3."""
+    ctx = AlphaContext(alpha=0.3)
+    f = FunctionSpec.from_text("x^(2a)")
+    eta = EtaSpec.from_text("u^(2a) - v")
+    vs = _UNIT[::-1].copy()
+    want_f = f.evaluate_many(_UNIT, ctx).tolist()
+    want_eta = eta.evaluate_many(_UNIT, vs, ctx).tolist()
+    got_f, got_eta = [], []
+    for u, v in zip(_UNIT.tolist(), vs.tolist()):
+        fx = f.evaluate_many(np.asarray(u), ctx)
+        ex = eta.evaluate_many(np.asarray(u), np.asarray(v), ctx)
+        assert fx.shape == ex.shape == ()
+        got_f.append(float(fx))
+        got_eta.append(float(ex))
+    assert [v.hex() for v in got_f] == [v.hex() for v in want_f]
+    assert [v.hex() for v in got_eta] == [v.hex() for v in want_eta]
+
+
 @pytest.mark.parametrize("text", ["x^(2a) + 1", "abs(x - 0.3)^(a)*x/2"])
 def test_evaluate_many_does_not_pin_its_input(text):
     """Without the cyclic collector, dropping the input frees it at once."""

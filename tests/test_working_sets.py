@@ -115,17 +115,38 @@ def test_small_grid_certify_walks_one_t_plane_at_a_time():
 
 
 def test_small_grid_certify_without_strong_term_walks_one_t_plane_at_a_time():
-    """At c = 0 the strong term and its scratch plane are skipped, and the
-    grid-24 call peaks near 0.074 MiB as at c = 1: the lattice planes are
-    smaller than the refinement box, which sets the peak.  With slabs it
-    read 0.132 MiB, and 0.237 with the unused scratch slab allocated."""
+    """At c = 0 the strong term, its distances and its scratch plane are
+    skipped, and the grid-24 call peaks near 0.056 MiB, in a refinement
+    box of two box-sized arrays (0.074 MiB when the box built its +0.0
+    strong term).  With slabs it read 0.132 MiB, and 0.237 with the unused
+    scratch slab allocated."""
     assert _certify_peak(0.0, 24) < 0.12 * 2**20
 
 
 def test_default_grid_certify_walks_one_t_plane_at_a_time():
-    """At grid 50 (certify's default) the call peaks near 0.138 MiB with
-    its two 2,500-cell planes; slabs of 13 t-planes peaked at 0.596 MiB."""
+    """At grid 50 (certify's default) the call peaks near 0.118 MiB with
+    its two 2,500-cell planes, the f(mixture) view copied into the scratch
+    plane (0.138 MiB when it went through numpy's ufunc buffer); slabs of
+    13 t-planes peaked at 0.596 MiB."""
     assert _certify_peak(1.0, 50) < 0.17 * 2**20
+
+
+def test_grid_150_certify_without_strong_term_builds_no_distances():
+    """At c = 0 the lattice holds four 22,500-cell arrays (the table of f,
+    eta, the f(y) tile and the defect plane) and numpy's 64 KiB ufunc
+    buffer for the strided f(mixture) view, and the call peaks near
+    789,100 B.  With the (x, y) distances built for a +0.0 strong term it
+    read 970,500 B; one more 180,000 B plane would cross the bound."""
+    assert _certify_peak(0.0, 150) < 0.85 * 2**20
+
+
+def test_grid_150_certify_copies_its_mixture_view_into_the_scratch_plane():
+    """At c = 1 the lattice holds six 22,500-cell arrays (the table, eta,
+    the distances, the f(y) tile, the defect and scratch planes), and the
+    strided f(mixture) view is copied into the scratch plane, which takes
+    no ufunc buffer: the call peaks near 1,085,800 B.  Subtracting the view
+    itself held numpy's 64 KiB ufunc buffer too, 1,150,500 B."""
+    assert _certify_peak(1.0, 150) < 1.07 * 2**20
 
 
 def test_refinement_box_builds_its_defect_in_the_mixture_block():
@@ -139,6 +160,19 @@ def test_refinement_box_builds_its_defect_in_the_mixture_block():
     ctx = AlphaContext(alpha=0.5)
     lx, ly, lt = _linspace(0.1, 0.3, 13), _linspace(0.4, 0.6, 13), _linspace(0.2, 0.4, 13)
     assert _warm_peak(lambda: _box_min(f, eta, 1.0, ctx, lx, ly, lt)) < 0.08 * 2**20
+
+
+def test_refinement_box_without_strong_term_holds_two_box_arrays():
+    """At c = 0 the box's strong term is +0.0 and its distances finite, so
+    neither the strong array nor the 13 x 13 distances are built: the box
+    holds the points and f's values (17,576 B each) and one ufunc buffer,
+    and peaks near 57,100 B, where it read 76,320 B with the strong array.
+    One more box-sized array would cross the bound."""
+    f = FunctionSpec.from_text("x^(2a)")
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"])
+    ctx = AlphaContext(alpha=0.5)
+    lx, ly, lt = _linspace(0.1, 0.3, 13), _linspace(0.4, 0.6, 13), _linspace(0.2, 0.4, 13)
+    assert _warm_peak(lambda: _box_min(f, eta, 0.0, ctx, lx, ly, lt)) < 0.065 * 2**20
 
 
 def test_one_row_sweep_keeps_no_csv_buffer_through_certify():

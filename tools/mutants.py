@@ -9,7 +9,9 @@ Usage (from the root of a checkout):
 Each mutant replaces one exact text, which occurs exactly once in
 ``src/fracon``, by another: a span power, a power of two, an endpoint, a
 moment, a tolerance, an input bound, the refinement box's size, the order
-of the eta pair at the ends or the witness's mixture.  The checkout
+of the eta pair at the ends, the witness's mixture, the rule that skips a
++0.0 strong term, the lattice's copy of its f(mixture) view or the
+evaluation of a 0-d input as one element.  The checkout
 (without ``.git`` and caches) is copied to a temporary directory once.  The suite first runs there
 unmutated, and must pass; then each mutant is written into the copy, the
 suite runs as
@@ -80,6 +82,13 @@ MUTANTS = (
     Mutant("eta-pair", "np.array([fa, fb]), np.array([fb, fa])",
            "np.array([fb, fa]), np.array([fa, fb])"),
     Mutant("defect-mix", "t * x + (1.0 - t) * y", "t * y + (1.0 - t) * x"),
+    Mutant("far-check", "if math.isfinite(far.max()):", "if True:"),
+    Mutant("far-xy", "xs.max() - ys.min(), ys.max()", "ys.max()"),
+    Mutant("far-yx", "ys.min(), ys.max() - xs.min()]", "ys.min()]"),
+    Mutant("strong-sign", "np.count_nonzero(corr.view(np.int64))", "np.count_nonzero(corr)"),
+    Mutant("plane-copy", "np.copyto(tmp, fmix)\n                np.subtract(d, tmp, out=d)",
+           "np.subtract(d, fmix, out=d)"),
+    Mutant("zero-d", "xs.reshape(1) if xs.ndim == 0 else xs", "xs"),
 )
 
 
