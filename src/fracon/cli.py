@@ -237,6 +237,8 @@ def _parse_interval(value) -> tuple[float, float]:
         raise ConfigError(f"--interval must be finite, got {value!r}")
     if not a < b:
         raise ConfigError(f"--interval needs a < b, got {value!r}")
+    if not math.isfinite(b - a):
+        raise ConfigError(f"--interval width b - a must be finite, got {value!r}")
     return a, b
 
 

@@ -162,15 +162,18 @@ def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
     is skipped and the (x, y) distances are never built.  It runs when
     ``corr`` holds anything but +0.0 (a -0.0 turns a -0.0 defect into
     +0.0), or when some distance is not finite, as 0 * inf is NaN.
-    Rounding is monotone, so the largest |x - y| is at a corner of the
-    grid: |max x - min y| or |max y - min x|.
+    xs and ys must be ascending (every caller passes ``_linspace`` axes,
+    or one point each): rounding is monotone, so the largest |x - y| is
+    then at a corner of the grid, |xs[-1] - ys[0]| or |ys[-1] - xs[0]|,
+    read from the ends without a reduction.  On unsorted sides an
+    overflowing distance can be missed.
     """
     al = ctx.alpha
     e = eta.evaluate_many(fx[:, None], fy[None, :], ctx)
     ta = ts**al
     corr = c**al * ta * (1.0 - ts) ** al
     if not np.count_nonzero(corr.view(np.int64)):  # +0.0 alone has no bit set
-        far = np.abs(np.array([xs.max() - ys.min(), ys.max() - xs.min()])) ** (2.0 * al)
+        far = np.abs(np.array([xs[-1] - ys[0], ys[-1] - xs[0]])) ** (2.0 * al)
         if math.isfinite(far.max()):
             return e, ta, None, None
     return e, ta, corr, np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
@@ -529,10 +532,14 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
     when the worst sampled |w(x) - w(a + b - x)| is <= 1e-10 * (1 + max |w|),
     and nonnegative when its sampled minimum is >= -1e-12 * (1 + max |w|),
     since Fejer weights must be both.  Symmetry is checked first; a NaN
-    sample fails both checks.
+    sample fails both checks.  The points and their mirror images
+    a + b - x are evaluated in one call.
     """
-    a, b, xs, wx = _sample(w, a, b, ctx, 1001)
-    asym = np.abs(wx - w.evaluate_many(a + b - xs, ctx))
+    a, b = _check_interval(a, b)
+    xs = _linspace(a, b, 1001)
+    values = w.evaluate_many(np.concatenate((xs, a + b - xs)), ctx)
+    wx = values[:1001]
+    asym = np.abs(wx - values[1001:])
     i = int(asym.argmax())
     scale = 1.0 + float(np.abs(wx).max())
     tol = 1e-10 * scale

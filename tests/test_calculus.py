@@ -625,6 +625,44 @@ def test_rl_integrate_never_writes_the_nodes_fn_hands_back():
         assert xs.tobytes() == before.tobytes()
 
 
+def _panel_rows(rows: int, seed: int) -> np.ndarray:
+    """rows x _POINTS samples: magnitudes from 1e-300 to 1e300 of both signs,
+    exact cancellations, and zeros of both signs, with whole rows of
+    -0.0, of +0.0 and of mixed zeros."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, calculus._POINTS)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    vals[rng.random(shape) < 0.3] = -0.0
+    vals[rng.random(shape) < 0.1] = 0.0
+    cancel = rng.random(rows) < 0.1
+    vals[cancel, 1] = -vals[cancel, 0]
+    vals[0::7] = -0.0
+    vals[1::7] = 0.0
+    vals[2::7] = np.where(rng.random((vals[2::7].shape)) < 0.5, -0.0, 0.0)
+    return vals
+
+
+@pytest.mark.parametrize("rows", [1, 5, 372, 131_072])
+@pytest.mark.parametrize("kept", [False, True], ids=["owned", "kept"])
+def test_panel_sums_are_numpys_row_reduction_bitwise(rows, kept):
+    """_panel_values sums each row of weighted samples by adjacent halvings;
+    at _POINTS = 8 that is numpy's pairwise order, started from +0.0 (a
+    row of -0.0 sums to +0.0), so every panel value has the bits of
+    ``np.add.reduce(vals * _WEIGHTS, axis=1) * half``, whether the
+    samples are weighted in fn's array or, when fn keeps it, in a copy."""
+    assert calculus._POINTS == 8
+    vals = _panel_rows(rows, rows)
+    half = np.random.default_rng(rows + 1).random(rows) + 0.5
+    half[::3] = 2.0 ** -1000  # products near the bottom of the subnormals
+    xs = np.zeros(vals.shape)
+    kept_vals = vals.copy()
+    got = calculus._panel_values(lambda _: kept_vals if kept else vals.copy(), xs, half)
+    want = np.add.reduce(vals * calculus._WEIGHTS, axis=1) * half
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(vals[0]).all() and want[0] == 0 and not np.signbit(want[0])
+    assert kept_vals.tobytes() == vals.tobytes()
+
+
 def _rl_hex(text, alpha):
     ctx = AlphaContext(alpha=alpha)
     f = FunctionSpec.from_text(text)

@@ -213,6 +213,34 @@ def test_certify_aggregates_all_config_problems(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--f", "const", "--eta", "difference", "--alpha", "1.0",
+         "--grid", "8", "--refine", "0"],
+        ["hh", "--f", "const", "--eta", "difference", "--alpha", "1.0"],
+        ["fejer", "--f", "const", "--eta", "difference", "--w", "one", "--alpha", "1.0"],
+        ["sweep", "--alphas", "1.0", "--cs", "0", "--etas", "difference", "--fs", "const"],
+    ],
+    ids=["certify", "hh", "fejer", "sweep"],
+)
+def test_interval_whose_width_overflows_is_a_config_error(capsys, monkeypatch, argv):
+    """On [-1e308, 1e308] both ends are finite but b - a overflows to inf,
+    so every lattice axis and quadrature node would be NaN or inf: the
+    interval is rejected before any work, not reported as an EvalError or
+    IntegrationError (exit 3) or an ERROR row."""
+    for name in ("certify_gsc", "hh_terms", "fejer_terms"):
+        def no_work(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran on a rejected interval")
+
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, [*argv, "--interval=-1e308,1e308"])
+    assert code == 1
+    assert out == ""
+    assert err == ("fracon: error: --interval width b - a must be finite, "
+                   "got '-1e308,1e308'\n")
+
+
+@pytest.mark.parametrize(
     ("argv", "other"),
     [
         (["certify", "--f", "square", "--eta", "difference", "--alpha", "0.5",

@@ -754,9 +754,10 @@ _DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)
 @example(text="x", eta="u*v", c=-0.0, xs=[0.5], ys=[-0.0], ts=[0.0])
 def test_lattice_min_ties_match_whole_tensor_bitwise(text, eta, c, xs, ys, ts):
     """On dyadic points at alpha = 1 every defect is exact, so many cells tie,
-    zeros of both signs among them.  The box kernel, which takes any xs, ys
-    and ts, returns the whole tensor's index, minimum and max |f| bit for
-    bit."""
+    zeros of both signs among them.  The box kernel, on unsorted xs, ys
+    and ts here (its corner check needs ascending sides only where some
+    |x - y| can overflow, and none can on [-1, 1]), returns the whole
+    tensor's index, minimum and max |f| bit for bit."""
     f, eta = _f(text), EtaSpec.from_text(eta)
     xs, ys, ts = np.array(xs), np.array(ys), np.array(ts)
     got = convexity._box_min(f, eta, c, _CTX1, xs, ys, ts)

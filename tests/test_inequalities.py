@@ -16,6 +16,8 @@ independent classical computation; the library is never its own oracle.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 
@@ -29,6 +31,7 @@ from fracon import (
     FunctionSpec,
     SymmetryError,
     WeightSpec,
+    calculus,
     certify_gsc,
     cli,
     estimate_eta_sup,
@@ -37,6 +40,7 @@ from fracon import (
     hh_terms,
     inequalities,
 )
+from fracon.presets import ETA_PRESETS, F_PRESETS, W_PRESETS
 from paper_checks import unit_weight_recomposition
 
 _CTX1 = AlphaContext(alpha=1.0)
@@ -345,6 +349,87 @@ def test_weighted_terms_recompose_from_moments(alpha, c):
     scale = 1.0 + max(abs(rep.F1), abs(rep.F3))
     assert abs(rep.F1 - rec1) <= 1e-12 * scale
     assert abs(rep.F3 - rec3) <= 1e-12 * scale
+
+
+def _fejer_reference(f, eta, c, w, a, b, ctx) -> dict:
+    """FejerReport's float fields from the six integrands as first written,
+    each evaluating w on its own nodes, through ``calculus._integral``."""
+    al, span = ctx.alpha, b - a
+    fa, fb, fm = f.evaluate_many(np.array([a, b, (a + b) / 2.0]), ctx).tolist()
+    e_ab, e_ba = eta.evaluate_many(np.array([fa, fb]), np.array([fb, fa]), ctx).tolist()
+    f_pts, w_pts = f.singular_points(), w.singular_points()
+    t_pts = tuple((p - a) / span for p in w_pts)
+
+    def integral(fn, lo=0.0, hi=1.0, points=t_pts):
+        return calculus._integral("reference", fn, lo, hi, al, points)
+
+    def wx(ts):
+        return w.evaluate_many(a + ts * span, ctx)
+
+    m0 = span**al * integral(wx)
+    m1 = span ** (3 * al) * integral(lambda ts: wx(ts) * np.abs(1.0 - 2.0 * ts) ** (2 * al),
+                                     points=t_pts + (0.5,))
+    m2 = span ** (2 * al) * integral(lambda ts: wx(ts) * ts**al)
+    m3 = span ** (3 * al) * integral(lambda ts: wx(ts) * (ts**al * (1.0 - ts) ** al))
+    L = integral(lambda xs: eta.evaluate_many(f.evaluate_many(a + b - xs, ctx),
+                                              f.evaluate_many(xs, ctx), ctx)
+                 * w.evaluate_many(xs, ctx),
+                 a, b, f_pts + tuple(a + b - p for p in f_pts) + w_pts) / 2**al
+    F2 = integral(lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx),
+                  a, b, f_pts + w_pts)
+    R = (e_ab + e_ba) / (2**al * span**al) * m2
+    F1 = fm * m0 - L + c**al / 4**al * m1
+    F3 = (fa + fb) / 2**al * m0 + R - c**al * m3
+    return dict(alpha=al, c=c, m0=m0, m1=m1, m2=m2, m3=m3, L_eta=L, R_eta=R, F1=F1,
+                F2=F2, F3=F3, link_tol=1e-9 * (1.0 + max(abs(F1), abs(F2), abs(F3))),
+                a=a, b=b, gap12=F2 - F1, gap23=F3 - F2)
+
+
+def _assert_fejer_matches_reference(f_text, eta_text, w_text, c, a, b, alpha):
+    bound = {"lo": a, "hi": b}
+    f = FunctionSpec.from_text(f_text, params=bound)
+    eta = EtaSpec.from_text(eta_text, params=bound)
+    w = WeightSpec.from_text(w_text, params=bound)
+    ctx = AlphaContext(alpha=alpha)
+    rep = fejer_terms(f, eta, c, w, a, b, ctx)
+    floats = {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
+              if isinstance(getattr(rep, fld.name), float)}
+    got = {**floats, "a": rep.interval[0], "b": rep.interval[1],
+           "gap12": rep.links[0].gap, "gap23": rep.links[1].gap}
+    want = _fejer_reference(f, eta, c, w, a, b, ctx)
+    assert set(floats) | {"a", "b", "gap12", "gap23"} == set(want)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize(("f_text", "eta_text", "w_text"), [
+    (F_PRESETS[fk], ETA_PRESETS[ek], W_PRESETS[wk])
+    for fk, ek, wk in itertools.product(F_PRESETS, ETA_PRESETS, W_PRESETS)
+], ids=["-".join(k) for k in itertools.product(F_PRESETS, ETA_PRESETS, W_PRESETS)])
+def test_fejer_terms_match_the_unshared_integrands_bitwise(f_text, eta_text, w_text):
+    """m0, m2 and m3 share one sample of w per node array, and the panel
+    sums halve in place; every float fejer_terms reports still has the
+    bits of the six integrands that each evaluate w, at every alpha and c
+    on [0, 1] and [-1, 2]."""
+    for alpha, c, (a, b) in itertools.product(_ALPHAS, (0.0, 1.0), ((0.0, 1.0), (-1.0, 2.0))):
+        _assert_fejer_matches_reference(f_text, eta_text, w_text, c, a, b, alpha)
+
+
+@pytest.mark.parametrize(("f_text", "w_text"), [
+    # Kinks at 0.3 and 0.7 that w reports none of: m0, m2 and m3 refine
+    # for six or seven passes, each on a new node array.
+    ("x^(2a)", "abs((x - 0.5)^2 - 0.04)"),
+    # Three kinks of w: the moments' mesh is too large to cache, so each
+    # of the three integrals gets a node array of its own.
+    ("x^(2a)", "abs(x - 0.25) + abs(x - 0.5) + abs(x - 0.75)"),
+    # Three kinks of f: L's and F2's meshes are built anew per call.
+    ("abs(x - 0.2)^(a) + abs(x - 0.5)^(a) + abs(x - 0.9)^(a)", "(x - lo)^(a)*(hi - x)^(a)"),
+], ids=["w-refines", "w-uncached", "f-uncached"])
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_fejer_terms_match_the_unshared_integrands_on_kinks_bitwise(f_text, w_text, alpha):
+    """As above where the moments' node arrays change between or within
+    integrals, so w's sample must be taken anew."""
+    for c, (a, b) in itertools.product((0.0, 1.0), ((0.0, 1.0), (-1.0, 2.0))):
+        _assert_fejer_matches_reference(f_text, "2^a*u + v", w_text, c, a, b, alpha)
 
 
 def test_weighted_chain_rejects_asymmetric_weight():

@@ -64,6 +64,20 @@ def test_fejer_holds_under_four_arrays_of_its_eta_mesh():
     assert peak < 4 * 3984 * 8
 
 
+def test_fejer_moments_share_one_sample_of_w_and_nothing_more():
+    """fejer_terms on x^(2a) with the parabolic weight at alpha 0.5: m0, m2
+    and m3 integrate on one cached node array, and w's sample on it is
+    taken once and held through the three.  The call peaks near 89.5 KB
+    (90.0 KB when each integral sampled w itself); also holding one
+    t**al per node array for m2 and m3 read 98.4 KB."""
+    bound = {"lo": 0.0, "hi": 1.0}
+    f = FunctionSpec.from_text("x^(2a)", params=bound)
+    eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
+    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    ctx = AlphaContext(alpha=0.5)
+    assert _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx)) < 94_000
+
+
 def test_capped_singular_integral_stays_under_16_mib():
     """abs(x - 0.3)^(-0.9) at alpha 1 never converges: the quadrature
     refines up to its evaluation cap (and lf_integral raises on the

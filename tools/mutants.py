@@ -10,11 +10,12 @@ Each mutant replaces one exact text, which occurs exactly once in
 ``src/fracon``, by another: a span power, a power of two, an endpoint, a
 moment, a tolerance, an input bound, the refinement box's size, the order
 of the eta pair at the ends, the witness's mixture, the rule that skips a
-+0.0 strong term, the lattice's copy of its f(mixture) view or the
-evaluation of a 0-d input as one element.  The checkout
-(without ``.git`` and caches) is copied to a temporary directory once.  The suite first runs there
-unmutated, and must pass; then each mutant is written into the copy, the
-suite runs as
++0.0 strong term, the lattice's copy of its f(mixture) view, the
+evaluation of a 0-d input as one element, the order and the +0.0 start
+of the panel sums, or the node array that w's shared sample was taken
+on.  The checkout (without ``.git`` and caches) is copied to a temporary
+directory once.  The suite first runs there unmutated, and must pass;
+then each mutant is written into the copy, the suite runs as
 
     python3 -m pytest -x -q --ignore=tests/test_golden.py --ignore=tests/test_mutants.py
 
@@ -83,12 +84,20 @@ MUTANTS = (
            "np.array([fb, fa]), np.array([fa, fb])"),
     Mutant("defect-mix", "t * x + (1.0 - t) * y", "t * y + (1.0 - t) * x"),
     Mutant("far-check", "if math.isfinite(far.max()):", "if True:"),
-    Mutant("far-xy", "xs.max() - ys.min(), ys.max()", "ys.max()"),
-    Mutant("far-yx", "ys.min(), ys.max() - xs.min()]", "ys.min()]"),
+    Mutant("far-xy", "xs[-1] - ys[0], ys[-1]", "ys[-1]"),
+    Mutant("far-yx", "ys[0], ys[-1] - xs[0]]", "ys[0]]"),
     Mutant("strong-sign", "np.count_nonzero(corr.view(np.int64))", "np.count_nonzero(corr)"),
     Mutant("plane-copy", "np.copyto(tmp, fmix)\n                np.subtract(d, tmp, out=d)",
            "np.subtract(d, fmix, out=d)"),
     Mutant("zero-d", "xs.reshape(1) if xs.ndim == 0 else xs", "xs"),
+    Mutant("halve-order",
+           "    step = 1\n    while 2 * step < _POINTS:\n        pairs = flat[:: 2 * step]\n"
+           "        np.add(pairs, flat[step :: 2 * step], out=pairs)\n        step *= 2\n",
+           "    step = _POINTS\n    while step > 2:\n        step //= 2\n"
+           "        pairs = vals[:, :step]\n"
+           "        np.add(pairs, vals[:, step : 2 * step], out=pairs)\n    step = 1\n"),
+    Mutant("sum-start", "    sums += 0.0\n", "\n"),
+    Mutant("w-reuse", "if not (seen and seen[0] is ts):", "if not seen:"),
 )
 
 
