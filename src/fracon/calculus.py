@@ -7,12 +7,23 @@ Liouville form
 
     a_I_b f = (1/Gamma(alpha)) * integral_a^b (b - x)**(alpha - 1) f(x) dx,
 
-normalized so that the generalized monomial table holds exactly:
+normalized so that the two-endpoint Beta table holds exactly:
+
+    a_I_b (x - a)**p * (b - x)**q
+        = span**(p+q+alpha) * Gamma(p+1) * Gamma(q+alpha)
+          / (Gamma(alpha) * Gamma(p+q+alpha+1)),       span = b - a,
+
+whose q = 0 row is the generalized monomial table,
 
     a_I_b |x - a|**(k*alpha)
         = Gamma(1 + k*alpha) / Gamma(1 + (k+1)*alpha) * (b - a)**((k+1)*alpha).
 
-At alpha = 1 this is the ordinary integral.  The substitution
+``_table_integral`` sums the table over a two-endpoint normal form
+(``expr.normal_form``, p = k*alpha and q = j*alpha).  The exact backend of
+``lf_integral`` feeds it a GPoly about a, whose terms are all q = 0 and
+keep the monomial table's order of operations; ``inequalities.fejer_terms``
+feeds it the forms of its Fejer integrands.  At alpha = 1 this is the
+ordinary integral.  The substitution
 v = (b - x)**alpha removes the kernel singularity,
 
     a_I_b f = (1/Gamma(1 + alpha)) * integral_0^V f(b - v**(1/alpha)) dv,
@@ -72,12 +83,12 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import FunctionSpec, GPoly
-from .fractal_scalar import AlphaContext, gamma
+from .expr import Form, FunctionSpec, GPoly
+from .fractal_scalar import AlphaContext, GammaDomainError, gamma
 
 __all__ = [
     "BackendKind",
@@ -452,13 +463,46 @@ def _integral(name: str, fn: Callable[[np.ndarray], np.ndarray], a: float, b: fl
     return res.value
 
 
-def _table_integral(gp: GPoly, span: float) -> float:
-    """Exact integral of a GPoly about the left endpoint over span > 0."""
-    alpha = gp.alpha
-    total = 0.0
-    for k, c in gp.terms:
-        total += c * gamma(1.0 + k * alpha) / gamma(1.0 + (k + 1) * alpha) * span ** ((k + 1) * alpha)
-    return total
+def _table_integral(form: Form, span: float, alpha: float) -> tuple[float, float]:
+    """Exact a_I_b of a two-endpoint normal form over span = b - a > 0, and
+    the sum of its terms' magnitudes.  A term is c times the Beta table's
+
+        a_I_b (x-a)**p (b-x)**q
+            = span**(p+q+alpha) * Gamma(p+1) * Gamma(q+alpha)
+              / (Gamma(alpha) * Gamma(p+q+alpha+1)),
+
+    p = k*alpha and q = j*alpha, summed over the form's {(k, j): c} in order.
+    A j = 0 term is the monomial table, Gamma(1+k*alpha) /
+    Gamma(1+(k+1)*alpha) * span**((k+1)*alpha), in the order of operations
+    the GPoly route has always used, so ``lf_integral``'s exact values keep
+    their bits.  A pole or an overflow of Gamma raises GammaDomainError, a
+    ValueError, and an overflow of a power of span raises OverflowError."""
+    total = size = 0.0
+    for (k, j), c in form.items():
+        if j == 0:
+            term = c * gamma(1.0 + k * alpha) / gamma(1.0 + (k + 1) * alpha) * span ** ((k + 1) * alpha)
+        else:
+            p, q = k * alpha, j * alpha
+            term = (c * gamma(p + 1.0) * gamma(q + alpha)
+                    / (gamma(alpha) * gamma(p + q + alpha + 1.0)) * span ** (p + q + alpha))
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def _beta_integral(form: Form, span: float, alpha: float) -> Optional[float]:
+    """The Beta table's a_I_b of ``form``, or None where the table did not
+    earn the digits ``rl_integrate`` promises: the terms' rounding, taken
+    as ``_ROUND_FLOOR`` times the sum of their magnitudes (as rl_integrate
+    floors its own error), must be within ``_RTOL`` of |value|.  Expanded
+    powers cancel that badly: ((x - a)*(b - x))**20 at alpha 1 sums to
+    -1.1e-12 where the integral is 1.8e-13.  A pole or an overflow of
+    Gamma or of a power of span gives None too."""
+    try:
+        value, size = _table_integral(form, span, alpha)
+    except (GammaDomainError, OverflowError):
+        return None
+    return value if _ROUND_FLOOR * size <= _RTOL * abs(value) else None
 
 
 def _finite(value: float) -> float:
@@ -492,7 +536,8 @@ def lf_integral(
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
         gp = f.gpoly(a, ctx)
-        return _finite(sign * _table_integral(gp, b - a))
+        value, _ = _table_integral({(k, 0): c for k, c in gp.terms}, b - a, gp.alpha)
+        return _finite(sign * value)
     value = _integral(f"the integral of {f.text}", lambda xs: f.evaluate_many(xs, ctx),
                       a, b, ctx.alpha, f.singular_points())
     return _finite(sign * value)

@@ -411,7 +411,8 @@ def _cmd_fejer(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args, pre=_missing_flags(args, "f", "eta"))
     f, eta, w, echo = _make_specs(cfg, args.f, args.eta, args.w)
     report = fejer_terms(f, eta, cfg.c, w, cfg.a, cfg.b, cfg.ctx)
-    notes = _link_notes(report)
+    routes = ", ".join(f"{name} {route}" for name, route in report.routes.items())
+    notes = [f"integral routes: {routes}", *_link_notes(report)]
     _emit_report("fejer", {**cfg.echo(), **echo}, report, notes, args.out)
     return 0 if report.all_hold else 2
 
@@ -623,6 +624,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """The options certify, hh and fejer share."""
     sub.add_argument("--config", default=None,
                      help="JSON config file; explicit flags override it")
     sub.add_argument("--alpha", type=float, default=None,
@@ -634,6 +636,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--meta", default=None,
                      help="free-form tag echoed in the report")
     sub.add_argument("--out", default=None, help="write output to this file")
+    sub.add_argument("--f", default=None, help="function preset id or expression")
+    sub.add_argument("--eta", default=None, help="eta preset id or expression")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,14 +662,10 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="lattice points per axis (default 50)")
     p.add_argument("--refine", type=int, default=None,
                    help="refinement levels (default 3)")
-    p.add_argument("--f", default=None, help="function preset id or expression")
-    p.add_argument("--eta", default=None, help="eta preset id or expression")
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("hh", help="check the four-term inequality chain")
     _add_common(p)
-    p.add_argument("--f", default=None)
-    p.add_argument("--eta", default=None)
     p.add_argument("--backend", choices=("exact", "rl"), default=None,
                    help="integral route for the mean term (default rl)")
     p.add_argument("--m-eta", dest="m_eta", type=float, default=None,
@@ -674,8 +674,6 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("fejer", help="check the weighted three-term chain")
     _add_common(p)
-    p.add_argument("--f", default=None)
-    p.add_argument("--eta", default=None)
     p.add_argument("--w", default=None, help="weight preset id or expression")
     p.set_defaults(func=_cmd_fejer)
 

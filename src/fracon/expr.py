@@ -36,13 +36,21 @@ a base point s,
 rules consume.  Expressions outside that form raise :class:`NotPolynomial`.
 The representation agrees with the source expression pointwise for x >= s,
 which is the half-line the exact rules integrate over.
+
+:func:`normal_form` is the same walk with a second endpoint: on [a, b] it
+gives the two-endpoint form
+
+    f(x) = sum_{k, j} c_kj * (x - a)**(k*alpha) * (b - x)**(j*alpha),
+
+which the Fejer chain's exact integrals consume; a GPoly about a is its
+j = 0 slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,6 +74,7 @@ __all__ = [
     "pretty",
     "evaluate_raw",
     "normalize",
+    "normal_form",
     "FunctionSpec",
     "EtaSpec",
     "WeightSpec",
@@ -687,16 +696,32 @@ class GPoly:
         return out if out.shape else float(out)
 
 
-def _pmul(p: dict[int, float], q: dict[int, float]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+#: The two-endpoint normal form {(k, j): c} of
+#: sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha) on [a, b].
+Form = dict[tuple[int, int], float]
+
+
+class _Frame(NamedTuple):
+    """What the normal-form walker reads besides the node."""
+
+    a: float
+    b: Optional[float]  # None: the one-endpoint form about a, a GPoly's
+    alpha: float
+    params: Mapping[str, float]
+    names: Mapping[str, Form]  # forms of variables other than x: eta's u and v
+
+
+def _pmul(p: Form, q: Form) -> Form:
+    out: Form = {}
+    for (k1, j1), c1 in p.items():
+        for (k2, j2), c2 in q.items():
+            key = (k1 + k2, j1 + j2)
+            out[key] = out.get(key, 0.0) + c1 * c2
     return out
 
 
-def _ppow(p: dict[int, float], n: int) -> dict[int, float]:
-    out = {0: 1.0}
+def _ppow(p: Form, n: int) -> Form:
+    out = {(0, 0): 1.0}
     for _ in range(n):
         out = _pmul(out, p)
     return out
@@ -751,87 +776,122 @@ def normalize(
     Raises :class:`NotPolynomial` for anything else (abs of a sum, division
     by a non-constant, non-integer multiples of a, alpha-powers of
     non-monomial bases...).  The result agrees with the source expression
-    for x >= s.
+    for x >= s.  It is the j = 0 slice of :func:`normal_form`'s walk, which
+    here has no right endpoint.
     """
-    raw = _gpoly_terms(node, s, ctx.alpha, params or {})
-    terms = tuple(sorted((k, c) for k, c in raw.items() if c != 0.0))
+    raw = _gpoly_terms(node, _Frame(float(s), None, ctx.alpha, params or {}, {}))
+    terms = tuple(sorted((k, c) for (k, _), c in raw.items() if c != 0.0))
     for k, _ in terms:
         if k < 0:
             raise NotPolynomial("negative generalized degree")
     return GPoly(float(s), ctx.alpha, terms)
 
 
-def _const_of(p: dict[int, float]) -> Optional[float]:
-    """The value of a constant term dict, or None if p has other terms."""
+def normal_form(
+    node: ExprAst,
+    a: float,
+    b: float,
+    ctx: AlphaContext,
+    params: Optional[Mapping[str, float]] = None,
+    names: Optional[Mapping[str, Form]] = None,
+) -> Form:
+    """Rewrite an expression as its two-endpoint normal form on [a, b]:
+    {(k, j): c} for sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha), keys
+    sorted, zero terms dropped.
+
+    The rules are :func:`normalize`'s, and a power of an affine base whose
+    root is b is a monomial in (b - x) as one whose root is a is one in
+    (x - a).  ``names`` gives the forms of the variables other than x: an
+    eta(u, v) evaluated on two forms is the form of its composition.
+    Raises :class:`NotPolynomial` as :func:`normalize` does.  The result
+    agrees with the source expression on [a, b].
+    """
+    raw = _gpoly_terms(node, _Frame(float(a), float(b), ctx.alpha, params or {}, names or {}))
+    form = {key: c for key, c in sorted(raw.items()) if c != 0.0}
+    if any(k < 0 or j < 0 for k, j in form):
+        raise NotPolynomial("negative generalized degree")
+    return form
+
+
+def _const_of(p: Form) -> Optional[float]:
+    """The value of a constant form, or None if p has other terms."""
     if not p:
         return 0.0
-    if set(p) == {0}:
-        return p[0]
+    if set(p) == {(0, 0)}:
+        return p[(0, 0)]
     return None
 
 
-def _monomial_pow(
-    n: Pow, s: float, alpha: float, params: Mapping[str, float]
-) -> Optional[dict[int, float]]:
-    """Power of a pure linear base u*(x - s): valid for any alpha."""
-    uw = _affine(n.base, params)
+def _monomial_pow(n: Pow, fr: _Frame) -> Optional[Form]:
+    """Power of a pure linear base u*(x - a), or -u*(b - x) when the form
+    has a right endpoint b: valid for any alpha."""
+    uw = _affine(n.base, fr.params)
     if uw is None:
         return None
     u, w = uw
     if u == 0.0:
         return None  # constant bases are handled by the callers
-    resid = u * s + w  # the base value at x = s
-    if abs(resid) > 1e-14 * max(1.0, abs(u * s), abs(w)):
+
+    def vanishes_at(r: float) -> bool:
+        resid = u * r + w  # the base value at x = r
+        return abs(resid) <= 1e-14 * max(1.0, abs(u * r), abs(w))
+
+    if vanishes_at(fr.a):
+        scale, side = u, 0
+    elif fr.b is not None and vanishes_at(fr.b):
+        scale, side = -u, 1
+    else:
         return None
     if isinstance(n.exp, ExpAlpha):
         k = n.exp.k
         if not _is_near_int(k):
             return None
-        coeff = float(_pow_alpha(u, k, alpha))
-        return {int(round(k)): coeff}
-    r = n.exp.value
-    i = r / alpha
-    if r < 0 or not _is_near_int(i):
-        return None
-    coeff = float(_pow_literal(u, r, n.pos))
-    return {int(round(i)): coeff}
+        i, coeff = int(round(k)), float(_pow_alpha(scale, k, fr.alpha))
+    else:
+        r = n.exp.value
+        i = r / fr.alpha
+        if r < 0 or not _is_near_int(i):
+            return None
+        i, coeff = int(round(i)), float(_pow_literal(scale, r, n.pos))
+    return {(i, 0) if side == 0 else (0, i): coeff}
 
 
-def _gpoly_terms(
-    n: ExprAst, s: float, alpha: float, params: Mapping[str, float]
-) -> dict[int, float]:
-    """Recursive worker of :func:`normalize`: {k: c_k} of n about s."""
+def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
+    """Recursive worker of :func:`normalize` and :func:`normal_form`:
+    {(k, j): c} of n on the frame ``fr``."""
     if isinstance(n, Num):
-        return {0: n.value}
+        return {(0, 0): n.value}
     if isinstance(n, Name):
-        if n.name in params:
-            return {0: float(params[n.name])}
+        if n.name in fr.params:
+            return {(0, 0): float(fr.params[n.name])}
+        if n.name in fr.names:
+            return dict(fr.names[n.name])
         if n.name != "x":
             raise NotPolynomial(f"name {n.name!r} is not a bound constant")
-        # the variable x itself: x = s + |x-s|**(m*alpha) for x >= s
-        m = 1.0 / alpha
+        # the variable x itself: x = a + (x-a)**(m*alpha) for x >= a
+        m = 1.0 / fr.alpha
         if not _is_near_int(m):
             raise NotPolynomial(
-                f"bare variable needs 1/alpha integral (alpha={alpha!r})"
+                f"bare variable needs 1/alpha integral (alpha={fr.alpha!r})"
             )
-        out = {int(round(m)): 1.0}
-        if s != 0.0:
-            out[0] = s
+        out = {(int(round(m)), 0): 1.0}
+        if fr.a != 0.0:
+            out[(0, 0)] = fr.a
         return out
     if isinstance(n, Neg):
-        return {k: -c for k, c in _gpoly_terms(n.child, s, alpha, params).items()}
+        return {k: -c for k, c in _gpoly_terms(n.child, fr).items()}
     if isinstance(n, Abs):
-        p = _gpoly_terms(n.child, s, alpha, params)
+        p = _gpoly_terms(n.child, fr)
         cv = _const_of(p)
         if cv is not None:
-            return {0: abs(cv)}
+            return {(0, 0): abs(cv)}
         if len(p) == 1:
             ((k, c),) = p.items()
             return {k: abs(c)}
         raise NotPolynomial("abs of a non-monomial has no polynomial form")
     if isinstance(n, Bin):
-        p = _gpoly_terms(n.left, s, alpha, params)
-        q = _gpoly_terms(n.right, s, alpha, params)
+        p = _gpoly_terms(n.left, fr)
+        q = _gpoly_terms(n.right, fr)
         if n.op == "+":
             for k, c in q.items():
                 p[k] = p.get(k, 0.0) + c
@@ -849,32 +909,35 @@ def _gpoly_terms(
             raise NotPolynomial("division by zero constant")
         return {k: c / d for k, c in p.items()}
     if isinstance(n, Pow):
-        mono = _monomial_pow(n, s, alpha, params)
+        mono = _monomial_pow(n, fr)
         if mono is not None:
             return mono
-        p = _gpoly_terms(n.base, s, alpha, params)
+        p = _gpoly_terms(n.base, fr)
         cv = _const_of(p)
         if isinstance(n.exp, ExpLiteral):
             r = n.exp.value
             if cv is not None:
-                return {0: float(_pow_literal(cv, r, n.pos))}
+                return {(0, 0): float(_pow_literal(cv, r, n.pos))}
             if _is_near_int(r) and r >= 0:
                 return _ppow(p, int(round(r)))
             raise NotPolynomial("fractional or negative literal power of a non-constant")
         k = n.exp.k
+        alpha = fr.alpha
         if cv is not None:
-            return {0: float(_pow_alpha(cv, k, alpha))}
+            return {(0, 0): float(_pow_alpha(cv, k, alpha))}
         if _is_near_int(k):
             ki = int(round(k))
             deg = k * alpha
             if _is_near_int(deg) and (ki - int(round(deg))) % 2 == 0:
                 return _ppow(p, int(round(deg)))
         if len(p) == 1:
-            ((j, u),) = p.items()
-            i = j * k * alpha
-            if _is_near_int(i):
+            # A monomial is >= 0 on [a, b], so its power is the power of
+            # its coefficient times the monomial's degrees scaled by k*alpha.
+            (((i, j), u),) = p.items()
+            ik, jk = i * k * alpha, j * k * alpha
+            if _is_near_int(ik) and _is_near_int(jk):
                 coeff = float(_pow_alpha(u, k, alpha))
-                return {int(round(i)): coeff}
+                return {(int(round(ik)), int(round(jk))): coeff}
         raise NotPolynomial(
             "alpha-power applies only to constants and (scaled) monomials"
         )
@@ -959,6 +1022,10 @@ class FunctionSpec(_Spec):
     def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
         return normalize(self.ast, s, ctx, self._params)
 
+    def form(self, a: float, b: float, ctx: AlphaContext) -> Form:
+        """f's two-endpoint normal form on [a, b] (see :func:`normal_form`)."""
+        return normal_form(self.ast, a, b, ctx, self._params)
+
     def singular_points(self) -> tuple[float, ...]:
         """Abscissae where f may have a kink, sorted.
 
@@ -987,3 +1054,8 @@ class EtaSpec(_Spec):
         vs = np.asarray(vs, dtype=float)
         out = evaluate_raw(self.ast, {"u": _one_d(us), "v": _one_d(vs)}, ctx, self._params)
         return _owned_result(self.ast, out, np.broadcast(us, vs).shape)
+
+    def form(self, u: Form, v: Form, a: float, b: float, ctx: AlphaContext) -> Form:
+        """The normal form on [a, b] of eta(u(x), v(x)), given the forms of
+        u and v (see :func:`normal_form`)."""
+        return normal_form(self.ast, a, b, ctx, self._params, {"u": u, "v": v})

@@ -39,14 +39,26 @@ the kernel realization):
 With w = 1 the Fejer chain recomposes the Hermite--Hadamard one; the test
 suite asserts those identities numerically (``tests/paper_checks.py``).
 
-m0, m2 and m3 integrate over the same t-interval with the same kinks, so
-their first passes run on one cached node array, and w(x(t)) is sampled
-on it once instead of three times: with the parabolic weight, w's
-evaluation was most of the difference between a Fejer call and one with
-w = 1.  Holding that sample through the three integrals costs nothing at
-the peak (a smooth-f call's traced peak fell from 89,970 to 89,530 B,
-since m0 no longer samples w into a fresh array).  Nothing else is
-shared.  Keeping t**al per node array for m2 and m3 as well raised that
+Pulled back to x, m0 = a_I_b w, m2 = a_I_b (x-a)**al w and
+m3 = a_I_b (x-a)**al (b-x)**al w.  So when w has a two-endpoint normal form
+(``expr.normal_form``), these three, and F2 and L when f and eta's
+composition have forms too, are sums of Beta integrals, and they come from
+the Beta table (``calculus._beta_integral``, route "exact") instead of
+quadrature, wherever the table's terms do not cancel past the rl route's
+tolerance.  Over the preset rows the two routes agree within
+1.4e-10 * (1 + |v|), and the quadrature values were up to 6.4e-10
+relative off the closed forms.  m1 is hypergeometric and always runs on
+``rl_integrate`` (route "rl"), as does every other integral; the report
+names each integral's route.
+
+On the rl route, m0, m2 and m3 integrate over the same t-interval with
+the same kinks, so their first passes run on one cached node array, and
+w(x(t)) is sampled on it once instead of three times: with the parabolic
+weight, w's evaluation was most of the difference between a Fejer call
+and one with w = 1.  Holding that sample through the three integrals
+costs nothing at the peak (a smooth-f call's traced peak fell from 89,970
+to 89,530 B, since m0 no longer samples w into a fresh array).  Nothing
+else is shared.  Keeping t**al per node array for m2 and m3 as well raised that
 peak to 98,370 B, for a power that costs less than the array it would
 hold.  L and F2 also run on one mesh, but sharing f and w between them
 would hold one more mesh-sized array through L's phase, which sets the
@@ -60,9 +72,9 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import IntegralBackend, NUMERIC, _integral, lf_integral
+from .calculus import IntegralBackend, NUMERIC, _beta_integral, _integral, lf_integral
 from .convexity import _check_interval, check_symmetry, estimate_eta_sup
-from .expr import EtaSpec, FunctionSpec, WeightSpec
+from .expr import EtaSpec, FunctionSpec, NotPolynomial, WeightSpec, _pmul
 from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
@@ -218,6 +230,7 @@ class FejerReport:
     F1: float
     F2: float
     F3: float
+    routes: dict[str, str]  # integral name -> "exact" | "rl"
     link_tol: float
     links: tuple[LinkStatus, ...]
     all_hold: bool
@@ -267,6 +280,35 @@ def _shared_w_moments(w: WeightSpec, a: float, span: float, ctx: AlphaContext,
     return m0, m2, m3
 
 
+def _exact_integrals(f: FunctionSpec, eta: EtaSpec, w: WeightSpec, a: float, b: float,
+                     ctx: AlphaContext) -> dict[str, float]:
+    """The Fejer integrals that the Beta table gives, by name: m0, m2 and
+    m3 (all three or none) when w has a two-endpoint normal form on [a, b],
+    F2 when f has one too, and L_eta (before its 1/2**al) when eta on the
+    forms of f(a+b-x), f's with k and j swapped, and f(x) has one as well.
+    An integral is left out where ``calculus._beta_integral`` finds that
+    the table did not earn the rl route's digits."""
+    al, span = ctx.alpha, b - a
+    out: dict[str, Optional[float]] = {}
+    try:
+        w_form = w.form(a, b, ctx)
+        moments = [_beta_integral(form, span, al) for form in (
+            w_form,
+            {(k + 1, j): cw for (k, j), cw in w_form.items()},
+            {(k + 1, j + 1): cw for (k, j), cw in w_form.items()},
+        )]
+        if None not in moments:
+            out["m0"], out["m2"], out["m3"] = moments
+        f_form = f.form(a, b, ctx)
+        out["F2"] = _beta_integral(_pmul(f_form, w_form), span, al)
+        mirrored = {(j, k): cf for (k, j), cf in f_form.items()}
+        eta_form = eta.form(mirrored, f_form, a, b, ctx)
+        out["L_eta"] = _beta_integral(_pmul(eta_form, w_form), span, al)
+    except NotPolynomial:
+        pass
+    return {name: value for name, value in out.items() if value is not None}
+
+
 def fejer_terms(
     f: FunctionSpec,
     eta: EtaSpec,
@@ -280,10 +322,20 @@ def fejer_terms(
 
     Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled at
     1001 points by ``check_symmetry``); violations raise
-    :class:`~fracon.convexity.SymmetryError`.  All integrals run on the
-    numeric route (weights make the exact table inapplicable in general);
-    one that does not converge raises
-    :class:`~fracon.calculus.IntegrationError` naming its term.
+    :class:`~fracon.convexity.SymmetryError`.
+
+    Integrals whose integrand has a two-endpoint normal form come from the
+    Beta table, route "exact" (see ``_exact_integrals``): m0, m2 and m3
+    when w has a form on [a, b], F2 when f has one too, and L when eta's
+    composition with f has one as well.  Both preset weights and both
+    preset eta maps have forms, and so does f wherever it is a generalized
+    polynomial about a (``x^(2a)`` on [0, 1] at every alpha, for
+    instance).  An integral whose table terms cancel past the rl route's
+    tolerance (L of ``u - v`` at alpha 1, which is 0 by symmetry, or an
+    expanded high power), m1, whose integral is hypergeometric, and every
+    other integral run on ``rl_integrate`` (route "rl"); one that does not
+    converge raises :class:`~fracon.calculus.IntegrationError` naming its
+    term.  ``routes`` names each integral's route.
     """
     a, b = _check_interval(a, b, c)
     check_symmetry(w, a, b, ctx)
@@ -311,7 +363,11 @@ def fejer_terms(
         wt *= s
         return wt
 
-    m0, m2, m3 = _shared_w_moments(w, a, span, ctx, integral)
+    exact = _exact_integrals(f, eta, w, a, b, ctx)
+    if "m0" in exact:
+        m0, m2, m3 = exact["m0"], exact["m2"], exact["m3"]
+    else:
+        m0, m2, m3 = _shared_w_moments(w, a, span, ctx, integral)
     m1 = span ** (3 * al) * integral("m1", m1_integrand, points=t_pts + (0.5,))
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
@@ -321,15 +377,20 @@ def fejer_terms(
         values *= w.evaluate_many(xs, ctx)
         return values
 
-    mirrored = tuple(a + b - p for p in f_pts)
-    L = integral("L_eta", eta_integrand, a, b, f_pts + mirrored + w_pts) / 2**al
+    L = exact.get("L_eta")
+    if L is None:
+        mirrored = tuple(a + b - p for p in f_pts)
+        L = integral("L_eta", eta_integrand, a, b, f_pts + mirrored + w_pts)
+    L /= 2**al
 
     def f2_integrand(xs: np.ndarray) -> np.ndarray:
         values = f.evaluate_many(xs, ctx)
         values *= w.evaluate_many(xs, ctx)
         return values
 
-    F2 = integral("F2", f2_integrand, a, b, f_pts + w_pts)
+    F2 = exact.get("F2")
+    if F2 is None:
+        F2 = integral("F2", f2_integrand, a, b, f_pts + w_pts)
     R = (e_ab + e_ba) / (2**al * span**al) * m2
 
     F1 = fm * m0 - L + ca / 4**al * m1
@@ -349,6 +410,8 @@ def fejer_terms(
         F1=F1,
         F2=F2,
         F3=F3,
+        routes={name: "exact" if name in exact else "rl"
+                for name in ("m0", "m1", "m2", "m3", "L_eta", "F2")},
         link_tol=tol,
         links=links,
         all_hold=all(link.holds for link in links),

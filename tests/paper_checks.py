@@ -30,9 +30,10 @@ def unit_weight_recomposition(f, eta, c, a, b, ctx):
 
     (i) and (ii) hold within ``inequalities._link_tol`` of their right
     side, (iii) within ``inequalities._LINK_RTOL``; both are read from the
-    library at call time.  Both chains run on the numeric route, so (i)
-    compares identical quadrature paths.  Returns the plain and the
-    weighted report and the three (lhs, rhs) pairs.
+    library at call time.  The plain chain runs on the numeric route, and
+    F2 on the Beta table wherever f has a normal form, so (i) compares the
+    two routes.  Returns the plain and the weighted report and the three
+    (lhs, rhs) pairs.
     """
     al = ctx.alpha
     g1 = gamma(1.0 + al)

@@ -28,9 +28,12 @@ from fracon import (
     rl_integrate,
 )
 from fracon import calculus
-from fracon.presets import ETA_PRESETS, W_PRESETS
+from fracon.presets import ETA_PRESETS
 
 _ALPHAS = (0.3, 0.5, 0.9, 1.0)
+# The parabolic weight written with abs: the preset's values on [lo, hi],
+# but no normal form, so its Fejer integrals stay on the rl route.
+_RL_PARABOLIC = "abs(x - lo)^(a)*abs(hi - x)^(a)"
 _INTERVALS = ((0.0, 1.0), (0.5, 2.0), (-1.0, 1.0))
 
 # Kernel-form quadrature oracles computed independently with mpmath at 40
@@ -701,10 +704,14 @@ def test_reversed_integral_and_fd_derivative_are_pinned_bitwise():
 
 
 def test_fejer_moments_are_pinned_bitwise():
+    """The numeric moments of the parabolic weight.  Written with abs, the
+    weight has the parabolic preset's values bit for bit on [lo, hi] but
+    no normal form, so its moments stay on the rl route."""
     ctx = AlphaContext(alpha=0.5)
-    w = WeightSpec.from_text(W_PRESETS["parabolic"], params={"lo": 0.0, "hi": 1.0})
+    w = WeightSpec.from_text(_RL_PARABOLIC, params={"lo": 0.0, "hi": 1.0})
     rep = fejer_terms(FunctionSpec.from_text("x^(2a)"),
                       EtaSpec.from_text(ETA_PRESETS["difference"]), 0.0, w, 0.0, 1.0, ctx)
+    assert set(rep.routes.values()) == {"rl"}
     assert [m.hex() for m in (rep.m0, rep.m1, rep.m2, rep.m3)] == [
         "0x1.812746b0379e7p-2", "0x1.73efe24506fdcp-3",
         "0x1.20dd750429b6cp-2", "0x1.341f6bc02c7edp-3",

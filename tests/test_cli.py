@@ -359,6 +359,36 @@ def test_fejer_classical_exit_zero(capsys):
     assert res["all_hold"] is True
 
 
+@pytest.mark.parametrize(("f", "eta", "w", "routes"), [
+    ("square", "difference", "parabolic",
+     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta exact, F2 exact"),
+    ("square", "abs(u - v)", "parabolic",
+     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta rl, F2 exact"),
+    ("abs(x - 0.7)^(a)", "difference", "parabolic",
+     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta rl, F2 rl"),
+    ("square", "difference", "abs(x - lo)^(a)*abs(hi - x)^(a)",
+     "m0 rl, m1 rl, m2 rl, m3 rl, L_eta rl, F2 rl"),
+], ids=["forms", "formless-eta", "kinked-f", "formless-w"])
+def test_fejer_notes_name_each_integral_route(capsys, f, eta, w, routes):
+    """The first note names the route of each integral, as the report's
+    routes field holds it: exact where the integrand has a normal form."""
+    code, out, _ = run(capsys, ["fejer", "--f", f, "--eta", eta, "--w", w,
+                                "--alpha", "0.9"])
+    assert code in (0, 2)
+    doc = json.loads(out)
+    assert doc["diagnostics"]["notes"][0] == f"integral routes: {routes}"
+    assert ", ".join(f"{k} {v}" for k, v in doc["results"]["routes"].items()) == routes
+
+
+@pytest.mark.parametrize("cmd", ["certify", "hh", "fejer"])
+def test_f_and_eta_flags_have_help_text(capsys, cmd):
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--f", "F", "function", "preset", "id", "or", "expression"] in lines
+    assert ["--eta", "ETA", "eta", "preset", "id", "or", "expression"] in lines
+
+
 def test_fejer_asymmetric_weight_exit_one(capsys):
     code, _, err = run(capsys, ["fejer", "--f", "square", "--eta", "difference",
                                 "--w", "x^(a)", "--alpha", "1.0"])

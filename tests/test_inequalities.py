@@ -284,9 +284,10 @@ def test_weighted_chain_unit_weight_classical():
     assert rep.R_eta == pytest.approx(0.0, abs=1e-12)
     assert rep.all_hold
     assert [l.name for l in rep.links] == ["F1<=F2", "F2<=F3"]
-    # Same quadrature, same integrand: the mean term is bitwise the
-    # unweighted integral.
-    hh = hh_terms(f, _DIFF, 0.0, 0.0, 1.0, _CTX1)
+    # Same table, same integrand: the mean term is bitwise the unweighted
+    # integral on its exact route.
+    assert rep.routes["F2"] == "exact"
+    hh = hh_terms(f, _DIFF, 0.0, 0.0, 1.0, _CTX1, backend=EXACT)
     assert rep.F2 == hh.integral
 
 
@@ -351,12 +352,13 @@ def test_weighted_terms_recompose_from_moments(alpha, c):
     assert abs(rep.F3 - rec3) <= 1e-12 * scale
 
 
-def _fejer_reference(f, eta, c, w, a, b, ctx) -> dict:
-    """FejerReport's float fields from the six integrands as first written,
-    each evaluating w on its own nodes, through ``calculus._integral``."""
+_INTEGRALS = ("m0", "m1", "m2", "m3", "L_eta", "F2")
+
+
+def _rl_integrals(f, eta, w, a, b, ctx) -> dict:
+    """The six Fejer integrals from the integrands as first written, each
+    evaluating w on its own nodes, through ``calculus._integral``."""
     al, span = ctx.alpha, b - a
-    fa, fb, fm = f.evaluate_many(np.array([a, b, (a + b) / 2.0]), ctx).tolist()
-    e_ab, e_ba = eta.evaluate_many(np.array([fa, fb]), np.array([fb, fa]), ctx).tolist()
     f_pts, w_pts = f.singular_points(), w.singular_points()
     t_pts = tuple((p - a) / span for p in w_pts)
 
@@ -366,17 +368,27 @@ def _fejer_reference(f, eta, c, w, a, b, ctx) -> dict:
     def wx(ts):
         return w.evaluate_many(a + ts * span, ctx)
 
-    m0 = span**al * integral(wx)
-    m1 = span ** (3 * al) * integral(lambda ts: wx(ts) * np.abs(1.0 - 2.0 * ts) ** (2 * al),
-                                     points=t_pts + (0.5,))
-    m2 = span ** (2 * al) * integral(lambda ts: wx(ts) * ts**al)
-    m3 = span ** (3 * al) * integral(lambda ts: wx(ts) * (ts**al * (1.0 - ts) ** al))
-    L = integral(lambda xs: eta.evaluate_many(f.evaluate_many(a + b - xs, ctx),
-                                              f.evaluate_many(xs, ctx), ctx)
-                 * w.evaluate_many(xs, ctx),
-                 a, b, f_pts + tuple(a + b - p for p in f_pts) + w_pts) / 2**al
-    F2 = integral(lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx),
-                  a, b, f_pts + w_pts)
+    return dict(
+        m0=span**al * integral(wx),
+        m1=span ** (3 * al) * integral(lambda ts: wx(ts) * np.abs(1.0 - 2.0 * ts) ** (2 * al),
+                                       points=t_pts + (0.5,)),
+        m2=span ** (2 * al) * integral(lambda ts: wx(ts) * ts**al),
+        m3=span ** (3 * al) * integral(lambda ts: wx(ts) * (ts**al * (1.0 - ts) ** al)),
+        L_eta=integral(lambda xs: eta.evaluate_many(f.evaluate_many(a + b - xs, ctx),
+                                                    f.evaluate_many(xs, ctx), ctx)
+                       * w.evaluate_many(xs, ctx),
+                       a, b, f_pts + tuple(a + b - p for p in f_pts) + w_pts) / 2**al,
+        F2=integral(lambda xs: f.evaluate_many(xs, ctx) * w.evaluate_many(xs, ctx),
+                    a, b, f_pts + w_pts),
+    )
+
+
+def _fejer_reference(f, eta, c, w, a, b, ctx, integrals) -> dict:
+    """FejerReport's float fields built from the six ``integrals``."""
+    al, span = ctx.alpha, b - a
+    fa, fb, fm = f.evaluate_many(np.array([a, b, (a + b) / 2.0]), ctx).tolist()
+    e_ab, e_ba = eta.evaluate_many(np.array([fa, fb]), np.array([fb, fa]), ctx).tolist()
+    m0, m1, m2, m3, L, F2 = (integrals[name] for name in _INTEGRALS)
     R = (e_ab + e_ba) / (2**al * span**al) * m2
     F1 = fm * m0 - L + c**al / 4**al * m1
     F3 = (fa + fb) / 2**al * m0 + R - c**al * m3
@@ -385,51 +397,149 @@ def _fejer_reference(f, eta, c, w, a, b, ctx) -> dict:
                 a=a, b=b, gap12=F2 - F1, gap23=F3 - F2)
 
 
-def _assert_fejer_matches_reference(f_text, eta_text, w_text, c, a, b, alpha):
+def _fejer_case(f_text, eta_text, w_text, c, a, b, alpha):
     bound = {"lo": a, "hi": b}
     f = FunctionSpec.from_text(f_text, params=bound)
     eta = EtaSpec.from_text(eta_text, params=bound)
     w = WeightSpec.from_text(w_text, params=bound)
     ctx = AlphaContext(alpha=alpha)
     rep = fejer_terms(f, eta, c, w, a, b, ctx)
+    assert tuple(rep.routes) == _INTEGRALS and rep.routes["m1"] == "rl"
+    assert set(rep.routes.values()) <= {"exact", "rl"}
+    return (f, eta, w, ctx), rep, _rl_integrals(f, eta, w, a, b, ctx)
+
+
+def _assert_fejer_matches_reference(f_text, eta_text, w_text, c, a, b, alpha):
+    """Every integral on the rl route has the bits of the unshared
+    integrand's, and every other float field has the bits of the display
+    forms built from the report's integrals of either route."""
+    (f, eta, w, ctx), rep, rl = _fejer_case(f_text, eta_text, w_text, c, a, b, alpha)
     floats = {fld.name: getattr(rep, fld.name) for fld in dataclasses.fields(rep)
               if isinstance(getattr(rep, fld.name), float)}
     got = {**floats, "a": rep.interval[0], "b": rep.interval[1],
            "gap12": rep.links[0].gap, "gap23": rep.links[1].gap}
-    want = _fejer_reference(f, eta, c, w, a, b, ctx)
+    integrals = {name: rl[name] if route == "rl" else getattr(rep, name)
+                 for name, route in rep.routes.items()}
+    want = _fejer_reference(f, eta, c, w, a, b, ctx, integrals)
     assert set(floats) | {"a", "b", "gap12", "gap23"} == set(want)
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
-@pytest.mark.parametrize(("f_text", "eta_text", "w_text"), [
-    (F_PRESETS[fk], ETA_PRESETS[ek], W_PRESETS[wk])
-    for fk, ek, wk in itertools.product(F_PRESETS, ETA_PRESETS, W_PRESETS)
-], ids=["-".join(k) for k in itertools.product(F_PRESETS, ETA_PRESETS, W_PRESETS)])
+def _times(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (k1, j1), c1 in p.items():
+        for (k2, j2), c2 in q.items():
+            out[k1 + k2, j1 + j2] = out.get((k1 + k2, j1 + j2), 0.0) + c1 * c2
+    return out
+
+
+def _beta(form: dict, span: float, al: float) -> tuple[float, float]:
+    """a_I_b of sum c (x-a)**(k al) (b-x)**(j al) from the Beta integral
+    B(p+1, q+al) / Gamma(al), with the sum of its terms' magnitudes."""
+    terms = [c * span ** ((k + j + 1) * al) * math.gamma(k * al + 1.0)
+             * math.gamma((j + 1) * al) / math.gamma((k + j + 1) * al + 1.0) / math.gamma(al)
+             for (k, j), c in form.items()]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def _assert_exact_integrals_match_beta_and_rl(f_text, eta_text, w_text, c, a, b, alpha):
+    """Each integral on the exact route is the Beta integral of its
+    integrand's form, here summed term by term with math.gamma, and lies
+    within 1e-9 (1 + |v|) of the rl route's value v."""
+    (f, eta, w, ctx), rep, rl = _fejer_case(f_text, eta_text, w_text, c, a, b, alpha)
+    exact = [name for name, route in rep.routes.items() if route == "exact"]
+    if not exact:
+        return
+    wf = w.form(a, b, ctx)
+    forms = {"m0": wf, "m2": _times({(1, 0): 1.0}, wf), "m3": _times({(1, 1): 1.0}, wf)}
+    if {"L_eta", "F2"} & set(exact):
+        ff = f.form(a, b, ctx)
+        forms["F2"] = _times(ff, wf)
+        if "L_eta" in exact:
+            mirror = {(j, k): cf for (k, j), cf in ff.items()}
+            forms["L_eta"] = _times(eta.form(mirror, ff, a, b, ctx), wf)
+    for name in exact:
+        value, size = _beta(forms[name], b - a, alpha)
+        if name == "L_eta":
+            value, size = value / 2**alpha, size / 2**alpha
+        got = getattr(rep, name)
+        assert abs(got - value) <= 1e-13 * size, (name, got, value)
+        assert abs(got - rl[name]) <= 1e-9 * (1.0 + abs(rl[name])), (name, got, rl[name])
+
+
+_PRESET_ROWS = list(itertools.product(F_PRESETS, ETA_PRESETS, W_PRESETS))
+_PRESET_CASES = dict(
+    argnames=("f_text", "eta_text", "w_text"),
+    argvalues=[(F_PRESETS[fk], ETA_PRESETS[ek], W_PRESETS[wk]) for fk, ek, wk in _PRESET_ROWS],
+    ids=["-".join(k) for k in _PRESET_ROWS],
+)
+_GRID = list(itertools.product(_ALPHAS, (0.0, 1.0), ((0.0, 1.0), (-1.0, 2.0))))
+
+
+@pytest.mark.parametrize(**_PRESET_CASES)
 def test_fejer_terms_match_the_unshared_integrands_bitwise(f_text, eta_text, w_text):
     """m0, m2 and m3 share one sample of w per node array, and the panel
-    sums halve in place; every float fejer_terms reports still has the
-    bits of the six integrands that each evaluate w, at every alpha and c
-    on [0, 1] and [-1, 2]."""
-    for alpha, c, (a, b) in itertools.product(_ALPHAS, (0.0, 1.0), ((0.0, 1.0), (-1.0, 2.0))):
+    sums halve in place; every integral fejer_terms takes on the rl route
+    still has the bits of its unshared integrand's, and every float it
+    derives has the bits of its display form, at every alpha and c on
+    [0, 1] and [-1, 2]."""
+    for alpha, c, (a, b) in _GRID:
         _assert_fejer_matches_reference(f_text, eta_text, w_text, c, a, b, alpha)
 
 
-@pytest.mark.parametrize(("f_text", "w_text"), [
-    # Kinks at 0.3 and 0.7 that w reports none of: m0, m2 and m3 refine
-    # for six or seven passes, each on a new node array.
-    ("x^(2a)", "abs((x - 0.5)^2 - 0.04)"),
-    # Three kinks of w: the moments' mesh is too large to cache, so each
-    # of the three integrals gets a node array of its own.
-    ("x^(2a)", "abs(x - 0.25) + abs(x - 0.5) + abs(x - 0.75)"),
-    # Three kinks of f: L's and F2's meshes are built anew per call.
-    ("abs(x - 0.2)^(a) + abs(x - 0.5)^(a) + abs(x - 0.9)^(a)", "(x - lo)^(a)*(hi - x)^(a)"),
-], ids=["w-refines", "w-uncached", "f-uncached"])
+@pytest.mark.parametrize(**_PRESET_CASES)
+def test_fejer_exact_integrals_match_beta_and_rl(f_text, eta_text, w_text):
+    """The integrals on the exact route, at every alpha and c on [0, 1]
+    and [-1, 2]: every preset weight takes m0, m2 and m3 there."""
+    for alpha, c, (a, b) in _GRID:
+        _assert_exact_integrals_match_beta_and_rl(f_text, eta_text, w_text, c, a, b, alpha)
+
+
+_KINKED = dict(
+    argnames=("f_text", "w_text"),
+    argvalues=[
+        # Kinks at 0.3 and 0.7 that w reports none of: m0, m2 and m3 refine
+        # for six or seven passes, each on a new node array.
+        ("x^(2a)", "abs((x - 0.5)^2 - 0.04)"),
+        # Three kinks of w: the moments' mesh is too large to cache, so each
+        # of the three integrals gets a node array of its own.
+        ("x^(2a)", "abs(x - 0.25) + abs(x - 0.5) + abs(x - 0.75)"),
+        # Three kinks of f: L's and F2's meshes are built anew per call.
+        ("abs(x - 0.2)^(a) + abs(x - 0.5)^(a) + abs(x - 0.9)^(a)", "(x - lo)^(a)*(hi - x)^(a)"),
+    ],
+    ids=["w-refines", "w-uncached", "f-uncached"],
+)
+
+
+@pytest.mark.parametrize(**_KINKED)
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_fejer_terms_match_the_unshared_integrands_on_kinks_bitwise(f_text, w_text, alpha):
     """As above where the moments' node arrays change between or within
     integrals, so w's sample must be taken anew."""
     for c, (a, b) in itertools.product((0.0, 1.0), ((0.0, 1.0), (-1.0, 2.0))):
         _assert_fejer_matches_reference(f_text, "2^a*u + v", w_text, c, a, b, alpha)
+        _assert_exact_integrals_match_beta_and_rl(f_text, "2^a*u + v", w_text, c, a, b, alpha)
+
+
+@pytest.mark.parametrize(("w_text", "route"), [
+    ("(x - 0.5)^2", "exact"),
+    ("(x - 0.5)^20", "rl"),
+    ("((x - lo)*(hi - x))^(20)", "rl"),
+])
+def test_cancelling_beta_terms_take_the_rl_route(w_text, route):
+    """The normal form of an expanded power has terms of both signs.  Where
+    they cancel past the rl route's 1e-9 relative tolerance (the sum came
+    out -1.1e-12 for the ((x - lo)*(hi - x))^(20) weight, whose integral is
+    20!**2/41! = 1.8e-13), the moments take rl, and each moment matches
+    its classical integral either way."""
+    w = _w(w_text, lo=0.0, hi=1.0)
+    rep = fejer_terms(_f("1"), _DIFF, 0.0, w, 0.0, 1.0, _CTX1)
+    assert [rep.routes[m] for m in ("m0", "m2", "m3")] == [route] * 3
+    xs = np.linspace(0.0, 1.0, 200_001)
+    for moment, factor in ((rep.m0, 1.0), (rep.m2, xs), (rep.m3, xs * (1.0 - xs))):
+        ys = w.evaluate_many(xs, _CTX1) * factor
+        want = float(np.sum((ys[1:] + ys[:-1]) * 0.5) / 200_000)  # trapezoid
+        assert moment == pytest.approx(want, rel=1e-8)
 
 
 def test_weighted_chain_rejects_asymmetric_weight():
@@ -444,8 +554,11 @@ def test_weighted_report_dict_shape():
     rep = fejer_terms(_f("x^(2a)"), _DIFF, 0.0, _w("1"), 0.0, 1.0, _CTX1)
     d = json.loads(cli._json_text(rep, "\n"))
     assert set(d) == {"alpha", "interval", "c", "m0", "m1", "m2", "m3",
-                      "L_eta", "R_eta", "F1", "F2", "F3", "link_tol", "links",
+                      "L_eta", "R_eta", "F1", "F2", "F3", "routes", "link_tol", "links",
                       "all_hold"}
+    # L is 0 by symmetry here, so its Beta terms cancel and it takes rl.
+    assert d["routes"] == {"m0": "exact", "m1": "rl", "m2": "exact", "m3": "exact",
+                           "L_eta": "rl", "F2": "exact"}
 
 
 # --------------------------------------------------------------- consistency
@@ -475,5 +588,10 @@ def test_consistency_degenerate_eta():
 
 
 def test_consistency_carries_both_reports():
+    """F2 of x^(2a) with w = 1 comes from the Beta table's j = 0 terms,
+    which are the exact route's monomial table bit for bit."""
     hh, fejer, _ = unit_weight_recomposition(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1)
-    assert fejer.F2 == hh.integral
+    assert fejer.routes["F2"] == "exact"
+    exact = hh_terms(_f("x^(2a)"), _DIFF, 0.0, 0.0, 1.0, _CTX1, backend=EXACT)
+    assert hh.backend == "rl"
+    assert fejer.F2 == exact.integral

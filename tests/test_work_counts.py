@@ -157,16 +157,23 @@ def test_eta_sup_work(monkeypatch, eta, f, points):
     assert seen == points
 
 
+# The parabolic weight written with abs: no normal form, so every Fejer
+# integral stays on the rl route; its kinks are the ends of [lo, hi], which
+# add no breakpoint.
+_RL_PARABOLIC = "abs(x - lo)^(a)*abs(hi - x)^(a)"
+
+
 def test_fejer_terms_builds_two_meshes_and_reuses_them():
-    """Of fejer_terms' six integrals on x^(2a) over [0, 1] with a smooth
-    weight, five share the smooth [0, 1] mesh and m1 adds the kink at 1/2:
-    two meshes built, four reuses."""
+    """Of fejer_terms' six integrals on x^(2a) over [0, 1] with a weight
+    smooth inside it, on the rl route, five share the smooth [0, 1] mesh
+    and m1 adds the kink at 1/2: two meshes built, four reuses."""
     ctx = AlphaContext(alpha=0.5)
-    w = WeightSpec.from_text("1")
+    w = WeightSpec.from_text(_RL_PARABOLIC, params={"lo": 0.0, "hi": 1.0})
     calculus._mesh.cache_clear()
-    fejer_terms(FunctionSpec.from_text("x^(2a)"),
-                EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
+    rep = fejer_terms(FunctionSpec.from_text("x^(2a)"),
+                      EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
     info = calculus._mesh.cache_info()
+    assert set(rep.routes.values()) == {"rl"}
     assert (info.misses, info.hits) == (2, 4)
 
 
@@ -177,9 +184,10 @@ def test_fejer_terms_repeated_kink_shares_one_mesh():
     built (the smooth [0, 1] one and the one kinked at 1/2), one fewer
     than when the repeated kink made a key of its own."""
     ctx = AlphaContext(alpha=0.3)
-    w = WeightSpec.from_text("1")
+    w = WeightSpec.from_text(_RL_PARABOLIC, params={"lo": 0.0, "hi": 1.0})
     calculus._mesh.cache_clear()
-    fejer_terms(FunctionSpec.from_text("abs(x - 0.5)^(a)"),
-                EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
+    rep = fejer_terms(FunctionSpec.from_text("abs(x - 0.5)^(a)"),
+                      EtaSpec.from_text("u - v"), 0.0, w, 0.0, 1.0, ctx)
     info = calculus._mesh.cache_info()
+    assert set(rep.routes.values()) == {"rl"}
     assert (info.misses, info.hits) == (2, 4)

@@ -16,7 +16,12 @@ from fracon import AlphaContext, EtaSpec, FunctionSpec, WeightSpec, certify_gsc,
 from fracon.cli import main
 from fracon.convexity import _box_min, _linspace
 from fracon.inequalities import fejer_terms
-from fracon.presets import ETA_PRESETS, W_PRESETS
+from fracon.presets import ETA_PRESETS
+
+# The parabolic weight written with abs: the preset's values on [lo, hi],
+# but no normal form, so every Fejer integral but m1 stays on the rl route
+# (m1 always does) and the peaks below are the numeric route's.
+_RL_PARABOLIC = "abs(x - lo)^(a)*abs(hi - x)^(a)"
 
 
 def _warm_peak(call) -> int:
@@ -38,43 +43,47 @@ def _warm_peak(call) -> int:
 def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
     """L's integrand runs on 3,984 samples here, the largest mesh of the
     call.  Evaluated in place, with f's two sample arrays freed when eta
-    returns, the call peaked near 142 KB, under six such arrays (106 KB
+    returns, the call peaked near 142 KB, under six such arrays (104 KB
     now, see the next test); with an array per operator it peaked near
     260 KB."""
     bound = {"lo": 0.0, "hi": 1.0}
     f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
     eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
-    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    w = WeightSpec.from_text(_RL_PARABOLIC, params=bound)
     ctx = AlphaContext(alpha=0.9)
+    assert set(fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx).routes.values()) == {"rl"}
     peak = _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx))
     assert peak < 6 * 3984 * 8
 
 
 def test_fejer_holds_under_four_arrays_of_its_eta_mesh():
     """The same call as above.  The moment integrands multiply their
-    t-factors into w's array, a signed alpha-power holds one array, and
-    rl_integrate weighs the samples in fn's array: the call peaks near
-    106 KB, where it read 141 KB with an array per factor."""
+    t-factors into w's array, and rl_integrate weighs the samples in fn's
+    array: the call peaks near 104 KB.  With the parabolic preset, whose
+    signed alpha-powers then held an array per factor, it read 141 KB."""
     bound = {"lo": 0.0, "hi": 1.0}
     f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
     eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
-    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    w = WeightSpec.from_text(_RL_PARABOLIC, params=bound)
     ctx = AlphaContext(alpha=0.9)
+    assert set(fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx).routes.values()) == {"rl"}
     peak = _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx))
     assert peak < 4 * 3984 * 8
 
 
 def test_fejer_moments_share_one_sample_of_w_and_nothing_more():
-    """fejer_terms on x^(2a) with the parabolic weight at alpha 0.5: m0, m2
-    and m3 integrate on one cached node array, and w's sample on it is
-    taken once and held through the three.  The call peaks near 89.5 KB
-    (90.0 KB when each integral sampled w itself); also holding one
-    t**al per node array for m2 and m3 read 98.4 KB."""
+    """fejer_terms on x^(2a) with the parabolic weight at alpha 0.5, all on
+    the rl route: m0, m2 and m3 integrate on one cached node array, and w's
+    sample on it is taken once and held through the three.  The call peaks
+    near 85.1 KB; also holding one t**al per node array for m2 and m3 read
+    98.7 KB.  (With the parabolic preset itself, before its moments took
+    the exact route, the same two read 89.5 and 98.4 KB.)"""
     bound = {"lo": 0.0, "hi": 1.0}
     f = FunctionSpec.from_text("x^(2a)", params=bound)
     eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
-    w = WeightSpec.from_text(W_PRESETS["parabolic"], params=bound)
+    w = WeightSpec.from_text(_RL_PARABOLIC, params=bound)
     ctx = AlphaContext(alpha=0.5)
+    assert set(fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx).routes.values()) == {"rl"}
     assert _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx)) < 94_000
 
 

@@ -12,8 +12,9 @@ moment, a tolerance, an input bound, the refinement box's size, the order
 of the eta pair at the ends, the witness's mixture, the rule that skips a
 +0.0 strong term, the lattice's copy of its f(mixture) view, the
 evaluation of a 0-d input as one element, the order and the +0.0 start
-of the panel sums, or the node array that w's shared sample was taken
-on.  The checkout (without ``.git`` and caches) is copied to a temporary
+of the panel sums, the node array that w's shared sample was taken on,
+a Beta-table factor, the sign of a (b - x) base, m3's normal form, or
+the mirror image of f's form.  The checkout (without ``.git`` and caches) is copied to a temporary
 directory once.  The suite first runs there unmutated, and must pass;
 then each mutant is written into the copy, the suite runs as
 
@@ -98,6 +99,11 @@ MUTANTS = (
            "        np.add(pairs, vals[:, step : 2 * step], out=pairs)\n    step = 1\n"),
     Mutant("sum-start", "    sums += 0.0\n", "\n"),
     Mutant("w-reuse", "if not (seen and seen[0] is ts):", "if not seen:"),
+    Mutant("beta-q", "gamma(q + alpha)", "gamma(q + 1.0)"),
+    Mutant("beta-span", "span ** (p + q + alpha))", "span ** (p + q))"),
+    Mutant("b-root", "scale, side = -u, 1", "scale, side = u, 1"),
+    Mutant("m3-form", "{(k + 1, j + 1): cw for", "{(k + 1, j): cw for"),
+    Mutant("f-mirror", "mirrored = {(j, k): cf", "mirrored = {(k, j): cf"),
 )
 
 

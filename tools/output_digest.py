@@ -5,6 +5,7 @@ Usage (from the root of a checkout):
     python3 tools/output_digest.py --seeds 1,2,3
     python3 tools/output_digest.py --workload lattice --workload sweep --seeds 1
     python3 tools/output_digest.py --seeds 1,2,3 --cold
+    python3 tools/output_digest.py --seeds 1,2,3 --by-command
 
 Every case that ``perfbench/cases.py`` builds for each workload and seed
 runs once, in process, through ``fracon.cli.main``, with fracon imported
@@ -16,6 +17,14 @@ and each case run by its ``run_case``.  One line per workload is printed:
 where the hash covers, case by case in run order, the argv, the exit code
 (or the exception a case raised), stdout and stderr.  Run the same command
 in two checkouts: equal lines mean byte-identical output on every case.
+
+``--by-command`` prints one line per workload and command instead, sorted
+by command,
+
+    <workload> <command> <cases> <sha256>
+
+hashing only that command's cases (in run order), so a change meant to move
+one command's bytes can show that every other command's did not move.
 
 ``--cold`` clears every ``functools`` cache of every imported fracon
 module (``cache_clear()``) before each case, so each case runs as in a
@@ -60,17 +69,23 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="1,2,3", help="comma-separated case seeds")
     p.add_argument("--cold", action="store_true",
                    help="clear fracon's functools caches before each case")
+    p.add_argument("--by-command", action="store_true",
+                   help="print one digest per workload and command")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     for workload in args.workload or WORKLOADS:
-        digest, n = hashlib.sha256(), 0
+        digests: dict[str, list] = {}  # group -> [sha256, cases]
         for seed in seeds:
             for case in build(workload, seed):
                 if args.cold:
                     _clear_caches()
-                digest.update(_record(cli_main, case.argv))
-                n += 1
-        print(f"{workload} {n} {digest.hexdigest()}", flush=True)
+                group = case.argv[0] if args.by_command else ""
+                entry = digests.setdefault(group, [hashlib.sha256(), 0])
+                entry[0].update(_record(cli_main, case.argv))
+                entry[1] += 1
+        for group, (digest, n) in sorted(digests.items()):
+            label = f"{workload} {group}" if args.by_command else workload
+            print(f"{label} {n} {digest.hexdigest()}", flush=True)
     return 0
 
 
