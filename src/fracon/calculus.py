@@ -22,8 +22,26 @@ whose q = 0 row is the generalized monomial table,
 (``expr.normal_form``, p = k*alpha and q = j*alpha).  The exact backend of
 ``lf_integral`` feeds it a GPoly about a, whose terms are all q = 0 and
 keep the monomial table's order of operations; ``inequalities.fejer_terms``
-feeds it the forms of its Fejer integrands.  At alpha = 1 this is the
-ordinary integral.  The substitution
+feeds it the forms of its Fejer integrands.  A table sum whose terms cancel
+past the numeric route's tolerance is not used (``_earned``).  At alpha = 1
+this is the ordinary integral.
+
+The Fejer moment m1 of a weight with a normal form has a table of its own,
+``_m1_integral``: with N = p + q + 3*alpha + 1 and the Gauss series
+S(A, B; C) = sum_n (A)_n (B)_n / ((C)_n n!) 2**-n, whose terms are all
+positive,
+
+    (1/Gamma(alpha)) int_0^1 t**p (1-t)**(q+alpha-1) |1-2t|**(2*alpha) dt
+        = 2**-N / Gamma(alpha)
+          * (B(p+1, 2*alpha+1) * S(N, 2*alpha+1; p+2*alpha+2)
+             + B(q+alpha, 2*alpha+1) * S(N, 2*alpha+1; q+3*alpha+1)),
+
+the halves t < 1/2 and t > 1/2 as 2F1 values at z = 1/2 after Euler's
+transformation (DLMF 15.8.1), and m1 sums c * span**(p+q+3*alpha) times
+that over the form's terms.  Each Beta function's denominator Gamma is
+its series' C.
+
+The numeric route integrates everything else.  The substitution
 v = (b - x)**alpha removes the kernel singularity,
 
     a_I_b f = (1/Gamma(1 + alpha)) * integral_0^V f(b - v**(1/alpha)) dv,
@@ -87,7 +105,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import Form, FunctionSpec, GPoly
+from .expr import Form, FunctionSpec, GPoly, NotPolynomial
 from .fractal_scalar import AlphaContext, GammaDomainError, gamma
 
 __all__ = [
@@ -490,19 +508,74 @@ def _table_integral(form: Form, span: float, alpha: float) -> tuple[float, float
     return total, size
 
 
+def _earned(value: float, size: float) -> bool:
+    """Whether a table sum ``value`` earned the digits ``rl_integrate``
+    promises: the terms' rounding, taken as ``_ROUND_FLOOR`` times the sum
+    of their magnitudes ``size`` (as rl_integrate floors its own error),
+    must be within ``_RTOL`` of |value|.  Expanded powers cancel that
+    badly: ((x - a)*(b - x))**20 at alpha 1 sums to -1.1e-12 where the
+    integral is 1.8e-13."""
+    return _ROUND_FLOOR * size <= _RTOL * abs(value)
+
+
 def _beta_integral(form: Form, span: float, alpha: float) -> Optional[float]:
     """The Beta table's a_I_b of ``form``, or None where the table did not
-    earn the digits ``rl_integrate`` promises: the terms' rounding, taken
-    as ``_ROUND_FLOOR`` times the sum of their magnitudes (as rl_integrate
-    floors its own error), must be within ``_RTOL`` of |value|.  Expanded
-    powers cancel that badly: ((x - a)*(b - x))**20 at alpha 1 sums to
-    -1.1e-12 where the integral is 1.8e-13.  A pole or an overflow of
-    Gamma or of a power of span gives None too."""
+    earn the digits ``rl_integrate`` promises (see ``_earned``).  A pole or
+    an overflow of Gamma or of a power of span gives None too."""
     try:
         value, size = _table_integral(form, span, alpha)
     except (GammaDomainError, OverflowError):
         return None
-    return value if _ROUND_FLOOR * size <= _RTOL * abs(value) else None
+    return value if _earned(value, size) else None
+
+
+# m1's Gauss series are summed until a term falls below _SERIES_EPS of the
+# running sum, within _SERIES_TERMS terms (no series of the k, j <= 20
+# terms at alpha in [0.01, 1] needed more than 150).
+_SERIES_EPS = 2.0**-54
+_SERIES_TERMS = 400
+
+
+def _half_series(A: float, B: float, C: float) -> Optional[float]:
+    """S(A, B; C) = sum_n (A)_n (B)_n / ((C)_n n!) 2**-n, the Gauss series
+    2F1(A, B; C; 1/2), for A, B, C > 0, so that every term is positive; None
+    when it has not converged within ``_SERIES_TERMS`` terms."""
+    term = total = 1.0
+    for n in range(_SERIES_TERMS):
+        term *= (A + n) * (B + n) / ((C + n) * (n + 1.0)) * 0.5
+        total += term
+        if term < _SERIES_EPS * total:
+            return total
+    return None
+
+
+def _m1_integral(form: Form, span: float, alpha: float) -> Optional[float]:
+    """The Fejer moment m1 = span**(3 alpha) * 0_I_1 |1-2t|**(2 alpha) w(x(t))
+    of a weight w with the two-endpoint normal form ``form``, summed term
+    by term from the closed form in the module docstring, or None: where a
+    series does not converge, on a pole or an overflow of Gamma or of a
+    power of span, and where the terms cancel past the rl route's
+    tolerance (``_earned``)."""
+    total = size = 0.0
+    b2 = 2.0 * alpha + 1.0
+    try:
+        g = gamma(b2) / gamma(alpha)
+        for (k, j), c in form.items():
+            p, q = k * alpha, j * alpha
+            n = p + q + 3.0 * alpha + 1.0
+            cl, cr = p + 2.0 * alpha + 2.0, q + 3.0 * alpha + 1.0
+            left, right = _half_series(n, b2, cl), _half_series(n, b2, cr)
+            if left is None or right is None:
+                return None
+            halves = gamma(p + 1.0) / gamma(cl) * left + gamma(q + alpha) / gamma(cr) * right
+            term = c * span ** (p + q) * (2.0**-n * g * halves)
+            total += term
+            size += abs(term)
+        scale = span ** (3.0 * alpha)
+    except (GammaDomainError, OverflowError):
+        return None
+    value = scale * total
+    return value if math.isfinite(value) and _earned(value, scale * size) else None
 
 
 def _finite(value: float) -> float:
@@ -523,10 +596,13 @@ def lf_integral(
 
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
     The exact route needs f in generalized-polynomial form about the lower
-    endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise); the
-    numeric route splits the integral at f's singular points, and an
-    integral that does not converge raises IntegrationError.  A non-finite
-    result (an overflow) raises ValueError.
+    endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise), and
+    its table terms must not cancel past the rl route's tolerance (see
+    ``_earned``; NotPolynomial too, naming the cancellation); a pole or an
+    overflow of Gamma raises GammaDomainError.  The numeric route splits
+    the integral at f's singular points, and an integral that does not
+    converge raises IntegrationError.  A non-finite result (an overflow)
+    raises ValueError.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -536,7 +612,13 @@ def lf_integral(
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
         gp = f.gpoly(a, ctx)
-        value, _ = _table_integral({(k, 0): c for k, c in gp.terms}, b - a, gp.alpha)
+        value, size = _table_integral({(k, 0): c for k, c in gp.terms}, b - a, gp.alpha)
+        if not _earned(value, size):
+            raise NotPolynomial(
+                f"the exact table's terms of {f.text} cancel: they sum to {value:.6e} "
+                f"from terms of magnitude {size:.6e}, past the rl route's "
+                f"relative tolerance {_RTOL:g}"
+            )
         return _finite(sign * value)
     value = _integral(f"the integral of {f.text}", lambda xs: f.evaluate_many(xs, ctx),
                       a, b, ctx.alpha, f.singular_points())

@@ -20,7 +20,8 @@ Exit codes
 ----------
 0  ran to completion and every checked statement holds
 1  input problem: bad flags/values, expression syntax, asymmetric or
-   negative weight, non-polynomial input on a forced exact route
+   negative weight, non-polynomial input or table terms that cancel on a
+   forced exact route
 2  verified mathematical violation: a counterexample was found, or an
    inequality link fails beyond tolerance
 3  runtime failure: evaluation/quadrature errors, overflow, non-finite
@@ -62,7 +63,7 @@ from .calculus import (
 )
 from .convexity import _GRID_RANGE, _REFINE_RANGE, SymmetryError, _check_range, certify_gsc
 from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError
-from .fractal_scalar import AlphaContext, axiom_conformance
+from .fractal_scalar import AlphaContext, GammaDomainError, axiom_conformance
 from .inequalities import fejer_terms, hh_terms
 from .presets import ETA_PRESETS, F_PRESETS, W_PRESETS, resolve
 
@@ -535,12 +536,14 @@ def _check_alpha(value) -> float:
 
 def _exact_first(choice: str, exact, numeric, run):
     """``(route, run(route))``: the ``exact`` route for choice "exact" or
-    "auto", else ``numeric``; "auto" falls back to ``numeric`` on input
-    with no generalized-polynomial form."""
+    "auto", else ``numeric``; "auto" falls back to ``numeric`` where the
+    exact route gives no value: input with no generalized-polynomial form,
+    table terms that cancel (both NotPolynomial), and a Gamma or a power
+    that overflows (GammaDomainError, OverflowError)."""
     route = exact if choice in ("exact", "auto") else numeric
     try:
         return route, run(route)
-    except NotPolynomial:
+    except (NotPolynomial, GammaDomainError, OverflowError):
         if choice != "auto":
             raise
     return numeric, run(numeric)

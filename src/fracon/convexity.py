@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import EtaSpec, EvalError, FunctionSpec, WeightSpec, _monotone_dirs
+from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, WeightSpec, _monotone_dirs
 from .fractal_scalar import AlphaContext
 
 __all__ = [
@@ -528,14 +528,22 @@ def check_eta_necessary(
 def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None:
     """Raise SymmetryError unless w is symmetric about (a+b)/2 and nonnegative.
 
-    w is sampled at 1001 evenly spaced points of [a, b].  It is symmetric
-    when the worst sampled |w(x) - w(a + b - x)| is <= 1e-10 * (1 + max |w|),
-    and nonnegative when its sampled minimum is >= -1e-12 * (1 + max |w|),
-    since Fejer weights must be both.  Symmetry is checked first; a NaN
-    sample fails both checks.  The points and their mirror images
-    a + b - x are evaluated in one call.
+    When w has a two-endpoint normal form on [a, b] (``WeightSpec.form``,
+    sum c(k, j) (x - a)**(k al) (b - x)**(j al)) whose coefficients are all
+    finite and >= 0, with c(k, j) == c(j, k) exactly (a missing key counts
+    as 0), each term and its mirror image are >= 0 and sum to a function
+    symmetric about (a+b)/2, so w is both, and it is not sampled.
+
+    Every other w is sampled at 1001 evenly spaced points of [a, b].  It
+    is symmetric when the worst sampled |w(x) - w(a + b - x)| is
+    <= 1e-10 * (1 + max |w|), and nonnegative when its sampled minimum is
+    >= -1e-12 * (1 + max |w|), since Fejer weights must be both.  Symmetry
+    is checked first; a NaN sample fails both checks.  The points and
+    their mirror images a + b - x are evaluated in one call.
     """
     a, b = _check_interval(a, b)
+    if _symmetric_form(w, a, b, ctx):
+        return
     xs = _linspace(a, b, 1001)
     values = w.evaluate_many(np.concatenate((xs, a + b - xs)), ctx)
     wx = values[:1001]
@@ -553,6 +561,18 @@ def check_symmetry(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> None
         raise SymmetryError(
             f"weight takes negative values: min {float(wx[j]):.3e} at x={float(xs[j])!r}"
         )
+
+
+def _symmetric_form(w: WeightSpec, a: float, b: float, ctx: AlphaContext) -> bool:
+    """Whether w's normal form on [a, b] shows it symmetric and nonnegative:
+    it has one, and every coefficient is finite, >= 0 and equal to its
+    mirror's, c(k, j) == c(j, k)."""
+    try:
+        form = w.form(a, b, ctx)
+    except NotPolynomial:
+        return False
+    return all(math.isfinite(c) and c >= 0.0 and c == form.get((j, k), 0.0)
+               for (k, j), c in form.items())
 
 
 def estimate_eta_sup(

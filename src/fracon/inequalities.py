@@ -47,9 +47,22 @@ the Beta table (``calculus._beta_integral``, route "exact") instead of
 quadrature, wherever the table's terms do not cancel past the rl route's
 tolerance.  Over the preset rows the two routes agree within
 1.4e-10 * (1 + |v|), and the quadrature values were up to 6.4e-10
-relative off the closed forms.  m1 is hypergeometric and always runs on
-``rl_integrate`` (route "rl"), as does every other integral; the report
-names each integral's route.
+relative off the closed forms.  m1 is hypergeometric, and for such a w it
+has a closed form too (``calculus._m1_integral``, route "exact"): with
+p = k al, q = j al and N = p + q + 3 al + 1, a term c (x-a)**p (b-x)**q
+of w adds c * span**(p+q+3 al) times
+
+    2**-N / Gamma(al) * (B(p+1, 2 al+1) S(N, 2 al+1; p+2 al+2)
+                         + B(q+al, 2 al+1) S(N, 2 al+1; q+3 al+1)),
+
+S(A, B; C) = sum_n (A)_n (B)_n / ((C)_n n!) 2**-n, a Gauss series of
+positive terms.  Every integral with no closed form runs on
+``rl_integrate`` (route "rl"); the report names each integral's route.
+
+w must be symmetric about the midpoint and nonnegative.  When its normal
+form has only finite coefficients c(k, j) >= 0 with c(k, j) == c(j, k),
+it is both, and ``convexity.check_symmetry`` does not sample it; every
+other w is sampled (see ``check_symmetry``).
 
 On the rl route, m0, m2 and m3 integrate over the same t-interval with
 the same kinks, so their first passes run on one cached node array, and
@@ -72,7 +85,8 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import IntegralBackend, NUMERIC, _beta_integral, _integral, lf_integral
+from .calculus import (IntegralBackend, NUMERIC, _beta_integral, _integral, _m1_integral,
+                       lf_integral)
 from .convexity import _check_interval, check_symmetry, estimate_eta_sup
 from .expr import EtaSpec, FunctionSpec, NotPolynomial, WeightSpec, _pmul
 from .fractal_scalar import AlphaContext, gamma
@@ -282,12 +296,14 @@ def _shared_w_moments(w: WeightSpec, a: float, span: float, ctx: AlphaContext,
 
 def _exact_integrals(f: FunctionSpec, eta: EtaSpec, w: WeightSpec, a: float, b: float,
                      ctx: AlphaContext) -> dict[str, float]:
-    """The Fejer integrals that the Beta table gives, by name: m0, m2 and
-    m3 (all three or none) when w has a two-endpoint normal form on [a, b],
-    F2 when f has one too, and L_eta (before its 1/2**al) when eta on the
-    forms of f(a+b-x), f's with k and j swapped, and f(x) has one as well.
-    An integral is left out where ``calculus._beta_integral`` finds that
-    the table did not earn the rl route's digits."""
+    """The Fejer integrals that have a closed form, by name: m0, m2 and m3
+    (all three or none) and m1 when w has a two-endpoint normal form on
+    [a, b], F2 when f has one too, and L_eta (before its 1/2**al) when eta
+    on the forms of f(a+b-x), f's with k and j swapped, and f(x) has one as
+    well.  m1 comes from ``calculus._m1_integral``, the others from the
+    Beta table.  An integral is left out where ``calculus._beta_integral``
+    or ``_m1_integral`` gives no value: the table did not earn the rl
+    route's digits, or m1's series did not converge."""
     al, span = ctx.alpha, b - a
     out: dict[str, Optional[float]] = {}
     try:
@@ -299,6 +315,7 @@ def _exact_integrals(f: FunctionSpec, eta: EtaSpec, w: WeightSpec, a: float, b: 
         )]
         if None not in moments:
             out["m0"], out["m2"], out["m3"] = moments
+        out["m1"] = _m1_integral(w_form, span, al)
         f_form = f.form(a, b, ctx)
         out["F2"] = _beta_integral(_pmul(f_form, w_form), span, al)
         mirrored = {(j, k): cf for (k, j), cf in f_form.items()}
@@ -320,22 +337,25 @@ def fejer_terms(
 ) -> FejerReport:
     """Evaluate the three Fejer chain terms for a symmetric weight.
 
-    Preconditions: w symmetric about (a+b)/2 and nonnegative (sampled at
-    1001 points by ``check_symmetry``); violations raise
-    :class:`~fracon.convexity.SymmetryError`.
+    Preconditions: w symmetric about (a+b)/2 and nonnegative, checked by
+    ``check_symmetry``: from w's normal form when its coefficients are
+    finite, >= 0 and c(k, j) == c(j, k), else by sampling 1001 points;
+    violations raise :class:`~fracon.convexity.SymmetryError`.
 
-    Integrals whose integrand has a two-endpoint normal form come from the
-    Beta table, route "exact" (see ``_exact_integrals``): m0, m2 and m3
-    when w has a form on [a, b], F2 when f has one too, and L when eta's
-    composition with f has one as well.  Both preset weights and both
-    preset eta maps have forms, and so does f wherever it is a generalized
-    polynomial about a (``x^(2a)`` on [0, 1] at every alpha, for
-    instance).  An integral whose table terms cancel past the rl route's
-    tolerance (L of ``u - v`` at alpha 1, which is 0 by symmetry, or an
-    expanded high power), m1, whose integral is hypergeometric, and every
-    other integral run on ``rl_integrate`` (route "rl"); one that does not
-    converge raises :class:`~fracon.calculus.IntegrationError` naming its
-    term.  ``routes`` names each integral's route.
+    Integrals whose integrand has a two-endpoint normal form have a closed
+    form, route "exact" (see ``_exact_integrals``): m0, m1, m2 and m3 when
+    w has a form on [a, b], F2 when f has one too, and L when eta's
+    composition with f has one as well.  m1 comes from the two Gauss
+    series of ``calculus._m1_integral`` (see the module docstring), the
+    others from the Beta table.  Both preset weights and both preset eta
+    maps have forms, and so does f wherever it is a generalized polynomial
+    about a (``x^(2a)`` on [0, 1] at every alpha, for instance).  An
+    integral whose closed-form terms cancel past the rl route's tolerance
+    (L of ``u - v`` at alpha 1, which is 0 by symmetry, or an expanded high
+    power), and every other integral run on ``rl_integrate`` (route "rl");
+    one that does not converge raises
+    :class:`~fracon.calculus.IntegrationError` naming its term.
+    ``routes`` names each integral's route.
     """
     a, b = _check_interval(a, b, c)
     check_symmetry(w, a, b, ctx)
@@ -352,23 +372,25 @@ def fejer_terms(
     def integral(name, fn, lo=0.0, hi=1.0, points=t_pts) -> float:
         return _integral(f"Fejer term {name}'s integral", fn, lo, hi, al, points)
 
-    def m1_integrand(ts: np.ndarray) -> np.ndarray:
-        """|1 - 2t|**(2 al) * w, the power built in one array and multiplied
-        into w's, which w's evaluation made."""
-        wt = w.evaluate_many(a + ts * span, ctx)
-        s = 2.0 * ts
-        np.subtract(1.0, s, out=s)
-        np.abs(s, out=s)
-        s **= 2 * al
-        wt *= s
-        return wt
-
     exact = _exact_integrals(f, eta, w, a, b, ctx)
     if "m0" in exact:
         m0, m2, m3 = exact["m0"], exact["m2"], exact["m3"]
     else:
         m0, m2, m3 = _shared_w_moments(w, a, span, ctx, integral)
-    m1 = span ** (3 * al) * integral("m1", m1_integrand, points=t_pts + (0.5,))
+    m1 = exact.get("m1")
+    if m1 is None:
+        def m1_integrand(ts: np.ndarray) -> np.ndarray:
+            """|1 - 2t|**(2 al) * w, the power built in one array and
+            multiplied into w's, which w's evaluation made."""
+            wt = w.evaluate_many(a + ts * span, ctx)
+            s = 2.0 * ts
+            np.subtract(1.0, s, out=s)
+            np.abs(s, out=s)
+            s **= 2 * al
+            wt *= s
+            return wt
+
+        m1 = span ** (3 * al) * integral("m1", m1_integrand, points=t_pts + (0.5,))
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
         """eta(f(a+b-x), f(x)) * w(x).  The f samples are freed when eta

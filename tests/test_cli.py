@@ -68,6 +68,31 @@ def test_integrate_forced_exact_rejects_nonmonomial(capsys):
     assert err.startswith("fracon: error: ")
 
 
+def test_integrate_auto_falls_back_when_gamma_overflows(capsys):
+    """Gamma(201) overflows the exact table: auto takes quadrature and
+    prints 1/201, and a forced exact still fails on the overflow."""
+    code, out, err = run(capsys, ["integrate", "x^(200a)", "0", "1", "--alpha", "1"])
+    assert (code, out, err) == (0, f"{1.0 / 201.0:.15g}\nbackend: rl\n", "")
+    code, out, err = run(capsys, ["integrate", "x^(200a)", "0", "1", "--alpha", "1",
+                                  "--backend", "exact"])
+    assert (code, out) == (3, "")
+    assert err == "fracon: GammaDomainError: gamma(201.0) overflows a float\n"
+
+
+def test_integrate_exact_declines_cancelling_terms(capsys):
+    """((x - 0.5)^2)^15 expands about 0 into terms up to 9.3e3 that sum to
+    3.015e-11, where the integral is 2 * 0.5**31 / 31 = 3.004e-11: auto
+    takes quadrature, and a forced exact is refused, naming the
+    cancellation."""
+    code, out, _ = run(capsys, ["integrate", "((x - 0.5)^2)^15", "0", "1", "--alpha", "1"])
+    assert (code, out) == (0, "3.00426636972735e-11\nbackend: rl\n")
+    assert float(out.split()[0]) == pytest.approx(2 * 0.5**31 / 31, rel=1e-13)
+    code, out, err = run(capsys, ["integrate", "((x - 0.5)^2)^15", "0", "1", "--alpha", "1",
+                                  "--backend", "exact"])
+    assert (code, out) == (1, "")
+    assert err.startswith("fracon: error: the exact table's terms of ((x - 0.5)^2)^15 cancel")
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -361,11 +386,11 @@ def test_fejer_classical_exit_zero(capsys):
 
 @pytest.mark.parametrize(("f", "eta", "w", "routes"), [
     ("square", "difference", "parabolic",
-     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta exact, F2 exact"),
+     "m0 exact, m1 exact, m2 exact, m3 exact, L_eta exact, F2 exact"),
     ("square", "abs(u - v)", "parabolic",
-     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta rl, F2 exact"),
+     "m0 exact, m1 exact, m2 exact, m3 exact, L_eta rl, F2 exact"),
     ("abs(x - 0.7)^(a)", "difference", "parabolic",
-     "m0 exact, m1 rl, m2 exact, m3 exact, L_eta rl, F2 rl"),
+     "m0 exact, m1 exact, m2 exact, m3 exact, L_eta rl, F2 rl"),
     ("square", "difference", "abs(x - lo)^(a)*abs(hi - x)^(a)",
      "m0 rl, m1 rl, m2 rl, m3 rl, L_eta rl, F2 rl"),
 ], ids=["forms", "formless-eta", "kinked-f", "formless-w"])

@@ -914,6 +914,88 @@ def test_symmetry_detects_negative_weight():
         check_symmetry(w, 0.0, 1.0, _CTX1)
 
 
+@contextlib.contextmanager
+def _counting_samples():
+    """Counts the calls of FunctionSpec.evaluate_many (a WeightSpec's too)."""
+    calls = []
+    original = FunctionSpec.evaluate_many
+
+    def counting(self, xs, ctx):
+        calls.append(self.text)
+        return original(self, xs, ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FunctionSpec, "evaluate_many", counting)
+        yield calls
+
+
+def _monomial(k: int, j: int) -> str:
+    factors = [f"(x - lo)^({k}a)"] * (k > 0) + [f"(hi - x)^({j}a)"] * (j > 0)
+    return "*".join(factors) or "1"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(terms=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                st.floats(0.0, 1e3, allow_subnormal=False)),
+                      min_size=1, max_size=4),
+       alpha=st.sampled_from([0.3, 0.5, 0.9, 1.0]))
+def test_symmetric_nonnegative_form_is_not_sampled(terms, alpha):
+    """A weight sum c (x-lo)**(k a) (hi-x)**(j a), each term written with
+    its mirror image, has a normal form with c(k, j) == c(j, k) >= 0: the
+    check returns without sampling w, and w's samples are within the
+    sampled check's tolerances of symmetric and nonnegative."""
+    text = " + ".join(f"{c!r}*{_monomial(k, j)} + {c!r}*{_monomial(j, k)}"
+                      for k, j, c in terms)
+    ctx = AlphaContext(alpha=alpha)
+    w = WeightSpec.from_text(text, params={"lo": 0.0, "hi": 1.0})
+    with _counting_samples() as calls:
+        assert check_symmetry(w, 0.0, 1.0, ctx) is None
+    assert calls == []
+    wx = w.evaluate_many(_SYMMETRY_XS, ctx)
+    scale = 1.0 + float(np.abs(wx).max())
+    assert float(np.max(_asymmetries(w, ctx))) <= 1e-10 * scale
+    assert float(wx.min()) >= -1e-12 * scale
+
+
+# Outcomes frozen from the sampled check before weights with a form could
+# skip it: weights with no form, with a form that is not symmetric
+# term by term, with a negative and with a non-finite coefficient are
+# still sampled, with the same result.
+_SAMPLED_WEIGHTS = [
+    ("abs(x - 0.3)", 0.5, SymmetryError, "weight is not symmetric about the midpoint: "
+     "max asymmetry 4.000e-01 at x=-0.991 (tol 2.700e-10)"),
+    ("abs(x - lo)^(a)*abs(hi - x)^(a)", 0.5, None, None),
+    ("(x - lo)^(a)*(hi - x)^(2a)", 1.0, SymmetryError, "weight is not symmetric about the "
+     "midpoint: max asymmetry 2.598e+00 at x=-0.367 (tol 5.000e-10)"),
+    ("((x - lo)*(hi - x))^(2)", 1.0, None, None),
+    ("-1", 0.5, SymmetryError, "weight takes negative values: min -1.000e+00 at x=-1.0"),
+    ("2 - (x - lo)^(a)*(hi - x)^(a)", 0.5, None, None),
+    ("2 - (x - lo)^(a)*(hi - x)^(a)", 1.0, SymmetryError,
+     "weight takes negative values: min -2.500e-01 at x=0.5"),
+    ("1e300*(x - lo)^(a)*(hi - x)^(a)*1e300", 0.5, EvalError,
+     "non-finite value in evaluation"),
+]
+
+
+@pytest.mark.parametrize(("text", "alpha", "error", "message"), _SAMPLED_WEIGHTS,
+                         ids=["no-form", "no-form-symmetric", "asymmetric-form",
+                              "expanded-form", "negative", "negative-term",
+                              "negative-term-fails", "non-finite"])
+def test_weights_without_a_symmetric_form_are_sampled(text, alpha, error, message):
+    """On [-1, 2]: each of these samples w once, and raises what the
+    sampled check raised, word for word."""
+    w = WeightSpec.from_text(text, params={"lo": -1.0, "hi": 2.0})
+    ctx = AlphaContext(alpha=alpha)
+    with _counting_samples() as calls, np.errstate(over="ignore"):
+        if error is None:
+            assert check_symmetry(w, -1.0, 2.0, ctx) is None
+        else:
+            with pytest.raises(error) as info:
+                check_symmetry(w, -1.0, 2.0, ctx)
+            assert type(info.value) is error and str(info.value) == message
+    assert calls == [text]
+
+
 # ----------------------------------------------------------- eta sup estimate
 
 

@@ -74,7 +74,7 @@ def test_output_does_not_depend_on_cache_state():
     warm = subprocess.run(argv, capture_output=True, text=True, check=True)
     cold = subprocess.run([*argv, "--cold"], capture_output=True, text=True, check=True)
     assert warm.stdout == (
-        "quadrature 144 64bc006aae4058f72f327af1383987dad46a3344e60e7fc99b898922e7f62291\n"
+        "quadrature 144 87ceb81781e1bd362c0cd468f57f9e45c7f9e911b2e9a69e4cb6355ec2c56bd3\n"
         "sweep 8 0bd4395e5db7a80b80d1dab90b74b8f6ac94f853c452b6e4d643bb1dde06d333\n"
     )
     assert cold.stdout == warm.stdout

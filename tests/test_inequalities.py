@@ -29,6 +29,7 @@ from fracon import (
     AlphaContext,
     EtaSpec,
     FunctionSpec,
+    NotPolynomial,
     SymmetryError,
     WeightSpec,
     calculus,
@@ -404,7 +405,12 @@ def _fejer_case(f_text, eta_text, w_text, c, a, b, alpha):
     w = WeightSpec.from_text(w_text, params=bound)
     ctx = AlphaContext(alpha=alpha)
     rep = fejer_terms(f, eta, c, w, a, b, ctx)
-    assert tuple(rep.routes) == _INTEGRALS and rep.routes["m1"] == "rl"
+    try:
+        w.form(a, b, ctx)
+        m1_route = "exact"
+    except NotPolynomial:
+        m1_route = "rl"
+    assert tuple(rep.routes) == _INTEGRALS and rep.routes["m1"] == m1_route
     assert set(rep.routes.values()) <= {"exact", "rl"}
     return (f, eta, w, ctx), rep, _rl_integrals(f, eta, w, a, b, ctx)
 
@@ -442,16 +448,48 @@ def _beta(form: dict, span: float, al: float) -> tuple[float, float]:
     return math.fsum(terms), math.fsum(map(abs, terms))
 
 
+def _gauss_half(A: float, B: float, C: float) -> float:
+    """2F1(A, B; C; 1/2) from its series as it stands, summed with fsum."""
+    terms, term = [1.0], 1.0
+    for n in range(400):
+        term *= (A + n) * (B + n) / ((C + n) * (n + 1.0)) * 0.5
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def _m1(form: dict, span: float, al: float) -> tuple[float, float]:
+    """m1 of sum c (x-a)**(k al) (b-x)**(j al), with the sum of its terms'
+    magnitudes.  Over t < 1/2 and t > 1/2 a term's integral
+    (1/Gamma(al)) int t**p (1-t)**(q+al-1) |1-2t|**(2 al) dt is, with
+    t = s/2 and t = 1 - s/2, 2**-(p+1) B(p+1, 2al+1) 2F1(1-q-al, p+1;
+    p+2al+2; 1/2) and 2**-(q+al) B(q+al, 2al+1) 2F1(-p, q+al; q+3al+1; 1/2),
+    series whose terms change sign (no Euler transformation)."""
+    def beta(x, y):
+        return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+    terms = []
+    for (k, j), c in form.items():
+        p, q = k * al, j * al
+        left = 2.0 ** -(p + 1.0) * beta(p + 1.0, 2 * al + 1.0) * _gauss_half(
+            1.0 - q - al, p + 1.0, p + 2 * al + 2.0)
+        right = 2.0 ** -(q + al) * beta(q + al, 2 * al + 1.0) * _gauss_half(
+            -p, q + al, q + 3 * al + 1.0)
+        terms.append(c * span ** ((k + j + 3) * al) * (left + right) / math.gamma(al))
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
 def _assert_exact_integrals_match_beta_and_rl(f_text, eta_text, w_text, c, a, b, alpha):
     """Each integral on the exact route is the Beta integral of its
-    integrand's form, here summed term by term with math.gamma, and lies
-    within 1e-9 (1 + |v|) of the rl route's value v."""
+    integrand's form, here summed term by term with math.gamma (m1 from
+    its two halves' Gauss series), and lies within 1e-9 (1 + |v|) of the
+    rl route's value v."""
     (f, eta, w, ctx), rep, rl = _fejer_case(f_text, eta_text, w_text, c, a, b, alpha)
     exact = [name for name, route in rep.routes.items() if route == "exact"]
     if not exact:
         return
     wf = w.form(a, b, ctx)
-    forms = {"m0": wf, "m2": _times({(1, 0): 1.0}, wf), "m3": _times({(1, 1): 1.0}, wf)}
+    forms = {"m0": wf, "m1": wf, "m2": _times({(1, 0): 1.0}, wf),
+             "m3": _times({(1, 1): 1.0}, wf)}
     if {"L_eta", "F2"} & set(exact):
         ff = f.form(a, b, ctx)
         forms["F2"] = _times(ff, wf)
@@ -459,7 +497,7 @@ def _assert_exact_integrals_match_beta_and_rl(f_text, eta_text, w_text, c, a, b,
             mirror = {(j, k): cf for (k, j), cf in ff.items()}
             forms["L_eta"] = _times(eta.form(mirror, ff, a, b, ctx), wf)
     for name in exact:
-        value, size = _beta(forms[name], b - a, alpha)
+        value, size = (_m1 if name == "m1" else _beta)(forms[name], b - a, alpha)
         if name == "L_eta":
             value, size = value / 2**alpha, size / 2**alpha
         got = getattr(rep, name)
@@ -557,7 +595,7 @@ def test_weighted_report_dict_shape():
                       "L_eta", "R_eta", "F1", "F2", "F3", "routes", "link_tol", "links",
                       "all_hold"}
     # L is 0 by symmetry here, so its Beta terms cancel and it takes rl.
-    assert d["routes"] == {"m0": "exact", "m1": "rl", "m2": "exact", "m3": "exact",
+    assert d["routes"] == {"m0": "exact", "m1": "exact", "m2": "exact", "m3": "exact",
                            "L_eta": "rl", "F2": "exact"}
 
 

@@ -13,8 +13,9 @@ of the eta pair at the ends, the witness's mixture, the rule that skips a
 +0.0 strong term, the lattice's copy of its f(mixture) view, the
 evaluation of a 0-d input as one element, the order and the +0.0 start
 of the panel sums, the node array that w's shared sample was taken on,
-a Beta-table factor, the sign of a (b - x) base, m3's normal form, or
-the mirror image of f's form.  The checkout (without ``.git`` and caches) is copied to a temporary
+a Beta-table factor, the sign of a (b - x) base, m3's normal form,
+the mirror image of f's form, the two Gauss series of m1's closed form
+or its power of two, or the mirror key of the weight's symmetry rule.  The checkout (without ``.git`` and caches) is copied to a temporary
 directory once.  The suite first runs there unmutated, and must pass;
 then each mutant is written into the copy, the suite runs as
 
@@ -99,11 +100,15 @@ MUTANTS = (
            "        np.add(pairs, vals[:, step : 2 * step], out=pairs)\n    step = 1\n"),
     Mutant("sum-start", "    sums += 0.0\n", "\n"),
     Mutant("w-reuse", "if not (seen and seen[0] is ts):", "if not seen:"),
-    Mutant("beta-q", "gamma(q + alpha)", "gamma(q + 1.0)"),
+    Mutant("beta-q", "gamma(p + 1.0) * gamma(q + alpha)", "gamma(p + 1.0) * gamma(q + 1.0)"),
     Mutant("beta-span", "span ** (p + q + alpha))", "span ** (p + q))"),
     Mutant("b-root", "scale, side = -u, 1", "scale, side = u, 1"),
     Mutant("m3-form", "{(k + 1, j + 1): cw for", "{(k + 1, j): cw for"),
     Mutant("f-mirror", "mirrored = {(j, k): cf", "mirrored = {(k, j): cf"),
+    Mutant("m1-c-swap", "_half_series(n, b2, cl), _half_series(n, b2, cr)",
+           "_half_series(n, b2, cr), _half_series(n, b2, cl)"),
+    Mutant("m1-2n", "(2.0**-n * g * halves)", "(g * halves)"),
+    Mutant("sym-mirror", "c == form.get((j, k), 0.0)", "c == form.get((k, j), 0.0)"),
 )
 
 
