@@ -77,22 +77,18 @@ def defect(
 def _defect_parts(f, eta, c, ctx, x, y, t) -> tuple[float, float]:
     """The defect's two sides at (x, y, t) in the arithmetic of a refinement
     box: f from one call on [x, y, t x + (1 - t) y], and the right side from
-    ``_right_side`` in ``_box_min``'s operation order, so ``rhs - lhs`` is
-    the defect of the one-cell box (x, y, t) bit for bit."""
+    ``_defect_into`` on the one cell with f(mixture) = 0.0, so ``rhs - lhs``
+    is the defect of the one-cell box (x, y, t) bit for bit."""
     points = np.array([x, y, t * x + (1.0 - t) * y])
     values = f.evaluate_many(points, ctx)
     e, ta, corr, dist = _right_side(eta, c, ctx, values[:1], values[1:2], points[:1],
                                     points[1:2], np.array([t]))
-    rhs = e[0, 0] * ta[0] + values[1]
-    if dist is not None:
-        rhs = rhs - dist[0, 0] * corr[0]
-    return float(values[2]), float(rhs)
+    _defect_into(e, e, ta, values[1:2], corr, dist, 0.0, dist)
+    return float(values[2]), float(e[0, 0])
 
 
-# Largest accepted grid_n: 1e9 lattice cells.  The lattice is walked one
-# t-plane at a time, but its grid**2 arrays are not: at c = 0 four (the
-# (grid - 1)**2 + 1 table of f, eta, the f(y) tile and the defect plane),
-# at c > 0 six (those, the distances and the strong term's scratch plane).
+# Largest accepted grid_n: 1e9 lattice cells, walked one t-plane at a time
+# in four or six grid**2 arrays (see ``_defect_into``).
 _MAX_GRID = 1000
 
 # Deepest accepted refine_depth.  Each level shrinks the box 3x, so at
@@ -179,6 +175,37 @@ def _right_side(eta, c, ctx, fx, fy, xs, ys, ts):
     return e, ta, corr, np.abs(xs[:, None] - ys[None, :]) ** (2.0 * al)
 
 
+def _defect_into(d, e, ta, fy, corr, dist, fmix, tmp) -> None:
+    """Write the defect e ta + fy - dist corr - fmix into d, in that order.
+
+    The defect's one home: the lattice calls it per t-plane, a refinement
+    box on its whole block, and the witness on one cell with fmix = 0.0,
+    where d ends as the right side (x - 0.0 is x, -0.0 and NaN included).
+    The same IEEE operations in the same order give the same bits in any
+    layout.  Operands broadcast against d; e may be d and tmp may be dist.
+    dist is None where ``_right_side`` skips the strong term; else tmp
+    takes dist corr, then a copy of fmix, subtracted from there: a ufunc
+    reading a strided operand (the lattice's f(mixture) view) takes one of
+    numpy's ufunc buffers, a copy takes none.
+
+    Memory.  With the term skipped (c = 0) the lattice holds four grid**2
+    arrays, the (grid - 1)**2 + 1 table of f, eta, the f(y) tile and the
+    defect plane, and at most one plane of ufunc buffer for the view; with
+    it run, six (the distances and tmp too) and no buffer.  A 13**3 box
+    holds two box-sized arrays, the points (whose mixture block is d) and
+    f's values, and one ufunc buffer for a broadcast small operand; with
+    the term run, a third holds the spread distances and is tmp.
+    """
+    np.multiply(e, ta, out=d)
+    np.add(d, fy, out=d)
+    if dist is not None:
+        np.multiply(dist, corr, out=tmp)
+        np.subtract(d, tmp, out=d)
+        np.copyto(tmp, fmix)
+        fmix = tmp
+    np.subtract(d, fmix, out=d)
+
+
 def _finite_min(low: float, x, y, t) -> float:
     """``low``, the minimum defect at (x, y, t), unless it is NaN or infinite."""
     if not math.isfinite(low):
@@ -200,24 +227,18 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
     (i, j, k) is the first lattice index (C order) holding the minimum;
     every table point is a mixture (plane k = 1 alone covers every m).
     The lattice is walked one t-plane at a time, in one (x, y) defect plane
-    that every plane reuses; the right side keeps the operation order of a
-    whole-lattice evaluation, so only f(mixture) differs from f at the
-    float mixture fl(t x) + fl((1 - t) y).  Each plane's first minimum (or
-    NaN) comes from one argmin, and the planes' minima are ranked NaN
-    first, then by value, (x, y) index and t, so ties keep the first index.
-    Every operand but the strided f(mixture) view is a scalar or a
-    contiguous plane, which numpy's ufuncs read in place.  Where
-    ``_right_side`` skips the strong term (c = 0), the loop holds four
-    grid**2 arrays: the table, eta, the f(y) tile and the defect plane, and
-    the view goes through numpy's ufunc buffer, at most one plane of it, at
-    the caller's buffer size.  Where the term runs, it holds the distances
-    and a scratch plane too, and the view is copied into the scratch plane
-    and subtracted from there, so no ufunc buffer is held.  A
-    non-finite f on the table, a NaN anywhere or a -inf defect raises
-    EvalError.  A +inf defect (an overflowed right side) is no violation;
-    the t = 0 plane is exactly 0, so no main lattice is +inf throughout.
-    Floating-point warnings are silenced here; non-finite values are errors
-    instead.
+    that every plane reuses and ``_defect_into`` fills (its docstring counts
+    the memory this holds), so the defect is a whole-lattice evaluation's
+    but for f(mixture), read off the table instead of at the float mixture
+    fl(t x) + fl((1 - t) y).  Each plane's first minimum (or NaN) comes
+    from one argmin, and the planes' minima are ranked NaN first, then by
+    value, (x, y) index and t, so ties keep the first index.  Every operand
+    but the strided f(mixture) view is a scalar or a contiguous plane,
+    which numpy's ufuncs read in place.  A non-finite f on the table, a NaN
+    anywhere or a -inf defect raises EvalError.  A +inf defect (an
+    overflowed right side) is no violation; the t = 0 plane is exactly 0,
+    so no main lattice is +inf throughout.  Floating-point warnings are
+    silenced here; non-finite values are errors instead.
     """
     n = len(xs)
     with np.errstate(all="ignore"):
@@ -225,7 +246,7 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         mixtures[:: n - 1] = xs
         table = f.evaluate_many(mixtures, ctx)
         # Free the mixtures and |table| before the planes exist, so the
-        # loop holds no grid**2 array beyond the four or six above.
+        # loop holds no grid**2 array beyond ``_defect_into``'s four or six.
         del mixtures
         max_abs_f = float(np.abs(table).max())
         fx = table[:: n - 1]
@@ -241,19 +262,9 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         step = table.itemsize
         best = (True, math.inf, n * n, n)  # (not NaN, defect, i n + j, k)
         for k in range(n):
-            np.multiply(ta[k], e, out=d)
-            np.add(fy, d, out=d)
             strides = (k * step, (n - 1 - k) * step)
             fmix = np.ndarray((n, n), table.dtype, table, 0, strides)
-            if dist is None:
-                np.subtract(d, fmix, out=d)
-            else:
-                np.multiply(corr[k], dist, out=tmp)
-                np.subtract(d, tmp, out=d)
-                # A copy takes no ufunc buffer; a ufunc reading the strided
-                # view takes one.
-                np.copyto(tmp, fmix)
-                np.subtract(d, tmp, out=d)
+            _defect_into(d, e, ta[k], fy, corr if corr is None else corr[k], dist, fmix, tmp)
             flat = int(flat_d.argmin())
             low = float(flat_d[flat])
             if low > best[1]:
@@ -272,19 +283,14 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
     The box's mixtures lie on no 1-D grid, so f is evaluated at the float
     mixtures fl(t x) + fl((1 - t) y), in one call together with xs and ys:
     all three are written into the one array f is evaluated on.
-    The defect is then built in that array's mixture block, in the
-    operation order of ``fy + t**al eta - strong - f(mixture)``.  numpy
-    copies each broadcast operand of a ufunc through a box-sized buffer,
-    so each ufunc here takes at most one: ``np.copyto``, which needs no
-    buffer, spreads x, eta and the distances along t, and the in-place
-    ops then broadcast one small operand each (the t-vector, f(y) or the
-    mixtures' (1 - t) y term).  A 13**3 box so holds two box-sized arrays
-    (the points and f's values) and one ufunc buffer where ``_right_side``
-    skips the strong term (c = 0), and a third, the strong term, where it
-    runs.  Returns as ``_lattice_min`` does, with max |f| over the
-    mixtures; ties keep the first index.  A non-finite f at a box point, a
-    NaN or -inf defect, or a box whose every defect is +inf raises
-    EvalError.
+    ``_defect_into`` then builds the defect in that array's mixture block,
+    in one call (its docstring counts the memory this holds).  numpy copies
+    a ufunc's broadcast operand through a box-sized buffer, so
+    ``np.copyto``, which takes none, spreads x, eta and the distances along
+    t, and each in-place op broadcasts one small operand.  Returns as
+    ``_lattice_min`` does, with max |f| over the mixtures; ties keep the
+    first index.  A non-finite f at a box point, a NaN or -inf defect, or a
+    box whose every defect is +inf raises EvalError.
     """
     nx, ny, nt = len(xs), len(ys), len(ts)
     with np.errstate(all="ignore"):
@@ -296,22 +302,19 @@ def _box_min(f, eta, c, ctx, xs, ys, ts) -> tuple[tuple[int, int, int], float, f
         np.multiply(mix, ts, out=mix)
         np.add(mix, (1.0 - ts) * ys[:, None], out=mix)
         values = f.evaluate_many(points, ctx)
-        fx, fy = values[:nx], values[nx : nx + ny]
+        fy = values[nx : nx + ny]
         fmix = values[nx + ny :].reshape(mix.shape)
-        e, ta, corr, dist = _right_side(eta, c, ctx, fx, fy, xs, ys, ts)
+        e, ta, corr, dist = _right_side(eta, c, ctx, values[:nx], fy, xs, ys, ts)
         # f is read from ``values`` from here on, so the mixture block
         # becomes the defect.
         d = mix
         np.copyto(d, e[:, :, None])
-        np.multiply(d, ta, out=d)
-        np.add(d, fy[:, None], out=d)
+        strong = dist
         if dist is not None:
             strong = np.empty_like(d)
             np.copyto(strong, dist[:, :, None])
-            np.multiply(strong, corr, out=strong)
-            np.subtract(d, strong, out=d)
-            del strong  # before |f(mixture)| below takes a box-sized array
-        np.subtract(d, fmix, out=d)
+        _defect_into(d, d, ta, fy[:, None], corr, strong, fmix, strong)
+        del strong  # before |f(mixture)| below takes a box-sized array
     i, jk = divmod(int(d.argmin()), ny * nt)
     j, k = divmod(jk, nt)
     low = _finite_min(float(d[i, j, k]), xs[i], ys[j], ts[k])
@@ -392,19 +395,15 @@ def certify_gsc(
     the (grid_n - 1)**2 + 1 evenly spaced points of [a, b], so f is
     evaluated once on that table and read back plane by plane.  The lattice
     is walked one t-plane at a time with a running minimum, so memory is
-    bounded, never a ``grid_n``**3 tensor.  At c = 0, where the strong term
-    is +0.0 and skipped (unless some |x - y|**(2*al) overflows), the loop
-    holds four arrays of about ``grid_n``**2 floats: the table, eta, the
-    f(y) tile and the defect plane, and the strided f(mixture) view goes
-    through numpy's ufunc buffer, at most one plane at a time.  At c > 0
-    it holds six: those, the distances and a scratch plane, into which the
-    view is copied, so no ufunc buffer is held.  Certification leaves
-    numpy's buffer size and error state as the caller set them.  A
-    refinement box, whose mixtures lie on no such grid, is one 13**3
-    tensor at float mixtures, with f evaluated once per box; it holds two
-    box-sized arrays at c = 0 and three at c > 0.  The violation threshold
-    scales with the sampled magnitude of f over the mixtures:
-    tol = 1e-9 * (1 + max |f|).  Reductions run through
+    bounded, never a ``grid_n``**3 tensor.  A refinement box, whose
+    mixtures lie on no such grid, is one 13**3 tensor at float mixtures,
+    with f evaluated once per box.  One kernel, ``_defect_into``, computes
+    the defect of the lattice's planes, the boxes and the witness, and its
+    docstring counts the arrays each holds: four or six of about
+    ``grid_n``**2 floats as the strong term is skipped (c = 0) or runs.
+    Certification leaves numpy's buffer size and error state as the caller
+    set them.  The violation threshold scales with the sampled magnitude of
+    f over the mixtures: tol = 1e-9 * (1 + max |f|).  Reductions run through
     the same lattice: endpoints of the t-grid cover the necessary
     conditions' t = 1 instances, so an eta failing them is also caught as a
     plain counterexample.  Deterministic: ties resolve to the first lattice

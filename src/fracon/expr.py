@@ -832,13 +832,11 @@ def _monomial_pow(n: Pow, fr: _Frame) -> Optional[Form]:
     if u == 0.0:
         return None  # constant bases are handled by the callers
 
-    def vanishes_at(r: float) -> bool:
-        resid = u * r + w  # the base value at x = r
-        return abs(resid) <= 1e-14 * max(1.0, abs(u * r), abs(w))
-
-    if vanishes_at(fr.a):
+    # The base is rooted at an endpoint only where its float value there is
+    # exactly 0.0: a near miss like x - 1e-15 on [0, 1] is another function.
+    if u * fr.a + w == 0.0:
         scale, side = u, 0
-    elif fr.b is not None and vanishes_at(fr.b):
+    elif fr.b is not None and u * fr.b + w == 0.0:
         scale, side = -u, 1
     else:
         return None

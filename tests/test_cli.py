@@ -48,6 +48,13 @@ def test_integrate_auto_falls_back_to_quadrature(capsys):
     assert out == "0.376126389031838\nbackend: rl\n"
 
 
+def test_integrate_auto_does_not_snap_a_near_root_to_the_endpoint(capsys):
+    """x - 1e-15 is not 0 at x = 0, so the integrand has no exact form on
+    [0, 1] and auto integrates it by quadrature."""
+    code, out, _ = run(capsys, ["integrate", "(x - 1e-15)^(a)", "0", "1", "--alpha", "0.3"])
+    assert (code, out) == (0, "1.00442672531786\nbackend: rl\n")
+
+
 def test_integrate_empty_interval_is_zero(capsys):
     code, out, _ = run(capsys, ["integrate", "x^(2a)", "0.3", "0.3", "--alpha", "0.5"])
     assert code == 0

@@ -733,6 +733,31 @@ def test_certify_stops_refining_a_collapsed_box(monkeypatch, text, alpha):
     assert rep.grid.refine_depth == 40
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize(("text", "eta", "status", "boxes"), [
+    ("abs(x - 0.3)^(a)", "u - v", "Violated", 3),
+    ("abs(x - 0.3)^(a)", "2^a*u + v", "NoViolationFound", 3),
+    ("-x^(2a)", "2^a*u + v", "Violated", 0),  # a failed necessary condition
+])
+def test_every_defect_comes_from_one_kernel(monkeypatch, text, eta, status, boxes, c):
+    """certify computes each defect in ``_defect_into``: one call per t-plane
+    of the lattice, one per refinement box that ran (on the whole box), and
+    one for the witness of a violation, on a single cell."""
+    shapes = []
+
+    def spy(d, *args, _kernel=convexity._defect_into):
+        shapes.append(d.shape)
+        return _kernel(d, *args)
+
+    monkeypatch.setattr(convexity, "_defect_into", spy)
+    rep = certify_gsc(_f(text), EtaSpec.from_text(eta), c, 0.0, 1.0,
+                      AlphaContext(alpha=0.5), grid_n=12, refine_depth=3)
+    assert rep.status == status
+    assert rep.evaluations == 12**3 + boxes * 13**3
+    witness = [(1, 1)] if status == "Violated" else []
+    assert shapes == [(12, 12)] * 12 + [(13, 13, 13)] * boxes + witness
+
+
 _DYADIC = st.integers(-8, 8).map(lambda k: k / 8) | st.just(-0.0)
 
 
@@ -994,6 +1019,19 @@ def test_weights_without_a_symmetric_form_are_sampled(text, alpha, error, messag
                 check_symmetry(w, -1.0, 2.0, ctx)
             assert type(info.value) is error and str(info.value) == message
     assert calls == [text]
+
+
+def test_near_root_weight_has_no_form_and_is_sampled():
+    """x - 1e-15 is not 0 at x = 0, so (x - 1e-15)**a (1 - x)**a has no
+    two-endpoint form on [0, 1], and its asymmetry near 0 is sampled."""
+    w = WeightSpec.from_text("(x - 1e-15)^(a)*(1 - x)^(a)")
+    ctx = AlphaContext(alpha=0.3)
+    with _counting_samples() as calls:
+        with pytest.raises(SymmetryError) as info:
+            check_symmetry(w, 0.0, 1.0, ctx)
+    assert str(info.value) == ("weight is not symmetric about the midpoint: max asymmetry "
+                               "3.162e-05 at x=0.0 (tol 1.660e-10)")
+    assert calls == [w.text]
 
 
 # ----------------------------------------------------------- eta sup estimate

@@ -16,6 +16,7 @@ from fracon import (
     FunctionSpec,
     NotPolynomial,
     ParseError,
+    WeightSpec,
     normalize,
     parse,
     pretty,
@@ -363,6 +364,16 @@ def test_normalize_shifted_base():
     gp = normalize(parse("(x - lo)^(3a)", arity=1, constants=("lo",)), 2.0,
                    AlphaContext(alpha=0.3), params={"lo": 2.0})
     assert dict(gp.terms) == {3: 1.0}
+
+
+def test_normal_form_roots_a_base_only_where_it_is_exactly_zero():
+    """x - 0.25 vanishes at 0.25 and 1 - x at 1, exactly; x - 1e-15 is
+    1e-15 away from 0 at x = 0, so it has no form on [0, 1]."""
+    ctx = AlphaContext(alpha=0.3)
+    exact = WeightSpec.from_text("(x - 0.25)^(a)*(1 - x)^(a)")
+    assert exact.form(0.25, 1.0, ctx) == {(1, 1): 1.0}
+    with pytest.raises(NotPolynomial):
+        WeightSpec.from_text("(x - 1e-15)^(a)*(1 - x)^(a)").form(0.0, 1.0, ctx)
 
 
 def test_normalize_rejects_uncentered_shift():

@@ -9,15 +9,17 @@ Usage (from the root of a checkout):
 Each mutant replaces one exact text, which occurs exactly once in
 ``src/fracon``, by another: a span power, a power of two, an endpoint, a
 moment, a tolerance, an input bound, the refinement box's size, the order
-of the eta pair at the ends, the witness's mixture, the rule that skips a
-+0.0 strong term, the lattice's copy of its f(mixture) view, the
-evaluation of a 0-d input as one element, the order and the +0.0 start
-of the panel sums, the node array that w's shared sample was taken on,
-a Beta-table factor, the sign of a (b - x) base, m3's normal form,
-the mirror image of f's form, the two Gauss series of m1's closed form
-or its power of two, or the mirror key of the weight's symmetry rule.  The checkout (without ``.git`` and caches) is copied to a temporary
-directory once.  The suite first runs there unmutated, and must pass;
-then each mutant is written into the copy, the suite runs as
+of the eta pair at the ends, the witness's mixture and its f(mixture) of
+0.0, the rule that skips a +0.0 strong term, the defect kernel's copy of
+f(mixture) and the order of its first two operations, the evaluation of a
+0-d input as one element, the order and the +0.0 start of the panel sums,
+the node array that w's shared sample was taken on, a Beta-table factor,
+the sign of a (b - x) base, m3's normal form, the mirror image of f's
+form, the two Gauss series of m1's closed form or its power of two, or the
+mirror key of the weight's symmetry rule.  The checkout (without ``.git``
+and caches) is copied to a temporary directory once.  The suite first runs
+there unmutated, and must pass; then each mutant is written into the copy,
+the suite runs as
 
     python3 -m pytest -x -q --ignore=tests/test_golden.py --ignore=tests/test_mutants.py
 
@@ -89,8 +91,10 @@ MUTANTS = (
     Mutant("far-xy", "xs[-1] - ys[0], ys[-1]", "ys[-1]"),
     Mutant("far-yx", "ys[0], ys[-1] - xs[0]]", "ys[0]]"),
     Mutant("strong-sign", "np.count_nonzero(corr.view(np.int64))", "np.count_nonzero(corr)"),
-    Mutant("plane-copy", "np.copyto(tmp, fmix)\n                np.subtract(d, tmp, out=d)",
-           "np.subtract(d, fmix, out=d)"),
+    Mutant("plane-copy", "np.copyto(tmp, fmix)\n        fmix = tmp", "pass"),
+    Mutant("defect-order", "np.multiply(e, ta, out=d)\n    np.add(d, fy, out=d)",
+           "np.add(d, fy, out=d)\n    np.multiply(e, ta, out=d)"),
+    Mutant("witness-rhs", "corr, dist, 0.0, dist)", "corr, dist, values[2:], dist)"),
     Mutant("zero-d", "xs.reshape(1) if xs.ndim == 0 else xs", "xs"),
     Mutant("halve-order",
            "    step = 1\n    while 2 * step < _POINTS:\n        pairs = flat[:: 2 * step]\n"
