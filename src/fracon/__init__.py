@@ -1,10 +1,11 @@
 """fracon: numeric verification of local fractional convexity inequalities.
 
 The package evaluates local fractional integrals and derivatives on two
-independent routes (an exact monomial table and graded Gauss--Legendre
-quadrature of the kernel form), searches for counterexamples to
-generalized strong eta-convexity, and measures every link of the
-Hermite--Hadamard and Fejer inequality chains with signed gaps.  Nothing
+independent routes (an exact Beta table summed over an expression's
+normal form, and graded Gauss--Legendre quadrature of the kernel form),
+searches for counterexamples to generalized strong eta-convexity, and
+measures every link of the Hermite--Hadamard and Fejer inequality chains
+with signed gaps.  Nothing
 is assumed from theory: each claimed inequality is checked numerically
 and reported honestly, including the documented divergence of the
 additive embedding in magnitude semantics for alpha < 1.
@@ -38,11 +39,9 @@ from .expr import (
     EtaSpec,
     EvalError,
     FunctionSpec,
-    GPoly,
     NotPolynomial,
     ParseError,
     WeightSpec,
-    normalize,
     parse,
     pretty,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "EvalError",
     "FejerReport",
     "FunctionSpec",
-    "GPoly",
     "GammaDomainError",
     "HHReport",
     "IntegralBackend",
@@ -100,7 +98,6 @@ __all__ = [
     "hh_terms",
     "lf_derivative",
     "lf_integral",
-    "normalize",
     "parse",
     "pretty",
     "rl_integrate",

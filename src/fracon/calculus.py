@@ -18,13 +18,13 @@ whose q = 0 row is the generalized monomial table,
     a_I_b |x - a|**(k*alpha)
         = Gamma(1 + k*alpha) / Gamma(1 + (k+1)*alpha) * (b - a)**((k+1)*alpha).
 
-``_table_integral`` sums the table over a two-endpoint normal form
-(``expr.normal_form``, p = k*alpha and q = j*alpha).  The exact backend of
-``lf_integral`` feeds it a GPoly about a, whose terms are all q = 0 and
-keep the monomial table's order of operations; ``inequalities.fejer_terms``
-feeds it the forms of its Fejer integrands.  A table sum whose terms cancel
-past the numeric route's tolerance is not used (``_earned``).  At alpha = 1
-this is the ordinary integral.
+``_table_integral`` sums the table over a normal form (``expr.normal_form``,
+p = k*alpha and q = j*alpha): the exact backend of ``lf_integral`` feeds
+it f's half-line form about a, whose terms are all q = 0, and
+``inequalities.fejer_terms`` the two-endpoint forms of its Fejer
+integrands.  A table sum whose terms cancel past the numeric route's
+tolerance is not used (``_earned``).  At alpha = 1 this is the ordinary
+integral.
 
 The Fejer moment m1 of a weight with a normal form has a table of its own,
 ``_m1_integral``: with N = p + q + 3*alpha + 1 and the Gauss series
@@ -83,7 +83,7 @@ Derivatives use the conjugate rule
     D^alpha |x - s|**(k*alpha)
         = Gamma(1 + k*alpha) / Gamma(1 + (k-1)*alpha) * |x - s|**((k-1)*alpha)
 
-exactly on generalized polynomials, and a finite-difference mode for
+exactly on half-line normal forms about s, and a finite-difference mode for
 everything else.  At alpha = 1 the finite difference is the plain forward
 quotient.  For alpha < 1 the two-point alpha-quotient degenerates on smooth
 magnitude-valued functions (it tends to 0 with the step), so the mode
@@ -105,7 +105,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import Form, FunctionSpec, GPoly, NotPolynomial
+from .expr import Form, FunctionSpec, NotPolynomial
 from .fractal_scalar import AlphaContext, GammaDomainError, gamma
 
 __all__ = [
@@ -139,7 +139,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralBackend:
-    """Integration route: the exact monomial table or ``rl_integrate``."""
+    """Integration route: the exact Beta table or ``rl_integrate``."""
 
     kind: BackendKind
 
@@ -492,9 +492,9 @@ def _table_integral(form: Form, span: float, alpha: float) -> tuple[float, float
     p = k*alpha and q = j*alpha, summed over the form's {(k, j): c} in order.
     A j = 0 term is the monomial table, Gamma(1+k*alpha) /
     Gamma(1+(k+1)*alpha) * span**((k+1)*alpha), in the order of operations
-    the GPoly route has always used, so ``lf_integral``'s exact values keep
-    their bits.  A pole or an overflow of Gamma raises GammaDomainError, a
-    ValueError, and an overflow of a power of span raises OverflowError."""
+    ``lf_integral``'s exact values have always had.  A pole or an overflow
+    of Gamma raises GammaDomainError, a ValueError, and an overflow of a
+    power of span raises OverflowError."""
     total = size = 0.0
     for (k, j), c in form.items():
         if j == 0:
@@ -595,9 +595,9 @@ def lf_integral(
     """Local fractional integral a_I_b f of order ctx.alpha.
 
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
-    The exact route needs f in generalized-polynomial form about the lower
-    endpoint (raises :class:`~fracon.expr.NotPolynomial` otherwise), and
-    its table terms must not cancel past the rl route's tolerance (see
+    The exact route sums the Beta table over f's half-line normal form
+    about the lower endpoint (raises :class:`~fracon.expr.NotPolynomial`
+    where f has none), and its table terms must not cancel past the rl route's tolerance (see
     ``_earned``; NotPolynomial too, naming the cancellation); a pole or an
     overflow of Gamma raises GammaDomainError.  The numeric route splits
     the integral at f's singular points, and an integral that does not
@@ -611,8 +611,7 @@ def lf_integral(
     if a > b:
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
-        gp = f.gpoly(a, ctx)
-        value, size = _table_integral({(k, 0): c for k, c in gp.terms}, b - a, gp.alpha)
+        value, size = _table_integral(f.form(a, None, ctx), b - a, ctx.alpha)
         if not _earned(value, size):
             raise NotPolynomial(
                 f"the exact table's terms of {f.text} cancel: they sum to {value:.6e} "
@@ -625,12 +624,11 @@ def lf_integral(
     return _finite(sign * value)
 
 
-def _term_rule(gp: GPoly, x0: float) -> float:
-    """Exact derivative of a GPoly about s at x0 >= s via the table rule."""
-    alpha = gp.alpha
-    d = x0 - gp.s
+def _term_rule(form: Form, d: float, alpha: float) -> float:
+    """Exact derivative of a half-line normal form about s at the point
+    d = x0 - s >= 0 past s, by the table rule."""
     total = 0.0
-    for k, c in gp.terms:
+    for (k, _), c in form.items():
         if k == 0:
             continue
         total += c * gamma(1.0 + k * alpha) / gamma(1.0 + (k - 1) * alpha) * d ** ((k - 1) * alpha)
@@ -648,8 +646,8 @@ def lf_derivative(
     """Local fractional derivative of order ctx.alpha at x0, from point s.
 
     ``s`` is the expansion/base point and x0 must satisfy x0 >= s.  The
-    exact mode applies the conjugate monomial rule to the generalized-
-    polynomial form; the finite-difference mode is described in the module
+    exact mode applies the conjugate monomial rule to f's half-line normal
+    form about s; the finite-difference mode is described in the module
     docstring; an integral of G that does not converge raises
     IntegrationError.  A non-finite result (an overflow) raises ValueError.
     """
@@ -660,8 +658,7 @@ def lf_derivative(
         raise ValueError(f"x0 must be >= base point s, got x0={x0!r} < s={s!r}")
 
     if mode is DerivativeMode.EXACT_MONOMIAL:
-        gp = f.gpoly(s, ctx)
-        return _finite(_term_rule(gp, x0))
+        return _finite(_term_rule(f.form(s, None, ctx), x0 - s, alpha))
 
     if alpha == 1.0:
         h = 1e-6

@@ -27,23 +27,16 @@ Evaluation uses magnitude semantics for alpha-powers:
 So ``x^(2a)`` is the even function |x|^(2 alpha) -- at alpha = 1 it *is*
 x^2 on the whole line -- while ``x^(a)`` is odd.
 
-:func:`normalize` rewrites an expression as a generalized polynomial about
-a base point s,
-
-    f(x) = sum_k c_k * |x - s|**(k*alpha),
-
-(:class:`GPoly`), which is what the exact integration and differentiation
-rules consume.  Expressions outside that form raise :class:`NotPolynomial`.
-The representation agrees with the source expression pointwise for x >= s,
-which is the half-line the exact rules integrate over.
-
-:func:`normal_form` is the same walk with a second endpoint: on [a, b] it
-gives the two-endpoint form
+:func:`normal_form` rewrites an expression as a generalized polynomial.
+On [a, b] it gives the two-endpoint form
 
     f(x) = sum_{k, j} c_kj * (x - a)**(k*alpha) * (b - x)**(j*alpha),
 
-which the Fejer chain's exact integrals consume; a GPoly about a is its
-j = 0 slice.
+and with no right endpoint (b = None) the half-line form about a, whose
+keys are all (k, 0) and which agrees with the expression for x >= a.  The
+exact integration and differentiation rules and the Fejer chain's exact
+integrals read these forms.  Expressions outside them raise
+:class:`NotPolynomial`.
 """
 
 from __future__ import annotations
@@ -69,11 +62,9 @@ __all__ = [
     "ExpLiteral",
     "ExpAlpha",
     "ExprAst",
-    "GPoly",
     "parse",
     "pretty",
     "evaluate_raw",
-    "normalize",
     "normal_form",
     "FunctionSpec",
     "EtaSpec",
@@ -679,25 +670,8 @@ def _monotone_dirs(
 # --- generalized polynomial form ------------------------------------------
 
 
-@dataclass(frozen=True)
-class GPoly:
-    """f(x) = sum of c_k * |x - s|**(k*alpha), keys sorted ascending."""
-
-    s: float
-    alpha: float
-    terms: tuple[tuple[int, float], ...]
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        base = np.abs(x - self.s)
-        out = np.zeros_like(base)
-        for k, c in self.terms:
-            out = out + c * base ** (k * self.alpha)
-        return out if out.shape else float(out)
-
-
-#: The two-endpoint normal form {(k, j): c} of
-#: sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha) on [a, b].
+#: The normal form {(k, j): c} of sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha)
+#: on [a, b]; the half-line form about a has j = 0 throughout.
 Form = dict[tuple[int, int], float]
 
 
@@ -705,7 +679,7 @@ class _Frame(NamedTuple):
     """What the normal-form walker reads besides the node."""
 
     a: float
-    b: Optional[float]  # None: the one-endpoint form about a, a GPoly's
+    b: Optional[float]  # None: the half-line form about a
     alpha: float
     params: Mapping[str, float]
     names: Mapping[str, Form]  # forms of variables other than x: eta's u and v
@@ -720,7 +694,22 @@ def _pmul(p: Form, q: Form) -> Form:
     return out
 
 
-def _ppow(p: Form, n: int) -> Form:
+# Gamma(1 + d) overflows a float once d passes 170.6243....  For each term,
+# every exact rule reads a Gamma at least that large of p = k*alpha and of
+# q = j*alpha (the Beta table's Gamma(p+q+alpha+1), m1's Gamma(p+1) and
+# Gamma(q+3*alpha+1), the derivative's Gamma(1+p)), so no term whose p or q
+# passes this bound gives an exact value.
+_MAX_DEGREE = 170.625
+
+
+def _ppow(p: Form, n: int, alpha: float) -> Form:
+    """p**n, multiplied out: O(n**2) for two or more terms, so such a power
+    whose top term would pass ``_MAX_DEGREE`` raises NotPolynomial first."""
+    keys = [key for key, c in p.items() if c != 0.0]
+    top = n * max(map(max, keys), default=0) * alpha
+    if len(keys) > 1 and top > _MAX_DEGREE:
+        raise NotPolynomial(f"an expanded power of degree {top:g} passes {_MAX_DEGREE:g}, "
+                            f"where Gamma overflows")
     out = {(0, 0): 1.0}
     for _ in range(n):
         out = _pmul(out, p)
@@ -763,51 +752,31 @@ def _affine(n: ExprAst, params: Mapping[str, float]) -> Optional[tuple[float, fl
     return None
 
 
-def normalize(
-    node: ExprAst,
-    s: float,
-    ctx: AlphaContext,
-    params: Optional[Mapping[str, float]] = None,
-) -> GPoly:
-    """Rewrite an arity-1 expression as a GPoly about the base point s.
-
-    Handles constants, sums, products, quotients by constants,
-    alpha-multiple powers of (scaled) linear arguments, and integer powers.
-    Raises :class:`NotPolynomial` for anything else (abs of a sum, division
-    by a non-constant, non-integer multiples of a, alpha-powers of
-    non-monomial bases...).  The result agrees with the source expression
-    for x >= s.  It is the j = 0 slice of :func:`normal_form`'s walk, which
-    here has no right endpoint.
-    """
-    raw = _gpoly_terms(node, _Frame(float(s), None, ctx.alpha, params or {}, {}))
-    terms = tuple(sorted((k, c) for (k, _), c in raw.items() if c != 0.0))
-    for k, _ in terms:
-        if k < 0:
-            raise NotPolynomial("negative generalized degree")
-    return GPoly(float(s), ctx.alpha, terms)
-
-
 def normal_form(
     node: ExprAst,
     a: float,
-    b: float,
+    b: Optional[float],
     ctx: AlphaContext,
     params: Optional[Mapping[str, float]] = None,
     names: Optional[Mapping[str, Form]] = None,
 ) -> Form:
-    """Rewrite an expression as its two-endpoint normal form on [a, b]:
-    {(k, j): c} for sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha), keys
-    sorted, zero terms dropped.
+    """Rewrite an expression as its normal form {(k, j): c} for
+    sum c * (x - a)**(k*alpha) * (b - x)**(j*alpha), keys sorted, zero
+    terms dropped: on [a, b], or about a for x >= a when b is None (every
+    j is then 0).
 
-    The rules are :func:`normalize`'s, and a power of an affine base whose
-    root is b is a monomial in (b - x) as one whose root is a is one in
-    (x - a).  ``names`` gives the forms of the variables other than x: an
-    eta(u, v) evaluated on two forms is the form of its composition.
-    Raises :class:`NotPolynomial` as :func:`normalize` does.  The result
-    agrees with the source expression on [a, b].
+    Handles constants, sums, products, quotients by constants,
+    alpha-multiple powers of (scaled) linear arguments, and integer powers.
+    A power of an affine base whose root is a is a monomial in (x - a), and
+    one whose root is b one in (b - x).  ``names`` gives the forms of the
+    variables other than x: an eta(u, v) evaluated on two forms is the
+    form of its composition.  Raises :class:`NotPolynomial` for anything
+    else (abs of a sum, division by a non-constant, non-integer multiples
+    of a, alpha-powers of non-monomial bases, an expanded power past
+    ``_MAX_DEGREE``...).
     """
-    raw = _gpoly_terms(node, _Frame(float(a), float(b), ctx.alpha, params or {}, names or {}))
-    form = {key: c for key, c in sorted(raw.items()) if c != 0.0}
+    fr = _Frame(float(a), None if b is None else float(b), ctx.alpha, params or {}, names or {})
+    form = {key: c for key, c in sorted(_form_terms(node, fr).items()) if c != 0.0}
     if any(k < 0 or j < 0 for k, j in form):
         raise NotPolynomial("negative generalized degree")
     return form
@@ -854,9 +823,9 @@ def _monomial_pow(n: Pow, fr: _Frame) -> Optional[Form]:
     return {(i, 0) if side == 0 else (0, i): coeff}
 
 
-def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
-    """Recursive worker of :func:`normalize` and :func:`normal_form`:
-    {(k, j): c} of n on the frame ``fr``."""
+def _form_terms(n: ExprAst, fr: _Frame) -> Form:
+    """Recursive worker of :func:`normal_form`: {(k, j): c} of n on the
+    frame ``fr``."""
     if isinstance(n, Num):
         return {(0, 0): n.value}
     if isinstance(n, Name):
@@ -877,9 +846,9 @@ def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
             out[(0, 0)] = fr.a
         return out
     if isinstance(n, Neg):
-        return {k: -c for k, c in _gpoly_terms(n.child, fr).items()}
+        return {k: -c for k, c in _form_terms(n.child, fr).items()}
     if isinstance(n, Abs):
-        p = _gpoly_terms(n.child, fr)
+        p = _form_terms(n.child, fr)
         cv = _const_of(p)
         if cv is not None:
             return {(0, 0): abs(cv)}
@@ -888,8 +857,8 @@ def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
             return {k: abs(c)}
         raise NotPolynomial("abs of a non-monomial has no polynomial form")
     if isinstance(n, Bin):
-        p = _gpoly_terms(n.left, fr)
-        q = _gpoly_terms(n.right, fr)
+        p = _form_terms(n.left, fr)
+        q = _form_terms(n.right, fr)
         if n.op == "+":
             for k, c in q.items():
                 p[k] = p.get(k, 0.0) + c
@@ -910,14 +879,14 @@ def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
         mono = _monomial_pow(n, fr)
         if mono is not None:
             return mono
-        p = _gpoly_terms(n.base, fr)
+        p = _form_terms(n.base, fr)
         cv = _const_of(p)
         if isinstance(n.exp, ExpLiteral):
             r = n.exp.value
             if cv is not None:
                 return {(0, 0): float(_pow_literal(cv, r, n.pos))}
             if _is_near_int(r) and r >= 0:
-                return _ppow(p, int(round(r)))
+                return _ppow(p, int(round(r)), fr.alpha)
             raise NotPolynomial("fractional or negative literal power of a non-constant")
         k = n.exp.k
         alpha = fr.alpha
@@ -927,7 +896,7 @@ def _gpoly_terms(n: ExprAst, fr: _Frame) -> Form:
             ki = int(round(k))
             deg = k * alpha
             if _is_near_int(deg) and (ki - int(round(deg))) % 2 == 0:
-                return _ppow(p, int(round(deg)))
+                return _ppow(p, int(round(deg)), alpha)
         if len(p) == 1:
             # A monomial is >= 0 on [a, b], so its power is the power of
             # its coefficient times the monomial's degrees scaled by k*alpha.
@@ -1017,11 +986,8 @@ class FunctionSpec(_Spec):
         out = evaluate_raw(self.ast, {"x": _one_d(xs)}, ctx, self._params)
         return _owned_result(self.ast, out, xs.shape)
 
-    def gpoly(self, s: float, ctx: AlphaContext) -> GPoly:
-        return normalize(self.ast, s, ctx, self._params)
-
-    def form(self, a: float, b: float, ctx: AlphaContext) -> Form:
-        """f's two-endpoint normal form on [a, b] (see :func:`normal_form`)."""
+    def form(self, a: float, b: Optional[float], ctx: AlphaContext) -> Form:
+        """f's normal form on [a, b], or about a if b is None (see :func:`normal_form`)."""
         return normal_form(self.ast, a, b, ctx, self._params)
 
     def singular_points(self) -> tuple[float, ...]:

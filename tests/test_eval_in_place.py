@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracon import AlphaContext, EtaSpec, EvalError, FunctionSpec, normalize, parse, pretty
-from fracon.expr import Abs, Bin, ExpAlpha, Name, Neg, Num, _pow_alpha, evaluate_raw
+from fracon import AlphaContext, EtaSpec, EvalError, FunctionSpec, parse, pretty
+from fracon.expr import Abs, Bin, ExpAlpha, Name, Neg, Num, _pow_alpha, evaluate_raw, normal_form
 from fracon.presets import ETA_PRESETS, F_PRESETS, W_PRESETS
 
 _ALPHAS = (0.3, 0.5, 1.0)
@@ -258,7 +258,8 @@ def test_pow_alpha_holds_one_array():
     "call",
     [
         lambda: FunctionSpec.from_text("abs(x - 0.3)^(a)*(x + 1)^(0.5) - abs(2*x)").singular_points(),
-        lambda: normalize(parse("3*x^(2a) - (x - 0)^(a)/2 + 1"), 0.0, AlphaContext(alpha=0.5)),
+        lambda: normal_form(parse("3*x^(2a) - (x - 0)^(a)/2 + 1"), 0.0, None,
+                            AlphaContext(alpha=0.5)),
         lambda: pretty(parse("-abs(x - 0.3)^(a)*(x + 1)/2")),
     ],
     ids=["singular_points", "normalize", "pretty"],

@@ -17,14 +17,13 @@ from fracon import (
     NotPolynomial,
     ParseError,
     WeightSpec,
-    normalize,
     parse,
     pretty,
 )
 from fracon import expr as expr_module
 from fracon.expr import (Abs, Bin, ExpAlpha, Name, Num, Pow, _eval, _monotone_dirs,
-                         _pow_alpha, evaluate_raw)
-from fracon.presets import F_PRESETS
+                         _pow_alpha, evaluate_raw, normal_form)
+from fracon.presets import ETA_PRESETS, F_PRESETS, W_PRESETS
 
 _CTX1 = AlphaContext(alpha=1.0)
 _CTX05 = AlphaContext(alpha=0.5)
@@ -112,7 +111,7 @@ def test_every_walk_of_the_deepest_text_fits_beside_a_deep_caller(kind):
         f.evaluate_many(np.linspace(0.0, 1.0, 5), _CTX05)
         f.singular_points()
         try:
-            f.gpoly(0.0, _CTX05)
+            f.form(0.0, None, _CTX05)
         except NotPolynomial:
             pass
         eta = EtaSpec.from_text(text.replace("x", "u"))
@@ -340,30 +339,30 @@ def test_singular_points(text, params, points):
 
 
 def test_normalize_monomial():
-    gp = normalize(parse("x^(2a)", arity=1), 0.0, _CTX05)
-    assert dict(gp.terms) == {2: 1.0}
+    form = normal_form(parse("x^(2a)", arity=1), 0.0, None, _CTX05)
+    assert form == {(2, 0): 1.0}
 
 
 def test_normalize_product_adds_exponents():
-    gp = normalize(parse("(x)^(a) * (x)^(a)", arity=1), 0.0, _CTX05)
-    assert dict(gp.terms) == {2: 1.0}
+    form = normal_form(parse("(x)^(a) * (x)^(a)", arity=1), 0.0, None, _CTX05)
+    assert form == {(2, 0): 1.0}
 
 
 def test_normalize_abs_not_centered():
     with pytest.raises(NotPolynomial):
-        normalize(parse("abs(x - 0.5)^(a)", arity=1), 0.0, _CTX05)
+        normal_form(parse("abs(x - 0.5)^(a)", arity=1), 0.0, None, _CTX05)
 
 
 def test_normalize_base_change_classical():
     """x^2 about s=-1 is (x+1)^2 - 2(x+1) + 1."""
-    gp = normalize(parse("x^2", arity=1), -1.0, _CTX1)
-    assert dict(gp.terms) == {0: 1.0, 1: -2.0, 2: 1.0}
+    form = normal_form(parse("x^2", arity=1), -1.0, None, _CTX1)
+    assert form == {(0, 0): 1.0, (1, 0): -2.0, (2, 0): 1.0}
 
 
 def test_normalize_shifted_base():
-    gp = normalize(parse("(x - lo)^(3a)", arity=1, constants=("lo",)), 2.0,
-                   AlphaContext(alpha=0.3), params={"lo": 2.0})
-    assert dict(gp.terms) == {3: 1.0}
+    form = normal_form(parse("(x - lo)^(3a)", arity=1, constants=("lo",)), 2.0, None,
+                       AlphaContext(alpha=0.3), params={"lo": 2.0})
+    assert form == {(3, 0): 1.0}
 
 
 def test_normal_form_roots_a_base_only_where_it_is_exactly_zero():
@@ -378,44 +377,102 @@ def test_normal_form_roots_a_base_only_where_it_is_exactly_zero():
 
 def test_normalize_rejects_uncentered_shift():
     with pytest.raises(NotPolynomial):
-        normalize(parse("(x - lo)^(a)", arity=1, constants=("lo",)), 0.0, _CTX05,
-                  params={"lo": 1.0})
+        normal_form(parse("(x - lo)^(a)", arity=1, constants=("lo",)), 0.0, None, _CTX05,
+                    params={"lo": 1.0})
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["x^(2a)", "2*x^(a) - 1", "(x)^(a)*(x)^(a)", "x^(3a)/2 + 1", "-x^(2a) + x^(a)"],
-)
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
-def test_normalize_eval_agreement(text, alpha):
-    """GPoly value tracks AST value to 1e-10 relative on 100 points."""
+def _form_at(form: dict, x: float, a: float, b, alpha: float) -> float:
+    """sum c * (x-a)**(k alpha) * (b-x)**(j alpha) at x, term by term."""
+    return sum(c * (x - a) ** (k * alpha) * ((b - x) ** (j * alpha) if j else 1.0)
+               for (k, j), c in form.items())
+
+
+# A normal form checked against its expression at every point it claims,
+# by text: (f, a, b, eta).  b None is f's half-line form about a, checked
+# on [a, a + 2]; else f's form on [a, b], or, with an eta, eta's form on the
+# forms of f(a+b-x) and f(x), checked against eta(f(a+b-x), f(x)) there.
+# lo and hi are bound to a and b.
+_FORM_CASES = {
+    **{text: (text, 0.0, None, None) for text in (
+        "x^(2a)", "2*x^(a) - 1", "(x)^(a)*(x)^(a)", "x^(3a)/2 + 1", "-x^(2a) + x^(a)",
+        "x^(2a) - x^(a)/3 + 2")},
+    "(x - lo)^(3a) - 2*(x - lo)^(a) on [0.5, +)": ("(x - lo)^(3a) - 2*(x - lo)^(a)", 0.5,
+                                                   None, None),
+    "(hi - x)^(2a)*x^(a) on [0, 1.5]": ("(hi - x)^(2a)*x^(a)", 0.0, 1.5, None),
+    "3*(hi - x)^(a) - (x - lo)^(a)*(hi - x)^(3a)/2 + 1 on [-1, 2]": (
+        "3*(hi - x)^(a) - (x - lo)^(a)*(hi - x)^(3a)/2 + 1", -1.0, 2.0, None),
+    "parabolic on [0.2, 1.5]": (W_PRESETS["parabolic"], 0.2, 1.5, None),
+    **{f"{eta} of {f} on [{a:g}, {b:g}]": (f, a, b, eta)
+       for eta in ETA_PRESETS.values()
+       for f, a, b in (("x^(2a)", 0.0, 1.0), ("(x - lo)^(a)*(hi - x)^(2a) - (hi - x)^(a)",
+                                                -1.0, 2.0))},
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**20))
+@pytest.mark.parametrize("case", _FORM_CASES)
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+def test_normalize_eval_agreement(alpha, case, i):
+    """Every normal form, half-line or two-endpoint, f's or eta's on f's,
+    tracks its expression to 1e-10 relative at every point it claims.  The
+    points are dyadic, so that on the eta cases' intervals a + b - x is
+    exact: near an endpoint at alpha < 1, the rounding of a + b - x alone
+    would move f(a+b-x) by more than that."""
+    f_text, a, b, eta_text = _FORM_CASES[case]
+    t = i / 2**20
     ctx = AlphaContext(alpha=alpha)
-    ast = parse(text, arity=1)
-    gp = normalize(ast, 0.0, ctx)
-    xs = np.linspace(0.0, 2.0, 100)
-    ast_vals = evaluate_raw(ast, {"x": xs}, ctx)
-    gp_vals = gp.evaluate(xs)
-    assert np.all(np.abs(gp_vals - ast_vals) <= 1e-10 * (1.0 + np.abs(ast_vals)))
+    f = FunctionSpec.from_text(f_text, params={"lo": a, "hi": 2.0 if b is None else b})
+    x = a + t * 2.0 if b is None else min(a + t * (b - a), b)
+    if eta_text is None:
+        form = f.form(a, b, ctx)
+        want = float(f.evaluate_many(np.array([x]), ctx)[0])
+    else:
+        eta = EtaSpec.from_text(eta_text)
+        f_form = f.form(a, b, ctx)
+        form = eta.form({(j, k): c for (k, j), c in f_form.items()}, f_form, a, b, ctx)
+        fu, fv = f.evaluate_many(np.array([a + b - x, x]), ctx)
+        want = float(eta.evaluate_many(fu, fv, ctx))
+    got = _form_at(form, x, a, b, alpha)
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), (form, x)
+
+
+def test_a_power_past_the_degree_bound_raises_before_it_is_expanded(monkeypatch):
+    """(x + 1)^171 about 0 at alpha 1 would have a term x^171, and
+    Gamma(172) overflows, so no exact rule could use its form: the walk
+    refuses it without multiplying anything out.  So do a two-endpoint
+    power past the bound and the same power of the integer-alpha kind."""
+    def expand(p, q):
+        raise AssertionError("the power was expanded")
+
+    monkeypatch.setattr(expr_module, "_pmul", expand)
+    for text, a, b, alpha in (("(x + 1)^171", 0.0, None, 1.0),
+                              ("(x^(a) + 1)^(684a)", 0.0, None, 0.5),
+                              ("((x - lo)^(a) + (hi - x)^(a))^342", 0.0, 1.0, 0.5)):
+        f = FunctionSpec.from_text(text, params={"lo": 0.0, "hi": 1.0})
+        with pytest.raises(NotPolynomial, match="passes 170.625, where Gamma overflows"):
+            f.form(a, b, AlphaContext(alpha=alpha))
+
+
+@pytest.mark.parametrize(("text", "a", "b", "alpha", "terms", "top"), [
+    ("(x + 1)^170", 0.0, None, 1.0, 171, (170, 0)),
+    ("((x - lo)^(a) + (hi - x)^(a))^341", 0.0, 1.0, 0.5, 342, (341, 0)),
+    # One term: nothing to expand, so no bound applies.
+    ("(2*(x - lo)^(a)*(hi - x)^(a))^400", 0.0, 1.0, 0.5, 1, (400, 400)),
+    # The expanded powers whose terms cancel, which the exact rules decline.
+    ("((x - lo)*(hi - x))^(20)", 0.0, 1.0, 1.0, 21, (40, 0)),
+    ("((x - 0.5)^2)^15", 0.0, None, 1.0, 31, (30, 0)),
+])
+def test_a_power_within_the_degree_bound_keeps_its_form(text, a, b, alpha, terms, top):
+    f = FunctionSpec.from_text(text, params={"lo": 0.0, "hi": 1.0})
+    form = f.form(a, b, AlphaContext(alpha=alpha))
+    assert len(form) == terms and max(form) == top
 
 
 def test_normalize_deterministic():
-    one = normalize(parse("x^(2a) + 2*x^(a)", arity=1), 0.0, _CTX05)
-    two = normalize(parse("x^(2a) + 2*x^(a)", arity=1), 0.0, _CTX05)
+    one = normal_form(parse("x^(2a) + 2*x^(a)", arity=1), 0.0, None, _CTX05)
+    two = normal_form(parse("x^(2a) + 2*x^(a)", arity=1), 0.0, None, _CTX05)
     assert one == two
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.floats(min_value=0.0, max_value=2.0),
-    st.sampled_from([0.3, 0.5, 0.9, 1.0]),
-)
-def test_gpoly_matches_ast_pointwise(x, alpha):
-    ctx = AlphaContext(alpha=alpha)
-    ast = parse("x^(2a) - x^(a)/3 + 2", arity=1)
-    gp = normalize(ast, 0.0, ctx)
-    ast_val = _at(ast, ctx, x=x)
-    gp_val = float(gp.evaluate(np.array([x]))[0])
-    assert abs(gp_val - ast_val) <= 1e-10 * (1.0 + abs(ast_val))
 
 
 # ------------------------------------------------------ monotone classifier

@@ -40,6 +40,7 @@ from fracon import (
     gamma,
     hh_terms,
     inequalities,
+    lf_integral,
 )
 from fracon.presets import ETA_PRESETS, F_PRESETS, W_PRESETS
 from paper_checks import unit_weight_recomposition
@@ -578,6 +579,29 @@ def test_cancelling_beta_terms_take_the_rl_route(w_text, route):
         ys = w.evaluate_many(xs, _CTX1) * factor
         want = float(np.sum((ys[1:] + ys[:-1]) * 0.5) / 200_000)  # trapezoid
         assert moment == pytest.approx(want, rel=1e-8)
+
+
+def test_exact_integral_and_fejer_f2_read_one_table():
+    """lf_integral's exact route and fejer's F2 with w = 1 sum the same
+    Beta table over the same form of f (no base of f here is rooted at b,
+    so f's two-endpoint form is its half-line form about a): where one
+    takes the exact route, so does the other, with the same bits."""
+    exact = 0
+    for f_text, eta_text, alpha, (a, b) in itertools.product(
+            [*F_PRESETS.values(), "x^(2a) + 1", "3*x^(4a) - x^(a)/2", "(x - lo)^(3a)"],
+            ETA_PRESETS.values(), _ALPHAS, ((0.0, 1.0), (0.2, 1.5), (-1.0, 2.0))):
+        f = _f(f_text, lo=a, hi=b)
+        ctx = AlphaContext(alpha=alpha)
+        rep = fejer_terms(f, EtaSpec.from_text(eta_text), 0.0, _w("1"), a, b, ctx)
+        try:
+            value = lf_integral(f, a, b, ctx, EXACT)
+        except NotPolynomial:
+            assert rep.routes["F2"] == "rl", (f_text, alpha, a, b)
+            continue
+        assert rep.routes["F2"] == "exact", (f_text, alpha, a, b)
+        assert rep.F2.hex() == value.hex(), (f_text, alpha, a, b)
+        exact += 1
+    assert exact == 96
 
 
 def test_weighted_chain_rejects_asymmetric_weight():

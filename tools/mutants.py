@@ -15,8 +15,9 @@ f(mixture) and the order of its first two operations, the evaluation of a
 0-d input as one element, the order and the +0.0 start of the panel sums,
 the node array that w's shared sample was taken on, a Beta-table factor,
 the sign of a (b - x) base, m3's normal form, the mirror image of f's
-form, the two Gauss series of m1's closed form or its power of two, or the
-mirror key of the weight's symmetry rule.  The checkout (without ``.git``
+form, the two Gauss series of m1's closed form or its power of two, the
+mirror key of the weight's symmetry rule, the exact derivative's Gamma
+ratio, or the span of the exact integral.  The checkout (without ``.git``
 and caches) is copied to a temporary directory once.  The suite first runs
 there unmutated, and must pass; then each mutant is written into the copy,
 the suite runs as
@@ -113,6 +114,9 @@ MUTANTS = (
            "_half_series(n, b2, cr), _half_series(n, b2, cl)"),
     Mutant("m1-2n", "(2.0**-n * g * halves)", "(g * halves)"),
     Mutant("sym-mirror", "c == form.get((j, k), 0.0)", "c == form.get((k, j), 0.0)"),
+    Mutant("deriv-gamma", "gamma(1.0 + (k - 1) * alpha)", "gamma(1.0 + k * alpha)"),
+    Mutant("exact-span", "f.form(a, None, ctx), b - a, ctx.alpha)",
+           "f.form(a, None, ctx), b, ctx.alpha)"),
 )
 
 
