@@ -314,16 +314,11 @@ def _panel_values(
     to 92.8 KB, and a capped singular integral no longer fits its 11 MiB
     bound.
 
-    Each row is then summed by adjacent halvings in that weighted array
-    (columns 2k += 2k + 1, then 4k += 4k + 2, then 0 + 4 into a new
-    row-sized array), and the sums are added to +0.0: at ``_POINTS = 8``
-    this is the order and the bits of ``np.add.reduce(vals, axis=1)``,
-    numpy's pairwise sum started from +0.0 (so a row of -0.0 sums to
-    +0.0).  With the product by ``half``, the reduction took 8.7 us on
-    372 rows and 20.8 us on 1,000, the halvings 5.1 and 8.7 us (one
-    2-vCPU VM).  The halvings write in place: with a temporary per
-    halving a capped singular integral exceeds its 11 MiB bound, and in
-    place it keeps one row-sized array, as the reduction did."""
+    Each row is then summed by ``np.add.reduce``, in numpy's pairwise
+    order started from +0.0 (a row of -0.0 sums to +0.0), over a C-ordered
+    copy if fn's array is not C-ordered: numpy reduces the rows of a
+    Fortran-ordered array in another order.
+    """
     vals = np.asarray(fn(xs), dtype=float)
     if vals.shape != xs.shape:
         vals = np.broadcast_to(vals, xs.shape)
@@ -333,16 +328,7 @@ def _panel_values(
         vals *= _WEIGHTS
     else:
         vals = vals * _WEIGHTS
-    # One row after another, so each halving is one 1-D strided add (a
-    # copy, not a view, if fn returned an array that is not C-ordered).
-    flat = vals.reshape(-1)
-    step = 1
-    while 2 * step < _POINTS:
-        pairs = flat[:: 2 * step]
-        np.add(pairs, flat[step :: 2 * step], out=pairs)
-        step *= 2
-    sums = flat[::_POINTS] + flat[step::_POINTS]
-    sums += 0.0
+    sums = np.add.reduce(np.ascontiguousarray(vals), axis=1)
     sums *= half
     return sums
 
@@ -384,14 +370,12 @@ def rl_integrate(
     at about 2,000 kinks, where one breakpoint per kink allowed about
     43,500.  Each pass evaluates fn once: the first on the panels and
     their halves together, each later one on the halves of the live
-    panels.  A panel's value sums its weighted samples by adjacent
-    halvings, which at ``_POINTS = 8`` is numpy's pairwise order, so it
-    equals ``sum(axis=1)`` bit for bit (see ``_panel_values``).  A
-    panel's error estimate is |its value - the sum of its halves|.  The
-    result has converged when the accepted plus the live estimates are
-    within ``rtol * (1 + |value|)``.  Otherwise the panels whose estimate
-    exceeds their width-share of that tolerance are bisected, and the
-    others are accepted.  The loop stops unconverged when
+    panels.  A panel's value is numpy's row sum of its weighted samples
+    (see ``_panel_values``), and its error estimate is |its value - the
+    sum of its halves|.  The result has converged when the accepted plus
+    the live estimates are within ``rtol * (1 + |value|)``.  Otherwise the
+    panels whose estimate exceeds their width-share of that tolerance are
+    bisected, and the others are accepted.  The loop stops unconverged when
     the next pass would exceed ``_MAX_EVALS`` cumulative samples, or
     when rounding leaves the total over the tolerance with no panel over
     its share; it is returned as it is, ``converged`` False.  The returned

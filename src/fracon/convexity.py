@@ -126,6 +126,8 @@ def _linspace(lo, hi, n: int) -> np.ndarray:
     span warns as linspace's does.  ``np.linspace`` spends most of a small
     grid's time in Python (argument conversion, dtype and shape handling),
     and certify and the eta checks sample several small grids per call.
+    Measured against ``np.linspace`` (``tools/cases_ab.py``, seeds 1,2, 20
+    rounds): sweep mean B/A 0.932, this faster in 20 of 20 rounds.
     """
     delta = np.subtract(hi, lo, dtype=float)
     y = np.arange(n, dtype=float)
@@ -257,7 +259,10 @@ def _lattice_min(f, eta, c, ctx, xs, ts) -> tuple[tuple[int, int, int], float, f
         d, tmp = planes[0], planes[-1]
         flat_d = d.reshape(n * n)
         # f(y) as whole (x, y) rows: a ufunc that broadcasts an operand along
-        # the innermost axis runs slower than one over contiguous rows.
+        # the innermost axis runs slower than one over contiguous rows.  The
+        # tile trades one plane for time: broadcasting fx instead read
+        # lattice mean B/A 0.870 (20 of 20 rounds, ``tools/cases_ab.py``
+        # seeds 1,2) and a seed-1 peak of 977,832 B against 1,093,088 B.
         fy = fx[None, :].repeat(n, axis=0)
         step = table.itemsize
         best = (True, math.inf, n * n, n)  # (not NaN, defect, i n + j, k)

@@ -538,6 +538,9 @@ def _eval(n: ExprAst, env, params, alpha: float):
     instead of one per node.  The ufuncs and their operand order are those
     of the plain operators, so the values are the same bit for bit.
     Broadcast shapes, scalars and leaves take the allocating operators.
+    Measured against the plain operators everywhere: the quadrature's
+    seed-1 peak rose from 114,267 to 145,379 B, in ``fejer``
+    (``tools/case_peaks.py --stages``); no workload's time moved.
 
     A module-level function rather than a closure: a closure that calls
     itself is a reference cycle, and the cycle would keep ``env`` (and so
@@ -701,15 +704,40 @@ def _pmul(p: Form, q: Form) -> Form:
 # passes this bound gives an exact value.
 _MAX_DEGREE = 170.625
 
+# The most term products (``_pmul``'s inner steps, about 0.3 us each on a
+# 2-vCPU VM) that an expanded power may take.  The largest expansion an
+# exact rule reads in the tests and the benchmark workloads takes 116,622.
+_MAX_PRODUCTS = 2**20
+
+
+def _products(p: Form, n: int) -> int:
+    """An upper bound on the term products of p**n, taken by n ``_pmul``.
+
+    The i-th multiplies p's m terms by those of p**i: at most the
+    C(i + m - 1, m - 1) multisets of i keys of p, and at most the
+    (i K + 1)(i J + 1) keys that sums of i keys reach, where K and J are
+    the spreads of p's k and j.  Each bound summed over i < n has a closed
+    form."""
+    m = len(p)
+    ks, js = [k for k, _ in p], [j for _, j in p]
+    K, J = max(ks) - min(ks), max(js) - min(js)
+    box = K * J * (n - 1) * n * (2 * n - 1) // 6 + (K + J) * n * (n - 1) // 2 + n
+    return m * min(math.comb(n + m - 1, m), box)
+
 
 def _ppow(p: Form, n: int, alpha: float) -> Form:
-    """p**n, multiplied out: O(n**2) for two or more terms, so such a power
-    whose top term would pass ``_MAX_DEGREE`` raises NotPolynomial first."""
+    """p**n, multiplied out: O(n**2) term products for two or more terms,
+    so a power whose top term would pass ``_MAX_DEGREE`` (two or more
+    nonzero terms), or whose expansion could take more than
+    ``_MAX_PRODUCTS`` term products, raises NotPolynomial first."""
     keys = [key for key, c in p.items() if c != 0.0]
     top = n * max(map(max, keys), default=0) * alpha
     if len(keys) > 1 and top > _MAX_DEGREE:
         raise NotPolynomial(f"an expanded power of degree {top:g} passes {_MAX_DEGREE:g}, "
                             f"where Gamma overflows")
+    if _products(p, n) > _MAX_PRODUCTS:
+        raise NotPolynomial(f"expanding a {len(p)}-term form to the power {n} could take "
+                            f"more than {_MAX_PRODUCTS} term products")
     out = {(0, 0): 1.0}
     for _ in range(n):
         out = _pmul(out, p)
@@ -773,7 +801,7 @@ def normal_form(
     form of its composition.  Raises :class:`NotPolynomial` for anything
     else (abs of a sum, division by a non-constant, non-integer multiples
     of a, alpha-powers of non-monomial bases, an expanded power past
-    ``_MAX_DEGREE``...).
+    ``_MAX_DEGREE`` or ``_MAX_PRODUCTS``...).
     """
     fr = _Frame(float(a), None if b is None else float(b), ctx.alpha, params or {}, names or {})
     form = {key: c for key, c in sorted(_form_terms(node, fr).items()) if c != 0.0}

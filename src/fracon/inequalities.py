@@ -64,18 +64,12 @@ form has only finite coefficients c(k, j) >= 0 with c(k, j) == c(j, k),
 it is both, and ``convexity.check_symmetry`` does not sample it; every
 other w is sampled (see ``check_symmetry``).
 
-On the rl route, m0, m2 and m3 integrate over the same t-interval with
-the same kinks, so their first passes run on one cached node array, and
-w(x(t)) is sampled on it once instead of three times: with the parabolic
-weight, w's evaluation was most of the difference between a Fejer call
-and one with w = 1.  Holding that sample through the three integrals
-costs nothing at the peak (a smooth-f call's traced peak fell from 89,970
-to 89,530 B, since m0 no longer samples w into a fresh array).  Nothing
-else is shared.  Keeping t**al per node array for m2 and m3 as well raised that
-peak to 98,370 B, for a power that costs less than the array it would
-hold.  L and F2 also run on one mesh, but sharing f and w between them
-would hold one more mesh-sized array through L's phase, which sets the
-traced peak of a call on a kinked f.
+On the rl route, each integral samples its own functions.  Sharing w's
+sample between m0, m2 and m3 would pay only for a weight with no normal
+form (both preset weights take the three from the Beta table).  L and F2
+run on one mesh too, but sharing f and w between them would hold one more
+mesh-sized array through L's phase, which sets the traced peak of a call
+on a kinked f.
 """
 
 from __future__ import annotations
@@ -250,50 +244,6 @@ class FejerReport:
     all_hold: bool
 
 
-def _shared_w_moments(w: WeightSpec, a: float, span: float, ctx: AlphaContext,
-                      integral) -> tuple[float, float, float]:
-    """m0, m2 and m3, whose three integrals sample w once per node array.
-
-    ``integral(name, fn)`` integrates fn over t in [0, 1] with w's kinks
-    as breakpoints, so the three integrals share one mesh key, and their
-    first passes receive the one node array that ``_mesh`` caches.  w is
-    sampled once on it; any other array (a refinement pass, or a mesh too
-    large to cache, which is built anew per call) is sampled anew, and the
-    sample is dropped when the helper returns, also on an error.  The
-    t-factors are formed per integral and w's sample multiplied into them
-    (a product rounds the same in either operand order), m3's as
-    (t**al * (1 - t)**al) * w.
-    """
-    al = ctx.alpha
-    seen: list = []  # the last node array and w sampled on it
-
-    def w_at(ts: np.ndarray) -> np.ndarray:
-        if not (seen and seen[0] is ts):
-            seen.clear()
-            seen.extend((ts, w.evaluate_many(a + ts * span, ctx)))
-        return seen[1]
-
-    def m2_integrand(ts: np.ndarray) -> np.ndarray:
-        tf = ts**al
-        tf *= w_at(ts)
-        return tf
-
-    def m3_integrand(ts: np.ndarray) -> np.ndarray:
-        tf = 1.0 - ts
-        tf **= al
-        np.multiply(ts**al, tf, out=tf)
-        tf *= w_at(ts)
-        return tf
-
-    try:
-        m0 = span**al * integral("m0", w_at)
-        m2 = span ** (2 * al) * integral("m2", m2_integrand)
-        m3 = span ** (3 * al) * integral("m3", m3_integrand)
-    finally:
-        seen.clear()
-    return m0, m2, m3
-
-
 def _exact_integrals(f: FunctionSpec, eta: EtaSpec, w: WeightSpec, a: float, b: float,
                      ctx: AlphaContext) -> dict[str, float]:
     """The Fejer integrals that have a closed form, by name: m0, m2 and m3
@@ -376,7 +326,11 @@ def fejer_terms(
     if "m0" in exact:
         m0, m2, m3 = exact["m0"], exact["m2"], exact["m3"]
     else:
-        m0, m2, m3 = _shared_w_moments(w, a, span, ctx, integral)
+        m0 = span**al * integral("m0", lambda ts: w.evaluate_many(a + ts * span, ctx))
+        m2 = span ** (2 * al) * integral("m2", lambda ts: (
+            ts**al * w.evaluate_many(a + ts * span, ctx)))
+        m3 = span ** (3 * al) * integral("m3", lambda ts: (
+            (ts**al * (1 - ts)**al) * w.evaluate_many(a + ts * span, ctx)))
     m1 = exact.get("m1")
     if m1 is None:
         def m1_integrand(ts: np.ndarray) -> np.ndarray:

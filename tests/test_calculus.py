@@ -646,20 +646,22 @@ def _panel_rows(rows: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("rows", [1, 5, 372, 131_072])
-@pytest.mark.parametrize("kept", [False, True], ids=["owned", "kept"])
+@pytest.mark.parametrize("kept", [False, True, "fortran"], ids=["owned", "kept", "fortran"])
 def test_panel_sums_are_numpys_row_reduction_bitwise(rows, kept):
-    """_panel_values sums each row of weighted samples by adjacent halvings;
-    at _POINTS = 8 that is numpy's pairwise order, started from +0.0 (a
-    row of -0.0 sums to +0.0), so every panel value has the bits of
-    ``np.add.reduce(vals * _WEIGHTS, axis=1) * half``, whether the
-    samples are weighted in fn's array or, when fn keeps it, in a copy."""
+    """_panel_values sums each row of weighted samples in numpy's pairwise
+    order, started from +0.0 (a row of -0.0 sums to +0.0), so every panel
+    value has the bits of ``np.add.reduce(vals * _WEIGHTS, axis=1) *
+    half``, whether the samples are weighted in fn's array or, when fn
+    keeps it, in a copy, and also when fn's array is Fortran-ordered, whose
+    rows numpy would reduce in another order."""
     assert calculus._POINTS == 8
     vals = _panel_rows(rows, rows)
     half = np.random.default_rng(rows + 1).random(rows) + 0.5
     half[::3] = 2.0 ** -1000  # products near the bottom of the subnormals
     xs = np.zeros(vals.shape)
     kept_vals = vals.copy()
-    got = calculus._panel_values(lambda _: kept_vals if kept else vals.copy(), xs, half)
+    made = {False: vals.copy, True: lambda: kept_vals, "fortran": lambda: np.asfortranarray(vals)}
+    got = calculus._panel_values(lambda _: made[kept](), xs, half)
     want = np.add.reduce(vals * calculus._WEIGHTS, axis=1) * half
     assert got.tobytes() == want.tobytes()
     assert np.signbit(vals[0]).all() and want[0] == 0 and not np.signbit(want[0])

@@ -9,6 +9,7 @@ stderr messages, and exit codes (0 ok, 1 config/parse, 2 verified violation,
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,24 @@ def test_integrate_auto_falls_back_when_gamma_overflows(capsys):
                                   "--backend", "exact"])
     assert (code, out) == (3, "")
     assert err == "fracon: GammaDomainError: gamma(201.0) overflows a float\n"
+
+
+def test_integrate_refuses_a_long_expansion_at_once(capsys):
+    """At alpha 0.01 the 4000th power of a two-term form stays under the
+    degree bound (its top term is x^(40a)), but multiplying it out takes
+    about 8 million term products, which ran for 4.7 s: auto integrates by
+    quadrature instead, and a forced exact exits 1, each within 1 s."""
+    argv = ["integrate", "(0.5*x^(a) + 0.5)^4000", "0", "1", "--alpha", "0.01"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "0.970245179291414\nbackend: rl\n", "")
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    code, out, err = run(capsys, [*argv, "--backend", "exact"])
+    assert (code, out) == (1, "")
+    assert err == ("fracon: error: expanding a 2-term form to the power 4000 could take "
+                   "more than 1048576 term products\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_integrate_exact_declines_cancelling_terms(capsys):

@@ -454,10 +454,42 @@ def test_a_power_past_the_degree_bound_raises_before_it_is_expanded(monkeypatch)
             f.form(a, b, AlphaContext(alpha=alpha))
 
 
+def test_a_power_past_the_product_bound_raises_before_it_is_expanded(monkeypatch):
+    """Under the degree bound at small alpha, a power can still take more
+    than _MAX_PRODUCTS term products to multiply out (O(n**2) for two or
+    more terms, n for one): the walk refuses it without multiplying."""
+    def expand(p, q):
+        raise AssertionError("the power was expanded")
+
+    monkeypatch.setattr(expr_module, "_pmul", expand)
+    for text, a, b, alpha in (("(x^(a) + 0.5)^4000", 0.0, None, 0.01),
+                              ("((x - lo)^(a) + (hi - x)^(a))^1500", 0.0, 1.0, 0.01),
+                              ("(x^(a))^2000000", 0.0, None, 1e-5)):
+        f = FunctionSpec.from_text(text, params={"lo": 0.0, "hi": 1.0})
+        with pytest.raises(NotPolynomial, match="more than 1048576 term products"):
+            f.form(a, b, AlphaContext(alpha=alpha))
+
+
+def test_the_product_bound_is_the_products_of_the_expansion():
+    """_products counts what _ppow's loop does wherever the keys of p**i
+    fill their box or are all distinct, and never less."""
+    cases = [({(1, 0): 0.5, (0, 0): 0.5}, 341), ({(2, 0): 1.0, (1, 0): -1.0, (0, 0): 0.25}, 15),
+             ({(1, 1): 0.1, (0, 0): 1.0}, 86), ({(1, 0): 1.0, (0, 1): 1.0}, 30),
+             ({(3, 0): 1.0, (0, 2): 1.0, (1, 1): 1.0}, 12), ({(2, 3): 2.0}, 50)]
+    for p, n in cases:
+        work, out = 0, {(0, 0): 1.0}
+        for _ in range(n):
+            work += len(out) * len(p)
+            out = expr_module._pmul(out, p)
+        assert expr_module._products(p, n) >= work
+        if len(p) < 3:
+            assert expr_module._products(p, n) == work
+
+
 @pytest.mark.parametrize(("text", "a", "b", "alpha", "terms", "top"), [
     ("(x + 1)^170", 0.0, None, 1.0, 171, (170, 0)),
     ("((x - lo)^(a) + (hi - x)^(a))^341", 0.0, 1.0, 0.5, 342, (341, 0)),
-    # One term: nothing to expand, so no bound applies.
+    # One term: nothing to expand, so the degree bound does not apply.
     ("(2*(x - lo)^(a)*(hi - x)^(a))^400", 0.0, 1.0, 0.5, 1, (400, 400)),
     # The expanded powers whose terms cancel, which the exact rules decline.
     ("((x - lo)*(hi - x))^(20)", 0.0, 1.0, 1.0, 21, (40, 0)),

@@ -57,9 +57,9 @@ def test_fejer_holds_under_six_arrays_of_its_eta_mesh():
 
 
 def test_fejer_holds_under_four_arrays_of_its_eta_mesh():
-    """The same call as above.  The moment integrands multiply their
-    t-factors into w's array, and rl_integrate weighs the samples in fn's
-    array: the call peaks near 104 KB.  With the parabolic preset, whose
+    """The same call as above.  L's integrand multiplies w into eta's
+    array, and rl_integrate weighs the samples in fn's array: the call
+    peaks near 104 KB, in L's integral.  With the parabolic preset, whose
     signed alpha-powers then held an array per factor, it read 141 KB."""
     bound = {"lo": 0.0, "hi": 1.0}
     f = FunctionSpec.from_text("abs(x - 0.7)^(a)", params=bound)
@@ -69,22 +69,6 @@ def test_fejer_holds_under_four_arrays_of_its_eta_mesh():
     assert set(fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx).routes.values()) == {"rl"}
     peak = _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx))
     assert peak < 4 * 3984 * 8
-
-
-def test_fejer_moments_share_one_sample_of_w_and_nothing_more():
-    """fejer_terms on x^(2a) with the parabolic weight at alpha 0.5, all on
-    the rl route: m0, m2 and m3 integrate on one cached node array, and w's
-    sample on it is taken once and held through the three.  The call peaks
-    near 85.1 KB; also holding one t**al per node array for m2 and m3 read
-    98.7 KB.  (With the parabolic preset itself, before its moments took
-    the exact route, the same two read 89.5 and 98.4 KB.)"""
-    bound = {"lo": 0.0, "hi": 1.0}
-    f = FunctionSpec.from_text("x^(2a)", params=bound)
-    eta = EtaSpec.from_text(ETA_PRESETS["example23"], params=bound)
-    w = WeightSpec.from_text(_RL_PARABOLIC, params=bound)
-    ctx = AlphaContext(alpha=0.5)
-    assert set(fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx).routes.values()) == {"rl"}
-    assert _warm_peak(lambda: fejer_terms(f, eta, 1.0, w, 0.0, 1.0, ctx)) < 94_000
 
 
 def test_capped_singular_integral_stays_under_16_mib():

@@ -22,9 +22,14 @@ Printed: one row for each statistic of a round's case times, the mean and
 the p50 and p90 (nearest rank, as ``perfbench/run.py`` takes them; the
 benchmark's claims are on these percentiles).  A row gives each side's
 median of that statistic over the rounds in ms, the median of the
-per-round ratios B/A, and the number of rounds each side was the faster
-on it.  Then whether the two sides' outputs are equal.  The exit code is 1
-when they differ.
+per-round ratios B/A with their lower and upper quartiles, and the number
+of rounds each side was the faster on it.  Then whether the two sides'
+outputs are equal.  The exit code is 1 when they differ.
+
+Giving the same checkout twice (an A/A run) measures the spread: its
+quartiles of B/A are how far apart two runs of equal code read on this
+machine, and a B/A of a real A/B run that stays inside them shows no
+difference.
 
 This adds to perfbench pairs (alternating ``perfbench/run.py`` runs in
 the two checkouts) and never replaces them: it compares warm calls in one
@@ -93,17 +98,19 @@ def main(argv: list[str] | None = None) -> int:
         for s in (0, 1):
             rounds[s].append(times[s])
     print(f"{args.workload}: {len(cases)} cases, seeds {args.seeds}, {args.rounds} rounds")
-    print("ms/case      A          B      B/A   A faster  B faster")
+    print("ms/case      A          B      B/A   (q1     q3)   A faster  B faster")
     stats = {"mean": statistics.fmean,
              "p50": lambda t: quantile(t, 0.5),
              "p90": lambda t: quantile(t, 0.9)}
     for name, stat in stats.items():
         a, b = ([stat(t) for t in rounds[s]] for s in (0, 1))
-        ratio = statistics.median(v / u for u, v in zip(a, b))
+        ratios = [v / u for u, v in zip(a, b)]
+        q1, q3 = quantile(ratios, 0.25), quantile(ratios, 0.75)
         wins_a = sum(u < v for u, v in zip(a, b))
         wins_b = sum(v < u for u, v in zip(a, b))
         print(f"{name:5} {statistics.median(a) * 1e3:9.3f}  {statistics.median(b) * 1e3:9.3f}  "
-              f"{ratio:6.3f}  {wins_a:4}/{args.rounds:<4} {wins_b:4}/{args.rounds}")
+              f"{statistics.median(ratios):6.3f} ({q1:5.3f}  {q3:5.3f})  "
+              f"{wins_a:4}/{args.rounds:<4} {wins_b:4}/{args.rounds}")
     same = outputs[0] == outputs[1]
     print(f"outputs {'equal' if same else 'DIFFER'}")
     return 0 if same else 1

@@ -13,11 +13,10 @@ of the eta pair at the ends, the witness's mixture and its f(mixture) of
 0.0, the rule that skips a +0.0 strong term, the defect kernel's copy of
 f(mixture) and the order of its first two operations, the evaluation of a
 0-d input as one element, the order and the +0.0 start of the panel sums,
-the node array that w's shared sample was taken on, a Beta-table factor,
-the sign of a (b - x) base, m3's normal form, the mirror image of f's
-form, the two Gauss series of m1's closed form or its power of two, the
-mirror key of the weight's symmetry rule, the exact derivative's Gamma
-ratio, or the span of the exact integral.  The checkout (without ``.git``
+a Beta-table factor, the sign of a (b - x) base, m3's normal form, the
+mirror image of f's form, the two Gauss series of m1's closed form or its
+power of two, the mirror key of the weight's symmetry rule, the exact
+derivative's Gamma ratio, or the span of the exact integral.  The checkout (without ``.git``
 and caches) is copied to a temporary directory once.  The suite first runs
 there unmutated, and must pass; then each mutant is written into the copy,
 the suite runs as
@@ -97,14 +96,9 @@ MUTANTS = (
            "np.add(d, fy, out=d)\n    np.multiply(e, ta, out=d)"),
     Mutant("witness-rhs", "corr, dist, 0.0, dist)", "corr, dist, values[2:], dist)"),
     Mutant("zero-d", "xs.reshape(1) if xs.ndim == 0 else xs", "xs"),
-    Mutant("halve-order",
-           "    step = 1\n    while 2 * step < _POINTS:\n        pairs = flat[:: 2 * step]\n"
-           "        np.add(pairs, flat[step :: 2 * step], out=pairs)\n        step *= 2\n",
-           "    step = _POINTS\n    while step > 2:\n        step //= 2\n"
-           "        pairs = vals[:, :step]\n"
-           "        np.add(pairs, vals[:, step : 2 * step], out=pairs)\n    step = 1\n"),
-    Mutant("sum-start", "    sums += 0.0\n", "\n"),
-    Mutant("w-reuse", "if not (seen and seen[0] is ts):", "if not seen:"),
+    Mutant("sum-order", "np.add.reduce(np.ascontiguousarray(vals), axis=1)",
+           "np.add.reduce(np.asfortranarray(vals), axis=1)"),
+    Mutant("sum-start", "axis=1)\n    sums *= half", "axis=1, initial=-0.0)\n    sums *= half"),
     Mutant("beta-q", "gamma(p + 1.0) * gamma(q + alpha)", "gamma(p + 1.0) * gamma(q + 1.0)"),
     Mutant("beta-span", "span ** (p + q + alpha))", "span ** (p + q))"),
     Mutant("b-root", "scale, side = -u, 1", "scale, side = u, 1"),
