@@ -18,13 +18,12 @@ whose q = 0 row is the generalized monomial table,
     a_I_b |x - a|**(k*alpha)
         = Gamma(1 + k*alpha) / Gamma(1 + (k+1)*alpha) * (b - a)**((k+1)*alpha).
 
-``_table_integral`` sums the table over a normal form (``expr.normal_form``,
-p = k*alpha and q = j*alpha): the exact backend of ``lf_integral`` feeds
-it f's half-line form about a, whose terms are all q = 0, and
-``inequalities.fejer_terms`` the two-endpoint forms of its Fejer
-integrands.  A table sum whose terms cancel past the numeric route's
-tolerance is not used (``_earned``).  At alpha = 1 this is the ordinary
-integral.
+``_table_integral`` sums the table over a two-endpoint normal form
+(``expr.normal_form``, p = k*alpha and q = j*alpha): the exact backend of
+``lf_integral`` feeds it f's form on [a, b], and
+``inequalities.fejer_terms`` the forms of its Fejer integrands.  A table
+sum whose terms cancel past the numeric route's tolerance is not used
+(``_earned``).  At alpha = 1 this is the ordinary integral.
 
 The Fejer moment m1 of a weight with a normal form has a table of its own,
 ``_m1_integral``: with N = p + q + 3*alpha + 1 and the Gauss series
@@ -71,12 +70,11 @@ the kink ladders, the panels and their halves, the nodes mapped to x and
 clipped to [a, b], and the half-widths.  That mesh is built once per key
 and kept, read-only, in a bounded LRU cache keyed on the bits of the
 doubles (so -0.0 and +0.0 are different keys), and a cached call costs
-only the integrand, its finiteness check and the weighted sums.  Each
-panel's weighted samples are summed by adjacent halvings, in place in the
-weighted array: at the 8 points used here that is numpy's pairwise order,
-((v0 + v1) + (v2 + v3)) + ((v4 + v5) + (v6 + v7)), added to +0.0 as
-``np.add.reduce`` starts, so every panel value is the bits of
-``sum(axis=1)`` without its per-row reduction cost.
+only the integrand, its finiteness check and the weighted sums.
+
+One rule, ``_exact_first``, picks the route of ``integrate``, ``diff``
+and each of the six Fejer integrals: the exact route first under "auto",
+and the numeric one where the exact route gives no value.
 
 Derivatives use the conjugate rule
 
@@ -101,7 +99,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -492,25 +490,23 @@ def _table_integral(form: Form, span: float, alpha: float) -> tuple[float, float
     return total, size
 
 
-def _earned(value: float, size: float) -> bool:
-    """Whether a table sum ``value`` earned the digits ``rl_integrate``
-    promises: the terms' rounding, taken as ``_ROUND_FLOOR`` times the sum
-    of their magnitudes ``size`` (as rl_integrate floors its own error),
-    must be within ``_RTOL`` of |value|.  Expanded powers cancel that
-    badly: ((x - a)*(b - x))**20 at alpha 1 sums to -1.1e-12 where the
-    integral is 1.8e-13."""
-    return _ROUND_FLOOR * size <= _RTOL * abs(value)
+def _earned(value: float, size: float, text: str) -> float:
+    """``value``, a table sum over the terms of ``text`` whose magnitudes
+    sum to ``size``, if it earned the digits ``rl_integrate`` promises: the
+    terms' rounding, ``_ROUND_FLOOR`` times ``size`` (as rl_integrate floors
+    its own error), must be within ``_RTOL`` of |value|.  Else NotPolynomial:
+    ((x - a)*(b - x))**20 at alpha 1 sums to -1.1e-12 where it is 1.8e-13."""
+    if _ROUND_FLOOR * size <= _RTOL * abs(value):
+        return value
+    raise NotPolynomial(f"the exact table's terms of {text} cancel: they sum to {value:.6e} "
+                        f"from terms of magnitude {size:.6e}, past the rl route's "
+                        f"relative tolerance {_RTOL:g}")
 
 
-def _beta_integral(form: Form, span: float, alpha: float) -> Optional[float]:
-    """The Beta table's a_I_b of ``form``, or None where the table did not
-    earn the digits ``rl_integrate`` promises (see ``_earned``).  A pole or
-    an overflow of Gamma or of a power of span gives None too."""
-    try:
-        value, size = _table_integral(form, span, alpha)
-    except (GammaDomainError, OverflowError):
-        return None
-    return value if _earned(value, size) else None
+def _beta_integral(form: Form, span: float, alpha: float, text: str = "the integrand") -> float:
+    """The Beta table's a_I_b of ``form``, checked by ``_earned``; it raises
+    as ``_table_integral`` does."""
+    return _earned(*_table_integral(form, span, alpha), text)
 
 
 # m1's Gauss series are summed until a term falls below _SERIES_EPS of the
@@ -520,46 +516,57 @@ _SERIES_EPS = 2.0**-54
 _SERIES_TERMS = 400
 
 
-def _half_series(A: float, B: float, C: float) -> Optional[float]:
+def _half_series(A: float, B: float, C: float) -> float:
     """S(A, B; C) = sum_n (A)_n (B)_n / ((C)_n n!) 2**-n, the Gauss series
-    2F1(A, B; C; 1/2), for A, B, C > 0, so that every term is positive; None
-    when it has not converged within ``_SERIES_TERMS`` terms."""
+    2F1(A, B; C; 1/2), for A, B, C > 0, so that every term is positive; a
+    series not converged within ``_SERIES_TERMS`` terms is NotPolynomial."""
     term = total = 1.0
     for n in range(_SERIES_TERMS):
         term *= (A + n) * (B + n) / ((C + n) * (n + 1.0)) * 0.5
         total += term
         if term < _SERIES_EPS * total:
             return total
-    return None
+    raise NotPolynomial(f"the series S({A!r}, {B!r}; {C!r}) did not converge "
+                        f"within {_SERIES_TERMS} terms")
 
 
-def _m1_integral(form: Form, span: float, alpha: float) -> Optional[float]:
+def _m1_integral(form: Form, span: float, alpha: float) -> float:
     """The Fejer moment m1 = span**(3 alpha) * 0_I_1 |1-2t|**(2 alpha) w(x(t))
     of a weight w with the two-endpoint normal form ``form``, summed term
-    by term from the closed form in the module docstring, or None: where a
-    series does not converge, on a pole or an overflow of Gamma or of a
-    power of span, and where the terms cancel past the rl route's
-    tolerance (``_earned``)."""
+    by term from the closed form in the module docstring.  It raises as
+    ``_beta_integral`` and ``_half_series`` do, or OverflowError."""
     total = size = 0.0
     b2 = 2.0 * alpha + 1.0
-    try:
-        g = gamma(b2) / gamma(alpha)
-        for (k, j), c in form.items():
-            p, q = k * alpha, j * alpha
-            n = p + q + 3.0 * alpha + 1.0
-            cl, cr = p + 2.0 * alpha + 2.0, q + 3.0 * alpha + 1.0
-            left, right = _half_series(n, b2, cl), _half_series(n, b2, cr)
-            if left is None or right is None:
-                return None
-            halves = gamma(p + 1.0) / gamma(cl) * left + gamma(q + alpha) / gamma(cr) * right
-            term = c * span ** (p + q) * (2.0**-n * g * halves)
-            total += term
-            size += abs(term)
-        scale = span ** (3.0 * alpha)
-    except (GammaDomainError, OverflowError):
-        return None
+    g = gamma(b2) / gamma(alpha)
+    for (k, j), c in form.items():
+        p, q = k * alpha, j * alpha
+        n = p + q + 3.0 * alpha + 1.0
+        cl, cr = p + 2.0 * alpha + 2.0, q + 3.0 * alpha + 1.0
+        left, right = _half_series(n, b2, cl), _half_series(n, b2, cr)
+        halves = gamma(p + 1.0) / gamma(cl) * left + gamma(q + alpha) / gamma(cr) * right
+        term = c * span ** (p + q) * (2.0**-n * g * halves)
+        total += term
+        size += abs(term)
+    scale = span ** (3.0 * alpha)
     value = scale * total
-    return value if math.isfinite(value) and _earned(value, scale * size) else None
+    if not math.isfinite(value):
+        raise OverflowError(f"m1's table sum overflows to {value!r}")
+    return _earned(value, scale * size, "m1")
+
+
+def _exact_first(choice: str, exact: Callable[[], float], numeric: Callable[[], float],
+                 numeric_route: str = "rl") -> tuple[float, str]:
+    """The route rule: ``(exact(), "exact")`` for choice "exact" or "auto",
+    else ``(numeric(), numeric_route)``.  Where the exact route has no value
+    (NotPolynomial, GammaDomainError, OverflowError), "auto" falls back on
+    the numeric route and a forced "exact" raises."""
+    if choice in ("exact", "auto"):
+        try:
+            return exact(), "exact"
+        except (NotPolynomial, GammaDomainError, OverflowError):
+            if choice == "exact":
+                raise
+    return numeric(), numeric_route
 
 
 def _finite(value: float) -> float:
@@ -579,14 +586,11 @@ def lf_integral(
     """Local fractional integral a_I_b f of order ctx.alpha.
 
     Orientation: a_I_b f = -(b_I_a f), and the value is 0 when a == b.
-    The exact route sums the Beta table over f's half-line normal form
-    about the lower endpoint (raises :class:`~fracon.expr.NotPolynomial`
-    where f has none), and its table terms must not cancel past the rl route's tolerance (see
-    ``_earned``; NotPolynomial too, naming the cancellation); a pole or an
-    overflow of Gamma raises GammaDomainError.  The numeric route splits
-    the integral at f's singular points, and an integral that does not
-    converge raises IntegrationError.  A non-finite result (an overflow)
-    raises ValueError.
+    The exact route is ``_beta_integral`` of f's two-endpoint normal form
+    on the interval (:class:`~fracon.expr.NotPolynomial` where f has none).
+    The numeric route splits the integral at f's singular points, and an
+    integral that does not converge raises IntegrationError.  A non-finite
+    result (an overflow) raises ValueError.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -595,16 +599,10 @@ def lf_integral(
     if a > b:
         a, b, sign = b, a, -1.0
     if backend.kind is BackendKind.EXACT_MONOMIAL:
-        value, size = _table_integral(f.form(a, None, ctx), b - a, ctx.alpha)
-        if not _earned(value, size):
-            raise NotPolynomial(
-                f"the exact table's terms of {f.text} cancel: they sum to {value:.6e} "
-                f"from terms of magnitude {size:.6e}, past the rl route's "
-                f"relative tolerance {_RTOL:g}"
-            )
-        return _finite(sign * value)
-    value = _integral(f"the integral of {f.text}", lambda xs: f.evaluate_many(xs, ctx),
-                      a, b, ctx.alpha, f.singular_points())
+        value = _beta_integral(f.form(a, b, ctx), b - a, ctx.alpha, f.text)
+    else:
+        value = _integral(f"the integral of {f.text}", lambda xs: f.evaluate_many(xs, ctx),
+                          a, b, ctx.alpha, f.singular_points())
     return _finite(sign * value)
 
 

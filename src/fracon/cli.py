@@ -58,12 +58,13 @@ from .calculus import (
     NUMERIC,
     DerivativeMode,
     IntegrationError,
+    _exact_first,
     lf_derivative,
     lf_integral,
 )
 from .convexity import _GRID_RANGE, _REFINE_RANGE, SymmetryError, _check_range, certify_gsc
 from .expr import EtaSpec, EvalError, FunctionSpec, NotPolynomial, ParseError
-from .fractal_scalar import AlphaContext, GammaDomainError, axiom_conformance
+from .fractal_scalar import AlphaContext, axiom_conformance
 from .inequalities import fejer_terms, hh_terms
 from .presets import ETA_PRESETS, F_PRESETS, W_PRESETS, resolve
 
@@ -538,21 +539,6 @@ def _check_alpha(value) -> float:
     return alpha
 
 
-def _exact_first(choice: str, exact, numeric, run):
-    """``(route, run(route))``: the ``exact`` route for choice "exact" or
-    "auto", else ``numeric``; "auto" falls back to ``numeric`` where the
-    exact route gives no value: input with no generalized-polynomial form,
-    table terms that cancel (both NotPolynomial), and a Gamma or a power
-    that overflows (GammaDomainError, OverflowError)."""
-    route = exact if choice in ("exact", "auto") else numeric
-    try:
-        return route, run(route)
-    except (NotPolynomial, GammaDomainError, OverflowError):
-        if choice != "auto":
-            raise
-    return numeric, run(numeric)
-
-
 def _cmd_integrate(args: argparse.Namespace) -> int:
     problems: list[str] = []
     alpha = _collect(problems, _check_alpha, args.alpha)
@@ -562,9 +548,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
     _, f = _spec(F_PRESETS, FunctionSpec, args.f, {"lo": min(a, b), "hi": max(a, b)})
-    backend, value = _exact_first(args.backend, EXACT, NUMERIC,
-                                  lambda route: lf_integral(f, a, b, ctx, route))
-    sys.stdout.write(f"{_fmt(value)}\nbackend: {backend.kind.value}\n")
+    value, backend = _exact_first(args.backend, lambda: lf_integral(f, a, b, ctx, EXACT),
+                                  lambda: lf_integral(f, a, b, ctx, NUMERIC))
+    sys.stdout.write(f"{_fmt(value)}\nbackend: {backend}\n")
     return 0
 
 
@@ -579,10 +565,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         raise ConfigError("; ".join(problems))
     ctx = AlphaContext(alpha=alpha)
     _, f = _spec(F_PRESETS, FunctionSpec, args.f)
-    mode, value = _exact_first(args.mode, DerivativeMode.EXACT_MONOMIAL,
-                               DerivativeMode.FINITE_DIFFERENCE,
-                               lambda route: lf_derivative(f, at, ctx, mode=route, s=base))
-    sys.stdout.write(f"{_fmt(value)}\nmode: {mode.value}\n")
+    value, mode = _exact_first(
+        args.mode,
+        lambda: lf_derivative(f, at, ctx, mode=DerivativeMode.EXACT_MONOMIAL, s=base),
+        lambda: lf_derivative(f, at, ctx, mode=DerivativeMode.FINITE_DIFFERENCE, s=base),
+        "fd")
+    sys.stdout.write(f"{_fmt(value)}\nmode: {mode}\n")
     return 0
 
 

@@ -34,8 +34,8 @@ On [a, b] it gives the two-endpoint form
 
 and with no right endpoint (b = None) the half-line form about a, whose
 keys are all (k, 0) and which agrees with the expression for x >= a.  The
-exact integration and differentiation rules and the Fejer chain's exact
-integrals read these forms.  Expressions outside them raise
+exact integrals read the two-endpoint form, and the exact derivative the
+half-line form about its base point.  Expressions outside them raise
 :class:`NotPolynomial`.
 """
 
@@ -89,7 +89,7 @@ class EvalError(RuntimeError):
 
 
 class NotPolynomial(ValueError):
-    """Expression has no generalized-polynomial form about the base point."""
+    """No exact value: no generalized-polynomial form, or an unearned sum."""
 
 
 # --- AST ------------------------------------------------------------------
@@ -876,14 +876,15 @@ def _form_terms(n: ExprAst, fr: _Frame) -> Form:
     if isinstance(n, Neg):
         return {k: -c for k, c in _form_terms(n.child, fr).items()}
     if isinstance(n, Abs):
-        p = _form_terms(n.child, fr)
+        p = _arg_terms(n, n.child, fr)
         cv = _const_of(p)
         if cv is not None:
             return {(0, 0): abs(cv)}
         if len(p) == 1:
             ((k, c),) = p.items()
             return {k: abs(c)}
-        raise NotPolynomial("abs of a non-monomial has no polynomial form")
+        raise _kink(n, n.child, fr) or NotPolynomial(
+            "abs of a non-monomial has no polynomial form")
     if isinstance(n, Bin):
         p = _form_terms(n.left, fr)
         q = _form_terms(n.right, fr)
@@ -907,7 +908,7 @@ def _form_terms(n: ExprAst, fr: _Frame) -> Form:
         mono = _monomial_pow(n, fr)
         if mono is not None:
             return mono
-        p = _form_terms(n.base, fr)
+        p = _arg_terms(n, n.base, fr)
         cv = _const_of(p)
         if isinstance(n.exp, ExpLiteral):
             r = n.exp.value
@@ -915,7 +916,8 @@ def _form_terms(n: ExprAst, fr: _Frame) -> Form:
                 return {(0, 0): float(_pow_literal(cv, r, n.pos))}
             if _is_near_int(r) and r >= 0:
                 return _ppow(p, int(round(r)), fr.alpha)
-            raise NotPolynomial("fractional or negative literal power of a non-constant")
+            raise _kink(n, n.base, fr) or NotPolynomial(
+                "fractional or negative literal power of a non-constant")
         k = n.exp.k
         alpha = fr.alpha
         if cv is not None:
@@ -933,10 +935,30 @@ def _form_terms(n: ExprAst, fr: _Frame) -> Form:
             if _is_near_int(ik) and _is_near_int(jk):
                 coeff = float(_pow_alpha(u, k, alpha))
                 return {(int(round(ik)), int(round(jk))): coeff}
-        raise NotPolynomial(
-            "alpha-power applies only to constants and (scaled) monomials"
-        )
+        raise _kink(n, n.base, fr) or NotPolynomial(
+            "alpha-power applies only to constants and (scaled) monomials")
     raise TypeError(f"not an expression node: {n!r}")
+
+
+def _arg_terms(n: ExprAst, arg: ExprAst, fr: _Frame) -> Form:
+    """The form of ``arg``, the argument of the abs or power ``n`` (see ``_kink``)."""
+    try:
+        return _form_terms(arg, fr)
+    except NotPolynomial as exc:
+        raise _kink(n, arg, fr) or exc from None
+
+
+def _kink(n: ExprAst, arg: ExprAst, fr: _Frame) -> Optional[NotPolynomial]:
+    """The NotPolynomial naming the root of the affine ``arg`` of the abs or
+    power ``n`` where it is inside the frame's interval, which leaves n no
+    form (a root on an endpoint makes a monomial); else None."""
+    uw = _affine(arg, fr.params)
+    root = -uw[1] / uw[0] if uw is not None and uw[0] != 0.0 else fr.a
+    if not (fr.a < root and (fr.b is None or root < fr.b)):
+        return None
+    where = f"about {fr.a!r}" if fr.b is None else f"on [{fr.a!r}, {fr.b!r}]"
+    return NotPolynomial(f"{pretty(n)} has no normal form {where}: its argument has a root "
+                         f"at x = {root!r}")
 
 
 # --- bound specs ----------------------------------------------------------

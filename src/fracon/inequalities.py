@@ -42,22 +42,23 @@ suite asserts those identities numerically (``tests/paper_checks.py``).
 Pulled back to x, m0 = a_I_b w, m2 = a_I_b (x-a)**al w and
 m3 = a_I_b (x-a)**al (b-x)**al w.  So when w has a two-endpoint normal form
 (``expr.normal_form``), these three, and F2 and L when f and eta's
-composition have forms too, are sums of Beta integrals, and they come from
-the Beta table (``calculus._beta_integral``, route "exact") instead of
-quadrature, wherever the table's terms do not cancel past the rl route's
-tolerance.  Over the preset rows the two routes agree within
-1.4e-10 * (1 + |v|), and the quadrature values were up to 6.4e-10
-relative off the closed forms.  m1 is hypergeometric, and for such a w it
-has a closed form too (``calculus._m1_integral``, route "exact"): with
-p = k al, q = j al and N = p + q + 3 al + 1, a term c (x-a)**p (b-x)**q
-of w adds c * span**(p+q+3 al) times
+composition have forms too, are sums of Beta integrals
+(``calculus._beta_integral``).  m1 is hypergeometric, and for such a w it
+has a closed form too (``calculus._m1_integral``): with p = k al,
+q = j al and N = p + q + 3 al + 1, a term c (x-a)**p (b-x)**q of w adds
+c * span**(p+q+3 al) times
 
     2**-N / Gamma(al) * (B(p+1, 2 al+1) S(N, 2 al+1; p+2 al+2)
                          + B(q+al, 2 al+1) S(N, 2 al+1; q+3 al+1)),
 
 S(A, B; C) = sum_n (A)_n (B)_n / ((C)_n n!) 2**-n, a Gauss series of
-positive terms.  Every integral with no closed form runs on
+positive terms.  Each of the six integrals takes its route by
+``calculus._exact_first`` under "auto", one integral at a time: the
+closed form (route "exact") wherever it gives a value, else
 ``rl_integrate`` (route "rl"); the report names each integral's route.
+Over the preset rows the two routes agree within 1.4e-10 * (1 + |v|),
+and the quadrature values were up to 6.4e-10 relative off the closed
+forms.
 
 w must be symmetric about the midpoint and nonnegative.  When its normal
 form has only finite coefficients c(k, j) >= 0 with c(k, j) == c(j, k),
@@ -75,14 +76,14 @@ on a kinked f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import (IntegralBackend, NUMERIC, _beta_integral, _integral, _m1_integral,
-                       lf_integral)
+from .calculus import (IntegralBackend, NUMERIC, _beta_integral, _exact_first, _integral,
+                       _m1_integral, lf_integral)
 from .convexity import _check_interval, check_symmetry, estimate_eta_sup
-from .expr import EtaSpec, FunctionSpec, NotPolynomial, WeightSpec, _pmul
+from .expr import EtaSpec, Form, FunctionSpec, NotPolynomial, WeightSpec, _pmul
 from .fractal_scalar import AlphaContext, gamma
 
 __all__ = [
@@ -244,36 +245,19 @@ class FejerReport:
     all_hold: bool
 
 
-def _exact_integrals(f: FunctionSpec, eta: EtaSpec, w: WeightSpec, a: float, b: float,
-                     ctx: AlphaContext) -> dict[str, float]:
-    """The Fejer integrals that have a closed form, by name: m0, m2 and m3
-    (all three or none) and m1 when w has a two-endpoint normal form on
-    [a, b], F2 when f has one too, and L_eta (before its 1/2**al) when eta
-    on the forms of f(a+b-x), f's with k and j swapped, and f(x) has one as
-    well.  m1 comes from ``calculus._m1_integral``, the others from the
-    Beta table.  An integral is left out where ``calculus._beta_integral``
-    or ``_m1_integral`` gives no value: the table did not earn the rl
-    route's digits, or m1's series did not converge."""
-    al, span = ctx.alpha, b - a
-    out: dict[str, Optional[float]] = {}
+def _walked(form: Callable[..., Form], *args) -> Callable[[], Form]:
+    """A thunk for ``form(*args)``, walked now: it returns the form, or
+    raises a new NotPolynomial with the walk's message each call."""
     try:
-        w_form = w.form(a, b, ctx)
-        moments = [_beta_integral(form, span, al) for form in (
-            w_form,
-            {(k + 1, j): cw for (k, j), cw in w_form.items()},
-            {(k + 1, j + 1): cw for (k, j), cw in w_form.items()},
-        )]
-        if None not in moments:
-            out["m0"], out["m2"], out["m3"] = moments
-        out["m1"] = _m1_integral(w_form, span, al)
-        f_form = f.form(a, b, ctx)
-        out["F2"] = _beta_integral(_pmul(f_form, w_form), span, al)
-        mirrored = {(j, k): cf for (k, j), cf in f_form.items()}
-        eta_form = eta.form(mirrored, f_form, a, b, ctx)
-        out["L_eta"] = _beta_integral(_pmul(eta_form, w_form), span, al)
-    except NotPolynomial:
-        pass
-    return {name: value for name, value in out.items() if value is not None}
+        value = form(*args)
+    except NotPolynomial as exc:
+        message = str(exc)
+
+        def fail() -> Form:
+            raise NotPolynomial(message)
+
+        return fail
+    return lambda: value
 
 
 def fejer_terms(
@@ -292,18 +276,13 @@ def fejer_terms(
     finite, >= 0 and c(k, j) == c(j, k), else by sampling 1001 points;
     violations raise :class:`~fracon.convexity.SymmetryError`.
 
-    Integrals whose integrand has a two-endpoint normal form have a closed
-    form, route "exact" (see ``_exact_integrals``): m0, m1, m2 and m3 when
-    w has a form on [a, b], F2 when f has one too, and L when eta's
-    composition with f has one as well.  m1 comes from the two Gauss
-    series of ``calculus._m1_integral`` (see the module docstring), the
-    others from the Beta table.  Both preset weights and both preset eta
-    maps have forms, and so does f wherever it is a generalized polynomial
-    about a (``x^(2a)`` on [0, 1] at every alpha, for instance).  An
-    integral whose closed-form terms cancel past the rl route's tolerance
-    (L of ``u - v`` at alpha 1, which is 0 by symmetry, or an expanded high
-    power), and every other integral run on ``rl_integrate`` (route "rl");
-    one that does not converge raises
+    Each integral takes its route by ``calculus._exact_first`` under
+    "auto" (see the module docstring): m0, m1, m2 and m3 have closed forms
+    when w has a normal form on [a, b], F2 when f has one too, and L when
+    eta's composition with f has one as well; both preset weights and eta
+    maps do, and so does f wherever it is a generalized polynomial on
+    [a, b] (``x^(2a)`` on [0, 1] at every alpha, for instance).  An rl
+    integral that does not converge raises
     :class:`~fracon.calculus.IntegrationError` naming its term.
     ``routes`` names each integral's route.
     """
@@ -319,32 +298,39 @@ def fejer_terms(
     f_pts, w_pts = f.singular_points(), w.singular_points()
     t_pts = tuple((p - a) / span for p in w_pts)
 
-    def integral(name, fn, lo=0.0, hi=1.0, points=t_pts) -> float:
-        return _integral(f"Fejer term {name}'s integral", fn, lo, hi, al, points)
+    w_form, f_form = _walked(w.form, a, b, ctx), _walked(f.form, a, b, ctx)
+    routes: dict[str, str] = {}
 
-    exact = _exact_integrals(f, eta, w, a, b, ctx)
-    if "m0" in exact:
-        m0, m2, m3 = exact["m0"], exact["m2"], exact["m3"]
-    else:
-        m0 = span**al * integral("m0", lambda ts: w.evaluate_many(a + ts * span, ctx))
-        m2 = span ** (2 * al) * integral("m2", lambda ts: (
-            ts**al * w.evaluate_many(a + ts * span, ctx)))
-        m3 = span ** (3 * al) * integral("m3", lambda ts: (
-            (ts**al * (1 - ts)**al) * w.evaluate_many(a + ts * span, ctx)))
-    m1 = exact.get("m1")
-    if m1 is None:
-        def m1_integrand(ts: np.ndarray) -> np.ndarray:
-            """|1 - 2t|**(2 al) * w, the power built in one array and
-            multiplied into w's, which w's evaluation made."""
-            wt = w.evaluate_many(a + ts * span, ctx)
-            s = 2.0 * ts
-            np.subtract(1.0, s, out=s)
-            np.abs(s, out=s)
-            s **= 2 * al
-            wt *= s
-            return wt
+    def route(name: str, form: Callable[[], Form], scale: float,
+              fn: Callable[[np.ndarray], np.ndarray], lo=0.0, hi=1.0, points=t_pts,
+              rule=_beta_integral) -> float:
+        """Integral ``name`` by the route rule: ``rule`` on ``form()``, or
+        ``scale`` times the rl integral of ``fn`` over [lo, hi]."""
+        value, routes[name] = _exact_first("auto", lambda: rule(form(), span, al), lambda: (
+            scale * _integral(f"Fejer term {name}'s integral", fn, lo, hi, al, points)))
+        return value
 
-        m1 = span ** (3 * al) * integral("m1", m1_integrand, points=t_pts + (0.5,))
+    def w_times(dk: int, dj: int) -> Callable[[], Form]:
+        """The form of (x-a)**(dk al) * (b-x)**(dj al) * w."""
+        return lambda: {(k + dk, j + dj): cw for (k, j), cw in w_form().items()}
+
+    def eta_form() -> Form:
+        """The form of eta(f(a+b-x), f(x)): f(a+b-x)'s is f's with k and j swapped."""
+        return eta.form({(j, k): cf for (k, j), cf in f_form().items()}, f_form(), a, b, ctx)
+
+    def w_t(ts: np.ndarray) -> np.ndarray:
+        return w.evaluate_many(a + ts * span, ctx)
+
+    def m1_integrand(ts: np.ndarray) -> np.ndarray:
+        """|1 - 2t|**(2 al) * w, the power built in one array and
+        multiplied into w's, which w's evaluation made."""
+        wt = w_t(ts)
+        s = 2.0 * ts
+        np.subtract(1.0, s, out=s)
+        np.abs(s, out=s)
+        s **= 2 * al
+        wt *= s
+        return wt
 
     def eta_integrand(xs: np.ndarray) -> np.ndarray:
         """eta(f(a+b-x), f(x)) * w(x).  The f samples are freed when eta
@@ -353,20 +339,20 @@ def fejer_terms(
         values *= w.evaluate_many(xs, ctx)
         return values
 
-    L = exact.get("L_eta")
-    if L is None:
-        mirrored = tuple(a + b - p for p in f_pts)
-        L = integral("L_eta", eta_integrand, a, b, f_pts + mirrored + w_pts)
-    L /= 2**al
-
     def f2_integrand(xs: np.ndarray) -> np.ndarray:
         values = f.evaluate_many(xs, ctx)
         values *= w.evaluate_many(xs, ctx)
         return values
 
-    F2 = exact.get("F2")
-    if F2 is None:
-        F2 = integral("F2", f2_integrand, a, b, f_pts + w_pts)
+    m0 = route("m0", w_form, span**al, w_t)
+    m1 = route("m1", w_form, span ** (3 * al), m1_integrand, points=t_pts + (0.5,),
+               rule=_m1_integral)
+    m2 = route("m2", w_times(1, 0), span ** (2 * al), lambda ts: ts**al * w_t(ts))
+    m3 = route("m3", w_times(1, 1), span ** (3 * al),
+               lambda ts: (ts**al * (1 - ts)**al) * w_t(ts))
+    L = route("L_eta", lambda: _pmul(eta_form(), w_form()), 1.0, eta_integrand, a, b,
+              f_pts + tuple(a + b - p for p in f_pts) + w_pts) / 2**al
+    F2 = route("F2", lambda: _pmul(f_form(), w_form()), 1.0, f2_integrand, a, b, f_pts + w_pts)
     R = (e_ab + e_ba) / (2**al * span**al) * m2
 
     F1 = fm * m0 - L + ca / 4**al * m1
@@ -386,8 +372,7 @@ def fejer_terms(
         F1=F1,
         F2=F2,
         F3=F3,
-        routes={name: "exact" if name in exact else "rl"
-                for name in ("m0", "m1", "m2", "m3", "L_eta", "F2")},
+        routes=routes,
         link_tol=tol,
         links=links,
         all_hold=all(link.holds for link in links),

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from fracon import (AlphaContext, EtaSpec, FunctionSpec, WeightSpec, calculus, fejer_terms,
-                    inequalities)
+from fracon import (AlphaContext, EtaSpec, FunctionSpec, GammaDomainError, NotPolynomial,
+                    WeightSpec, calculus, fejer_terms, inequalities)
 from fracon.presets import ETA_PRESETS, W_PRESETS
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -106,16 +106,20 @@ def test_m1_table_scales_with_span_and_sums_its_terms():
 
 def test_m1_integral_declines_values_it_cannot_earn():
     """A Gamma overflow, a span power that overflows, a series past the
-    term cap, and terms that cancel each give no m1 value, so m1 takes the
-    rl route."""
-    assert calculus._m1_integral({(200, 0): 1.0}, 1.0, 1.0) is None
-    assert calculus._m1_integral({(4, 0): 1.0}, 1e200, 1.0) is None
+    term cap, and terms that cancel each raise, so that m1 takes the rl
+    route."""
+    with pytest.raises(GammaDomainError):
+        calculus._m1_integral({(200, 0): 1.0}, 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        calculus._m1_integral({(4, 0): 1.0}, 1e200, 1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calculus, "_SERIES_TERMS", 10)
-        assert calculus._m1_integral({(1, 1): 1.0}, 1.0, 1.0) is None
+        with pytest.raises(NotPolynomial, match="did not converge within 10 terms"):
+            calculus._m1_integral({(1, 1): 1.0}, 1.0, 1.0)
     # At alpha 1, m1 of 1 is 1/3 and m1 of (x-a)(b-x) is 1/30.
     one, par = (calculus._m1_integral({key: 1.0}, 1.0, 1.0) for key in ((0, 0), (1, 1)))
-    assert calculus._m1_integral({(0, 0): 1.0, (1, 1): -one / par}, 1.0, 1.0) is None
+    with pytest.raises(NotPolynomial, match="terms of m1 cancel"):
+        calculus._m1_integral({(0, 0): 1.0, (1, 1): -one / par}, 1.0, 1.0)
     assert calculus._m1_integral({(0, 0): 1.0, (1, 1): -5.0}, 1.0, 1.0) \
         == pytest.approx(1.0 / 6.0, rel=1e-15)
 
@@ -141,8 +145,10 @@ def test_generator_reproduces_the_frozen_file_without_fracon():
 
 
 def test_beta_integral_declines_values_the_floats_cannot_hold():
-    """Gamma(401) and 1e200**5 overflow: no table value, so the Fejer
+    """Gamma(401) and 1e200**5 overflow: the table raises, so the Fejer
     integral takes the rl route instead of failing."""
-    assert calculus._beta_integral({(400, 0): 1.0}, 1.0, 1.0) is None
-    assert calculus._beta_integral({(4, 0): 1.0}, 1e200, 1.0) is None
+    with pytest.raises(GammaDomainError):
+        calculus._beta_integral({(400, 0): 1.0}, 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        calculus._beta_integral({(4, 0): 1.0}, 1e200, 1.0)
     assert calculus._beta_integral({(1, 1): 1.0}, 1.0, 1.0) == 1.0 / 6.0

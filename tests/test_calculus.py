@@ -17,6 +17,7 @@ from fracon import (
     DerivativeMode,
     EtaSpec,
     FunctionSpec,
+    GammaDomainError,
     IntegralBackend,
     IntegrationError,
     NotPolynomial,
@@ -129,24 +130,50 @@ def test_classical_third():
 
 
 def test_product_integrand_frozen_values():
-    """t^al (1-t)^al is no generalized monomial for al < 1; numeric route required.
-
-    At al = 1 the expression collapses to the ordinary polynomial x - x^2,
-    so the exact route must succeed there and reproduce 1/6.
-    """
+    """t^al (1-t)^al is the two-endpoint monomial (x-a)^al (b-x)^al on
+    [0, 1], so the exact route reads it from the Beta table at every
+    alpha (at al = 1 it is x - x^2, whose integral is 1/6), and the
+    numeric route agrees."""
     f = FunctionSpec.from_text("x^(a)*(1 - x)^(a)")
     for alpha, ref in _FROZEN_PRODUCT.items():
         ctx = AlphaContext(alpha=alpha)
-        if alpha < 1.0:
-            with pytest.raises(NotPolynomial):
-                lf_integral(f, 0.0, 1.0, ctx, EXACT)
-        else:
-            exact = lf_integral(f, 0.0, 1.0, ctx, EXACT)
-            assert abs(exact - 1.0 / 6.0) <= 1e-12
+        exact = lf_integral(f, 0.0, 1.0, ctx, EXACT)
+        assert abs(exact - ref) <= 1e-13 * abs(ref)
         got = lf_integral(f, 0.0, 1.0, ctx, NUMERIC)
         assert abs(got - ref) <= 1e-8 * abs(ref)
         closed = gamma(1 + 2 * alpha) / (2 * gamma(1 + 3 * alpha))
         assert abs(got - closed) <= 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("cause", [NotPolynomial("no form"), GammaDomainError("pole"),
+                                   OverflowError("power")], ids=lambda e: type(e).__name__)
+def test_route_rule_falls_back_only_under_auto(cause):
+    """The route rule: "auto" takes the numeric route where the exact one
+    raises one of its three causes, a forced "exact" raises it, and a
+    forced numeric route never calls the exact one."""
+
+    def exact():
+        raise cause
+
+    def numeric():
+        return 2.0
+
+    assert calculus._exact_first("auto", exact, numeric) == (2.0, "rl")
+    assert calculus._exact_first("auto", lambda: 1.0, numeric) == (1.0, "exact")
+    assert calculus._exact_first("fd", exact, numeric, "fd") == (2.0, "fd")
+    with pytest.raises(type(cause)):
+        calculus._exact_first("exact", exact, numeric)
+
+
+def test_route_rule_keeps_other_failures():
+    """An error that is not one of the three causes is no missing exact
+    value: "auto" raises it too."""
+
+    def exact():
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        calculus._exact_first("auto", exact, lambda: 2.0)
 
 
 def test_kink_integrand_exact_at_unit_order():

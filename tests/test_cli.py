@@ -9,6 +9,7 @@ stderr messages, and exit codes (0 ok, 1 config/parse, 2 verified violation,
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -43,10 +44,61 @@ def test_integrate_auto_prefers_exact(capsys):
 
 
 def test_integrate_auto_falls_back_to_quadrature(capsys):
-    code, out, _ = run(capsys, ["integrate", "x^(a)*(1 - x)^(a)", "0", "1",
+    """abs(x - 0.3)^(a) kinks inside [0, 1], so it has no normal form there."""
+    code, out, _ = run(capsys, ["integrate", "abs(x - 0.3)^(a)", "0", "1",
                                 "--alpha", "0.5"])
     assert code == 0
-    assert out == "0.376126389031838\nbackend: rl\n"
+    assert out == "0.686446410088912\nbackend: rl\n"
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.125, 0.5, 1.0])
+def test_integrate_reads_a_base_rooted_at_the_upper_end(capsys, alpha):
+    """(1 - x)^(a) is the monomial (b - x)^(a) on [0, 1], whose integral is
+    Gamma(2 alpha) / (Gamma(alpha) Gamma(1 + 2 alpha)): auto takes it
+    exact.  It was integrated by quadrature, which printed
+    0.264998027963507 against 0.502853264250193 at alpha 0.01."""
+    code, out, err = run(capsys, ["integrate", "(1 - x)^(a)", "0", "1", "--alpha", str(alpha)])
+    value, route = out.splitlines()
+    want = math.gamma(2 * alpha) / (math.gamma(alpha) * math.gamma(1 + 2 * alpha))
+    assert (code, route, err) == (0, "backend: exact", "")
+    assert float(value) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--f", "abs(x - 0.3)^(a)", "--eta", "difference", "--alpha", "0.3",
+     "--backend", "exact"],
+    ["integrate", "abs(x - 0.3)^(a)", "0", "1", "--alpha", "0.3", "--backend", "exact"],
+    ["diff", "abs(x - 0.3)^(a)", "--at", "0.4", "--alpha", "0.3", "--mode", "exact"],
+], ids=["hh", "integrate", "diff"])
+def test_forced_exact_names_the_interior_root(capsys, argv):
+    """A forced exact route on a function with a kink inside its interval
+    names the kink; it used to say "bare variable needs 1/alpha integral
+    (alpha=0.3)"."""
+    code, out, err = run(capsys, argv)
+    where = "about 0.0" if argv[0] == "diff" else "on [0.0, 1.0]"
+    assert (code, out) == (1, "")
+    assert err == (f"fracon: error: abs(x - 0.3) has no normal form {where}: "
+                   "its argument has a root at x = 0.3\n")
+
+
+def test_forced_exact_keeps_a_form_across_an_interior_root(capsys):
+    """At alpha 1, (x - 0.3)^(a) is x - 0.3, whose form exists."""
+    code, out, _ = run(capsys, ["integrate", "(x - 0.3)^(a)", "0", "1", "--alpha", "1",
+                                "--backend", "exact"])
+    assert (code, out) == (0, "0.2\nbackend: exact\n")
+
+
+def test_integrate_auto_falls_back_when_a_span_power_overflows(capsys):
+    """(1e-75 x)^4 is 1e-300 x^4, whose table term reads span**5 = 1e500,
+    which overflows, while every sample of f stays finite: auto takes
+    quadrature and prints 1e-300 * 1e500 / 5, and a forced exact fails on
+    the overflow."""
+    argv = ["integrate", "(1e-75*x)^(4a)", "0", "1e100", "--alpha", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "2e+199\nbackend: rl\n", "")
+    code, out, err = run(capsys, [*argv, "--backend", "exact"])
+    assert (code, out) == (3, "")
+    assert err.startswith("fracon: OverflowError: ") and err.count("\n") == 1
 
 
 def test_integrate_auto_does_not_snap_a_near_root_to_the_endpoint(capsys):

@@ -581,11 +581,24 @@ def test_cancelling_beta_terms_take_the_rl_route(w_text, route):
         assert moment == pytest.approx(want, rel=1e-8)
 
 
+def test_each_fejer_integral_takes_its_own_route():
+    """At alpha 0.5 the weight (x - lo)^(170a)*(hi - x)^(170a) is the
+    monomial (x-a)^85 (b-x)^85: m0's table reads Gamma(171.5) and m1's
+    closed form no Gamma past Gamma(88), but m2's and m3's tables read
+    Gamma(172) and Gamma(172.5), which overflow, so those two take rl while
+    m0 and m1 stay exact, m0 at mpmath's Gamma(86) Gamma(85.5) /
+    (Gamma(1/2) Gamma(171.5))."""
+    w = _w("(x - lo)^(170a)*(hi - x)^(170a)", lo=0.0, hi=1.0)
+    rep = fejer_terms(_f("x^(2a)"), _DIFF, 0.0, w, 0.0, 1.0, AlphaContext(alpha=0.5))
+    assert rep.routes == {"m0": "exact", "m1": "exact", "m2": "rl", "m3": "rl",
+                          "L_eta": "rl", "F2": "rl"}
+    assert rep.m0 == pytest.approx(5.11352222888737012564108937595e-53, rel=1e-14)
+
+
 def test_exact_integral_and_fejer_f2_read_one_table():
     """lf_integral's exact route and fejer's F2 with w = 1 sum the same
-    Beta table over the same form of f (no base of f here is rooted at b,
-    so f's two-endpoint form is its half-line form about a): where one
-    takes the exact route, so does the other, with the same bits."""
+    Beta table over the same two-endpoint form of f: where one takes the
+    exact route, so does the other, with the same bits."""
     exact = 0
     for f_text, eta_text, alpha, (a, b) in itertools.product(
             [*F_PRESETS.values(), "x^(2a) + 1", "3*x^(4a) - x^(a)/2", "(x - lo)^(3a)"],

@@ -16,8 +16,11 @@ f(mixture) and the order of its first two operations, the evaluation of a
 a Beta-table factor, the sign of a (b - x) base, m3's normal form, the
 mirror image of f's form, the two Gauss series of m1's closed form or its
 power of two, the mirror key of the weight's symmetry rule, the exact
-derivative's Gamma ratio, or the span of the exact integral.  The checkout (without ``.git``
-and caches) is copied to a temporary directory once.  The suite first runs
+derivative's Gamma ratio, the span of the exact integral, or the route
+rule (an overflow that no longer falls back under "auto", a forced
+"exact" that falls back, a Fejer integral's route filed under another
+name).  The checkout (without ``.git`` and caches) is copied to a
+temporary directory once.  The suite first runs
 there unmutated, and must pass; then each mutant is written into the copy,
 the suite runs as
 
@@ -62,12 +65,10 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("m1-span", 'm1 = span ** (3 * al) * integral("m1"',
-           'm1 = span ** (2 * al) * integral("m1"'),
-    Mutant("m2-span", 'm2 = span ** (2 * al) * integral("m2"',
-           'm2 = span ** (3 * al) * integral("m2"'),
-    Mutant("m3-span", 'm3 = span ** (3 * al) * integral("m3"',
-           'm3 = span ** (2 * al) * integral("m3"'),
+    Mutant("m1-span", 'route("m1", w_form, span ** (3 * al)',
+           'route("m1", w_form, span ** (2 * al)'),
+    Mutant("m2-span", "w_times(1, 0), span ** (2 * al)", "w_times(1, 0), span ** (3 * al)"),
+    Mutant("m3-span", "w_times(1, 1), span ** (3 * al)", "w_times(1, 1), span ** (2 * al)"),
     Mutant("T1-M", "T1 = fm - M / 2**al", "T1 = fm - M / 2"),
     Mutant("T2-4al", "(integral - ca / 4**al * span", "(integral - ca / 2**al * span"),
     Mutant("F1-4al", "F1 = fm * m0 - L + ca / 4**al * m1", "F1 = fm * m0 - L + ca / 2**al * m1"),
@@ -102,15 +103,19 @@ MUTANTS = (
     Mutant("beta-q", "gamma(p + 1.0) * gamma(q + alpha)", "gamma(p + 1.0) * gamma(q + 1.0)"),
     Mutant("beta-span", "span ** (p + q + alpha))", "span ** (p + q))"),
     Mutant("b-root", "scale, side = -u, 1", "scale, side = u, 1"),
-    Mutant("m3-form", "{(k + 1, j + 1): cw for", "{(k + 1, j): cw for"),
-    Mutant("f-mirror", "mirrored = {(j, k): cf", "mirrored = {(k, j): cf"),
+    Mutant("m3-form", 'route("m3", w_times(1, 1)', 'route("m3", w_times(1, 0)'),
+    Mutant("f-mirror", "eta.form({(j, k): cf", "eta.form({(k, j): cf"),
     Mutant("m1-c-swap", "_half_series(n, b2, cl), _half_series(n, b2, cr)",
            "_half_series(n, b2, cr), _half_series(n, b2, cl)"),
     Mutant("m1-2n", "(2.0**-n * g * halves)", "(g * halves)"),
     Mutant("sym-mirror", "c == form.get((j, k), 0.0)", "c == form.get((k, j), 0.0)"),
     Mutant("deriv-gamma", "gamma(1.0 + (k - 1) * alpha)", "gamma(1.0 + k * alpha)"),
-    Mutant("exact-span", "f.form(a, None, ctx), b - a, ctx.alpha)",
-           "f.form(a, None, ctx), b, ctx.alpha)"),
+    Mutant("exact-span", "f.form(a, b, ctx), b - a, ctx.alpha", "f.form(a, b, ctx), b, ctx.alpha"),
+    Mutant("auto-overflow", "except (NotPolynomial, GammaDomainError, OverflowError):",
+           "except (NotPolynomial, GammaDomainError):"),
+    Mutant("forced-exact", 'if choice == "exact":\n                raise',
+           'if choice == "never":\n                raise'),
+    Mutant("route-name", 'm2 = route("m2"', 'm2 = route("m3"'),
 )
 
 
